@@ -1,19 +1,21 @@
-"""Golden parity: the registry path reproduces the legacy pricing bit
-for bit.
+"""Golden parity: ``Runner.run`` reproduces the legacy pricing bit for
+bit.
 
-The legacy string-suffix dispatch (``runtime/strategies.py`` before the
-scheme registry) is frozen below, constants included, and every
-(app x scheme x preprocessing) combination — plus the Fig 19/20
-ablations — is priced through both paths.  ``RunMetrics`` equality is
-exact (dataclass ``==``, no tolerance): the refactor moved code, it must
-not move numbers.
+The legacy string-suffix dispatch (the scheme layer before the scheme
+registry) is frozen below, constants and the CMH baseline's in-place
+BDI/LCP sweep and scatter replay included.  Every (app x scheme x
+preprocessing) combination — plus the Fig 19/20 ablations — is priced
+by the legacy code over the runner's own profiles and through
+``Runner.run``.  ``RunMetrics`` equality is exact (dataclass ``==``, no
+tolerance): the refactor moved code, it must not move numbers.
 """
 
+import numpy as np
 import pytest
 
+from repro.graph.idspace import expand_ids
 from repro.memory.address import LINE_BYTES
-from repro.schemes import simulate_scheme
-from repro.schemes.pricing import cmh_ratios
+from repro.schemes.pricing import _bdi_ratio, _lcp_fetch_ratio
 from repro.sim import Runner
 from repro.sim.metrics import RunMetrics, merge_traffic
 from repro.sim.timing import PhaseWork, SchemeCosts, phase_cycles
@@ -116,12 +118,23 @@ def legacy_iteration_cost(workload, p, base, spzip, parts, cfg):
             work)
 
 
+def legacy_cmh_ratios(workload, cfg):
+    """Measured BDI/LCP ratios of the workload's actual arrays."""
+    adj_bytes = expand_ids(workload.graph.neighbors, cfg.id_scale).astype(
+        np.uint32).tobytes()
+    if workload.dst_values is not None and workload.dst_values.size:
+        dst_bytes = np.ascontiguousarray(workload.dst_values).tobytes()
+    else:
+        dst_bytes = b""
+    return {"adj_lcp": _lcp_fetch_ratio(adj_bytes),
+            "dst_lcp": _lcp_fetch_ratio(dst_bytes),
+            "dst_bdi": _bdi_ratio(dst_bytes)}
+
+
 def legacy_simulate_cmh(workload, profiles, base, cfg, dataset,
                         preprocessing):
-    import numpy as np
-
     from repro.runtime.traffic import gather_rows, lru_scatter_replay
-    ratios = cmh_ratios(workload, cfg)
+    ratios = legacy_cmh_ratios(workload, cfg)
     costs = LEGACY_COSTS[base]
     from dataclasses import replace
     costs = replace(costs, stall_per_miss=costs.stall_per_miss + 40.0)
@@ -254,9 +267,8 @@ def test_registry_path_matches_legacy(runner, app, preprocessing):
             legacy = legacy_simulate_scheme(
                 workload, profiles, scheme, cfg, dataset=dataset,
                 preprocessing=preprocessing, **kwargs)
-            new = simulate_scheme(
-                workload, profiles, scheme, cfg, dataset=dataset,
-                preprocessing=preprocessing, **kwargs)
+            new = runner.run(app, scheme, dataset, preprocessing,
+                             **kwargs)
             assert new == legacy, (scheme, kwargs)
 
 
@@ -270,4 +282,4 @@ def test_legacy_misparse_is_now_an_error(runner):
                                            "push+bogus", cfg)
     assert silently_push.scheme == "push+bogus"  # priced as plain push!
     with pytest.raises(KeyError, match="registered schemes"):
-        simulate_scheme(workload, profiles, "push+bogus", cfg)
+        runner.run("dc", "push+bogus", "arb", "none")
