@@ -20,10 +20,12 @@ event-driven core (skip-ahead + bursts) on an MLP-limited configuration
 modes asserted cycle-identical before either is timed.
 
 Three further sections time the array-native profiling front end
-(PR 9) against its scalar oracles: the per-strategy stream generators
+against its scalar oracles: the per-strategy stream generators
 (``stream_gen``), the vectorized codec size models (``codec_sizing``),
-and a full ``profile_iteration`` vs ``profile_iteration_scalar`` run
-(``profile_iteration`` — the end-to-end proxy for full-report
+and a full iteration profile — the uncached stage composition
+(``repro.sim.runner.profile_workload``: stream → replay → compress →
+assemble) vs ``profile_iteration_scalar`` (section
+``profile_iteration``, the end-to-end proxy for full-report
 wall-clock).  Each is asserted bit-identical before timing.
 
 Every kernel result is checked against the scalar reference before
@@ -72,11 +74,10 @@ from repro.engine import (
 from repro.graph import CompressedCsr, community_graph
 from repro.memory import AddressSpace, FastLruCache
 from repro.obs import TRACER, summarize_spans
-from repro.runtime.traffic import (
-    _lru_scatter,
-    _phi_coalesce,
-    lru_scatter_replay,
-    phi_coalesce_replay,
+from repro.runtime.traffic import lru_scatter_replay, phi_coalesce_replay
+from repro.runtime.traffic_array import (
+    lru_scatter_oracle,
+    phi_coalesce_oracle,
 )
 
 #: Minimum acceptable speedup for the binned Push destination-scatter
@@ -140,7 +141,7 @@ def timeit(fn, repeats=3):
 
 def bench_scatter(streams, capacity):
     scalar_s, scalar_out = timeit(
-        lambda: [_lru_scatter(s, capacity) for s in streams])
+        lambda: [lru_scatter_oracle(s, capacity) for s in streams])
     batch_s, batch_out = timeit(
         lambda: [lru_scatter_replay(s, capacity) for s in streams])
     assert scalar_out == batch_out, "scatter replay diverged"
@@ -165,7 +166,7 @@ def bench_phi_coalesce(streams, capacity):
             out.append(fn(dsts, values, 4, capacity))
         return out
 
-    scalar_s, scalar_out = timeit(lambda: run(_phi_coalesce))
+    scalar_s, scalar_out = timeit(lambda: run(phi_coalesce_oracle))
     batch_s, batch_out = timeit(lambda: run(phi_coalesce_replay))
     for (ia, va, la), (ib, vb, lb) in zip(scalar_out, batch_out):
         assert np.array_equal(ia, ib) and np.array_equal(va, vb) \
@@ -384,32 +385,33 @@ def bench_codec_sizing(elems=32_768):
 
 
 def bench_profile_iteration():
-    """Full-report proxy: one vectorized vs scalar iteration profile.
+    """Full-report proxy: the stage composition vs the scalar profile.
 
-    ``profile_iteration`` is the per-cell unit of every figure's
-    full-report sweep; the scalar oracle rebuilds the identical
-    ``IterationProfile`` vertex by vertex.  Equality is asserted first,
-    then each side is timed (the scalar side once — it is the slow
-    leg by design).
+    Profiling a workload (stream → replay → compress → assemble) is the
+    per-identity unit of every figure's full-report sweep; the scalar
+    oracle rebuilds the identical ``IterationProfile`` vertex by vertex.
+    The workload has one iteration.  Equality is asserted first, then
+    each side is timed (the scalar side once — it is the slow leg by
+    design).
     """
     from repro.apps import pagerank
     from repro.config import SystemConfig
-    from repro.runtime import ModelConfig, profile_iteration
+    from repro.runtime import ModelConfig
     from repro.runtime import traffic_array as ta
+    from repro.sim.runner import profile_workload
 
     graph = community_graph(4000, 52_000, seed_stream="perf9-profile")
     workload = pagerank.build_workload(graph)
     cfg = ModelConfig(system=SystemConfig().scaled(4096), id_scale=4096)
-    iteration = workload.iterations[0]
+    (iteration,) = workload.iterations
 
-    fast = profile_iteration(workload, iteration, cfg)
-    slow = ta.profile_iteration_scalar(workload, iteration, cfg)
+    fast = profile_workload(workload, cfg)
+    slow = [ta.profile_iteration_scalar(workload, iteration, cfg)]
     assert fast == slow, "scalar profile oracle diverged"
     scalar_s, _ = timeit(
         lambda: ta.profile_iteration_scalar(workload, iteration, cfg),
         repeats=1)
-    batch_s, _ = timeit(
-        lambda: profile_iteration(workload, iteration, cfg))
+    batch_s, _ = timeit(lambda: profile_workload(workload, cfg))
     return {
         "vertices": graph.num_vertices,
         "edges": graph.num_edges,

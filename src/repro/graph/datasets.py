@@ -158,12 +158,15 @@ def apply_delta(name: str, delta: GraphDelta,
                 name=base, scale=scale, graph=graph,
                 base_digest=graph.content_digest())
     handle = head.apply(delta)
-    _HANDLES[(base, handle.version, scale)] = handle
-    _HEADS[(base, scale)] = handle.versioned_name
+    # Publish before moving the head: a concurrent bare-name read that
+    # resolves to the new version must find it in the store, or a pool
+    # worker handed that version cannot load it.
     store = active_graph_store()
     if store is not None:
         store.put_graph(f"load/{handle.versioned_name}/{scale}",
                         handle.graph)
+    _HANDLES[(base, handle.version, scale)] = handle
+    _HEADS[(base, scale)] = handle.versioned_name
     return handle
 
 

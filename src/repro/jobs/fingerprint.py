@@ -65,7 +65,9 @@ def code_salt() -> str:
 #: ``memory/address.py``) appear in several stages deliberately: an
 #: edit there conservatively invalidates them all.
 STAGE_DEPS: Dict[str, Tuple[str, ...]] = {
+    # sim/runner.py: identity_workload maps identities to workloads.
     "stream": ("stages/artifacts.py", "stages/streams.py",
+               "sim/runner.py",
                "runtime/traffic.py", "runtime/traffic_array.py",
                "runtime/workload.py", "apps",
                "graph", "sparse", "utils", "memory/address.py"),

@@ -7,13 +7,13 @@ changes is where results come from:
 
 1. results prefetched through :meth:`prefetch` (parallel, cached);
 2. otherwise the content-addressed disk cache;
-3. otherwise the staged pricing pipeline (:mod:`repro.stages`) bound
-   to the same store, which reuses any frozen stage artifacts and then
-   populates the cell-level cache.
+3. otherwise the runner's stage pricer, bound to the same store, which
+   reuses any frozen stage artifacts and then populates the cell-level
+   cache.
 
-Profile-level helpers (``workload``/``profiles``) stay inherited and
-in-process: experiments that inspect raw profiles (fig18's compression
-column, fig21, sorting) still work unchanged.
+The inherited ``profiles`` reads through that same pricer, so
+experiments that inspect raw profiles (sorting) load the artifacts the
+pool just stored instead of re-profiling in the parent.
 """
 
 from __future__ import annotations
@@ -70,7 +70,6 @@ class JobRunner(Runner):
         self.progress = progress
         self._results: Dict[RunRequest, RunMetrics] = {}
         self._telemetry: Optional[TelemetryWriter] = None
-        self._pricer = None
 
     # -- orchestration -----------------------------------------------------
 
@@ -116,16 +115,10 @@ class JobRunner(Runner):
         key = job_fingerprint(job, self.scale, self.system)
         metrics = self.cache.get(key)
         if metrics is None:
-            # Miss path prices through the staged pipeline bound to the
-            # same store, so partial work (frozen streams, replays)
-            # survives even when the cell-level key missed.
-            if self._pricer is None:
-                from repro.stages import StagePricer
-                self._pricer = StagePricer(scale=self.scale,
-                                           system=self.system,
-                                           cache=self.cache,
-                                           store=self.store)
-            metrics = self._pricer.price(
+            # Miss path prices through the pricer bound to the same
+            # store, so partial work (frozen streams, replays) survives
+            # even when the cell-level key missed.
+            metrics = self._stage_pricer().price(
                 app, request.scheme, dataset, preprocessing,
                 **params_to_kwargs(request.params))
             self.cache.put(key, metrics)

@@ -1,10 +1,11 @@
 """Offline (batch) replay of fully-associative LRU — exact, vectorized.
 
-The scheme-level traffic model replays millions of scatter accesses per
-(app, dataset, scheme) cell through an LLC-sized LRU
-(:func:`repro.runtime.traffic._lru_scatter` and friends).  The scalar
-``OrderedDict`` loop is exact but interpreter-bound; this module computes
-the *same* result with NumPy, using the LRU stack property:
+The replay stage of the pricing pipeline (:mod:`repro.stages.replay`)
+replays millions of scatter accesses per (app, dataset) identity through
+an LLC-sized LRU.  The scalar ``OrderedDict`` oracle
+(:func:`repro.runtime.traffic_array.lru_scatter_oracle` and friends) is
+exact but interpreter-bound; this module computes the *same* result with
+NumPy, using the LRU stack property:
 
     an access to line ``x`` hits iff the number of **distinct** lines
     referenced since the previous access to ``x`` is at most ``C - 1``

@@ -1,14 +1,5 @@
-"""Runtime layer: workloads, traffic profiling, execution strategies."""
+"""Runtime layer: workloads and the traffic-profile primitives."""
 
-from repro.runtime.strategies import (
-    ALL_PARTS,
-    CMH_SCHEMES,
-    EXTRA_SCHEMES,
-    SCHEMES,
-    available_schemes,
-    cmh_ratios,
-    simulate_scheme,
-)
 from repro.runtime.traffic import (
     CHUNK,
     IterationProfile,
@@ -16,8 +7,6 @@ from repro.runtime.traffic import (
     array_compressed_bytes,
     chunked_ids_values_compressed,
     gather_rows,
-    profile_iteration,
-    profile_workload,
     rows_compressed_bytes,
 )
 from repro.runtime.workload import (
@@ -28,24 +17,15 @@ from repro.runtime.workload import (
 )
 
 __all__ = [
-    "ALL_PARTS",
     "CHUNK",
-    "CMH_SCHEMES",
-    "EXTRA_SCHEMES",
     "Iteration",
     "IterationProfile",
     "ModelConfig",
     "SAMPLE_PERIOD",
-    "SCHEMES",
     "Workload",
     "array_compressed_bytes",
-    "available_schemes",
     "chunked_ids_values_compressed",
-    "cmh_ratios",
     "gather_rows",
-    "profile_iteration",
-    "profile_workload",
     "rows_compressed_bytes",
     "sample_iterations",
-    "simulate_scheme",
 ]

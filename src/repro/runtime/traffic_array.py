@@ -5,8 +5,7 @@ generators (Push scatter, Update Batching bins, PHI lines, Pull gather,
 row gathers and line-granular footprints).  Each generator exists twice:
 
 * an **array-native** form that emits line-id/byte arrays directly from
-  the raw CSR arrays in a few numpy passes — the hot path, shared by the
-  monolithic profiler (:mod:`repro.runtime.traffic`) and the staged
+  the raw CSR arrays in a few numpy passes — the hot path of the staged
   pipeline (:mod:`repro.stages`);
 * a ``*_scalar`` **oracle** that walks vertices and edges in plain
   Python, exactly like a first implementation would — never called on
@@ -15,11 +14,10 @@ row gathers and line-granular footprints).  Each generator exists twice:
   ``tests/test_batch_equivalence.py``) can assert the vectorized forms
   bit-identical, and so benchmarks can measure the speedup honestly.
 
-The scalar LRU scatter and PHI coalescing replays (formerly
-``traffic._lru_scatter`` / ``traffic._phi_coalesce``) live here for the
+The scalar LRU scatter and PHI coalescing replays live here for the
 same reason.  :func:`profile_iteration_scalar` strings every oracle into
-a full per-iteration profile whose fields must equal
-:func:`repro.runtime.traffic.profile_iteration` exactly.
+a full per-iteration profile whose fields must equal the stage
+composition's (:func:`repro.sim.runner.profile_workload`) exactly.
 
 Model notes the oracles deliberately reproduce (they are contracts of
 the *model*, not vectorization accidents):
@@ -30,8 +28,8 @@ the *model*, not vectorization accidents):
   half the vertices are active;
 * the grouped delta sizer zigzags each group's first element within
   uint64 (a top-bit id wraps), unlike ``DeltaCodec`` proper — virtual
-  ids never reach that range, and the staged and monolithic paths must
-  agree wrap-for-wrap.
+  ids never reach that range, and the stages and the oracles must agree
+  wrap-for-wrap.
 """
 
 from __future__ import annotations
@@ -463,17 +461,14 @@ def array_compressed_bytes_scalar(values: Optional[np.ndarray],
 def profile_iteration_scalar(workload, iteration, cfg):
     """Per-iteration profile built entirely from the scalar oracles.
 
-    Field-for-field equal to
-    :func:`repro.runtime.traffic.profile_iteration`; the randomized
+    Field-for-field equal to the stage composition's profile of the
+    same iteration (:func:`repro.sim.runner.profile_workload`); the
     equivalence suite (``tests/test_traffic_equivalence.py``) holds the
     two bit-identical across hostile configs.  Never used on the hot
     path — this exists to be slow and obviously correct.
     """
-    from repro.runtime.traffic import (
-        IterationProfile,
-        _iteration_imbalance,
-        _transpose_of,
-    )
+    from repro.runtime.scheduling import iteration_imbalance
+    from repro.runtime.traffic import IterationProfile
     graph = workload.graph
     offsets = graph.offsets
     degrees = graph.out_degrees()
@@ -587,7 +582,7 @@ def profile_iteration_scalar(workload, iteration, cfg):
     pull_adj_bytes = 0
     pull_adj_bytes_comp = 0
     if all_active and svb:
-        transposed = _transpose_of(graph)
+        transposed = graph.transpose()
         every = np.arange(transposed.num_vertices)
         gather_lines = pull_gather_lines_scalar(transposed.neighbors, svb)
         pull_gather_misses, _wb = lru_scatter_oracle(gather_lines,
@@ -631,6 +626,6 @@ def profile_iteration_scalar(workload, iteration, cfg):
         pull_gather_read_bytes=pull_gather_read_bytes,
         pull_adj_bytes=pull_adj_bytes,
         pull_adj_bytes_compressed=pull_adj_bytes_comp,
-        load_imbalance=_iteration_imbalance(degrees[sources],
-                                            cfg.system.num_cores),
+        load_imbalance=iteration_imbalance(degrees[sources],
+                                           num_cores=cfg.system.num_cores),
     )

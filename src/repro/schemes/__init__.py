@@ -8,7 +8,8 @@ The package replaces string-suffix dispatch with three layers:
   scheme groups (``paper``, ``cmh``, ``extensions``, ``all``);
 * :mod:`repro.schemes.costs` / :mod:`repro.schemes.pricing` — per-base
   cost models behind one interface, the spec-keyed cost-constant table,
-  and the pricing loop producing :class:`~repro.sim.metrics.RunMetrics`.
+  and the pricing loop the timing stage drives to produce
+  :class:`~repro.sim.metrics.RunMetrics`.
 
 Adding an execution scheme means registering a family and a cost model
 here — no edits across runner/sweeps/harness/jobs/CLI.
@@ -27,7 +28,6 @@ from repro.schemes.costs import (
     costs_for,
     graph_dst_bytes,
 )
-from repro.schemes.pricing import cmh_ratios, simulate_scheme, simulate_spec
 from repro.schemes.registry import (
     REGISTRY,
     SchemeRegistry,
@@ -64,7 +64,6 @@ __all__ = [
     "UbCostModel",
     "UnknownSchemeError",
     "as_parts",
-    "cmh_ratios",
     "cost_model_for",
     "costs_for",
     "default_parts",
@@ -72,6 +71,4 @@ __all__ = [
     "parse_scheme",
     "resolve",
     "scheme_names",
-    "simulate_scheme",
-    "simulate_spec",
 ]

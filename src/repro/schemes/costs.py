@@ -141,14 +141,12 @@ class CostModel:
         """
         raise NotImplementedError
 
-    def cmh_iteration_cost(self, workload, p, it, ratios, capacity,
-                           replay=None):
+    def cmh_iteration_cost(self, workload, p, ratios, replay):
         """Same, under the VSC+BDI LLC + LCP memory system (Fig 22).
 
-        ``replay`` optionally carries a precomputed ``(misses,
-        writebacks)`` of the destination scatter stream (the staged
-        pipeline prices against frozen replay artifacts); bases that
-        replay nothing ignore it, and ``None`` replays in place.
+        ``replay`` is the replay stage's ``(misses, writebacks)`` of
+        the destination scatter stream; bases that scatter nothing
+        ignore it.
         """
         raise NotImplementedError(
             f"{self.base} is not evaluated under the compressed "
@@ -172,29 +170,16 @@ class PushCostModel(CostModel):
                            - (0 if all_active else p.offsets_bytes))
         return _traffic(adjacency, source, dest, updates), work
 
-    def cmh_iteration_cost(self, workload, p, it, ratios, capacity,
-                           replay=None):
+    def cmh_iteration_cost(self, workload, p, ratios, replay):
         adjacency = (p.offsets_bytes
                      + p.neigh_bytes / ratios["adj_lcp"]
                      + p.edge_value_bytes)
         source = float(p.src_bytes)
         updates = float(p.frontier_bytes)
         work = PhaseWork(edges=p.num_edges, vertices=p.num_sources)
-        if replay is None:
-            import numpy as np
-
-            from repro.runtime.traffic import (
-                gather_rows,
-                lru_scatter_replay,
-            )
-            dsts = gather_rows(workload.graph, it.sources)
-            per_line = max(1, LINE_BYTES // workload.dst_value_bytes)
-            misses, writebacks = lru_scatter_replay(
-                dsts.astype(np.int64) // per_line, capacity)
-        else:
-            # Same stream, same capacity: the profile stage's scatter
-            # replay (misses == writebacks for RMW data).
-            misses, writebacks = replay
+        # The replay stage's scatter replay (misses == writebacks for
+        # RMW data).
+        misses, writebacks = replay
         # LCP shrinks fetches, but RMW writebacks change line sizes and
         # overflow the page's uniform slots, so writes go out at full
         # size.
@@ -267,8 +252,7 @@ class UbCostModel(CostModel):
         work.seq_bytes += adjacency + source + updates + dest
         return _traffic(adjacency, source, dest, updates), work
 
-    def cmh_iteration_cost(self, workload, p, it, ratios, capacity,
-                           replay=None):
+    def cmh_iteration_cost(self, workload, p, ratios, replay):
         adjacency = (p.offsets_bytes
                      + p.neigh_bytes / ratios["adj_lcp"]
                      + p.edge_value_bytes)

@@ -1,59 +1,35 @@
-"""Price one (spec, workload) combination into :class:`RunMetrics`.
+"""Price one scheme spec against iteration profiles into
+:class:`RunMetrics`.
 
-:func:`simulate_spec` is the single pricing entry point: it looks up the
-spec's cost model and constants, accumulates weighted per-iteration
-traffic and work, and runs the bottleneck timing model.  The CMH overlay
-takes a separate loop because it prices against measured BDI/LCP
+:func:`_price_spec` looks up the spec's cost model and constants,
+accumulates weighted per-iteration traffic and work, and runs the
+bottleneck timing model.  The CMH overlay takes a separate loop
+(:func:`_simulate_cmh`) because it prices against measured BDI/LCP
 compression ratios of the workload's actual arrays rather than SpZip's
-profile-side compressed byte counts.
-
-:func:`simulate_scheme` is the string-accepting wrapper (resolves
-through the registry first), kept for callers that hold scheme names.
-
-This module must not import :mod:`repro.runtime` at module scope:
-``repro.runtime.strategies`` re-exports from here, so a top-level import
-back into ``repro.runtime`` would cycle.  The two traffic helpers the
-CMH replay needs are imported lazily inside the loop.
+profile-side compressed byte counts.  Both are driven by the timing
+stage (:func:`repro.stages.timing.price_staged`); the compress stage
+measures the ratios with the BDI/LCP helpers below.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from repro.compression import bdi_line_size, bdi_line_sizes
-from repro.graph.idspace import expand_ids
 from repro.memory.address import LINE_BYTES
 from repro.memory.compressed import LCP_SLOT_SIZES, PAGE_BYTES
-from repro.obs import TRACER
-# Module-object reference, resolved at call time: on the
-# ``import repro.schemes`` path this module is imported (via
-# runtime.strategies) while schemes.costs is still mid-import.
-import repro.schemes.costs as _costs
-from repro.schemes.registry import resolve
+from repro.schemes.costs import cost_model_for, costs_for
 from repro.schemes.spec import SchemeSpec
 from repro.sim.metrics import RunMetrics, merge_traffic
 from repro.sim.timing import PhaseWork, phase_cycles
 
 
-def simulate_spec(workload, profiles, spec: SchemeSpec, cfg,
-                  dataset: str = "?",
-                  preprocessing: str = "?") -> RunMetrics:
-    """Cost one (spec, workload) combination."""
-    if spec.cmh:
-        with TRACER.span("pricing.cmh", scheme=spec.canonical()):
-            return _simulate_cmh(workload, profiles, spec, cfg, dataset,
-                                 preprocessing)
-    with TRACER.span("pricing.price", scheme=spec.canonical()):
-        return _price_spec(workload, profiles, spec, cfg, dataset,
-                           preprocessing)
-
-
 def _price_spec(workload, profiles, spec: SchemeSpec, cfg,
                 dataset: str, preprocessing: str) -> RunMetrics:
-    model = _costs.cost_model_for(spec)
-    costs = _costs.costs_for(spec)
+    model = cost_model_for(spec)
+    costs = costs_for(spec)
     parts = spec.effective_parts
 
     traffic_parts: List[Dict[str, float]] = []
@@ -83,23 +59,6 @@ def _price_spec(workload, profiles, spec: SchemeSpec, cfg,
                       dataset=dataset, preprocessing=preprocessing,
                       cycles=cycles, compute_cycles=compute,
                       memory_cycles=memory, traffic=traffic)
-
-
-def simulate_scheme(workload, profiles, scheme: Union[str, SchemeSpec],
-                    cfg, parts: Optional[frozenset] = None,
-                    decoupled_only: bool = False, dataset: str = "?",
-                    preprocessing: str = "?") -> RunMetrics:
-    """String/spec-accepting wrapper around :func:`simulate_spec`.
-
-    ``parts`` restricts which structures SpZip compresses (Fig 19);
-    ``decoupled_only`` keeps SpZip's offload but disables compression
-    entirely (Fig 20).  Unknown schemes raise
-    :class:`~repro.schemes.spec.UnknownSchemeError` naming every
-    registered scheme.
-    """
-    spec = resolve(scheme, parts=parts, decoupled_only=decoupled_only)
-    return simulate_spec(workload, profiles, spec, cfg, dataset=dataset,
-                         preprocessing=preprocessing)
 
 
 # --------------------------------------------------------------------------
@@ -179,50 +138,18 @@ def _lcp_fetch_ratio(data: bytes) -> float:
     return float(np.mean(LINE_BYTES / slots))
 
 
-#: Per-(graph, scale) memo: one BDI/LCP sweep per workload's arrays.
-_CMH_CACHE: Dict[tuple, Dict[str, float]] = {}
-
-
-def cmh_ratios(workload, cfg) -> Dict[str, float]:
-    """Measured BDI/LCP ratios of the workload's actual arrays."""
-    graph = workload.graph
-    key = (id(graph), workload.app, cfg.id_scale)
-    if key in _CMH_CACHE:
-        return _CMH_CACHE[key]
-    adj_bytes = expand_ids(graph.neighbors, cfg.id_scale).astype(
-        np.uint32).tobytes()
-    if workload.dst_values is not None and workload.dst_values.size:
-        dst_bytes = np.ascontiguousarray(workload.dst_values).tobytes()
-    else:
-        dst_bytes = b""
-    with TRACER.span("pricing.cmh_ratios", app=workload.app,
-                     count=(len(adj_bytes) + len(dst_bytes))
-                     // LINE_BYTES):
-        ratios = {
-            "adj_lcp": _lcp_fetch_ratio(adj_bytes),
-            "dst_lcp": _lcp_fetch_ratio(dst_bytes),
-            "dst_bdi": _bdi_ratio(dst_bytes),
-        }
-    _CMH_CACHE[key] = ratios
-    return ratios
-
-
 def _simulate_cmh(workload, profiles, spec: SchemeSpec, cfg,
                   dataset: str, preprocessing: str,
-                  ratios: Optional[Dict[str, float]] = None,
-                  replays: Optional[list] = None) -> RunMetrics:
+                  ratios: Dict[str, float],
+                  replays: List[Tuple[int, int]]) -> RunMetrics:
     """Push/UB on the VSC+BDI LLC + LCP memory system (Sec V-D).
 
-    ``ratios`` and ``replays`` let the staged pipeline price against
-    frozen compress/replay artifacts: ``ratios`` replaces the in-place
-    BDI/LCP sweep and ``replays`` provides one ``(misses, writebacks)``
-    per profile so no iteration stream needs re-replaying (``workload``
-    may then be a lightweight view without real iterations).
+    ``ratios`` are the compress stage's BDI/LCP measurements and
+    ``replays`` one frozen ``(misses, writebacks)`` Push scatter replay
+    per profile, so ``workload`` may be a lightweight pricing view.
     """
-    if ratios is None:
-        ratios = cmh_ratios(workload, cfg)
-    model = _costs.cost_model_for(spec)
-    costs = _costs.costs_for(spec)
+    model = cost_model_for(spec)
+    costs = costs_for(spec)
     # VSC's extra residency for scattered read-modify-write data is
     # modelled as nil: every update changes the line's compressed size,
     # forcing repacks that erode the capacity win, and at model scale the
@@ -230,16 +157,10 @@ def _simulate_cmh(workload, profiles, spec: SchemeSpec, cfg,
     # delta would be wildly amplified (a scale artifact, not a mechanism
     # — see DESIGN.md).  CMH's modelled benefits are LCP's read-traffic
     # reduction, at the price of critical-path decompression.
-    capacity = cfg.llc_lines
-
     traffic_parts: List[Dict[str, float]] = []
     work = PhaseWork()
-    iterations = workload.iterations if replays is None \
-        else [None] * len(profiles)
-    for index, (p, it) in enumerate(zip(profiles, iterations)):
-        t, w = model.cmh_iteration_cost(
-            workload, p, it, ratios, capacity,
-            replay=None if replays is None else replays[index])
+    for p, replay in zip(profiles, replays):
+        t, w = model.cmh_iteration_cost(workload, p, ratios, replay)
         traffic_parts.append({cls: v * p.weight for cls, v in t.items()})
         scaled = PhaseWork(**{f: getattr(w, f) * p.weight
                               for f in ("edges", "vertices", "updates",

@@ -1,11 +1,15 @@
 """The experiment runner: app x scheme x dataset x preprocessing.
 
-One stop for the harness and benchmarks: builds (and memoizes) the
-workload for an (app, dataset, preprocessing) triple, profiles its
-iterations once, and prices any scheme against the shared profiles.
-Profiling is the expensive step (cache replays + compression
-measurement); memoization means the six schemes of a Fig 15 bar group
-share a single profiling pass.
+One stop for the harness and benchmarks: a memoizing front end over one
+:class:`~repro.stages.StagePricer`, which turns every cell into
+:class:`~repro.sim.metrics.RunMetrics` through the staged pipeline
+(stream-gen → cache-replay → compress → timing).  The pricer memoizes
+one profile bundle per (app, dataset, preprocessing) identity, so the
+six schemes of a Fig 15 bar group share a single profiling pass.
+
+This module also owns the two identity-level helpers the pipeline
+builds on: :func:`identity_workload` (the one identity → workload
+mapping) and :func:`sized_model_config` (the per-input LLC sizing).
 """
 
 from __future__ import annotations
@@ -15,11 +19,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.config import SystemConfig
 from repro.graph.datasets import DEFAULT_SCALE, load_preprocessed
 from repro.obs import TRACER
-from repro.runtime.traffic import (
-    IterationProfile,
-    ModelConfig,
-    profile_workload,
-)
+from repro.runtime.traffic import IterationProfile, ModelConfig
 from repro.runtime.workload import Workload
 from repro.sim.metrics import RunMetrics
 
@@ -37,12 +37,10 @@ def sized_model_config(system: SystemConfig, scale: int,
                        num_vertices: int) -> ModelConfig:
     """Model config with the LLC sized for one input (see above).
 
-    Pure function of (system, scale, vertex count) so the memoizing
-    :class:`Runner` and the staged pricing pipeline
-    (:mod:`repro.stages`) resolve identical per-input configurations —
-    the staged path fingerprints the *resolved* LLC geometry, so any
-    change to this sizing logic flows into stage cache keys through the
-    values it produces.
+    Pure function of (system, scale, vertex count).  The staged pipeline
+    fingerprints the *resolved* LLC geometry, so any change to this
+    sizing logic flows into stage cache keys through the values it
+    produces.
     """
     from dataclasses import replace
     target = int(LLC_DEST_RESIDENCY * num_vertices * 4)
@@ -52,28 +50,57 @@ def sized_model_config(system: SystemConfig, scale: int,
     return ModelConfig(system=replace(system, llc=llc), id_scale=scale)
 
 
+def identity_workload(app: str, dataset: str, preprocessing: str,
+                      scale: int) -> Workload:
+    """The workload of one (app, dataset, preprocessing) identity.
+
+    The self-contained ``sp`` app carries its own synthetic matrices;
+    every other app runs on the preprocessed dataset graph.
+    """
+    from repro.apps import build_workload
+    with TRACER.span("runner.build_workload", app=app, dataset=dataset,
+                     preprocessing=preprocessing):
+        if app == "sp":
+            return build_workload("sp", scale=scale)
+        graph = load_preprocessed(dataset, preprocessing, scale)
+        return build_workload(app, graph=graph)
+
+
+def profile_workload(workload: Workload,
+                     cfg: ModelConfig) -> List[IterationProfile]:
+    """Profile every recorded iteration under one model config.
+
+    Runs the uncached stage composition (stream → replay → compress →
+    assemble, no store); :class:`Runner` reaches the same stages through
+    its content-addressed pricer.
+    """
+    from repro.stages.pipeline import compose
+    return compose(workload, cfg).profiles
+
+
 class Runner:
-    """Memoizing simulation front end."""
+    """Memoizing simulation front end over one stage pricer."""
+
+    #: Result cache and store the pricer persists stage artifacts in;
+    #: None keeps them transient (the jobs layer's runner binds its own).
+    cache = None
+    store = None
 
     def __init__(self, scale: int = DEFAULT_SCALE,
                  system: Optional[SystemConfig] = None) -> None:
         self.scale = scale
         self.system = system if system is not None \
             else SystemConfig().scaled(scale)
-        self.cfg = ModelConfig(system=self.system, id_scale=scale)
         self._workloads: Dict[Tuple[str, str, str], Workload] = {}
-        self._profiles: Dict[Tuple[str, str, str],
-                             List[IterationProfile]] = {}
         self._cfgs: Dict[str, ModelConfig] = {}
+        self._pricer = None
 
     def config_for(self, workload: Workload) -> ModelConfig:
         """Model config with the LLC sized for this input (see above).
 
         Keyed on the workload's full identity (app + graph content),
-        not just the vertex count: distinct datasets can share a vertex
-        count today without colliding here (the sizing below reads only
-        ``num_vertices``), but any future per-input sizing term would
-        silently cross-contaminate configs under the old key.
+        not just the vertex count, so a future per-input sizing term
+        cannot cross-contaminate configs.
         """
         key = f"{workload.app}/{workload.graph.content_digest()}"
         if key not in self._cfgs:
@@ -81,36 +108,31 @@ class Runner:
                 self.system, self.scale, workload.graph.num_vertices)
         return self._cfgs[key]
 
+    def _stage_pricer(self):
+        # Built on first use: importing the pipeline is measurable
+        # start-up cost for callers that only construct a runner.
+        if self._pricer is None:
+            from repro.stages import StagePricer
+            self._pricer = StagePricer(scale=self.scale,
+                                       system=self.system,
+                                       cache=self.cache,
+                                       store=self.store)
+        return self._pricer
+
     # -- building blocks -------------------------------------------------------
 
     def workload(self, app: str, dataset: str,
                  preprocessing: str = "none") -> Workload:
-        from repro.apps import build_workload
         key = (app, dataset, preprocessing)
         if key not in self._workloads:
-            with TRACER.span("runner.build_workload", app=app,
-                             dataset=dataset,
-                             preprocessing=preprocessing):
-                if app == "sp":
-                    self._workloads[key] = build_workload(
-                        "sp", scale=self.scale)
-                else:
-                    graph = load_preprocessed(dataset, preprocessing,
-                                              self.scale)
-                    self._workloads[key] = build_workload(app,
-                                                          graph=graph)
+            self._workloads[key] = identity_workload(
+                app, dataset, preprocessing, self.scale)
         return self._workloads[key]
 
     def profiles(self, app: str, dataset: str,
                  preprocessing: str = "none") -> List[IterationProfile]:
-        key = (app, dataset, preprocessing)
-        if key not in self._profiles:
-            workload = self.workload(app, dataset, preprocessing)
-            with TRACER.span("runner.profile", app=app, dataset=dataset,
-                             preprocessing=preprocessing):
-                self._profiles[key] = profile_workload(
-                    workload, self.config_for(workload))
-        return self._profiles[key]
+        return self._stage_pricer().bundle(app, dataset,
+                                           preprocessing).profiles
 
     # -- simulation -------------------------------------------------------------
 
@@ -123,7 +145,7 @@ class Runner:
         :class:`~repro.schemes.SchemeSpec`; kwargs feed the legacy
         ablation knobs (``parts``, ``decoupled_only``).
         """
-        from repro.schemes import resolve, simulate_spec
+        from repro.schemes import resolve
         spec = resolve(scheme, **kwargs)
         # One span per (app, scheme, input) cell, tagged with the
         # canonical SchemeSpec string — the unit the paper's sweep (and
@@ -131,13 +153,9 @@ class Runner:
         with TRACER.span("runner.cell", app=app,
                          scheme=spec.canonical(), dataset=dataset,
                          preprocessing=preprocessing):
-            workload = self.workload(app, dataset, preprocessing)
-            profiles = self.profiles(app, dataset, preprocessing)
             with TRACER.span("runner.price"):
-                return simulate_spec(workload, profiles, spec,
-                                     self.config_for(workload),
-                                     dataset=dataset,
-                                     preprocessing=preprocessing)
+                return self._stage_pricer().price(app, spec, dataset,
+                                                  preprocessing)
 
     def run_all_schemes(self, app: str, dataset: str,
                         preprocessing: str = "none",

@@ -2,8 +2,10 @@
 
 Not paper figures — response-surface tools a user of the model reaches
 for next: how do the schemes respond to more memory bandwidth, a bigger
-LLC, or more cores?  Each sweep reruns the scheme simulator with one
-knob scaled, against shared workload profiles where possible.
+LLC, or more cores?  Every point prices through the stage pipeline.
+Bandwidth and core points are stage pricers over the swept system that
+share one in-memory store: their stream/replay/compress keys coincide,
+so only the timing stage reprices per point.
 
 The bandwidth sweep answers the paper's implicit question directly:
 under scarce bandwidth every scheme is traffic-limited (advantage =
@@ -17,16 +19,21 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, List, Optional, Sequence
 
-from repro.sim.metrics import RunMetrics
+from repro.config import SystemConfig
 from repro.sim.runner import Runner
 
 
-def _sim_tools():
-    # Imported lazily: repro.schemes pulls repro.sim.timing, so a
-    # module-level import here would be circular via repro.sim.__init__.
-    from repro.runtime.traffic import ModelConfig, profile_workload
-    from repro.schemes import simulate_scheme
-    return simulate_scheme, ModelConfig, profile_workload
+class _SweepStore(dict):
+    """In-memory stage store shared by one sweep's pricers."""
+
+    put = dict.__setitem__
+
+
+def _pricers(runner: Runner, systems: Sequence[SystemConfig]) -> list:
+    from repro.stages import StagePricer
+    store = _SweepStore()
+    return [StagePricer(scale=runner.scale, system=system, cache=store)
+            for system in systems]
 
 
 def bandwidth_sweep(runner: Runner, app: str, dataset: str,
@@ -37,25 +44,16 @@ def bandwidth_sweep(runner: Runner, app: str, dataset: str,
                     ) -> List[Dict[str, object]]:
     """Rerun schemes with DRAM bandwidth scaled by each factor.
 
-    Traffic profiles are bandwidth-independent, so they are shared; only
-    the timing changes.
+    Traffic profiles are bandwidth-independent, so the points share
+    their stage artifacts; only the timing changes.
     """
-    simulate_scheme, ModelConfig, profile_workload = _sim_tools()
-    workload = runner.workload(app, dataset, preprocessing)
-    cfg = runner.config_for(workload)
-    profiles = profile_workload(workload, cfg)
+    memory = runner.system.memory
+    systems = [replace(runner.system, memory=replace(
+        memory, gb_per_sec_per_controller=memory.gb_per_sec_per_controller
+        * factor)) for factor in factors]
     rows: List[Dict[str, object]] = []
-    for factor in factors:
-        memory = replace(cfg.system.memory,
-                         gb_per_sec_per_controller=cfg.system.memory
-                         .gb_per_sec_per_controller * factor)
-        system = replace(cfg.system, memory=memory)
-        swept = ModelConfig(system=system, id_scale=cfg.id_scale,
-                            bin_llc_fraction=cfg.bin_llc_fraction,
-                            sort_updates=cfg.sort_updates)
-        runs = {scheme: simulate_scheme(workload, profiles, scheme,
-                                        swept, dataset=dataset,
-                                        preprocessing=preprocessing)
+    for factor, pricer in zip(factors, _pricers(runner, systems)):
+        runs = {scheme: pricer.price(app, scheme, dataset, preprocessing)
                 for scheme in schemes}
         row: Dict[str, object] = {"bandwidth_factor": factor}
         base = runs[schemes[0]]
@@ -73,9 +71,13 @@ def llc_sweep(runner: Runner, app: str, dataset: str,
     """Rerun schemes with the model LLC scaled by each factor.
 
     Capacity changes the cache replays, so profiles are rebuilt per
-    point (the expensive sweep).
+    point (the expensive sweep).  The swept LLC scales the per-input
+    sized one, which is not a system edit, so each point prices through
+    the uncached stage composition under its own model config.
     """
-    simulate_scheme, ModelConfig, profile_workload = _sim_tools()
+    from repro.runtime.traffic import ModelConfig
+    from repro.schemes import resolve
+    from repro.stages.pipeline import compose, price_bundle
     workload = runner.workload(app, dataset, preprocessing)
     base_cfg = runner.config_for(workload)
     rows: List[Dict[str, object]] = []
@@ -86,11 +88,10 @@ def llc_sweep(runner: Runner, app: str, dataset: str,
                    // granule * granule)
         llc = replace(base_cfg.system.llc, size_bytes=size)
         system = replace(base_cfg.system, llc=llc)
-        cfg = ModelConfig(system=system, id_scale=base_cfg.id_scale)
-        profiles = profile_workload(workload, cfg)
-        runs = {scheme: simulate_scheme(workload, profiles, scheme, cfg,
-                                        dataset=dataset,
-                                        preprocessing=preprocessing)
+        bundle = compose(workload, ModelConfig(system=system,
+                                               id_scale=base_cfg.id_scale))
+        runs = {scheme: price_bundle(bundle, resolve(scheme), dataset,
+                                     preprocessing)
                 for scheme in schemes}
         row: Dict[str, object] = {"llc_factor": factor,
                                   "llc_bytes": size}
@@ -106,19 +107,17 @@ def core_sweep(runner: Runner, app: str, dataset: str,
                counts: Sequence[int] = (4, 8, 16, 32),
                scheme: str = "push") -> List[Dict[str, object]]:
     """Scale core count; shows where each scheme stops scaling (the
-    compute-vs-bandwidth crossover)."""
-    simulate_scheme, ModelConfig, profile_workload = _sim_tools()
-    workload = runner.workload(app, dataset, preprocessing)
-    cfg = runner.config_for(workload)
-    profiles = profile_workload(workload, cfg)
+    compute-vs-bandwidth crossover).
+
+    Each point re-assembles its profiles at its own core count: the
+    work-stealing load imbalance depends on it.
+    """
+    systems = [replace(runner.system, num_cores=count)
+               for count in counts]
     rows: List[Dict[str, object]] = []
     base_cycles: Optional[float] = None
-    for count in counts:
-        system = replace(cfg.system, num_cores=count)
-        swept = ModelConfig(system=system, id_scale=cfg.id_scale)
-        run: RunMetrics = simulate_scheme(workload, profiles, scheme,
-                                          swept, dataset=dataset,
-                                          preprocessing=preprocessing)
+    for count, pricer in zip(counts, _pricers(runner, systems)):
+        run = pricer.price(app, scheme, dataset, preprocessing)
         if base_cycles is None:
             base_cycles = run.cycles
         rows.append({"cores": count,

@@ -1,9 +1,12 @@
 """Content-addressed stage-graph pricing pipeline.
 
-Factors the monolithic per-cell pricing path into four pure stages —
-stream-gen → cache-replay → compress → timing — whose artifacts persist
-in the result cache under fingerprints of (stage code salt, upstream
-artifact digests, stage-relevant config slice).  See docs/PIPELINE.md.
+The one path from an (app, scheme, dataset, preprocessing) cell to
+:class:`~repro.sim.metrics.RunMetrics`: four pure stages — stream-gen →
+cache-replay → compress → timing — whose artifacts persist in the
+result cache under fingerprints of (stage code salt, upstream artifact
+digests, stage-relevant config slice).  :class:`~repro.sim.Runner`, the
+jobs executor, the sweeps and the server all price through it.  See
+docs/PIPELINE.md.
 """
 
 from repro.stages.artifacts import (

@@ -18,11 +18,11 @@ from repro.graph.idspace import expand_ids
 from repro.memory.address import LINE_BYTES
 from repro.obs import TRACER
 from repro.runtime.traffic import (
-    _ceil_lines,
     array_compressed_bytes,
     chunked_ids_values_compressed,
     rows_compressed_bytes_from,
 )
+from repro.runtime.traffic_array import ceil_lines
 from repro.schemes.pricing import _bdi_ratio, _lcp_fetch_ratio
 from repro.stages.artifacts import (
     CompressArtifact,
@@ -39,14 +39,14 @@ def compress_streams(stream: StreamArtifact, replay: ReplayArtifact,
     dvb = stream.dst_value_bytes
     num_vertices = stream.num_vertices
 
-    edge_comp = _ceil_lines(array_compressed_bytes(stream.edge_values)) \
+    edge_comp = ceil_lines(array_compressed_bytes(stream.edge_values)) \
         if stream.edge_values is not None else 0
     dst_comp = array_compressed_bytes(stream.dst_values)
     dst_total_raw = max(1, num_vertices * dvb)
 
     if stream.pull_adj_bytes:
         pull_adj_comp = min(
-            _ceil_lines(rows_compressed_bytes_from(
+            ceil_lines(rows_compressed_bytes_from(
                 stream.pull_neighbors, stream.pull_degrees, id_scale)),
             stream.pull_adj_bytes)
     else:
@@ -56,14 +56,14 @@ def compress_streams(stream: StreamArtifact, replay: ReplayArtifact,
     for it, rp in zip(stream.iterations, replay.iterations):
         neigh_comp = rows_compressed_bytes_from(
             it.dsts, it.active_degrees, id_scale)
-        neigh_bytes_compressed = min(_ceil_lines(neigh_comp),
+        neigh_bytes_compressed = min(ceil_lines(neigh_comp),
                                      it.neigh_bytes)
 
         if stream.src_value_bytes == 0:
             src_bytes_compressed = 0
         elif it.all_active:
             src_bytes_compressed = min(
-                _ceil_lines(array_compressed_bytes(it.src_values)),
+                ceil_lines(array_compressed_bytes(it.src_values)),
                 it.src_bytes)
         else:
             # Scattered accesses cannot use compressed layouts.
@@ -75,15 +75,15 @@ def compress_streams(stream: StreamArtifact, replay: ReplayArtifact,
                 np.empty(0, dtype=np.uint32), id_scale,
                 sort=sort_updates)
             frontier_bytes_compressed = min(
-                2 * _ceil_lines(frontier_comp), it.frontier_bytes)
+                2 * ceil_lines(frontier_comp), it.frontier_bytes)
         else:
             frontier_bytes_compressed = 0
 
-        update_unsorted = _ceil_lines(chunked_ids_values_compressed(
+        update_unsorted = ceil_lines(chunked_ids_values_compressed(
             rp.sorted_ids, rp.sorted_vals, id_scale, sort=False))
         if sort_updates:
             update_compressed = min(
-                _ceil_lines(chunked_ids_values_compressed(
+                ceil_lines(chunked_ids_values_compressed(
                     rp.sorted_ids, rp.sorted_vals, id_scale,
                     sort=True)),
                 update_unsorted)
@@ -105,7 +105,7 @@ def compress_streams(stream: StreamArtifact, replay: ReplayArtifact,
         phi_comp = chunked_ids_values_compressed(
             rp.phi_spilled_ids, spill_payload, id_scale,
             sort=sort_updates)
-        phi_update_bytes_compressed = min(2 * _ceil_lines(phi_comp),
+        phi_update_bytes_compressed = min(2 * ceil_lines(phi_comp),
                                           rp.phi_update_bytes)
 
         iterations.append(IterationCompress(
@@ -127,7 +127,7 @@ def compress_streams(stream: StreamArtifact, replay: ReplayArtifact,
 
 
 def _measure_cmh_ratios(stream: StreamArtifact, id_scale: int) -> dict:
-    """BDI/LCP ratios of the actual arrays (cmh_ratios, artifact form)."""
+    """BDI/LCP ratios of the actual arrays: the CMH baseline's inputs."""
     adj_bytes = expand_ids(stream.neighbors, id_scale).astype(
         np.uint32).tobytes()
     if stream.dst_values is not None and stream.dst_values.size:

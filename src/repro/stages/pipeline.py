@@ -40,7 +40,7 @@ from repro.memory.address import LINE_BYTES
 from repro.obs import TRACER
 from repro.runtime.traffic import IterationProfile, ModelConfig
 from repro.sim.metrics import RunMetrics
-from repro.sim.runner import sized_model_config
+from repro.sim.runner import identity_workload, sized_model_config
 from repro.stages.artifacts import StreamArtifact
 from repro.stages.timing import (
     GraphDims,
@@ -88,7 +88,9 @@ class ProfileBundle:
     cfg: ModelConfig
     cmh_ratios: Dict[str, float]
     push_replays: List[Tuple[int, int]]
-    upstream: Tuple[str, str, str]  # stream/replay/compress digests
+    #: stream/replay/compress digests (empty off the content-addressed
+    #: path, see :func:`compose`).
+    upstream: Tuple[str, ...]
 
 
 class StagePricer:
@@ -150,19 +152,6 @@ class StagePricer:
         _count("stream.partition.computed")
         return part
 
-    def _workload(self, app: str, dataset: str, preprocessing: str):
-        # Mirrors Runner.workload (including the self-contained "sp"
-        # app, which carries its own synthetic matrices).
-        from repro.apps import build_workload
-        from repro.graph.datasets import load_preprocessed
-        with TRACER.span("runner.build_workload", app=app,
-                         dataset=dataset, preprocessing=preprocessing):
-            if app == "sp":
-                return build_workload("sp", scale=self.scale)
-            graph = load_preprocessed(dataset, preprocessing,
-                                      self.scale)
-            return build_workload(app, graph=graph)
-
     def bundle(self, app: str, dataset: str,
                preprocessing: str = "none") -> ProfileBundle:
         """Run (or reuse) the three artifact stages for one identity."""
@@ -181,8 +170,9 @@ class StagePricer:
                                         self.scale)
         stream: StreamArtifact = self._evaluate(
             "stream", stream_key,
-            lambda: _generate(self._workload(app, dataset,
-                                             preprocessing),
+            lambda: _generate(identity_workload(app, dataset,
+                                                preprocessing,
+                                                self.scale),
                               self.partitions, self._fetch_partition),
             **labels)
         stream_digest = artifact_digest(stream)
@@ -206,21 +196,9 @@ class StagePricer:
             lambda: _compress(stream, replay, cfg), **labels)
         compress_digest = artifact_digest(compress)
 
-        bundle = ProfileBundle(
-            profiles=assemble_profiles(stream, replay, compress,
-                                       cfg.system.num_cores),
-            view=PricingView(
-                app=app, frontier_based=stream.frontier_based,
-                dst_value_bytes=stream.dst_value_bytes,
-                graph=GraphDims(num_vertices=stream.num_vertices)),
-            cfg=cfg,
-            cmh_ratios=compress.cmh_ratios,
-            push_replays=[
-                (rp.push_dest_misses,
-                 rp.push_dest_write_bytes // LINE_BYTES)
-                for rp in replay.iterations],
-            upstream=(stream_digest, replay_digest, compress_digest),
-        )
+        bundle = _assemble(app, stream, replay, compress, cfg,
+                           (stream_digest, replay_digest,
+                            compress_digest))
         with self._lock:
             self._bundles[ident] = bundle
         return bundle
@@ -254,10 +232,7 @@ class StagePricer:
 
         metrics = self._evaluate(
             "timing", timing_key,
-            lambda: price_staged(spec, bundle.profiles, bundle.view,
-                                 bundle.cfg, dataset, preprocessing,
-                                 bundle.cmh_ratios,
-                                 bundle.push_replays),
+            lambda: price_bundle(bundle, spec, dataset, preprocessing),
             app=app, scheme=spec.canonical(), dataset=dataset,
             preprocessing=preprocessing)
         with self._lock:
@@ -266,6 +241,46 @@ class StagePricer:
 
     def stats(self) -> Dict[str, int]:
         return stage_counters()
+
+
+def compose(workload, cfg: ModelConfig) -> ProfileBundle:
+    """The uncached stage composition under one explicit model config.
+
+    stream → replay → compress → assemble with no store, no memo and no
+    identity labels: the form the LLC sweep (whose per-point LLC is not
+    a system edit) and the profile equivalence suites price through.
+    """
+    stream = _generate(workload)
+    replay = _replay(stream, stage_config_slice("replay", cfg))
+    compress = _compress(stream, replay, cfg)
+    return _assemble(workload.app, stream, replay, compress, cfg, ())
+
+
+def _assemble(app: str, stream: StreamArtifact, replay, compress,
+              cfg: ModelConfig, upstream: Tuple[str, ...]
+              ) -> ProfileBundle:
+    return ProfileBundle(
+        profiles=assemble_profiles(stream, replay, compress,
+                                   cfg.system.num_cores),
+        view=PricingView(
+            app=app, frontier_based=stream.frontier_based,
+            dst_value_bytes=stream.dst_value_bytes,
+            graph=GraphDims(num_vertices=stream.num_vertices)),
+        cfg=cfg,
+        cmh_ratios=compress.cmh_ratios,
+        push_replays=[
+            (rp.push_dest_misses, rp.push_dest_write_bytes // LINE_BYTES)
+            for rp in replay.iterations],
+        upstream=upstream,
+    )
+
+
+def price_bundle(bundle: ProfileBundle, spec, dataset: str,
+                 preprocessing: str) -> RunMetrics:
+    """Price one scheme spec against a bundle (the timing stage)."""
+    return price_staged(spec, bundle.profiles, bundle.view, bundle.cfg,
+                        dataset, preprocessing, bundle.cmh_ratios,
+                        bundle.push_replays)
 
 
 def _generate(workload, partitions: int = 1,

@@ -19,12 +19,9 @@ import numpy as np
 
 from repro.memory.address import LINE_BYTES
 from repro.obs import TRACER
-from repro.runtime.traffic import (
-    _ceil_lines,
-    lru_scatter_replay,
-    phi_coalesce_replay,
-)
+from repro.runtime.traffic import lru_scatter_replay, phi_coalesce_replay
 from repro.runtime.traffic_array import (
+    ceil_lines,
     pull_gather_lines,
     push_scatter_lines,
     ub_bin_stream,
@@ -75,7 +72,7 @@ def replay_streams(stream: StreamArtifact,
         # compress measures the exact stream binning would write.
         sorted_ids, sorted_vals, touched_bins = ub_bin_stream(
             dsts, upd_vals, vpb)
-        ub_dest_raw = min(_ceil_lines(num_vertices * dvb),
+        ub_dest_raw = min(ceil_lines(num_vertices * dvb),
                           touched_bins * vpb * dvb)
 
         # PHI coalescing.
@@ -84,7 +81,7 @@ def replay_streams(stream: StreamArtifact,
                 dsts.astype(np.int64),
                 upd_vals if upd_vals.size == dsts.size
                 else np.empty(0), dvb, cfg.llc_lines)
-        phi_update_bytes = 2 * _ceil_lines(spilled_ids.size
+        phi_update_bytes = 2 * ceil_lines(spilled_ids.size
                                            * stream.update_bytes)
 
         # Pull gather replay (all-active iterations with source data).

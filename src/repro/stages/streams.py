@@ -6,10 +6,11 @@ codec, no timing constant enters here.  Everything downstream — cache
 replays, compression measurement, cost models — prices these frozen
 streams, so a timing or codec change never regenerates them.
 
-The quantities mirror :func:`repro.runtime.traffic._profile_iteration`'s
-opening section exactly; the randomized parity suite
-(``tests/test_stages_parity.py``) holds the staged path bit-identical to
-the monolithic profiler.
+The golden parity suite (``tests/test_stages_parity.py``) pins the
+priced output to a committed snapshot, and the equivalence suite
+(``tests/test_traffic_equivalence.py``) holds the assembled profiles
+bit-identical to the scalar oracle
+:func:`repro.runtime.traffic_array.profile_iteration_scalar`.
 
 Partitioned generation
 ----------------------
@@ -25,10 +26,9 @@ construction:
   destination-id slice).  Line footprints depend on absolute row
   phases, which an edge delta in an *earlier* partition shifts even
   when this partition's rows are untouched; they are therefore
-  recomputed at stitch time through the very same
-  ``_row_line_bytes`` / ``_scattered_line_bytes`` calls the whole-graph
-  path makes, as are all count-based quantities and the global
-  all-active shortcuts;
+  recomputed at stitch time through the very same ``row_line_bytes`` /
+  ``scattered_line_bytes`` calls the whole-graph path makes, as are all
+  count-based quantities and the global all-active shortcuts;
 * a partition's cache key hashes its actual inputs — the rows in
   ``[lo, hi)`` (offsets relative to the range start, so upstream edge
   shifts don't rotate it) plus each iteration's active-source slice —
@@ -48,16 +48,13 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from repro.jobs.fingerprint import stream_partition_fingerprint
-from repro.runtime.traffic import (
-    _ceil_lines,
-    _row_line_bytes,
-    _scattered_line_bytes,
-    _transpose_of,
-    gather_rows,
-)
+from repro.runtime.traffic import gather_rows
 from repro.runtime.traffic_array import (
+    ceil_lines,
     partition_bounds,
     partition_gather_stream,
+    row_line_bytes,
+    scattered_line_bytes,
 )
 from repro.runtime.workload import Workload
 from repro.stages.artifacts import (
@@ -185,11 +182,14 @@ def _generate_impl(workload: Workload,
     need_pull = bool(svb) and any(it.sources.size >= num_vertices
                                   for it in workload.iterations)
     if need_pull:
-        transposed = _transpose_of(graph)
+        # Transposed fresh per generation: the artifact is stored, so a
+        # cache keyed on graph objects would only add a staleness hazard.
+        transposed = graph.transpose()
         pull_neighbors = transposed.neighbors
         pull_degrees = transposed.out_degrees()
-        pull_adj_bytes = _row_line_bytes(
-            transposed, np.arange(transposed.num_vertices))
+        pull_adj_bytes = row_line_bytes(
+            transposed.offsets, transposed.num_vertices,
+            transposed.num_edges, np.arange(transposed.num_vertices))
     else:
         pull_neighbors = np.empty(0, dtype=graph.neighbors.dtype)
         pull_degrees = np.empty(0, dtype=np.int64)
@@ -203,32 +203,33 @@ def _generate_impl(workload: Workload,
         num_edges = int(active_degrees.sum())
 
         if all_active:
-            offsets_bytes = _ceil_lines((num_vertices + 1) * 8)
+            offsets_bytes = ceil_lines((num_vertices + 1) * 8)
         else:
-            offsets_bytes = _scattered_line_bytes(sources, 8)
-        neigh_bytes = _row_line_bytes(graph, sources)
+            offsets_bytes = scattered_line_bytes(sources, 8)
+        neigh_bytes = row_line_bytes(graph.offsets, num_vertices,
+                                     graph.num_edges, sources)
         dsts = dsts_override[index] if dsts_override is not None \
             else gather_rows(graph, sources)
 
         edge_values = workload.extras.get("edge_values")
-        edge_value_bytes = _ceil_lines(
+        edge_value_bytes = ceil_lines(
             num_edges * edge_values.dtype.itemsize) \
             if edge_values is not None else 0
 
         if svb == 0:
             src_bytes = 0
         elif all_active:
-            src_bytes = _ceil_lines(num_vertices * svb)
+            src_bytes = ceil_lines(num_vertices * svb)
         else:
-            src_bytes = _scattered_line_bytes(sources, svb)
+            src_bytes = scattered_line_bytes(sources, svb)
         # Source values only feed the compress stage on the all-active
         # path (scattered accesses cannot use compressed layouts).
         src_values = it.src_values if (svb and all_active) \
             else np.empty(0, dtype=np.uint8)
 
-        frontier_bytes = _ceil_lines(sources.size * 4) * 2 \
+        frontier_bytes = ceil_lines(sources.size * 4) * 2 \
             if workload.frontier_based else 0
-        update_bytes = _ceil_lines(num_edges * workload.update_bytes)
+        update_bytes = ceil_lines(num_edges * workload.update_bytes)
 
         iterations.append(IterationStreams(
             weight=it.weight,

@@ -4,10 +4,10 @@ The cheap suffix of the pipeline: stitch the three upstream artifacts
 back into :class:`~repro.runtime.traffic.IterationProfile` records
 (computing the work-stealing load imbalance here, since it depends on
 the core count — a timing knob), then price one scheme through the
-*same* aggregation code as the monolithic path
+scheme layer's aggregation loops
 (:func:`repro.schemes.pricing._price_spec` /
-:func:`~repro.schemes.pricing._simulate_cmh`), so staged and monolithic
-results are bit-identical by construction.
+:func:`~repro.schemes.pricing._simulate_cmh`).  This is the only place
+a cell becomes :class:`~repro.sim.metrics.RunMetrics`.
 
 The config slice is {num_cores, bytes_per_cycle, llc_lines} plus the
 scheme identity: editing memory bandwidth, the core count, or a cost
@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.obs import TRACER
 from repro.runtime.scheduling import iteration_imbalance
 from repro.runtime.traffic import IterationProfile, ModelConfig
 from repro.schemes.pricing import _price_spec, _simulate_cmh
@@ -56,7 +57,7 @@ class PricingView:
 def assemble_profiles(stream: StreamArtifact, replay: ReplayArtifact,
                       compress: CompressArtifact,
                       num_cores: int) -> List[IterationProfile]:
-    """Reconstruct the monolithic profiler's output from artifacts."""
+    """Assemble per-iteration profiles from the three artifacts."""
     profiles = []
     for it, rp, cp in zip(stream.iterations, replay.iterations,
                           compress.iterations):
@@ -108,8 +109,9 @@ def price_staged(spec: SchemeSpec, profiles: List[IterationProfile],
                  push_replays: List[Tuple[int, int]]) -> RunMetrics:
     """Price one scheme against assembled profiles and frozen extras."""
     if spec.cmh:
-        return _simulate_cmh(view, profiles, spec, cfg, dataset,
-                             preprocessing, ratios=cmh_ratios,
-                             replays=push_replays)
-    return _price_spec(view, profiles, spec, cfg, dataset,
-                       preprocessing)
+        with TRACER.span("pricing.cmh", scheme=spec.canonical()):
+            return _simulate_cmh(view, profiles, spec, cfg, dataset,
+                                 preprocessing, cmh_ratios, push_replays)
+    with TRACER.span("pricing.price", scheme=spec.canonical()):
+        return _price_spec(view, profiles, spec, cfg, dataset,
+                           preprocessing)

@@ -265,6 +265,28 @@ class TestDatasetRegistry:
         assert stored_mut.content_digest() == \
             handle.graph.content_digest()
 
+    def test_publishes_before_moving_the_head(self, tmp_path,
+                                              monkeypatch):
+        """A bare-name read racing ``apply_delta`` (``/graph/delta``
+        runs it in a thread) must never resolve to a version the graph
+        store cannot serve yet: publication precedes the head move."""
+        store = shared.enable_graph_store(str(tmp_path / "graphs"))
+        base = load("ukl", SCALE)
+        heads_at_publish = []
+        publish = store.put_graph
+
+        def spy(key, graph):
+            heads_at_publish.append(resolve_version("ukl", SCALE))
+            publish(key, graph)
+
+        monkeypatch.setattr(store, "put_graph", spy)
+        h1 = apply_dataset_delta(
+            "ukl", sample_delta(base, seed=1, insertions=5), SCALE)
+        h2 = apply_dataset_delta(
+            "ukl", sample_delta(base, seed=2, deletions=5), SCALE)
+        assert heads_at_publish == ["ukl", h1.versioned_name]
+        assert resolve_version("ukl", SCALE) == h2.versioned_name
+
     def test_published_version_loads_in_fresh_registry(self, tmp_path):
         """How a pool worker sees the dispatcher's mutation: the
         in-process registry is empty, the graph store resolves it."""

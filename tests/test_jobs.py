@@ -339,9 +339,9 @@ class TestJobRunner:
 
 class TestPlans:
     def test_fig07_plan_covers_all_schemes(self):
-        from repro.runtime.strategies import SCHEMES
+        from repro.schemes import scheme_names
         requests = experiment_requests(["fig07"])
-        assert {r.scheme for r in requests} == set(SCHEMES)
+        assert {r.scheme for r in requests} == set(scheme_names("paper"))
         assert all(r.profile_key == ("bfs", "ukl", "none")
                    for r in requests)
 

@@ -69,17 +69,17 @@ def test_run_metrics_roundtrip(runner):
 
 
 def test_workload_roundtrip_prices_identically(runner):
-    """A shipped workload simulates exactly like the original."""
-    from repro.runtime.strategies import simulate_scheme
+    """A shipped workload prices exactly like the original."""
+    from repro.schemes import resolve
+    from repro.stages.pipeline import compose, price_bundle
     workload = runner.workload("dc", "arb")
-    profiles = runner.profiles("dc", "arb")
     cfg = runner.config_for(workload)
-    local = simulate_scheme(workload, profiles, "phi", cfg,
-                            dataset="arb", preprocessing="none")
-    shipped = simulate_scheme(roundtrip(workload), roundtrip(profiles),
-                              "phi", roundtrip(cfg),
-                              dataset="arb", preprocessing="none")
+    local = price_bundle(compose(workload, cfg), resolve("phi"),
+                         "arb", "none")
+    shipped = price_bundle(compose(roundtrip(workload), roundtrip(cfg)),
+                           resolve("phi"), "arb", "none")
     assert shipped == local
+    assert local == runner.run("dc", "phi", "arb")
 
 
 # --------------------------------------------------------------------------

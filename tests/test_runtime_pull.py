@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.runtime.strategies import EXTRA_SCHEMES
+from repro.schemes import scheme_names
 from repro.sim import Runner
 
 
@@ -13,7 +13,7 @@ def runner():
 
 class TestPullScheme:
     def test_extra_schemes_exported(self):
-        assert EXTRA_SCHEMES == ("pull", "pull+spzip")
+        assert scheme_names("extensions") == ("pull", "pull+spzip")
 
     def test_pull_runs_on_all_active_apps(self, runner):
         run = runner.run("pr", "pull", "ukl", "none")

@@ -1,4 +1,4 @@
-"""Tests for the per-iteration traffic profiler."""
+"""Tests for the per-iteration traffic profile and its primitives."""
 
 import numpy as np
 
@@ -9,11 +9,13 @@ from repro.runtime import (
     ModelConfig,
     chunked_ids_values_compressed,
     gather_rows,
-    profile_iteration,
-    profile_workload,
     rows_compressed_bytes,
 )
-from repro.runtime.traffic import _lru_scatter, _phi_coalesce
+from repro.runtime.traffic_array import (
+    lru_scatter_oracle,
+    phi_coalesce_oracle,
+)
+from repro.sim.runner import profile_workload
 from repro.compression import DeltaCodec
 
 
@@ -23,6 +25,11 @@ def cfg(llc_kb=16):
     system = replace(system, llc=replace(system.llc,
                                          size_bytes=llc_kb * 1024))
     return ModelConfig(system=system, id_scale=4096)
+
+
+def first_profile(workload, model_cfg):
+    """The stage composition's profile of the first iteration."""
+    return profile_workload(workload, model_cfg)[0]
 
 
 class TestGatherRows:
@@ -85,7 +92,7 @@ class TestCompressedSizes:
 class TestCacheReplays:
     def test_lru_scatter_counts(self):
         lines = np.array([0, 1, 0, 2, 3, 0], dtype=np.int64)
-        misses, writebacks = _lru_scatter(lines, capacity=2)
+        misses, writebacks = lru_scatter_oracle(lines, capacity=2)
         # 0 miss, 1 miss, 0 hit, 2 miss (evict 1), 3 miss (evict 0),
         # 0 miss (evict 2): 5 misses; evictions 3 + final flush 2.
         assert misses == 5
@@ -93,29 +100,29 @@ class TestCacheReplays:
 
     def test_lru_scatter_all_hits_when_fitting(self):
         lines = np.tile(np.arange(4, dtype=np.int64), 10)
-        misses, writebacks = _lru_scatter(lines, capacity=8)
+        misses, writebacks = lru_scatter_oracle(lines, capacity=8)
         assert misses == 4
         assert writebacks == 4  # final flush only
 
     def test_phi_coalesces_same_destination(self):
         dsts = np.array([5, 5, 5, 5], dtype=np.int64)
         vals = np.arange(4, dtype=np.uint32)
-        ids, out_vals, lines = _phi_coalesce(dsts, vals, 4, 16)
+        ids, out_vals, lines = phi_coalesce_oracle(dsts, vals, 4, 16)
         assert ids.tolist() == [5]       # four updates coalesced to one
         assert lines == 1
 
     def test_phi_distinct_dsts_in_one_line_all_spill(self):
         dsts = np.array([0, 1, 2, 3], dtype=np.int64)
-        ids, _vals, lines = _phi_coalesce(dsts, np.arange(4, dtype=np.uint32),
-                                          4, 16)
+        ids, _vals, lines = phi_coalesce_oracle(
+            dsts, np.arange(4, dtype=np.uint32), 4, 16)
         assert sorted(ids.tolist()) == [0, 1, 2, 3]
         assert lines == 1  # all share a line (16 x 4B per line)
 
     def test_phi_eviction_spills_midstream(self):
         # Capacity 1 line: alternating far-apart lines evict each other.
         dsts = np.array([0, 100, 0, 100], dtype=np.int64)
-        ids, _vals, lines = _phi_coalesce(dsts, np.arange(4, dtype=np.uint32),
-                                          4, 1)
+        ids, _vals, lines = phi_coalesce_oracle(
+            dsts, np.arange(4, dtype=np.uint32), 4, 1)
         assert lines == 4
         assert ids.size == 4
 
@@ -124,8 +131,7 @@ class TestIterationProfile:
     def test_all_active_pagerank_profile(self):
         g = community_graph(400, 3000, seed_stream="traffic-5")
         workload = pagerank.build_workload(g)
-        profile = profile_iteration(workload, workload.iterations[0],
-                                    cfg())
+        profile = first_profile(workload, cfg())
         assert profile.num_edges == g.num_edges
         assert profile.num_sources == g.num_vertices
         assert profile.frontier_bytes == 0
@@ -147,23 +153,20 @@ class TestIterationProfile:
     def test_bigger_cache_never_increases_misses(self):
         g = community_graph(600, 5000, seed_stream="traffic-7")
         workload = pagerank.build_workload(g)
-        small = profile_iteration(workload, workload.iterations[0],
-                                  cfg(llc_kb=4))
-        big = profile_iteration(workload, workload.iterations[0],
-                                cfg(llc_kb=64))
+        small = first_profile(workload, cfg(llc_kb=4))
+        big = first_profile(workload, cfg(llc_kb=64))
         assert big.push_dest_misses <= small.push_dest_misses
         assert big.phi_spilled_updates <= small.phi_spilled_updates
 
     def test_sorted_updates_never_larger(self):
         g = community_graph(500, 4000, seed_stream="traffic-8")
         workload = pagerank.build_workload(g)
-        p = profile_iteration(workload, workload.iterations[0], cfg())
+        p = first_profile(workload, cfg())
         assert p.update_bytes_compressed <= \
             p.update_bytes_compressed_unsorted
 
     def test_num_bins_scale_with_vertices(self):
         g = community_graph(1000, 5000, seed_stream="traffic-9")
         workload = pagerank.build_workload(g)
-        p = profile_iteration(workload, workload.iterations[0],
-                              cfg(llc_kb=4))
+        p = first_profile(workload, cfg(llc_kb=4))
         assert p.num_bins >= 2

@@ -1,9 +1,17 @@
 """Tests for the sensitivity sweeps."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.sim import Runner
 from repro.sim.sweeps import bandwidth_sweep, core_sweep, llc_sweep
+from repro.stages import stage_counters
+
+
+def counter_delta(before):
+    return {k: v - before.get(k, 0) for k, v in stage_counters().items()
+            if v != before.get(k, 0)}
 
 
 @pytest.fixture(scope="module")
@@ -30,6 +38,15 @@ class TestBandwidthSweep:
                                schemes=("push", "phi"))
         assert rows[0]["push"] == pytest.approx(1.0)
 
+    def test_points_reprice_timing_only(self, runner):
+        before = stage_counters()
+        bandwidth_sweep(runner, "cc", "twi", factors=(0.5, 1.0, 2.0),
+                        schemes=("push", "phi+spzip"))
+        delta = counter_delta(before)
+        for stage in ("stream", "replay", "compress"):
+            assert delta[f"{stage}.computed"] == 1, delta
+        assert delta["timing.computed"] == 3 * 2, delta
+
 
 class TestLlcSweep:
     def test_bigger_llc_helps_push(self, runner):
@@ -47,6 +64,15 @@ class TestLlcSweep:
                          schemes=("push",))
         assert rows[0]["llc_bytes"] > 0
 
+    def test_unit_point_agrees_with_the_runner(self, runner):
+        """At factor 1 the swept LLC is the per-input sized one, so the
+        row is the runner's own speedup."""
+        rows = llc_sweep(runner, "bfs", "ukl", factors=(1.0,),
+                         schemes=("push", "phi+spzip"))
+        push = runner.run("bfs", "push", "ukl")
+        spzip = runner.run("bfs", "phi+spzip", "ukl")
+        assert rows[0]["phi+spzip"] == spzip.speedup_over(push)
+
 
 class TestCoreSweep:
     def test_core_bound_scheme_scales_then_saturates(self, runner):
@@ -60,3 +86,29 @@ class TestCoreSweep:
                           scheme="phi+spzip")
         # Bandwidth-bound: 16x the cores buys far less than 16x.
         assert rows[1]["speedup"] < 8.0
+
+    @pytest.mark.parametrize("scheme", ["push", "phi+spzip"])
+    def test_rows_match_a_runner_per_core_count(self, runner, scheme):
+        """The work-stealing imbalance depends on the core count, so
+        every point must price at its own count, exactly like a runner
+        built for it."""
+        counts = (4, 16, 64)
+        rows = core_sweep(runner, "pr", "ukl", counts=counts,
+                          scheme=scheme)
+        runs = [Runner(scale=runner.scale,
+                       system=replace(runner.system, num_cores=count))
+                .run("pr", scheme, "ukl") for count in counts]
+        assert rows == [{"cores": count,
+                         "speedup": runs[0].cycles / run.cycles,
+                         "bound": "memory" if run.bandwidth_bound
+                         else "core"}
+                        for count, run in zip(counts, runs)]
+
+    def test_points_reprice_timing_only(self, runner):
+        before = stage_counters()
+        core_sweep(runner, "cc", "twi", counts=(4, 16, 64),
+                   scheme="phi")
+        delta = counter_delta(before)
+        for stage in ("stream", "replay", "compress"):
+            assert delta[f"{stage}.computed"] == 1, delta
+        assert delta["timing.computed"] == 3, delta

@@ -333,3 +333,28 @@ class TestExecutorIntegration:
         pricer.price("dc", "push", "arb", "none")
         counters = stage_counters()
         assert counters == {f"{s}.hit": 1 for s in STAGE_NAMES}
+
+
+# ---------------------------------------------------------------------------
+# Stream stage
+# ---------------------------------------------------------------------------
+
+
+class TestStreamStage:
+    def test_pull_stream_is_this_graphs_transpose(self):
+        """Short-lived graphs (delta traffic makes them constantly) must
+        never see another graph's transpose: object ids of freed graphs
+        get reused, so nothing may key transposes on ``id(graph)``."""
+        import numpy as np
+
+        from repro.apps import pagerank
+        from repro.graph.csr import CsrGraph
+        from repro.stages.streams import generate_streams
+
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            graph = CsrGraph.from_edges(64, rng.integers(0, 64, 256),
+                                        rng.integers(0, 64, 256))
+            stream = generate_streams(pagerank.build_workload(graph))
+            np.testing.assert_array_equal(stream.pull_neighbors,
+                                          graph.transpose().neighbors)

@@ -1,12 +1,13 @@
 """Array-native stream generation vs the scalar oracles, bit for bit.
 
-The hot profiling path (:mod:`repro.runtime.traffic`) emits every
-per-strategy access stream from raw CSR arrays in vectorized passes; the
-``*_scalar`` oracles in :mod:`repro.runtime.traffic_array` walk the same
-definitions vertex by vertex.  These tests hold the two sides exactly
-equal — generator by generator, and end to end through full iteration
-profiles — across hostile shapes: tiny LLCs, ``id_scale=1``, empty and
-sparse frontiers, self-loops, duplicate edges, and isolated vertices.
+The pricing stages (:mod:`repro.stages`) emit every per-strategy access
+stream from raw CSR arrays in vectorized passes; the ``*_scalar``
+oracles in :mod:`repro.runtime.traffic_array` walk the same definitions
+vertex by vertex.  These tests hold the two sides exactly equal —
+generator by generator, and end to end through full iteration profiles
+of the stage composition — across hostile shapes: tiny LLCs,
+``id_scale=1``, empty and sparse frontiers, self-loops, duplicate
+edges, and isolated vertices.
 """
 
 from dataclasses import replace
@@ -18,7 +19,7 @@ from repro.apps import bfs as bfs_app, pagerank
 from repro.config import SystemConfig
 from repro.graph import community_graph
 from repro.graph.csr import CsrGraph
-from repro.runtime import ModelConfig, profile_iteration
+from repro.runtime import ModelConfig
 from repro.runtime import traffic_array as ta
 from repro.runtime.traffic import (
     array_compressed_bytes,
@@ -27,6 +28,7 @@ from repro.runtime.traffic import (
     rows_compressed_bytes_from,
 )
 from repro.runtime.workload import Iteration, Workload
+from repro.sim.runner import profile_workload
 
 
 def model_cfg(llc_kb=16, id_scale=4096, sort=True):
@@ -174,14 +176,6 @@ class TestCompressedSizeOracles:
             assert fast.tolist() == slow
 
 
-class TestReplayOracles:
-    def test_lru_oracle_is_traffic_reference(self):
-        # The moved oracle must stay the one traffic re-exports.
-        from repro.runtime.traffic import _lru_scatter, _phi_coalesce
-        assert _lru_scatter is ta.lru_scatter_oracle
-        assert _phi_coalesce is ta.phi_coalesce_oracle
-
-
 def hostile_workload(app_like="pr"):
     g = hostile_graph(5)
     if app_like == "pr":
@@ -200,19 +194,21 @@ CONFIGS = [
 @pytest.mark.parametrize("cfg", CONFIGS)
 @pytest.mark.parametrize("app_like", ["pr", "bfs"])
 class TestFullProfileEquivalence:
-    """End to end: the vectorized profiler equals the scalar profiler."""
+    """End to end: the stage composition equals the scalar profiler."""
 
     def test_profiles_bit_identical(self, cfg, app_like):
         workload = hostile_workload(app_like)
-        for iteration in workload.iterations[:4]:
-            fast = profile_iteration(workload, iteration, cfg)
+        fast = profile_workload(workload, cfg)
+        assert len(fast) == len(workload.iterations)
+        for profile, iteration in zip(fast[:4], workload.iterations):
             slow = ta.profile_iteration_scalar(workload, iteration, cfg)
-            assert fast == slow  # dataclass equality, field by field
+            assert profile == slow  # dataclass equality, field by field
 
     def test_community_graph_profiles(self, cfg, app_like):
         g = community_graph(140, 900, seed_stream=f"eq-{app_like}")
         app = pagerank if app_like == "pr" else bfs_app
         workload = app.build_workload(g)
-        for iteration in workload.iterations[:3]:
-            assert profile_iteration(workload, iteration, cfg) == \
+        fast = profile_workload(workload, cfg)
+        for profile, iteration in zip(fast[:3], workload.iterations):
+            assert profile == \
                 ta.profile_iteration_scalar(workload, iteration, cfg)
