@@ -9,11 +9,6 @@ from repro.sim.sweeps import bandwidth_sweep, core_sweep, llc_sweep
 from repro.stages import stage_counters
 
 
-def counter_delta(before):
-    return {k: v - before.get(k, 0) for k, v in stage_counters().items()
-            if v != before.get(k, 0)}
-
-
 @pytest.fixture(scope="module")
 def runner():
     return Runner(scale=65536)
@@ -37,15 +32,6 @@ class TestBandwidthSweep:
                                factors=(1.0,),
                                schemes=("push", "phi"))
         assert rows[0]["push"] == pytest.approx(1.0)
-
-    def test_points_reprice_timing_only(self, runner):
-        before = stage_counters()
-        bandwidth_sweep(runner, "cc", "twi", factors=(0.5, 1.0, 2.0),
-                        schemes=("push", "phi+spzip"))
-        delta = counter_delta(before)
-        for stage in ("stream", "replay", "compress"):
-            assert delta[f"{stage}.computed"] == 1, delta
-        assert delta["timing.computed"] == 3 * 2, delta
 
 
 class TestLlcSweep:
@@ -104,11 +90,20 @@ class TestCoreSweep:
                          else "core"}
                         for count, run in zip(counts, runs)]
 
-    def test_points_reprice_timing_only(self, runner):
-        before = stage_counters()
-        core_sweep(runner, "cc", "twi", counts=(4, 16, 64),
-                   scheme="phi")
-        delta = counter_delta(before)
-        for stage in ("stream", "replay", "compress"):
-            assert delta[f"{stage}.computed"] == 1, delta
-        assert delta["timing.computed"] == 3, delta
+
+@pytest.mark.parametrize("sweep, kwargs, cells", [
+    (bandwidth_sweep, {"factors": (0.5, 1.0, 2.0),
+                       "schemes": ("push", "phi+spzip")}, 3 * 2),
+    (core_sweep, {"counts": (4, 16, 64), "scheme": "phi"}, 3),
+], ids=["bandwidth", "cores"])
+def test_points_reprice_timing_only(runner, sweep, kwargs, cells):
+    """Swept points share one stage store: stream/replay/compress run
+    once per sweep, timing once per cell."""
+    before = stage_counters()
+    sweep(runner, "cc", "twi", **kwargs)
+    after = stage_counters()
+    computed = {stage: after.get(f"{stage}.computed", 0)
+                - before.get(f"{stage}.computed", 0)
+                for stage in ("stream", "replay", "compress", "timing")}
+    assert computed == {"stream": 1, "replay": 1, "compress": 1,
+                        "timing": cells}
