@@ -49,8 +49,8 @@ Commands:
 
 ``experiment``/``simulate``/``report`` additionally accept
 ``--trace PATH`` to record a hierarchical span trace of the run as
-JSONL (see docs/OBSERVABILITY.md), and ``--perf`` for the flat
-per-stage profile on stderr.
+JSONL (see docs/OBSERVABILITY.md), and ``--perf`` to record the same
+trace in memory and print its per-name summary on stderr.
 """
 
 from __future__ import annotations
@@ -385,7 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("id")
     experiment.add_argument("--scale", type=int, default=4096)
     experiment.add_argument("--perf", action="store_true",
-                            help="print per-stage profiling to stderr")
+                            help="trace the run and print its per-span "
+                                 "summary to stderr")
     experiment.add_argument("--trace", default=None, metavar="PATH",
                             help="write a span trace (JSONL) of the run")
 
@@ -397,7 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--preprocessing", default="none")
     simulate.add_argument("--scale", type=int, default=4096)
     simulate.add_argument("--perf", action="store_true",
-                          help="print per-stage profiling to stderr")
+                          help="trace the run and print its per-span "
+                               "summary to stderr")
     simulate.add_argument("--trace", default=None, metavar="PATH",
                           help="write a span trace (JSONL) of the run")
 
@@ -428,7 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "stage (K>1 enables graph-delta partition "
                              "reuse)")
     report.add_argument("--perf", action="store_true",
-                        help="print per-stage profiling to stderr")
+                        help="trace the run and print its per-span "
+                             "summary to stderr")
     report.add_argument("--trace", default=None, metavar="PATH",
                         help="write a span trace (JSONL) covering the "
                              "whole report, including pool workers")
@@ -523,20 +526,22 @@ def main(argv: Optional[List[str]] = None) -> int:
     }
     trace_path = getattr(args, "trace", None) \
         if args.command != "perf" else None
-    if trace_path:
-        from repro.obs import TRACER
-        TRACER.start()
+    perf = getattr(args, "perf", False)
+    if not (trace_path or perf):
+        return handlers[args.command](args)
+    from repro.obs import TRACER, render_spans
+    TRACER.start()
     try:
         status = handlers[args.command](args)
     finally:
+        TRACER.stop()
         if trace_path:
             count = TRACER.save(trace_path)
-            TRACER.stop()
             print(f"trace: {trace_path} ({count} spans)",
                   file=sys.stderr)
-    if getattr(args, "perf", False):
-        from repro.perf import PERF
-        print(PERF.report(), file=sys.stderr)
+    if perf:
+        print(render_spans("perf: spans of this run, heaviest first",
+                           TRACER.spans), file=sys.stderr)
     return status
 
 

@@ -6,7 +6,7 @@ Layering (each module only imports downward):
 ``model``        job specs, the dependency graph, request canonical form
 ``fingerprint``  content-addressed cache keys (code-salted)
 ``cache``        the on-disk pickle store
-``telemetry``    JSONL run records and their summaries
+``telemetry``    per-job ``jobs.job`` spans of a run and their summaries
 ``executor``     serial / process-pool graph execution
 ``plan``         experiment id -> required simulations
 ``orchestrator`` the ``Runner``-compatible front end (``JobRunner``)
@@ -30,11 +30,9 @@ from repro.jobs.model import (
 from repro.jobs.orchestrator import JobRunner
 from repro.jobs.plan import experiment_requests
 from repro.jobs.telemetry import (
-    JobRecord,
     TelemetryWriter,
     default_telemetry_path,
     latest_telemetry,
-    read_records,
     render_summary,
     summarize,
 )
@@ -44,7 +42,6 @@ __all__ = [
     "JobExecutionError",
     "JobExecutor",
     "JobGraph",
-    "JobRecord",
     "JobRunner",
     "JobSpec",
     "NullCache",
@@ -60,7 +57,6 @@ __all__ = [
     "experiment_requests",
     "job_fingerprint",
     "latest_telemetry",
-    "read_records",
     "render_summary",
     "summarize",
 ]

@@ -21,7 +21,10 @@ Execution policy:
   then re-run in-process as a last resort (which also transparently
   covers payloads the pool cannot pickle);
 * per-job cache lookups happen before dispatch, so a warm-cache run
-  dispatches nothing and profiles nothing.
+  dispatches nothing and profiles nothing;
+* pool tasks run :func:`execute_group_remote`, which sends the worker's
+  :data:`~repro.obs.TRACER` count delta back with the outcomes, so the
+  ``stages:`` progress line counts pool work like in-process work.
 
 Results are returned keyed by :class:`~repro.jobs.model.RunRequest`
 in deterministic (request-insertion) order regardless of completion
@@ -34,6 +37,7 @@ import os
 import shutil
 import tempfile
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor, TimeoutError as \
     FutureTimeout
 from typing import Callable, Dict, List, Optional, Tuple
@@ -49,7 +53,7 @@ from repro.jobs.model import (
     build_job_graph,
     params_to_kwargs,
 )
-from repro.jobs.telemetry import JobRecord, TelemetryWriter
+from repro.jobs.telemetry import TelemetryWriter
 from repro.sim.metrics import RunMetrics
 
 #: One executed job coming back from a worker:
@@ -107,6 +111,24 @@ def execute_group(scale: int, system: Optional[SystemConfig],
                 trace_dir, f"worker-{os.getpid()}.jsonl"))
             TRACER.stop()
     return _execute_group(scale, system, profile, prices, store)
+
+
+def execute_group_remote(scale: int, system: Optional[SystemConfig],
+                         profile: JobSpec, prices: List[JobSpec],
+                         store: Optional[StoreConfig] = None
+                         ) -> Tuple[List[JobOutcome], Dict[str, int]]:
+    """:func:`execute_group` as a pool task: its outcomes, plus the
+    change in this process's :data:`~repro.obs.TRACER` counts.
+
+    A pool worker runs one task at a time, so the change is exactly
+    this group's work.  Only the delta travels (a forked worker starts
+    with a copy of its parent's counts); the dispatcher merges it with
+    :meth:`~repro.obs.Tracer.merge_counts`.  In-process callers run
+    :func:`execute_group` itself: their counts are already in place.
+    """
+    before = Counter(TRACER.counts())
+    outcomes = execute_group(scale, system, profile, prices, store)
+    return outcomes, dict(Counter(TRACER.counts()) - before)
 
 
 def _execute_group(scale: int, system: Optional[SystemConfig],
@@ -254,10 +276,6 @@ class JobExecutor:
         # executor's progress channel unless the cache already reports.
         if getattr(self.cache, "on_error", None) is None:
             self.cache.on_error = self._progress
-        # Mirror telemetry records into the active trace (one coherent
-        # instrument) unless the caller wired a tracer already.
-        if self.telemetry.tracer is None:
-            self.telemetry.tracer = TRACER
 
     # -- cache bookkeeping ------------------------------------------------
 
@@ -289,9 +307,9 @@ class JobExecutor:
 
     def _run(self, requests: List[RunRequest]
              ) -> Dict[RunRequest, RunMetrics]:
+        start = time.monotonic()
+        first = len(self.telemetry.records)
         graph = build_job_graph(requests)
-        self.telemetry.start(self.jobs, len(graph.request_jobs),
-                             getattr(self.cache, "root", None))
         hits, keys = self._lookup(graph)
         results: Dict[str, RunMetrics] = dict(hits)
 
@@ -300,59 +318,49 @@ class JobExecutor:
             missing = [j for j in prices if j.job_id not in hits]
             for job in prices:
                 if job.job_id in hits:
-                    self.telemetry.record(JobRecord(
-                        job_id=job.job_id, kind=job.kind, status="hit",
-                        app=job.app, dataset=job.dataset,
-                        preprocessing=job.preprocessing,
-                        scheme=job.scheme,
-                        cache_key=keys[job.job_id]))
+                    self.telemetry.record(job, "hit",
+                                          cache_key=keys[job.job_id])
             if missing:
                 pending.append((profile, missing))
             else:
-                self.telemetry.record(JobRecord(
-                    job_id=profile.job_id, kind=profile.kind,
-                    status="skipped", app=profile.app,
-                    dataset=profile.dataset,
-                    preprocessing=profile.preprocessing))
+                self.telemetry.record(profile, "skipped")
         if pending:
             from repro.stages import stage_counters
-            before = stage_counters()
+            before = Counter(stage_counters())
             if self.jobs == 1 or len(pending) == 1:
                 outcomes = self._run_serial(pending)
             else:
                 outcomes = self._run_pool(pending)
-            self._absorb(outcomes, keys, results)
-            delta = {k: v - before.get(k, 0)
-                     for k, v in stage_counters().items()
-                     if v - before.get(k, 0)}
+            self._absorb(outcomes, graph.jobs, keys, results)
+            # Pool workers' counts were merged as their groups came
+            # back, so this covers every process that did the work.
+            delta = Counter(stage_counters()) - before
             if delta:
-                # In-process stage activity only; pool workers report
-                # theirs through adopted stage.* spans when tracing.
                 self._progress("stages: " + ", ".join(
                     f"{k}={v}" for k, v in sorted(delta.items())))
 
-        summary = self.telemetry.finish()
+        statuses = Counter(span.attrs["status"]
+                           for span in self.telemetry.records[first:])
         self._progress(
-            f"jobs: {summary['jobs']} total, {summary['hit']} cache "
-            f"hits, {summary['miss']} executed, "
-            f"{float(summary['wall_s']):.1f}s")
+            f"jobs: {sum(statuses.values())} total, {statuses['hit']} "
+            f"cache hits, {statuses['miss']} executed, "
+            f"{time.monotonic() - start:.1f}s")
         return {request: results[job_id]
                 for request, job_id in graph.request_jobs.items()}
 
     def _absorb(self, outcomes: Dict[str, Tuple[JobOutcome, int]],
-                keys: Dict[str, str],
+                jobs: Dict[str, JobSpec], keys: Dict[str, str],
                 results: Dict[str, RunMetrics]) -> None:
         """Record telemetry, fill the cache, surface failures."""
         failed: List[str] = []
         for job_id in sorted(outcomes):
             (jid, metrics, wall, pid, error), retries = outcomes[job_id]
-            kind = "price" if jid.startswith("price:") else "profile"
-            self.telemetry.record(JobRecord(
-                job_id=jid, kind=kind,
-                status="failed" if error else "miss", wall_s=wall,
+            job = jobs[jid]
+            self.telemetry.record(
+                job, "failed" if error else "miss", wall,
                 retries=retries, worker_pid=pid, error=error,
-                cache_key=keys.get(jid, "")))
-            if error and kind == "price":
+                cache_key=keys.get(jid, ""))
+            if error and job.kind == "price":
                 failed.append(f"{jid}: {error}")
             if metrics is not None:
                 results[jid] = metrics
@@ -407,7 +415,7 @@ class JobExecutor:
         try:
             futures = {}
             for profile, prices in pending:
-                future = pool.submit(execute_group, self.scale,
+                future = pool.submit(execute_group_remote, self.scale,
                                      self.system, profile, prices,
                                      self._store)
                 futures[future] = (profile, prices, 0)
@@ -417,7 +425,8 @@ class JobExecutor:
                 profile, prices, attempt = futures.pop(future)
                 group: Optional[List[JobOutcome]] = None
                 try:
-                    group = future.result(timeout=self.timeout)
+                    group, counts = future.result(timeout=self.timeout)
+                    TRACER.merge_counts(counts)
                     if self._group_has_failure(group) and \
                             attempt < self.retries:
                         group = None  # retry the whole group
@@ -435,7 +444,7 @@ class JobExecutor:
                 if group is None:
                     if attempt < self.retries:
                         try:
-                            retry = pool.submit(execute_group,
+                            retry = pool.submit(execute_group_remote,
                                                 self.scale, self.system,
                                                 profile, prices,
                                                 self._store)

@@ -30,11 +30,7 @@ from repro.jobs.model import (
     canonical_request,
     params_to_kwargs,
 )
-from repro.jobs.telemetry import (
-    JobRecord,
-    TelemetryWriter,
-    default_telemetry_path,
-)
+from repro.jobs.telemetry import TelemetryWriter, default_telemetry_path
 from repro.sim.metrics import RunMetrics
 from repro.sim.runner import Runner
 
@@ -77,9 +73,7 @@ class JobRunner(Runner):
         """One telemetry stream shared by every prefetch/run of this
         runner, so a whole report lands in a single JSONL file."""
         if self._telemetry is None:
-            from repro.obs import TRACER
-            self._telemetry = TelemetryWriter(path=self.telemetry_path,
-                                              tracer=TRACER)
+            self._telemetry = TelemetryWriter(path=self.telemetry_path)
         return self._telemetry
 
     def prefetch(self, requests: Iterable[RunRequest]) -> int:
@@ -126,9 +120,6 @@ class JobRunner(Runner):
         else:
             status = "hit"
         if self.telemetry_path:
-            self._writer().record(JobRecord(
-                job_id=job.job_id, kind="price", status=status,
-                app=app, dataset=dataset, preprocessing=preprocessing,
-                scheme=request.scheme, cache_key=key))
+            self._writer().record(job, status, cache_key=key)
         self._results[request] = metrics
         return metrics

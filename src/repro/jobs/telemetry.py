@@ -1,24 +1,19 @@
-"""Run telemetry: structured JSONL records for every orchestrated job.
+"""Run telemetry: every orchestrated job as a ``jobs.job`` span.
 
 Each orchestrated run appends one file under
-``<cache root>/telemetry/``; every line is a self-describing JSON
-object distinguished by its ``event`` field:
+``<cache root>/telemetry/`` in the trace JSONL format
+(:mod:`repro.obs.trace`): a ``trace_start`` header, then one
+``jobs.job`` span per executed, cached or skipped job.  Its ``dur_s``
+is the job's wall time; its attributes are the job's identity
+(``job_id``, ``kind``, ``app``, ``dataset``, ``preprocessing``,
+``scheme``), its ``status`` (``hit`` | ``miss`` | ``skipped`` |
+``failed``), ``retries``, ``worker_pid``, ``cache_key`` and ``error``.
 
-``run_start``
-    run id, timestamp, worker count, cache root, request count.
-``job``
-    one executed/cached/skipped job: id, kind, app/dataset/
-    preprocessing/scheme, status (``hit`` | ``miss`` | ``skipped`` |
-    ``failed``), wall seconds, retries, worker pid, cache key.
-``run_end``
-    aggregate counters and total wall time.
-
-``summarize``/``render_summary`` power ``python -m repro jobs``.
-
-When a tracer is attached (``TelemetryWriter.tracer``, wired by the
-executor), every job record is mirrored as a ``jobs.job`` span so a
-traced run carries the telemetry stream inside the trace — one
-instrument, two views.
+The spans are the ones :data:`~repro.obs.TRACER` records, so a traced
+run carries the same ``jobs.job`` spans in its trace.
+``repro.obs.read_trace`` and ``repro perf summary`` read the file;
+:func:`summarize` / :func:`render_summary` power ``python -m repro
+jobs``.
 """
 
 from __future__ import annotations
@@ -27,104 +22,50 @@ import itertools
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional
+
+from repro.jobs.model import JobSpec
+from repro.obs import TRACER, Span, read_trace
 
 #: Job statuses, in reporting order.
 STATUSES = ("hit", "miss", "skipped", "failed")
 
 
-@dataclass
-class JobRecord:
-    """Telemetry for one job."""
-
-    job_id: str
-    kind: str
-    status: str  # "hit" | "miss" | "skipped" | "failed"
-    app: str = ""
-    dataset: str = ""
-    preprocessing: str = ""
-    scheme: str = ""
-    wall_s: float = 0.0
-    retries: int = 0
-    worker_pid: int = 0
-    cache_key: str = ""
-    error: str = ""
-
-
-@dataclass
 class TelemetryWriter:
-    """Append-only JSONL emitter for one orchestrated run.
+    """Append-only span file for one orchestrated run; ``path=None``
+    keeps the spans in :attr:`records` only.
 
-    Record *timestamps* use the wall clock (meaningful across runs);
-    *durations* use the monotonic clock, which cannot run backwards
-    under NTP slew or clock adjustment.
+    The header's ``mono_epoch`` marks the run's start: durations use
+    the monotonic clock, which cannot run backwards under NTP slew.
     """
 
-    path: Optional[str]
-    run_id: str = ""
-    records: List[JobRecord] = field(default_factory=list)
-    #: Optional :class:`repro.obs.Tracer` mirroring records as spans.
-    tracer: Optional[object] = None
-    _start: float = field(default_factory=time.time)
-    _start_mono: float = field(default_factory=time.monotonic)
+    def __init__(self, path: Optional[str]) -> None:
+        self.path = path
+        self.records: List[Span] = []
+        wall = time.time()
+        self._header = {"event": "trace_start",
+                        "trace_id": f"run-{int(wall)}-{os.getpid()}",
+                        "wall_epoch": wall, "mono_epoch": time.monotonic(),
+                        "pid": os.getpid()}
 
-    def __post_init__(self) -> None:
-        if not self.run_id:
-            self.run_id = f"run-{int(self._start)}-{os.getpid()}"
-        if self.path:
-            os.makedirs(os.path.dirname(self.path) or ".",
-                        exist_ok=True)
-
-    def _emit(self, payload: Dict[str, object]) -> None:
+    def record(self, job: JobSpec, status: str, wall_s: float = 0.0,
+               retries: int = 0, worker_pid: int = 0,
+               cache_key: str = "", error: str = "") -> None:
+        span = TRACER.manual_span(
+            "jobs.job", wall_s, job_id=job.job_id, kind=job.kind,
+            status=status, app=job.app, dataset=job.dataset,
+            preprocessing=job.preprocessing, scheme=job.scheme,
+            retries=retries, worker_pid=worker_pid,
+            cache_key=cache_key, error=error)
+        self.records.append(span)
         if not self.path:
             return
+        os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
         with open(self.path, "a") as handle:
-            handle.write(json.dumps(payload, sort_keys=True) + "\n")
-
-    def start(self, jobs: int, requests: int,
-              cache_root: Optional[str]) -> None:
-        self._emit({"event": "run_start", "run_id": self.run_id,
-                    "time": self._start, "workers": jobs,
-                    "requests": requests, "cache_root": cache_root})
-
-    def record(self, record: JobRecord) -> None:
-        self.records.append(record)
-        payload = {"event": "job", "run_id": self.run_id}
-        payload.update(asdict(record))
-        self._emit(payload)
-        tracer = self.tracer
-        if tracer is not None and getattr(tracer, "active", False):
-            tracer.manual_span(
-                "jobs.job", duration_s=record.wall_s,
-                job_id=record.job_id, kind=record.kind,
-                status=record.status, app=record.app,
-                dataset=record.dataset,
-                preprocessing=record.preprocessing,
-                scheme=record.scheme, retries=record.retries,
-                worker_pid=record.worker_pid)
-
-    def finish(self) -> Dict[str, object]:
-        counts = {status: 0 for status in STATUSES}
-        for record in self.records:
-            counts[record.status] = counts.get(record.status, 0) + 1
-        summary: Dict[str, object] = {
-            "event": "run_end", "run_id": self.run_id,
-            "jobs": len(self.records),
-            "wall_s": time.monotonic() - self._start_mono,
-            "retries": sum(r.retries for r in self.records),
-        }
-        summary.update(counts)
-        self._emit(summary)
-        return summary
-
-    @property
-    def cache_hits(self) -> int:
-        return sum(1 for r in self.records if r.status == "hit")
-
-    @property
-    def cache_misses(self) -> int:
-        return sum(1 for r in self.records if r.status == "miss")
+            if len(self.records) == 1:
+                handle.write(json.dumps(self._header, sort_keys=True)
+                             + "\n")
+            handle.write(span.to_json() + "\n")
 
 
 def telemetry_dir(cache_root: str) -> str:
@@ -153,49 +94,34 @@ def latest_telemetry(cache_root: str) -> Optional[str]:
     return max(candidates, key=os.path.getmtime, default=None)
 
 
-def read_records(path: str) -> List[Dict[str, object]]:
-    records = []
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
-
-
 def summarize(path: str) -> Dict[str, object]:
-    """Aggregate one telemetry file into summary counters."""
-    records = read_records(path)
-    jobs = [r for r in records if r.get("event") == "job"]
-    runs = [r for r in records if r.get("event") == "run_start"]
-    ends = [r for r in records if r.get("event") == "run_end"]
+    """Aggregate one telemetry file into summary counters.
+
+    The hit rate is over price-job lookups only: profile jobs never
+    consult the result cache.
+    """
+    header, spans = read_trace(path)
+    jobs = [span for span in spans if span.name == "jobs.job"]
     counts = {status: 0 for status in STATUSES}
-    by_kind: Dict[str, int] = {}
-    wall = 0.0
-    workers = set()
     for job in jobs:
-        status = str(job.get("status", "miss"))
-        counts[status] = counts.get(status, 0) + 1
-        kind = str(job.get("kind", "?"))
-        by_kind[kind] = by_kind.get(kind, 0) + 1
-        wall += float(job.get("wall_s", 0.0))
-        if job.get("worker_pid"):
-            workers.add(job["worker_pid"])
-    slowest = sorted(jobs, key=lambda j: -float(j.get("wall_s", 0.0)))
-    executed = counts["miss"] + counts["failed"]
+        counts[job.attrs["status"]] += 1
+    lookups = [job.attrs["status"] for job in jobs
+               if job.attrs["kind"] == "price"]
+    end = max((job.start_s + job.duration_s for job in jobs),
+              default=0.0)
     return {
         "path": path,
-        "runs": len(runs),
         "jobs": len(jobs),
         "by_status": counts,
-        "by_kind": by_kind,
-        "job_wall_s": wall,
-        "run_wall_s": sum(float(r.get("wall_s", 0.0)) for r in ends),
-        "retries": sum(int(j.get("retries", 0)) for j in jobs),
-        "workers": len(workers),
-        "hit_rate": (counts["hit"] / (counts["hit"] + executed)
-                     if counts["hit"] + executed else 0.0),
-        "slowest": slowest[:5],
+        "job_wall_s": sum(job.duration_s for job in jobs),
+        "run_wall_s": max(0.0, end - float(header.get("mono_epoch",
+                                                      end))),
+        "retries": sum(int(job.attrs["retries"]) for job in jobs),
+        "workers": len({job.attrs["worker_pid"] for job in jobs
+                        if job.attrs["worker_pid"]}),
+        "hit_rate": (lookups.count("hit") / len(lookups)
+                     if lookups else 0.0),
+        "slowest": sorted(jobs, key=lambda job: -job.duration_s)[:5],
     }
 
 
@@ -212,11 +138,11 @@ def render_summary(summary: Dict[str, object]) -> str:
         f"{summary['workers']} worker(s), "
         f"{summary['retries']} retr(ies)",
     ]
-    slowest = summary.get("slowest") or []
+    slowest: List[Span] = summary.get("slowest") or []  # type: ignore
     if slowest:
         lines.append("slowest jobs:")
         for job in slowest:
-            lines.append(f"  {float(job.get('wall_s', 0.0)):7.2f}s  "
-                         f"{job.get('status', '?'):7s} "
-                         f"{job.get('job_id', '?')}")
+            lines.append(f"  {job.duration_s:7.2f}s  "
+                         f"{job.attrs['status']:7s} "
+                         f"{job.attrs['job_id']}")
     return "\n".join(lines)

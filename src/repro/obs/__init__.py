@@ -1,8 +1,9 @@
-"""Unified observability: hierarchical tracing spans, JSONL trace
-export/merging, and perf-baseline regression diffing.
+"""Unified observability: hierarchical tracing spans and event counts,
+JSONL trace export/merging, and perf-baseline regression diffing.
 
 ``span``   the :class:`Tracer` / :class:`Span` core and the module-level
-           :data:`TRACER` every instrumented subsystem records into
+           :data:`TRACER` every instrumented subsystem records spans and
+           counts into
 ``trace``  trace-file IO: read, merge, per-name summaries
 ``diff``   ``BENCH_*.json`` / trace comparison behind ``repro perf diff``
 
@@ -27,6 +28,7 @@ from repro.obs.span import (
 from repro.obs.trace import (
     merge_traces,
     read_trace,
+    render_spans,
     render_trace_summary,
     spans_by_parent,
     trace_summary,
@@ -45,6 +47,7 @@ __all__ = [
     "perf_diff",
     "read_trace",
     "render_diff",
+    "render_spans",
     "render_trace_summary",
     "spans_by_parent",
     "summarize_spans",

@@ -1,4 +1,4 @@
-"""Hierarchical tracing spans: the one observability instrument.
+"""Hierarchical tracing spans and event counts: the one instrument.
 
 A *span* is a named, attributed interval with a parent — the trace is a
 forest of spans covering everything a run did: one ``runner.cell`` span
@@ -8,17 +8,13 @@ the lot.  Durations use the monotonic clock; on Linux
 ``CLOCK_MONOTONIC`` is shared across processes, so spans recorded in
 pool workers line up with the parent's timeline when merged.
 
-Layering with the older instruments:
-
-* :mod:`repro.perf` stage timers are subsumed: every closed span also
-  accumulates into the tracer's attached :class:`~repro.perf.PerfRegistry`
-  (the module-level :data:`~repro.perf.PERF` by default), so ``--perf``
-  output is unchanged whether or not tracing is on.  When the tracer is
-  *inactive* (the default), :meth:`Tracer.span` degrades to exactly the
-  old ``PERF.timer`` path — same cost, no span retention.
-* :mod:`repro.jobs.telemetry` job records are mirrored as ``jobs.job``
-  spans when a tracer is active (see ``TelemetryWriter.tracer``), so a
-  ``--jobs``-parallel report lands in one coherent JSONL trace.
+Spans are recorded only while the tracer is active (``--trace`` or
+``--perf``); an inactive :meth:`Tracer.span` is a no-op.  Event counts
+(:meth:`Tracer.count`, e.g. ``stage.stream.hit``) are always kept, in a
+thread-safe table on the same object.  Everything else reads these two:
+``--perf`` summarises the spans of an in-memory trace, the telemetry
+file of a run holds its ``jobs.job`` spans, and ``/stats`` and the
+executor's progress line report the counts.
 
 Cross-process protocol: the executor exports :data:`REPRO_TRACE_DIR`
 before spawning pool workers; :func:`~repro.jobs.executor.execute_group`
@@ -26,7 +22,9 @@ notices it is running in a worker (env set, tracer not active in *this*
 process), records spans locally, and appends them to
 ``<dir>/worker-<pid>.jsonl``.  After the pool drains, the parent calls
 :meth:`Tracer.adopt_parts` to splice those spans under their dispatch
-(`jobs.task`) spans.
+(`jobs.task`) spans.  Counts travel back with each group's result as
+the worker's delta (:func:`~repro.jobs.executor.execute_group_remote`)
+and are merged with :meth:`Tracer.merge_counts`.
 """
 
 from __future__ import annotations
@@ -35,12 +33,12 @@ import contextvars
 import itertools
 import json
 import os
+import threading
 import time
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
-
-from repro.perf import PERF, PerfRegistry
+from collections import Counter
+from contextlib import nullcontext
+from dataclasses import dataclass
+from typing import ContextManager, Dict, List, Optional, Tuple
 
 #: Environment variable naming the directory pool workers append their
 #: span part-files to (one ``worker-<pid>.jsonl`` per worker process).
@@ -48,22 +46,37 @@ REPRO_TRACE_DIR = "REPRO_TRACE_DIR"
 
 _IDS = itertools.count(1)
 
+#: This process's pid, refreshed in a forked child: ``os.getpid`` is a
+#: system call, and the active check runs on every span.
+_PID = os.getpid()
+
+
+def _after_fork() -> None:
+    global _PID
+    _PID = os.getpid()
+
+
+os.register_at_fork(after_in_child=_after_fork)
+
 
 def _new_span_id() -> str:
-    return f"{os.getpid():x}.{next(_IDS):x}"
+    return f"{_PID:x}.{next(_IDS):x}"
 
 
 @dataclass
 class Span:
     """One named interval in the trace."""
 
+    # Slots: a span is created per recorded interval, on hot paths.
+    __slots__ = ("name", "span_id", "parent_id", "start_s", "duration_s",
+                 "pid", "attrs")
     name: str
     span_id: str
     parent_id: Optional[str]
     start_s: float  # raw time.monotonic() at entry
     duration_s: float
     pid: int
-    attrs: Dict[str, object] = field(default_factory=dict)
+    attrs: Dict[str, object]
 
     def set(self, **attrs: object) -> None:
         """Attach attributes from inside the ``with`` block."""
@@ -97,14 +110,46 @@ class _NullSpan(Span):
 
 
 _DISCARD = _NullSpan(name="", span_id="", parent_id=None, start_s=0.0,
-                     duration_s=0.0, pid=0)
+                     duration_s=0.0, pid=0, attrs={})
+
+#: What an inactive tracer's :meth:`Tracer.span` returns.
+_INACTIVE = nullcontext(_DISCARD)
+
+
+class _Recording:
+    """The ``with`` block of one span while the tracer records."""
+
+    __slots__ = ("tracer", "name", "count", "attrs", "span", "token")
+
+    def __init__(self, tracer: "Tracer", name: str, count: int,
+                 attrs: Dict[str, object]) -> None:
+        self.tracer = tracer
+        self.name = name
+        self.count = count
+        self.attrs = attrs
+
+    def __enter__(self) -> Span:
+        stack_var = self.tracer._stack_var
+        stack = stack_var.get()
+        self.span = span = Span(
+            self.name, _new_span_id(), stack[-1] if stack else None,
+            time.monotonic(), 0.0, _PID, self.attrs)
+        self.token = stack_var.set(stack + (span.span_id,))
+        return span
+
+    def __exit__(self, *_exc: object) -> None:
+        span = self.span
+        self.tracer._stack_var.reset(self.token)
+        span.duration_s = time.monotonic() - span.start_s
+        if self.count:
+            span.attrs.setdefault("count", self.count)
+        self.tracer.spans.append(span)
 
 
 class Tracer:
-    """Span recorder with nesting, perf mirroring, and JSONL export."""
+    """Span recorder (nesting, JSONL export) and event-count table."""
 
-    def __init__(self, perf: Optional[PerfRegistry] = None) -> None:
-        self.perf = perf
+    def __init__(self) -> None:
         self.trace_id: str = ""
         self.spans: List[Span] = []
         self._active = False
@@ -119,13 +164,15 @@ class Tracer:
         self._stack_var: contextvars.ContextVar[Tuple[str, ...]] = \
             contextvars.ContextVar(f"repro-span-stack-{id(self)}",
                                    default=())
+        self._counts: Counter = Counter()
+        self._count_lock = threading.Lock()
 
     # -- lifecycle ---------------------------------------------------------
 
     @property
     def active(self) -> bool:
         """Recording, in *this* process (False in a forked child)."""
-        return self._active and self._owner_pid == os.getpid()
+        return self._active and self._owner_pid == _PID
 
     def start(self, trace_id: Optional[str] = None) -> None:
         """Begin recording spans (idempotent per process)."""
@@ -151,47 +198,27 @@ class Tracer:
 
     # -- recording ---------------------------------------------------------
 
-    @contextmanager
     def span(self, name: str, count: int = 0,
-             **attrs: object) -> Iterator[Span]:
-        """Record a ``with`` block as a span (and a perf stage).
+             **attrs: object) -> ContextManager[Span]:
+        """Record a ``with`` block as a span (yields the :class:`Span`).
 
-        Inactive tracers skip span retention entirely and only feed the
-        attached perf registry — the legacy ``PERF.timer`` behaviour,
-        which is why this is safe on hot paths.
+        A no-op while the tracer is inactive — the ``with`` yields a
+        shared sink — which is why this is safe on hot paths.
         """
         if not self.active:
-            if self.perf is not None:
-                with self.perf.timer(name, count=count):
-                    yield _DISCARD
-            else:
-                yield _DISCARD
-            return
-        stack = self._stack_var.get()
-        span = Span(name=name, span_id=_new_span_id(),
-                    parent_id=stack[-1] if stack else None,
-                    start_s=time.monotonic(), duration_s=0.0,
-                    pid=os.getpid(), attrs=dict(attrs))
-        token = self._stack_var.set(stack + (span.span_id,))
-        try:
-            yield span
-        finally:
-            self._stack_var.reset(token)
-            span.duration_s = time.monotonic() - span.start_s
-            if count:
-                span.attrs.setdefault("count", count)
-            self.spans.append(span)
-            self._mirror(name, span.duration_s, count)
+            return _INACTIVE
+        return _Recording(self, name, count, attrs)
 
     def manual_span(self, name: str, duration_s: float,
                     start_s: Optional[float] = None,
                     parent_id: Optional[str] = None, count: int = 0,
                     **attrs: object) -> Span:
         """Record an interval whose timing was measured elsewhere
-        (telemetry records, pool dispatch envelopes)."""
-        if not self.active:
-            self._mirror(name, duration_s, count)
-            return _DISCARD
+        (job records, pool dispatch envelopes).
+
+        The span is returned either way; it joins the trace only while
+        the tracer is recording.
+        """
         if start_s is None:
             start_s = time.monotonic() - duration_s
         if count:
@@ -200,18 +227,33 @@ class Tracer:
                     parent_id=parent_id if parent_id is not None
                     else self.current_id,
                     start_s=start_s, duration_s=duration_s,
-                    pid=os.getpid(), attrs=dict(attrs))
-        self.spans.append(span)
-        self._mirror(name, duration_s, count)
+                    pid=_PID, attrs=attrs)
+        if self.active:
+            self.spans.append(span)
         return span
 
-    def _mirror(self, name: str, seconds: float, count: int) -> None:
-        if self.perf is None or not self.perf.enabled:
-            return
-        stat = self.perf.stat(name)
-        stat.calls += 1
-        stat.seconds += seconds
-        stat.count += count
+    # -- event counts ------------------------------------------------------
+
+    def count(self, name: str, n: int = 1) -> None:
+        """Add ``n`` to a named event count (always on, thread-safe)."""
+        with self._count_lock:
+            self._counts[name] += n
+
+    def counts(self, prefix: str = "") -> Dict[str, int]:
+        """Snapshot of the counts whose names start with ``prefix``."""
+        with self._count_lock:
+            return {name: n for name, n in self._counts.items()
+                    if name.startswith(prefix)}
+
+    def reset_counts(self, prefix: str = "") -> None:
+        with self._count_lock:
+            for name in [n for n in self._counts if n.startswith(prefix)]:
+                del self._counts[name]
+
+    def merge_counts(self, delta: Dict[str, int]) -> None:
+        """Add counts made elsewhere (a pool worker's delta)."""
+        with self._count_lock:
+            self._counts.update(delta)
 
     # -- export ------------------------------------------------------------
 
@@ -285,7 +327,7 @@ class Tracer:
 
 
 def summarize_spans(spans: List[Span]) -> Dict[str, Dict[str, float]]:
-    """Aggregate spans by name — the perf-snapshot view of a trace."""
+    """Aggregate spans by name (calls, seconds, count), heaviest first."""
     totals: Dict[str, Dict[str, float]] = {}
     for span in spans:
         stat = totals.setdefault(span.name,
@@ -296,6 +338,5 @@ def summarize_spans(spans: List[Span]) -> Dict[str, Dict[str, float]]:
     return dict(sorted(totals.items(), key=lambda kv: -kv[1]["seconds"]))
 
 
-#: Default tracer: mirrors into the module-level perf registry so
-#: ``--perf`` keeps working whether or not ``--trace`` is on.
-TRACER = Tracer(perf=PERF)
+#: The process-wide tracer every instrumented subsystem records into.
+TRACER = Tracer()

@@ -56,7 +56,7 @@ def merge_traces(paths: Iterable[str],
 
 
 def trace_summary(path: str) -> Dict[str, Dict[str, float]]:
-    """Per-span-name aggregates of one trace file (perf-snapshot view)."""
+    """Per-span-name aggregates of one trace file."""
     _header, spans = read_trace(path)
     return summarize_spans(spans)
 
@@ -64,11 +64,18 @@ def trace_summary(path: str) -> Dict[str, Dict[str, float]]:
 def render_trace_summary(path: str) -> str:
     """Human-readable per-name table for ``python -m repro perf summary``."""
     header, spans = read_trace(path)
+    return render_spans(
+        f"trace: {path}"
+        + (f", trace_id={header.get('trace_id')}" if header else ""),
+        spans)
+
+
+def render_spans(title: str, spans: List[Span]) -> str:
+    """``title``, then ``spans`` aggregated per name, heaviest first:
+    ``repro perf summary`` and the ``--perf`` report."""
     summary = summarize_spans(spans)
-    lines = [f"trace: {path}",
-             f"spans: {len(spans)} across "
-             f"{len({s.pid for s in spans})} process(es)"
-             + (f", trace_id={header.get('trace_id')}" if header else "")]
+    lines = [title, f"spans: {len(spans)} across "
+             f"{len({s.pid for s in spans})} process(es)"]
     if summary:
         lines.append("name                           seconds    calls"
                      "       count")

@@ -467,9 +467,8 @@ class ServeApp:
             "batcher": self.batcher.stats(),
             "backend": self.backend.stats(),
             "store": self.store.stats(),
-            # In-process stage pipeline activity (thread backend and
-            # process-backend fallbacks; pool workers report theirs
-            # through adopted stage.* spans).
+            # Stage pipeline activity on either backend: process-pool
+            # workers' counts are merged as their groups come back.
             "stages": stage_counters(),
         }
 

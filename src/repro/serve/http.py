@@ -82,12 +82,16 @@ class HttpRequest:
             raise BadRequest(f"invalid JSON body: {exc}") from exc
 
 
-async def _read_line(reader: asyncio.StreamReader) -> bytes:
+async def _read_line(reader: asyncio.StreamReader,
+                     first: bool = False) -> Optional[bytes]:
+    """One CRLF-terminated line; ``None`` on EOF before a request line
+    (``first``), which is a clean close between requests.  EOF anywhere
+    after the request line truncates the request."""
     try:
         line = await reader.readuntil(b"\r\n")
     except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return b""  # clean EOF between requests
+        if first and not exc.partial:
+            return None
         raise BadRequest("truncated request") from exc
     except asyncio.LimitOverrunError as exc:
         raise BadRequest("request line too long", status=400) from exc
@@ -99,7 +103,7 @@ async def _read_line(reader: asyncio.StreamReader) -> bytes:
 async def read_request(reader: asyncio.StreamReader
                        ) -> Optional[HttpRequest]:
     """Parse one request, ``None`` on clean EOF, BadRequest otherwise."""
-    start = await _read_line(reader)
+    start = await _read_line(reader, first=True)
     if not start:
         return None
     parts = start.decode("latin-1").split()

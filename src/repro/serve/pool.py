@@ -19,7 +19,9 @@ groups across requests).  The backend decides what executes them:
              (:class:`~repro.jobs.executor.PoolTraceSession`): workers
              flush spans to per-pid part files which are adopted —
              re-parented under their dispatch envelopes — when the
-             backend closes.
+             backend closes.  Each group's event-count delta comes
+             back with its outcomes and is merged here, so ``/stats``
+             counts the same stage work as the thread backend.
 
 Both backends degrade instead of failing: a process pool that cannot
 be created or breaks mid-flight (sandboxed ``/dev/shm``, OOM-killed
@@ -41,8 +43,10 @@ from repro.jobs.executor import (
     JobOutcome,
     PoolTraceSession,
     execute_group,
+    execute_group_remote,
 )
 from repro.jobs.model import JobSpec
+from repro.obs import TRACER
 
 #: Backend names the CLI accepts.
 BACKENDS = ("thread", "process")
@@ -180,9 +184,9 @@ class ProcessBackend(ComputeBackend):
                                             prices, store)
         start = time.monotonic()
         try:
-            future = self._pool.submit(execute_group, scale, system,
-                                       profile, prices, store)
-            outcomes = await asyncio.wrap_future(future)
+            future = self._pool.submit(execute_group_remote, scale,
+                                       system, profile, prices, store)
+            outcomes, counts = await asyncio.wrap_future(future)
         except asyncio.CancelledError:
             raise
         except Exception:
@@ -190,6 +194,7 @@ class ProcessBackend(ComputeBackend):
             # group in-process rather than failing the whole batch.
             return await self._run_fallback(scale, system, profile,
                                             prices, store)
+        TRACER.merge_counts(counts)
         self._trace.record_dispatch(profile, start, 1)
         return outcomes
 

@@ -13,17 +13,17 @@ Chaining keys on upstream *content digests* (not keys) gives early
 cutoff: a code edit that rotates a stage's salt but reproduces
 byte-identical output leaves every downstream key intact.
 
-Every lookup and computation is counted in a process-global counter
-(surfaced through ``repro perf summary``, the executor's progress line,
-and ``repro serve``'s ``/stats``) and traced as ``stage.<name>.hit`` /
-``stage.<name>.computed`` spans.
+Every lookup and computation is counted as a ``stage.<name>.<event>``
+count on :data:`~repro.obs.TRACER` (surfaced through the executor's
+progress line and ``repro serve``'s ``/stats``, whichever process did
+the work) and traced as ``stage.<name>.hit`` / ``stage.<name>.computed``
+spans.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -49,29 +49,18 @@ from repro.stages.timing import (
     price_staged,
 )
 
-#: Process-global per-stage counters: ``<stage>.hit`` (disk-cache hit),
-#: ``<stage>.computed`` (ran the stage), ``<stage>.memo`` (served from
-#: this pricer's in-memory bundle).  Global rather than per-instance so
-#: pool workers and serve backends aggregate naturally; snapshot with
-#: :func:`stage_counters`.
-STAGE_COUNTERS: Counter = Counter()
-_COUNTER_LOCK = threading.Lock()
-
-
 def stage_counters() -> Dict[str, int]:
-    """Snapshot of the process-global stage counters."""
-    with _COUNTER_LOCK:
-        return dict(STAGE_COUNTERS)
+    """The ``stage.*`` counts on :data:`~repro.obs.TRACER`, keyed
+    without the prefix: ``<stage>.hit`` (disk-cache hit),
+    ``<stage>.computed`` (ran the stage), ``<stage>.memo`` (served from
+    a pricer's in-memory bundle), ``stream.partition.hit`` / ``.computed``.
+    """
+    return {name[len("stage."):]: n
+            for name, n in TRACER.counts("stage.").items()}
 
 
 def reset_stage_counters() -> None:
-    with _COUNTER_LOCK:
-        STAGE_COUNTERS.clear()
-
-
-def _count(event: str, n: int = 1) -> None:
-    with _COUNTER_LOCK:
-        STAGE_COUNTERS[event] += n
+    TRACER.reset_counts("stage.")
 
 
 @dataclass
@@ -126,14 +115,14 @@ class StagePricer:
         start = time.perf_counter()
         value = self.cache.get(key)
         if value is not None:
-            _count(f"{stage}.hit")
+            TRACER.count(f"stage.{stage}.hit")
             TRACER.manual_span(f"stage.{stage}.hit",
                                time.perf_counter() - start, **attrs)
             return value
         with TRACER.span(f"stage.{stage}.computed", **attrs):
             value = compute()
         self.cache.put(key, value)
-        _count(f"{stage}.computed")
+        TRACER.count(f"stage.{stage}.computed")
         return value
 
     def _fetch_partition(self, key: str, build):
@@ -145,11 +134,11 @@ class StagePricer:
         """
         part = self.cache.get(key)
         if part is not None:
-            _count("stream.partition.hit")
+            TRACER.count("stage.stream.partition.hit")
             return part
         part = build()
         self.cache.put(key, part)
-        _count("stream.partition.computed")
+        TRACER.count("stage.stream.partition.computed")
         return part
 
     def bundle(self, app: str, dataset: str,
@@ -160,7 +149,7 @@ class StagePricer:
             cached = self._bundles.get(ident)
         if cached is not None:
             for stage in ("stream", "replay", "compress"):
-                _count(f"{stage}.memo")
+                TRACER.count(f"stage.{stage}.memo")
             return cached
 
         labels = {"app": app, "dataset": dataset,
@@ -227,7 +216,7 @@ class StagePricer:
         with self._lock:
             memo = self._metrics.get(timing_key)
         if memo is not None:
-            _count("timing.memo")
+            TRACER.count("stage.timing.memo")
             return memo
 
         metrics = self._evaluate(
@@ -238,9 +227,6 @@ class StagePricer:
         with self._lock:
             self._metrics[timing_key] = metrics
         return metrics
-
-    def stats(self) -> Dict[str, int]:
-        return stage_counters()
 
 
 def compose(workload, cfg: ModelConfig) -> ProfileBundle:

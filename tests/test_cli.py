@@ -159,18 +159,50 @@ class TestReportOrchestration:
         cold = self._report(tmp_path, "cold.md", "--cache-dir", cache)
         warm = self._report(tmp_path, "warm.md", "--cache-dir", cache)
         assert warm == cold
-        from repro.jobs import read_records
+        from repro.obs import read_trace
         path = latest_telemetry(cache)
         summary = summarize(path)
         assert summary["by_status"]["miss"] == 0
         assert summary["by_status"]["failed"] == 0
         assert summary["hit_rate"] == 1.0
         # Warm runs never profile: every profile job is skipped.
-        profile_jobs = [r for r in read_records(path)
-                        if r.get("event") == "job"
-                        and r.get("kind") == "profile"]
+        _header, spans = read_trace(path)
+        profile_jobs = [s for s in spans if s.name == "jobs.job"
+                        and s.attrs["kind"] == "profile"]
         assert profile_jobs
-        assert all(r["status"] == "skipped" for r in profile_jobs)
+        assert all(s.attrs["status"] == "skipped" for s in profile_jobs)
+
+    def test_cold_parallel_telemetry_names_every_executed_job(
+            self, tmp_path):
+        from repro.jobs import latest_telemetry
+        from repro.obs import read_trace
+        cache = str(tmp_path / "cache")
+        self._report(tmp_path, "run.md", "--cache-dir", cache,
+                     "--jobs", "2")
+        _header, spans = read_trace(latest_telemetry(cache))
+        executed = [s for s in spans if s.name == "jobs.job"
+                    and s.attrs["status"] == "miss"]
+        assert len(executed) == 14  # 2 profile jobs + 12 price jobs
+        for span in executed:
+            assert (span.attrs["app"], span.attrs["dataset"]) == \
+                ("bfs", "ukl"), span.attrs
+            assert span.attrs["preprocessing"] in ("none", "dfs")
+            assert bool(span.attrs["scheme"]) == \
+                (span.attrs["kind"] == "price"), span.attrs
+
+    def test_hit_rate_counts_price_lookups_only(self, tmp_path):
+        from repro.jobs import latest_telemetry, summarize
+        cache = str(tmp_path / "cache")
+        assert main(["report", "--experiments", "fig07", "--scale",
+                     "65536", "--cache-dir", cache,
+                     "--out", str(tmp_path / "fig07.md")]) == 0
+        self._report(tmp_path, "both.md", "--cache-dir", cache)
+        summary = summarize(latest_telemetry(cache))
+        # fig07's six cells hit and fig08's six miss; fig08's profile
+        # job runs too, but it never looks anything up in the cache.
+        assert summary["by_status"]["hit"] == 6
+        assert summary["by_status"]["miss"] == 7
+        assert summary["hit_rate"] == 0.5
 
     def test_jobs_command_summarizes_latest_run(self, tmp_path,
                                                 capsys):
@@ -196,6 +228,26 @@ class TestPerfFlag:
         err = capsys.readouterr().err
         assert "perf:" in err
         assert "pricing.price" in err
+
+    def test_perf_covers_pool_workers(self, tmp_path, capsys):
+        """Stage spans recorded in ``--jobs 2`` pool workers reach the
+        ``--perf`` table, not just the dispatching process's spans."""
+        # A fresh store: forked workers cannot reuse profile bundles a
+        # rootless pricer in this process built for an earlier test.
+        assert main(["report", "--experiments", "fig07", "fig08",
+                     "--scale", "65536", "--jobs", "2", "--cache-dir",
+                     str(tmp_path / "cache"),
+                     "--out", str(tmp_path / "r.md"), "--perf"]) == 0
+        err = capsys.readouterr().err
+        assert "perf:" in err
+        calls = {line.split()[0]: int(line.split()[2])
+                 for line in err.splitlines()
+                 if line.startswith("stage.")}
+        # Two profile groups (bfs/ukl/none and bfs/ukl/dfs), twelve
+        # cells: exactly this run's work, all of it done in workers.
+        for stage in ("stream", "replay", "compress"):
+            assert calls.get(f"stage.{stage}.computed") == 2, calls
+        assert calls.get("stage.timing.computed") == 12, calls
 
 
 class TestTrace:
@@ -292,7 +344,7 @@ class TestPerfCommand:
 
     def test_diff_against_trace_jsonl(self, tmp_path, capsys):
         from repro.obs import Tracer
-        t = Tracer(perf=None)
+        t = Tracer()
         t.start()
         with t.span("stage"):
             pass
@@ -304,7 +356,7 @@ class TestPerfCommand:
 
     def test_summary_renders_trace(self, tmp_path, capsys):
         from repro.obs import Tracer
-        t = Tracer(perf=None)
+        t = Tracer()
         t.start(trace_id="t-cli")
         with t.span("stage", count=4):
             pass

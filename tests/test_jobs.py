@@ -1,6 +1,5 @@
 """Unit tests for the job orchestration subsystem (repro.jobs)."""
 
-import json
 import os
 
 import pytest
@@ -206,33 +205,36 @@ class TestResultCache:
 
 class TestTelemetry:
     def test_jsonl_records_and_summary(self, tmp_path):
-        from repro.jobs import JobRecord, render_summary
+        from repro.jobs import render_summary
+        from repro.jobs.model import JobSpec
+        from repro.obs import read_trace
+        profile = JobSpec("profile:a", "profile", "dc", "arb", "none")
+        x = JobSpec("price:a/x", "price", "dc", "arb", "none", "push")
+        y = JobSpec("price:a/y", "price", "dc", "arb", "none", "phi")
         path = str(tmp_path / "run.jsonl")
         writer = TelemetryWriter(path=path)
-        writer.start(jobs=2, requests=3, cache_root=None)
-        writer.record(JobRecord(job_id="profile:a", kind="profile",
-                                status="miss", wall_s=1.0,
-                                worker_pid=11))
-        writer.record(JobRecord(job_id="price:a/x", kind="price",
-                                status="hit"))
-        writer.record(JobRecord(job_id="price:a/y", kind="price",
-                                status="miss", wall_s=0.5, retries=1,
-                                worker_pid=11))
-        writer.finish()
-        lines = [json.loads(line)
-                 for line in open(path).read().splitlines()]
-        assert [line["event"] for line in lines] == \
-            ["run_start", "job", "job", "job", "run_end"]
+        writer.record(profile, "miss", 1.0, worker_pid=11)
+        writer.record(x, "hit")
+        writer.record(y, "miss", 0.5, retries=1, worker_pid=11)
+        # The file is a trace: a header, then one jobs.job span per job
+        # carrying the job's identity.
+        header, spans = read_trace(path)
+        assert header["event"] == "trace_start"
+        assert [s.name for s in spans] == ["jobs.job"] * 3
+        assert spans[2].attrs["scheme"] == "phi"
+        assert spans[2].duration_s == 0.5
         summary = summarize(path)
         assert summary["jobs"] == 3
         assert summary["by_status"] == {"hit": 1, "miss": 2,
                                         "skipped": 0, "failed": 0}
         # Run duration comes from the monotonic clock: it can never be
         # negative, even if the wall clock were stepped mid-run.
-        assert float(lines[-1]["wall_s"]) >= 0.0
+        assert summary["run_wall_s"] >= 0.0
         assert summary["retries"] == 1
         assert summary["workers"] == 1
-        assert summary["hit_rate"] == pytest.approx(1 / 3)
+        # Over price-job lookups only: 1 hit of 2 (the profile job
+        # never looks anything up).
+        assert summary["hit_rate"] == pytest.approx(1 / 2)
         text = render_summary(summary)
         assert "hit=1" in text and "profile:a" in text
 
@@ -265,7 +267,8 @@ class TestExecutor:
                                telemetry=telemetry)
         results = executor.run(list(REQUESTS))
         assert list(results) == REQUESTS  # deterministic order
-        assert telemetry.cache_misses == len(REQUESTS) + 1  # + profile
+        statuses = [r.attrs["status"] for r in telemetry.records]
+        assert statuses.count("miss") == len(REQUESTS) + 1  # + profile
         # One cell result per request, plus the staged pipeline's
         # artifacts: one stream/replay/compress for the shared profile
         # and one timing entry per cell.
@@ -279,9 +282,10 @@ class TestExecutor:
         executor = JobExecutor(scale=SCALE, jobs=1, cache=cache,
                                telemetry=telemetry)
         warm = executor.run(list(REQUESTS))
-        assert telemetry.cache_hits == len(REQUESTS)
-        assert telemetry.cache_misses == 0
-        statuses = {r.job_id: r.status for r in telemetry.records}
+        statuses = {r.attrs["job_id"]: r.attrs["status"]
+                    for r in telemetry.records}
+        assert list(statuses.values()).count("hit") == len(REQUESTS)
+        assert "miss" not in statuses.values()
         assert statuses["profile:dc/arb/none"] == "skipped"
         cold = JobExecutor(scale=SCALE, jobs=1).run(list(REQUESTS))
         assert warm == cold
@@ -301,12 +305,49 @@ class TestExecutor:
         with pytest.raises(JobExecutionError):
             executor.run(bad)
         statuses = [r for r in executor.telemetry.records
-                    if r.status == "failed"]
-        assert statuses and all(r.retries == 2 for r in statuses)
+                    if r.attrs["status"] == "failed"]
+        assert statuses and all(r.attrs["retries"] == 2
+                                for r in statuses)
 
     def test_rejects_nonpositive_jobs(self):
         with pytest.raises(ValueError):
             JobExecutor(scale=SCALE, jobs=0)
+
+    def test_stages_line_is_the_same_for_serial_and_pool(self, tmp_path):
+        """Stage work done in pool workers reaches the executor's
+        ``stages:`` progress line exactly as in-process work does."""
+        requests = [RunRequest("bfs", scheme, "ukl", preprocessing)
+                    for preprocessing in ("none", "dfs")
+                    for scheme in ("push", "phi", "phi+spzip")]
+
+        def stages_line(jobs):
+            lines = []
+            # A fresh store per run: nothing is shared between the two.
+            JobExecutor(scale=SCALE, jobs=jobs,
+                        cache=ResultCache(str(tmp_path / f"j{jobs}")),
+                        progress=lines.append).run(list(requests))
+            return [line for line in lines if line.startswith("stages:")]
+
+        serial = stages_line(1)
+        assert serial and "timing.computed=6" in serial[0]
+        assert stages_line(2) == serial
+
+    def test_remote_group_sends_its_count_delta_not_totals(self):
+        from repro.jobs.executor import execute_group_remote
+        from repro.obs import TRACER
+        graph = build_job_graph([RunRequest("dc", "push", "arb")])
+        ((profile, prices),) = graph.groups()
+        TRACER.count("stage.test.prior", 5)
+        try:
+            outcomes, counts = execute_group_remote(SCALE, None, profile,
+                                                    prices)
+        finally:
+            TRACER.reset_counts("stage.test.")
+        assert [o[0] for o in outcomes] == \
+            [profile.job_id, prices[0].job_id]
+        assert "stage.test.prior" not in counts
+        assert counts and all(name.startswith("stage.") and n > 0
+                              for name, n in counts.items())
 
 
 class TestJobRunner:
@@ -327,7 +368,7 @@ class TestJobRunner:
                           cache_dir=str(tmp_path))
         assert fresh.run("dc", "ub", "arb") == first
         records = fresh._telemetry.records
-        assert [r.status for r in records] == ["hit"]
+        assert [r.attrs["status"] for r in records] == ["hit"]
 
     def test_is_a_drop_in_runner(self):
         runner = JobRunner(scale=SCALE)

@@ -20,12 +20,11 @@ from repro.obs import (
     summarize_spans,
     trace_summary,
 )
-from repro.perf import PerfRegistry
 
 
 @pytest.fixture
 def tracer():
-    t = Tracer(perf=PerfRegistry())
+    t = Tracer()
     t.start(trace_id="t-test")
     yield t
     t.stop()
@@ -60,24 +59,30 @@ class TestSpanRecording:
         assert span.attrs["count"] == 42
         assert span.duration_s >= 0.0
 
-    def test_perf_mirror_accumulates(self, tracer):
+    def test_summary_accumulates(self, tracer):
         with tracer.span("stage", count=5):
             pass
         with tracer.span("stage", count=7):
             pass
-        stat = tracer.perf.stat("stage")
-        assert stat.calls == 2
-        assert stat.count == 12
-        assert stat.seconds >= 0.0
+        stat = tracer.summary()["stage"]
+        assert stat["calls"] == 2
+        assert stat["count"] == 12
+        assert stat["seconds"] >= 0.0
 
-    def test_inactive_tracer_keeps_perf_timer_path(self):
-        t = Tracer(perf=PerfRegistry())
+    def test_inactive_span_is_a_no_op(self):
+        t = Tracer()
         assert not t.active
         with t.span("stage", count=3) as span:
             span.set(ignored=True)  # the shared null span swallows it
         assert t.spans == []
-        stat = t.perf.stat("stage")
-        assert stat.calls == 1 and stat.count == 3
+        assert t.summary() == {}
+        assert span.attrs == {}
+
+    def test_manual_span_is_returned_but_not_kept_when_inactive(self):
+        t = Tracer()
+        span = t.manual_span("jobs.job", 0.25, status="hit")
+        assert span.duration_s == 0.25 and span.attrs == {"status": "hit"}
+        assert t.spans == []
 
     def test_forked_child_sees_inactive(self, tracer):
         # Fork-safety is keyed on the owning pid; fake a child process.
@@ -127,7 +132,7 @@ class TestExportAndMerge:
         assert names == ["a", "b"]
 
     def test_adopt_parts_reparents_by_job_id(self, tracer, tmp_path):
-        worker = Tracer(perf=None)
+        worker = Tracer()
         worker.start()
         with worker.span("jobs.group", job_id="job-1"):
             with worker.span("jobs.price"):
@@ -151,7 +156,7 @@ class TestExportAndMerge:
 
     def test_adopt_parts_fallback_and_missing_dir(self, tracer,
                                                   tmp_path):
-        worker = Tracer(perf=None)
+        worker = Tracer()
         worker.start()
         with worker.span("jobs.group", job_id="unknown"):
             pass
@@ -169,7 +174,7 @@ class TestExportAndMerge:
             pass
         first = str(tmp_path / "one.jsonl")
         tracer.save(first)
-        other = Tracer(perf=None)
+        other = Tracer()
         other.start(trace_id="t2")
         with other.span("b"):
             pass
@@ -199,10 +204,47 @@ class TestExportAndMerge:
         assert len(index[None]) == 2
 
 
+class TestCounts:
+    def test_counts_are_kept_while_inactive(self):
+        t = Tracer()
+        t.count("stage.stream.hit")
+        t.count("stage.stream.hit", 2)
+        assert t.counts("stage.") == {"stage.stream.hit": 3}
+
+    def test_merge_adds_a_delta(self):
+        t = Tracer()
+        t.count("stage.stream.hit", 2)
+        t.merge_counts({"stage.stream.hit": 3, "stage.replay.hit": 1})
+        assert t.counts() == {"stage.stream.hit": 5,
+                              "stage.replay.hit": 1}
+
+    def test_counting_is_thread_safe(self):
+        import sys
+        import threading
+        t = Tracer()
+
+        def bump():
+            for _ in range(2000):
+                t.count("n")
+                t.merge_counts({"n": 1})
+
+        threads = [threading.Thread(target=bump) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert t.counts() == {"n": 8 * 2000 * 2}  # no lost update
+
+
 class TestGlobalTracer:
-    def test_module_tracer_mirrors_into_perf_when_inactive(self):
-        from repro.perf import PERF
-        assert TRACER.perf is PERF
+    def test_module_tracer_is_inactive_by_default(self):
+        assert isinstance(TRACER, Tracer)
         assert not TRACER.active
         assert REPRO_TRACE_DIR == "REPRO_TRACE_DIR"
 
@@ -249,7 +291,7 @@ class TestDiff:
                            "nested/deep/scalar_s": 1.0}
 
     def test_load_timings_trace_jsonl(self, tmp_path):
-        t = Tracer(perf=None)
+        t = Tracer()
         t.start()
         with t.span("stage"):
             pass

@@ -1,78 +1,88 @@
-"""Tests for the lightweight perf registry (repro.perf)."""
+"""The ``--perf`` instrument: the tracer's per-name span summary and
+its event counts (repro.obs)."""
 
 import time
 
-from repro.perf import PERF, PerfRegistry, StageStat
+import pytest
+
+from repro.obs import TRACER, Tracer, render_spans
+
+
+@pytest.fixture
+def perf():
+    tracer = Tracer()
+    tracer.start(trace_id="perf-test")
+    yield tracer
+    tracer.stop()
 
 
 class TestStageStat:
-    def test_mean(self):
-        stat = StageStat(calls=4, seconds=2.0)
-        assert stat.mean_seconds == 0.5
+    """One name's row of the span summary."""
 
-    def test_mean_of_empty_stage_is_zero(self):
-        assert StageStat().mean_seconds == 0.0
+    def test_mean(self, perf):
+        for _ in range(4):
+            perf.manual_span("stage", 0.5)
+        stat = perf.summary()["stage"]
+        assert stat["calls"] == 4
+        assert stat["seconds"] / stat["calls"] == pytest.approx(0.5)
 
 
 class TestPerfRegistry:
-    def test_timer_accumulates(self):
-        perf = PerfRegistry()
-        with perf.timer("stage.a"):
+    """The tracer as the registry ``--perf`` reports from: spans for
+    timings, counts for events."""
+
+    def test_timer_accumulates(self, perf):
+        with perf.span("stage.a"):
             pass
-        with perf.timer("stage.a", count=10):
+        with perf.span("stage.a", count=10):
             time.sleep(0.001)
-        stat = perf.snapshot()["stage.a"]
+        stat = perf.summary()["stage.a"]
         assert stat["calls"] == 2
         assert stat["count"] == 10
         assert stat["seconds"] > 0.0
 
-    def test_timer_records_on_exception(self):
-        perf = PerfRegistry()
-        try:
-            with perf.timer("stage.boom"):
+    def test_timer_records_on_exception(self, perf):
+        with pytest.raises(RuntimeError):
+            with perf.span("stage.boom"):
                 raise RuntimeError("x")
-        except RuntimeError:
-            pass
-        assert perf.snapshot()["stage.boom"]["calls"] == 1
+        assert perf.summary()["stage.boom"]["calls"] == 1
 
-    def test_add_counts_without_timing(self):
-        perf = PerfRegistry()
-        perf.add("items", count=3)
-        perf.add("items", count=4)
-        perf.add("items")
-        stat = perf.snapshot()["items"]
-        assert stat["count"] == 8
-        assert stat["seconds"] == 0.0
-        assert stat["calls"] == 0
+    def test_add_counts_without_timing(self, perf):
+        perf.count("items", 3)
+        perf.count("items", 4)
+        perf.count("items")
+        assert perf.counts() == {"items": 8}
+        assert perf.spans == []
 
     def test_disabled_registry_records_nothing(self):
-        perf = PerfRegistry(enabled=False)
-        with perf.timer("x"):
-            pass
-        perf.add("y")
-        assert perf.snapshot() == {}
+        tracer = Tracer()  # never started: spans are no-ops
+        with tracer.span("x", count=3) as span:
+            span.set(ignored=True)
+        tracer.manual_span("y", 1.0)
+        assert tracer.spans == []
+        assert tracer.summary() == {}
 
-    def test_reset(self):
-        perf = PerfRegistry()
-        perf.add("x", count=1)
-        perf.reset()
-        assert perf.snapshot() == {}
+    def test_reset(self, perf):
+        perf.count("stage.x")
+        perf.count("other")
+        perf.reset_counts("stage.")
+        assert perf.counts() == {"other": 1}
+        perf.reset_counts()
+        assert perf.counts() == {}
 
-    def test_snapshot_is_sorted_heaviest_first_and_detached(self):
-        perf = PerfRegistry()
-        perf.stat("light").seconds = 0.1
-        perf.stat("heavy").seconds = 2.0
-        snap = perf.snapshot()
-        assert list(snap) == ["heavy", "light"]
-        snap["light"]["count"] = 99
-        assert perf.snapshot()["light"]["count"] == 0
+    def test_snapshot_is_sorted_heaviest_first_and_detached(self, perf):
+        perf.manual_span("light", 0.1)
+        perf.manual_span("heavy", 2.0)
+        assert list(perf.summary()) == ["heavy", "light"]
+        perf.count("n")
+        snap = perf.counts()
+        snap["n"] = 99
+        assert perf.counts() == {"n": 1}
 
-    def test_report_renders_all_stages(self):
-        perf = PerfRegistry()
-        perf.stat("replay.push_scatter").seconds = 0.5
-        perf.stat("replay.push_scatter").count = 100
-        perf.stat("runner.profile").seconds = 2.0
-        report = perf.report()
+    def test_report_renders_all_stages(self, perf):
+        perf.manual_span("replay.push_scatter", 0.5, count=100)
+        perf.manual_span("runner.profile", 2.0)
+        report = render_spans("perf:", perf.spans)
         assert "replay.push_scatter" in report
         assert "runner.profile" in report
         # Heaviest stage first.
@@ -80,13 +90,12 @@ class TestPerfRegistry:
             report.index("replay.push_scatter")
 
     def test_report_when_empty(self):
-        assert PerfRegistry().report()  # non-empty placeholder text
+        assert render_spans("perf:", []).startswith("perf:")
 
 
 class TestModuleRegistry:
     def test_global_registry_usable(self):
-        PERF.reset()
-        with PERF.timer("test.stage"):
-            pass
-        assert "test.stage" in PERF.snapshot()
-        PERF.reset()
+        TRACER.count("test.event")
+        assert TRACER.counts("test.") == {"test.event": 1}
+        TRACER.reset_counts("test.")
+        assert TRACER.counts("test.") == {}

@@ -156,6 +156,18 @@ class TestReadRequest:
             parse(raw)
         assert "truncated" in str(info.value)
 
+    @pytest.mark.parametrize("raw", [
+        b"GET /stats HTTP/1.1\r\n",
+        b"GET /stats HTTP/1.1\r\nHost: x\r\n",
+    ])
+    def test_eof_inside_header_block_is_400(self, raw):
+        # Only EOF before the request line is a clean close; a header
+        # block the client never finished is not a complete request.
+        with pytest.raises(BadRequest) as info:
+            parse(raw)
+        assert info.value.status == 400
+        assert "truncated" in str(info.value)
+
     def test_chunked_bodies_rejected(self):
         raw = (b"POST /p HTTP/1.1\r\n"
                b"Transfer-Encoding: chunked\r\n\r\n")

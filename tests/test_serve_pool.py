@@ -291,3 +291,39 @@ class TestAppBatching:
         assert good_result[0].cycles > 0
         from repro.serve import ComputeError
         assert isinstance(bad_result, ComputeError)
+
+
+class TestStageCountersAcrossBackends:
+    CELLS = [("pr", "ukl", scheme) for scheme in ("push", "phi",
+                                                  "phi+spzip")] + \
+        [("cc", "arb", scheme) for scheme in ("push", "phi")]
+
+    def _stages(self, tmp_path, backend):
+        from repro.stages import reset_stage_counters
+        app = make_app(tmp_path / backend, backend=backend, workers=1,
+                       batch_window_s=0.01)
+        cells = [parse_price({"app": a, "dataset": d, "scheme": s})
+                 for a, d, s in self.CELLS]
+
+        async def go():
+            try:
+                # One cell at a time: every dispatch is one cell, so
+                # both backends see the same sequence of groups.
+                for cell in cells:
+                    await app.price(cell)
+            finally:
+                app.close()
+
+        reset_stage_counters()
+        run(go())
+        assert app.computes == len(cells)
+        return app.stats()["stages"]
+
+    def test_stats_stages_match_for_thread_and_process(self, tmp_path):
+        """Stage work done in a pool worker reaches /stats as it does
+        when the same cells run on the thread backend."""
+        thread = self._stages(tmp_path, "thread")
+        process = self._stages(tmp_path, "process")
+        assert thread["timing.computed"] == len(self.CELLS)
+        assert thread["stream.computed"] == 2
+        assert process == thread
