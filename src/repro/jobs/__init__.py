@@ -24,7 +24,6 @@ from repro.jobs.model import (
     JobSpec,
     RunRequest,
     build_job_graph,
-    canonical_params,
     canonical_request,
 )
 from repro.jobs.orchestrator import JobRunner
@@ -49,7 +48,6 @@ __all__ = [
     "RunRequest",
     "TelemetryWriter",
     "build_job_graph",
-    "canonical_params",
     "canonical_request",
     "code_salt",
     "default_telemetry_path",

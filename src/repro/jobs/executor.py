@@ -23,8 +23,10 @@ Execution policy:
 * per-job cache lookups happen before dispatch, so a warm-cache run
   dispatches nothing and profiles nothing;
 * pool tasks run :func:`execute_group_remote`, which sends the worker's
-  :data:`~repro.obs.TRACER` count delta back with the outcomes, so the
-  ``stages:`` progress line counts pool work like in-process work.
+  :data:`~repro.obs.TRACER` count delta, and its spans when the
+  dispatcher was tracing at submit time, home with the outcomes;
+  :func:`record_dispatch` merges them, so the ``stages:`` progress line
+  and the trace cover pool work like in-process work.
 
 Results are returned keyed by :class:`~repro.jobs.model.RunRequest`
 in deterministic (request-insertion) order regardless of completion
@@ -34,8 +36,6 @@ order.
 from __future__ import annotations
 
 import os
-import shutil
-import tempfile
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor, TimeoutError as \
@@ -44,40 +44,40 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.config import SystemConfig
 from repro.jobs.cache import NullCache, ResultCache, StoreConfig
-from repro.obs import REPRO_TRACE_DIR, TRACER
 from repro.jobs.fingerprint import job_fingerprint
-from repro.jobs.model import (
-    JobGraph,
-    JobSpec,
-    RunRequest,
-    build_job_graph,
-    params_to_kwargs,
-)
+from repro.jobs.model import JobGraph, JobSpec, RunRequest, build_job_graph
 from repro.jobs.telemetry import TelemetryWriter
+from repro.obs import TRACER, Span
 from repro.sim.metrics import RunMetrics
 
 #: One executed job coming back from a worker:
 #: (job_id, result or None, wall seconds, worker pid, error string).
 JobOutcome = Tuple[str, Optional[RunMetrics], float, int, str]
 
-#: Per-process StagePricer memo (worker side), keyed by
-#: (scale, system, store config): successive groups on one worker reuse
-#: its in-memory profile bundles, and — when the store has a root —
-#: every worker reads/writes the same content-addressed stage store.
-_WORKER_PRICERS: Dict[Tuple[int, Optional[SystemConfig],
-                            Optional[StoreConfig]],
-                      object] = {}
+#: What a pool task sends home: (outcomes, count delta, spans).
+RemoteResult = Tuple[List[JobOutcome], Dict[str, int], List[Span]]
+
+#: Per-process StagePricer memo, keyed by (scale, system, store
+#: config): successive groups on one process — a pool worker, or the
+#: dispatcher running groups in-process — reuse its in-memory profile
+#: bundles, as does a :class:`~repro.jobs.orchestrator.JobRunner`
+#: pricing in the same process; when the store has a root, every
+#: process reads/writes the same content-addressed stage store.
+_PRICERS: Dict[Tuple[int, Optional[SystemConfig], Optional[StoreConfig]],
+               object] = {}
 
 
-def _pricer_for(scale: int, system: Optional[SystemConfig],
-                store: Optional[StoreConfig]):
+def pricer_for(scale: int, system: Optional[SystemConfig],
+               store: Optional[StoreConfig]):
+    """This process's :class:`~repro.stages.StagePricer` for one model
+    configuration and store."""
     from repro.stages import StagePricer
     key = (scale, system, store)
-    if key not in _WORKER_PRICERS:
-        _WORKER_PRICERS[key] = StagePricer(
+    if key not in _PRICERS:
+        _PRICERS[key] = StagePricer(
             scale=scale, system=system,
             store=store if store is not None else StoreConfig())
-    return _WORKER_PRICERS[key]
+    return _PRICERS[key]
 
 
 def execute_group(scale: int, system: Optional[SystemConfig],
@@ -93,49 +93,67 @@ def execute_group(scale: int, system: Optional[SystemConfig],
     partition count — so stage artifacts persist across workers and
     runs (a rootless store keeps them in worker memory only).
 
-    When the dispatching executor is tracing, pool workers see
-    :data:`~repro.obs.REPRO_TRACE_DIR` in their environment while the
-    tracer is *not* active in their process — that combination marks
-    this call as a traced worker: spans recorded here (the group span
-    and everything the pipeline nests under it) are appended to a
-    per-pid part file for the parent to adopt and re-parent.
+    Every path reaches :func:`_execute_group` through this module's
+    globals, so a wrapper installed there (perfbench's layer trace)
+    sees every group.
     """
-    trace_dir = os.environ.get(REPRO_TRACE_DIR)
-    if trace_dir and not TRACER.active:
-        TRACER.start()
-        try:
-            return _execute_group(scale, system, profile, prices,
-                                  store)
-        finally:
-            TRACER.flush_part(os.path.join(
-                trace_dir, f"worker-{os.getpid()}.jsonl"))
-            TRACER.stop()
     return _execute_group(scale, system, profile, prices, store)
 
 
 def execute_group_remote(scale: int, system: Optional[SystemConfig],
                          profile: JobSpec, prices: List[JobSpec],
-                         store: Optional[StoreConfig] = None
-                         ) -> Tuple[List[JobOutcome], Dict[str, int]]:
-    """:func:`execute_group` as a pool task: its outcomes, plus the
-    change in this process's :data:`~repro.obs.TRACER` counts.
+                         store: Optional[StoreConfig] = None,
+                         traced: bool = False) -> RemoteResult:
+    """:func:`execute_group` as a pool task: its outcomes, the change in
+    this process's :data:`~repro.obs.TRACER` counts, and — when
+    ``traced`` (the dispatcher was recording at submit time) — the
+    spans the group recorded.
 
     A pool worker runs one task at a time, so the change is exactly
     this group's work.  Only the delta travels (a forked worker starts
-    with a copy of its parent's counts); the dispatcher merges it with
-    :meth:`~repro.obs.Tracer.merge_counts`.  In-process callers run
-    :func:`execute_group` itself: their counts are already in place.
+    with a copy of its parent's counts).  The dispatcher hands the
+    result to :func:`record_dispatch`.  In-process callers run
+    :func:`execute_group` itself: their counts and spans are already
+    in place.
     """
     before = Counter(TRACER.counts())
-    outcomes = execute_group(scale, system, profile, prices, store)
-    return outcomes, dict(Counter(TRACER.counts()) - before)
+    if traced:
+        TRACER.start()  # a fresh span list and nesting stack
+    try:
+        outcomes = execute_group(scale, system, profile, prices, store)
+    finally:
+        if traced:
+            TRACER.stop()
+    return (outcomes, dict(Counter(TRACER.counts()) - before),
+            TRACER.spans if traced else [])
+
+
+def record_dispatch(profile: JobSpec, start_s: float, attempts: int,
+                    results: List[RemoteResult]) -> None:
+    """Bring one group dispatch's pool results into this process.
+
+    Merges the count delta of every result received, attempts that
+    were retried included.  While tracing, also records the dispatch's
+    ``jobs.task`` envelope (submit at ``start_s`` to now: queue wait
+    and every attempt) and adopts the results' worker spans beneath it.
+    """
+    for _outcomes, counts, _spans in results:
+        TRACER.merge_counts(counts)
+    if not TRACER.active:
+        return
+    task = TRACER.manual_span(
+        "jobs.task", time.monotonic() - start_s, start_s=start_s,
+        job_id=profile.job_id, app=profile.app, dataset=profile.dataset,
+        preprocessing=profile.preprocessing, attempts=attempts)
+    for _outcomes, _counts, spans in results:
+        TRACER.adopt(spans, task.span_id)
 
 
 def _execute_group(scale: int, system: Optional[SystemConfig],
                    profile: JobSpec, prices: List[JobSpec],
                    store: Optional[StoreConfig] = None
                    ) -> List[JobOutcome]:
-    pricer = _pricer_for(scale, system, store)
+    pricer = pricer_for(scale, system, store)
     pid = os.getpid()
     outcomes: List[JobOutcome] = []
     with TRACER.span("jobs.group", job_id=profile.job_id,
@@ -169,8 +187,7 @@ def _execute_group(scale: int, system: Optional[SystemConfig],
                                  preprocessing=job.preprocessing):
                     metrics = pricer.price(job.app, job.scheme,
                                            job.dataset,
-                                           job.preprocessing,
-                                           **params_to_kwargs(job.params))
+                                           job.preprocessing)
                 outcomes.append((job.job_id, metrics,
                                  time.monotonic() - start, pid, ""))
             except Exception as exc:
@@ -178,62 +195,6 @@ def _execute_group(scale: int, system: Optional[SystemConfig],
                                  time.monotonic() - start, pid,
                                  repr(exc)))
     return outcomes
-
-
-class PoolTraceSession:
-    """Cross-process trace-part bookkeeping around one process pool.
-
-    The PR-4 protocol, packaged for reuse (the batch executor and the
-    serving layer's process backend both dispatch ``execute_group`` to
-    pools): while the session is open, :data:`~repro.obs.REPRO_TRACE_DIR`
-    is exported so pool workers — which must fork/spawn *after* the
-    session opens — flush their spans to per-pid part files;
-    :meth:`record_dispatch` records one ``jobs.task`` envelope span per
-    completed dispatch; :meth:`finish` restores the environment and
-    adopts the part files, re-parenting each worker's top-level spans
-    under the envelope of the group that dispatched them.
-
-    A session opened while the tracer is inactive is a no-op end to end.
-    """
-
-    def __init__(self) -> None:
-        self.active = TRACER.active
-        self._parents: Dict[str, str] = {}
-        self._parts_dir: Optional[str] = None
-        self._prev_env: Optional[str] = None
-        self._fallback = TRACER.current_id if self.active else None
-        if self.active:
-            self._parts_dir = tempfile.mkdtemp(prefix="repro-trace-")
-            self._prev_env = os.environ.get(REPRO_TRACE_DIR)
-            os.environ[REPRO_TRACE_DIR] = self._parts_dir
-
-    def record_dispatch(self, profile: JobSpec, start_s: Optional[float],
-                        attempts: int) -> None:
-        """Record the submit->completion envelope for one group."""
-        if not self.active:
-            return
-        span = TRACER.manual_span(
-            "jobs.task",
-            duration_s=(time.monotonic() - start_s)
-            if start_s is not None else 0.0,
-            start_s=start_s, job_id=profile.job_id, app=profile.app,
-            dataset=profile.dataset,
-            preprocessing=profile.preprocessing, attempts=attempts)
-        self._parents[profile.job_id] = span.span_id
-
-    def finish(self) -> int:
-        """Restore the environment and merge worker part files."""
-        if not self.active:
-            return 0
-        self.active = False
-        if self._prev_env is None:
-            os.environ.pop(REPRO_TRACE_DIR, None)
-        else:
-            os.environ[REPRO_TRACE_DIR] = self._prev_env
-        adopted = TRACER.adopt_parts(self._parts_dir, self._parents,
-                                     fallback_parent=self._fallback)
-        shutil.rmtree(self._parts_dir, ignore_errors=True)
-        return adopted
 
 
 class JobExecutionError(RuntimeError):
@@ -392,17 +353,6 @@ class JobExecutor:
 
     def _run_pool(self, pending) -> Dict[str, Tuple[JobOutcome, int]]:
         """Process-pool execution; per-group timeout, retry, fallback."""
-        # When tracing, workers flush their spans to per-pid part files
-        # under a directory advertised through the environment (which
-        # the pool's workers inherit); adopted back after the drain.
-        session = PoolTraceSession()
-        try:
-            return self._run_pool_inner(pending, session)
-        finally:
-            session.finish()
-
-    def _run_pool_inner(self, pending, session: PoolTraceSession
-                        ) -> Dict[str, Tuple[JobOutcome, int]]:
         outcomes: Dict[str, Tuple[JobOutcome, int]] = {}
         try:
             pool = ProcessPoolExecutor(max_workers=self.jobs)
@@ -410,23 +360,28 @@ class JobExecutor:
             self._progress(f"process pool unavailable ({exc!r}); "
                            f"running {len(pending)} group(s) serially")
             return self._run_serial(pending)
+
+        def submit(profile: JobSpec, prices: List[JobSpec]):
+            return pool.submit(execute_group_remote, self.scale,
+                               self.system, profile, prices, self._store,
+                               TRACER.active)
+
         done_groups = 0
-        dispatched: Dict[str, float] = {}
         try:
+            # future -> (profile, prices, attempt, submit time, the
+            # results of the group's earlier attempts)
             futures = {}
             for profile, prices in pending:
-                future = pool.submit(execute_group_remote, self.scale,
-                                     self.system, profile, prices,
-                                     self._store)
-                futures[future] = (profile, prices, 0)
-                dispatched[profile.job_id] = time.monotonic()
+                futures[submit(profile, prices)] = (
+                    profile, prices, 0, time.monotonic(), [])
             while futures:
                 future = next(iter(futures))
-                profile, prices, attempt = futures.pop(future)
+                profile, prices, attempt, start_s, results = \
+                    futures.pop(future)
                 group: Optional[List[JobOutcome]] = None
                 try:
-                    group, counts = future.result(timeout=self.timeout)
-                    TRACER.merge_counts(counts)
+                    results.append(future.result(timeout=self.timeout))
+                    group = results[-1][0]
                     if self._group_has_failure(group) and \
                             attempt < self.retries:
                         group = None  # retry the whole group
@@ -444,12 +399,9 @@ class JobExecutor:
                 if group is None:
                     if attempt < self.retries:
                         try:
-                            retry = pool.submit(execute_group_remote,
-                                                self.scale, self.system,
-                                                profile, prices,
-                                                self._store)
-                            futures[retry] = (profile, prices,
-                                              attempt + 1)
+                            futures[submit(profile, prices)] = (
+                                profile, prices, attempt + 1, start_s,
+                                results)
                             continue
                         except Exception as exc:  # pool unusable
                             self._progress(
@@ -463,12 +415,7 @@ class JobExecutor:
                 for outcome in group:
                     outcomes[outcome[0]] = (outcome, attempt)
                 done_groups += 1
-                # Dispatch envelope: submit -> final completion (queue
-                # wait + all attempts).  Worker spans for this group
-                # re-parent under it on adoption.
-                session.record_dispatch(profile,
-                                        dispatched.get(profile.job_id),
-                                        attempt + 1)
+                record_dispatch(profile, start_s, attempt + 1, results)
                 self._progress(f"group {done_groups}/{len(pending)}: "
                                f"{profile.job_id}")
         finally:

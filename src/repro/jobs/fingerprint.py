@@ -235,5 +235,4 @@ def job_fingerprint(job: JobSpec, scale: int,
         "dataset": job.dataset,
         "preprocessing": job.preprocessing,
         "scheme": job.scheme,
-        "params": job.params,
     })

@@ -3,7 +3,7 @@
 One *profile* job exists per ``(app, dataset, preprocessing)`` triple —
 the expensive step (workload construction, cache replays, compression
 measurement).  One *price* job exists per requested
-``(app, scheme, dataset, preprocessing, params)`` simulation; it depends
+``(app, scheme, dataset, preprocessing)`` simulation; it depends
 on its profile job, so the six schemes of a Fig 15 bar group share a
 single profiling pass exactly as the in-process
 :class:`~repro.sim.runner.Runner` memoizes them today.
@@ -17,60 +17,24 @@ process boundaries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Tuple
-
-#: Canonical form of a price job's extra simulation parameters
-#: (``parts``, ``decoupled_only``, ...): sorted ``(name, value)`` pairs
-#: with containers flattened to sorted tuples so the form is hashable,
-#: picklable, and stable across processes.
-Params = Tuple[Tuple[str, object], ...]
-
-
-def canonical_params(kwargs: Dict[str, object]) -> Params:
-    """Normalize simulation kwargs into a deterministic tuple form."""
-
-    def canon(value: object) -> object:
-        if isinstance(value, (frozenset, set)):
-            return tuple(sorted(str(v) for v in value))
-        if isinstance(value, (list, tuple)):
-            return tuple(canon(v) for v in value)
-        if isinstance(value, dict):
-            return tuple(sorted((str(k), canon(v))
-                                for k, v in value.items()))
-        return value
-
-    return tuple(sorted((str(k), canon(v)) for k, v in kwargs.items()))
-
-
-def params_to_kwargs(params: Params) -> Dict[str, object]:
-    """Rebuild ``Runner.run`` kwargs from their canonical form."""
-    kwargs: Dict[str, object] = {}
-    for name, value in params:
-        if name == "parts" and isinstance(value, tuple):
-            kwargs[name] = frozenset(value)
-        else:
-            kwargs[name] = value
-    return kwargs
+from typing import Dict, Iterable, List, Optional, Tuple
 
 
 def canonical_request(app: str, scheme: object, dataset: str,
                       preprocessing: str = "none",
-                      **kwargs: object) -> "RunRequest":
+                      parts: Optional[Iterable[str]] = None,
+                      decoupled_only: bool = False) -> "RunRequest":
     """Build a :class:`RunRequest` with the scheme in canonical form.
 
     The ablation knobs (``parts``, ``decoupled_only``) are folded into
     the scheme's canonical string (``phi+spzip[parts=adjacency]``), so
     Fig 19/20 variants are distinct scheme identities — and therefore
-    distinct cache keys — rather than side-channel params.  Remaining
-    kwargs go through :func:`canonical_params` as before.
+    distinct cache keys.
     """
     from repro.schemes import resolve
     spec = resolve(scheme,  # type: ignore[arg-type]
-                   parts=kwargs.pop("parts", None),
-                   decoupled_only=bool(kwargs.pop("decoupled_only",
-                                                  False)))
-    return RunRequest(app, spec.canonical(), dataset, preprocessing,
-                      canonical_params(kwargs))
+                   parts=parts, decoupled_only=bool(decoupled_only))
+    return RunRequest(app, spec.canonical(), dataset, preprocessing)
 
 
 @dataclass(frozen=True, order=True)
@@ -81,17 +45,14 @@ class RunRequest:
     scheme: str
     dataset: str
     preprocessing: str = "none"
-    params: Params = ()
 
     @property
     def profile_key(self) -> Tuple[str, str, str]:
         return (self.app, self.dataset, self.preprocessing)
 
     def describe(self) -> str:
-        extra = "" if not self.params else \
-            "[" + ",".join(f"{k}={v}" for k, v in self.params) + "]"
         return (f"{self.app}/{self.dataset}/{self.preprocessing}/"
-                f"{self.scheme}{extra}")
+                f"{self.scheme}")
 
 
 @dataclass(frozen=True)
@@ -104,7 +65,6 @@ class JobSpec:
     dataset: str
     preprocessing: str
     scheme: str = ""  # empty for profile jobs
-    params: Params = ()
     deps: Tuple[str, ...] = ()
 
 
@@ -175,7 +135,6 @@ def build_job_graph(requests: Iterable[RunRequest]) -> JobGraph:
                 job_id=jid, kind="price", app=request.app,
                 dataset=request.dataset,
                 preprocessing=request.preprocessing,
-                scheme=request.scheme, params=request.params,
-                deps=(pid,))
+                scheme=request.scheme, deps=(pid,))
         graph.request_jobs[request] = jid
     return graph

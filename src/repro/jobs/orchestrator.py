@@ -7,13 +7,16 @@ changes is where results come from:
 
 1. results prefetched through :meth:`prefetch` (parallel, cached);
 2. otherwise the content-addressed disk cache;
-3. otherwise the runner's stage pricer, bound to the same store, which
-   reuses any frozen stage artifacts and then populates the cell-level
-   cache.
+3. otherwise the stage pricer this process's in-process groups use
+   (:func:`~repro.jobs.executor.pricer_for`), bound to the same store,
+   which reuses the bundles an in-process prefetch built and any frozen
+   stage artifacts, and then populates the cell-level cache.
 
 The inherited ``profiles`` reads through that same pricer, so
-experiments that inspect raw profiles (sorting) load the artifacts the
-pool just stored instead of re-profiling in the parent.
+experiments that inspect raw profiles (sorting) reuse what a prefetch
+built or the pool stored instead of re-profiling in the parent.  The
+pricer's store is the runner's :attr:`~JobRunner.cache`, so a corrupt
+stage artifact is reported wherever a corrupt cell is.
 """
 
 from __future__ import annotations
@@ -21,15 +24,10 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterable, Optional
 
 from repro.config import SystemConfig
-from repro.jobs.cache import NullCache, ResultCache, StoreConfig
-from repro.jobs.executor import JobExecutor
+from repro.jobs.cache import StoreConfig
+from repro.jobs.executor import JobExecutor, pricer_for
 from repro.jobs.fingerprint import job_fingerprint
-from repro.jobs.model import (
-    RunRequest,
-    build_job_graph,
-    canonical_request,
-    params_to_kwargs,
-)
+from repro.jobs.model import RunRequest, build_job_graph, canonical_request
 from repro.jobs.telemetry import TelemetryWriter, default_telemetry_path
 from repro.sim.metrics import RunMetrics
 from repro.sim.runner import Runner
@@ -54,10 +52,8 @@ class JobRunner(Runner):
         super().__init__(scale=scale, system=system)
         self.jobs = jobs
         self.partitions = partitions
-        self.cache = ResultCache(cache_dir) if cache_dir else \
-            NullCache()
-        self.store = StoreConfig.from_cache(
-            self.cache, stream_partitions=partitions)
+        self.store = StoreConfig(root=cache_dir or None,
+                                 stream_partitions=partitions)
         if telemetry_path is None and cache_dir:
             telemetry_path = default_telemetry_path(cache_dir)
         self.telemetry_path = telemetry_path
@@ -66,6 +62,15 @@ class JobRunner(Runner):
         self.progress = progress
         self._results: Dict[RunRequest, RunMetrics] = {}
         self._telemetry: Optional[TelemetryWriter] = None
+
+    def _stage_pricer(self):
+        return pricer_for(self.scale, self.system, self.store)
+
+    @property
+    def cache(self):
+        """The result cache: the stage pricer's own (NullCache when
+        disk-less)."""
+        return self._stage_pricer().cache
 
     # -- orchestration -----------------------------------------------------
 
@@ -113,8 +118,7 @@ class JobRunner(Runner):
             # store, so partial work (frozen streams, replays) survives
             # even when the cell-level key missed.
             metrics = self._stage_pricer().price(
-                app, request.scheme, dataset, preprocessing,
-                **params_to_kwargs(request.params))
+                app, request.scheme, dataset, preprocessing)
             self.cache.put(key, metrics)
             status = "miss"
         else:

@@ -1,10 +1,10 @@
 """Unified observability: hierarchical tracing spans and event counts,
-JSONL trace export/merging, and perf-baseline regression diffing.
+JSONL trace export, and perf-baseline regression diffing.
 
 ``span``   the :class:`Tracer` / :class:`Span` core and the module-level
            :data:`TRACER` every instrumented subsystem records spans and
            counts into
-``trace``  trace-file IO: read, merge, per-name summaries
+``trace``  trace-file IO: read, per-name summaries
 ``diff``   ``BENCH_*.json`` / trace comparison behind ``repro perf diff``
 
 See docs/OBSERVABILITY.md for the span model and trace schema.
@@ -19,14 +19,12 @@ from repro.obs.diff import (
     render_diff,
 )
 from repro.obs.span import (
-    REPRO_TRACE_DIR,
     Span,
     Tracer,
     TRACER,
     summarize_spans,
 )
 from repro.obs.trace import (
-    merge_traces,
     read_trace,
     render_spans,
     render_trace_summary,
@@ -35,7 +33,6 @@ from repro.obs.trace import (
 )
 
 __all__ = [
-    "REPRO_TRACE_DIR",
     "Regression",
     "Span",
     "TRACER",
@@ -43,7 +40,6 @@ __all__ = [
     "diff_timings",
     "is_timing_key",
     "load_timings",
-    "merge_traces",
     "perf_diff",
     "read_trace",
     "render_diff",

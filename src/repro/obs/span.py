@@ -6,7 +6,7 @@ per (app, scheme, input) simulation, profiling/pricing stages beneath
 it, replay kernels beneath those, and job-orchestration spans around
 the lot.  Durations use the monotonic clock; on Linux
 ``CLOCK_MONOTONIC`` is shared across processes, so spans recorded in
-pool workers line up with the parent's timeline when merged.
+pool workers line up with the parent's timeline when adopted.
 
 Spans are recorded only while the tracer is active (``--trace`` or
 ``--perf``); an inactive :meth:`Tracer.span` is a no-op.  Event counts
@@ -16,15 +16,13 @@ thread-safe table on the same object.  Everything else reads these two:
 file of a run holds its ``jobs.job`` spans, and ``/stats`` and the
 executor's progress line report the counts.
 
-Cross-process protocol: the executor exports :data:`REPRO_TRACE_DIR`
-before spawning pool workers; :func:`~repro.jobs.executor.execute_group`
-notices it is running in a worker (env set, tracer not active in *this*
-process), records spans locally, and appends them to
-``<dir>/worker-<pid>.jsonl``.  After the pool drains, the parent calls
-:meth:`Tracer.adopt_parts` to splice those spans under their dispatch
-(`jobs.task`) spans.  Counts travel back with each group's result as
-the worker's delta (:func:`~repro.jobs.executor.execute_group_remote`)
-and are merged with :meth:`Tracer.merge_counts`.
+Across processes: a pool task
+(:func:`~repro.jobs.executor.execute_group_remote`) traces with its
+worker's tracer when the dispatcher was recording at submit time, and
+sends the spans home with the group's result, next to the worker's
+count delta.  The dispatcher adds them with :meth:`Tracer.adopt`
+beneath that dispatch's ``jobs.task`` span and merges the counts with
+:meth:`Tracer.merge_counts`.  :class:`Span` is picklable for that trip.
 """
 
 from __future__ import annotations
@@ -39,10 +37,6 @@ from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import ContextManager, Dict, List, Optional, Tuple
-
-#: Environment variable naming the directory pool workers append their
-#: span part-files to (one ``worker-<pid>.jsonl`` per worker process).
-REPRO_TRACE_DIR = "REPRO_TRACE_DIR"
 
 _IDS = itertools.count(1)
 
@@ -232,6 +226,17 @@ class Tracer:
             self.spans.append(span)
         return span
 
+    def adopt(self, spans: List[Span], parent_id: Optional[str]) -> None:
+        """Add spans recorded in another process (a pool worker's).
+
+        Their nesting is kept; their top-level spans go under
+        ``parent_id``.
+        """
+        for span in spans:
+            if span.parent_id is None:
+                span.parent_id = parent_id
+            self.spans.append(span)
+
     # -- event counts ------------------------------------------------------
 
     def count(self, name: str, n: int = 1) -> None:
@@ -271,53 +276,6 @@ class Tracer:
             for span in spans:
                 handle.write(span.to_json() + "\n")
         return len(spans)
-
-    def flush_part(self, path: str) -> None:
-        """Append this process's spans to a worker part-file and clear.
-
-        Part files carry bare span lines (no header); each worker pid
-        owns its own file, so appends never interleave.
-        """
-        if not self.spans:
-            return
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open(path, "a") as handle:
-            for span in self.spans:
-                handle.write(span.to_json() + "\n")
-        self.spans = []
-
-    def adopt_parts(self, parts_dir: str,
-                    parent_by_job: Optional[Dict[str, str]] = None,
-                    fallback_parent: Optional[str] = None) -> int:
-        """Merge worker part-files into this trace, re-parenting.
-
-        Worker spans keep their intra-worker nesting; each worker's
-        *top-level* spans (no parent) are re-parented under the
-        ``jobs.task`` span of the group that dispatched them (matched by
-        the ``job_id`` attribute), or under ``fallback_parent``.
-        """
-        parent_by_job = parent_by_job or {}
-        adopted = 0
-        try:
-            names = sorted(os.listdir(parts_dir))
-        except FileNotFoundError:
-            return 0
-        for name in names:
-            if not name.endswith(".jsonl"):
-                continue
-            with open(os.path.join(parts_dir, name)) as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    span = Span.from_record(json.loads(line))
-                    if span.parent_id is None:
-                        job_id = str(span.attrs.get("job_id", ""))
-                        span.parent_id = parent_by_job.get(
-                            job_id, fallback_parent)
-                    self.spans.append(span)
-                    adopted += 1
-        return adopted
 
     # -- aggregation -------------------------------------------------------
 

@@ -1,15 +1,15 @@
-"""Trace file IO: read, merge, and summarize JSONL span traces.
+"""Trace file IO: read and summarize JSONL span traces.
 
 A trace file is JSONL: one ``trace_start`` header line followed by one
-``span`` line per span (see :class:`repro.obs.span.Span`).  Files from
-several processes or runs can be merged; span ids embed the producing
-pid, so ids never collide across processes.
+``span`` line per span (see :class:`repro.obs.span.Span`).  One file
+holds a whole run, pool workers' spans included; span ids embed the
+producing pid, so ids never collide across processes.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.obs.span import Span, summarize_spans
 
@@ -17,7 +17,7 @@ from repro.obs.span import Span, summarize_spans
 def read_trace(path: str) -> Tuple[Dict[str, object], List[Span]]:
     """Load one trace file: (header, spans).
 
-    Tolerates header-less part files (returns an empty header).
+    Tolerates a header-less file (returns an empty header).
     """
     header: Dict[str, object] = {}
     spans: List[Span] = []
@@ -33,26 +33,6 @@ def read_trace(path: str) -> Tuple[Dict[str, object], List[Span]]:
             elif event == "span":
                 spans.append(Span.from_record(record))
     return header, spans
-
-
-def merge_traces(paths: Iterable[str],
-                 out_path: Optional[str] = None) -> List[Span]:
-    """Concatenate span streams from several trace files, time-sorted."""
-    merged: List[Span] = []
-    header: Dict[str, object] = {}
-    for path in paths:
-        file_header, spans = read_trace(path)
-        if file_header and not header:
-            header = file_header
-        merged.extend(spans)
-    merged.sort(key=lambda s: s.start_s)
-    if out_path is not None:
-        with open(out_path, "w") as handle:
-            if header:
-                handle.write(json.dumps(header, sort_keys=True) + "\n")
-            for span in merged:
-                handle.write(span.to_json() + "\n")
-    return merged
 
 
 def trace_summary(path: str) -> Dict[str, Dict[str, float]]:

@@ -14,9 +14,10 @@ Heavy work — disk pickle I/O and pricing — never runs on the event
 loop: lookups go to a small I/O thread pool, and pricing goes to the
 configured :mod:`compute backend <repro.serve.pool>` (``thread`` or
 ``process``) as whole ``execute_group`` dispatches.  Span context
-propagates into pool threads via ``contextvars.copy_context`` (and
-across processes via the trace part-file protocol), so compute-side
-spans nest under their request span in the trace.
+propagates into pool threads via ``contextvars.copy_context``, and a
+worker process sends its spans home with each dispatch's result, so
+compute-side spans nest under their request span in the trace as soon
+as the dispatch returns.
 
 Identical concurrent computations are impossible by construction
 (single-flight keys on the canonical fingerprint).  *Distinct* cells

@@ -9,19 +9,18 @@ groups across requests).  The backend decides what executes them:
              process-wide stage-pricer bundle is never built twice; distinct
              profiles still contend on the GIL, so this backend scales
              with I/O overlap, not cores.
-``process``  a ``ProcessPoolExecutor`` over the PR-1 jobs pool
-             machinery: each worker process memoizes its own stage
+``process``  a ``ProcessPoolExecutor`` over the jobs layer's pool
+             task: each worker process memoizes its own stage
              pricer per (scale, system, store config) — all reading
              through one content-addressed artifact store — groups
              shard across workers, and the
-             GIL stops being the ceiling.  Tracing stays coherent via
-             the PR-4 part-file protocol
-             (:class:`~repro.jobs.executor.PoolTraceSession`): workers
-             flush spans to per-pid part files which are adopted —
-             re-parented under their dispatch envelopes — when the
-             backend closes.  Each group's event-count delta comes
-             back with its outcomes and is merged here, so ``/stats``
-             counts the same stage work as the thread backend.
+             GIL stops being the ceiling.  Each dispatch's result
+             brings the worker's event-count delta home, and its
+             spans when the tracer was recording at submit time;
+             :func:`~repro.jobs.executor.record_dispatch` merges the
+             counts (so ``/stats`` counts the same stage work as the
+             thread backend) and adopts the spans under that
+             dispatch's ``jobs.task`` envelope as soon as it returns.
 
 Both backends degrade instead of failing: a process pool that cannot
 be created or breaks mid-flight (sandboxed ``/dev/shm``, OOM-killed
@@ -41,9 +40,9 @@ from repro.config import SystemConfig
 from repro.jobs.cache import StoreConfig
 from repro.jobs.executor import (
     JobOutcome,
-    PoolTraceSession,
     execute_group,
     execute_group_remote,
+    record_dispatch,
 )
 from repro.jobs.model import JobSpec
 from repro.obs import TRACER
@@ -131,9 +130,6 @@ class ProcessBackend(ComputeBackend):
         self.workers = workers
         self.dispatches = 0
         self.fallbacks = 0
-        # The trace session must open before the first worker spawns,
-        # so workers inherit REPRO_TRACE_DIR and flush part files.
-        self._trace = PoolTraceSession()
         self._fallback_pool = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="serve-fallback")
         self._pool: Optional[ProcessPoolExecutor]
@@ -185,8 +181,9 @@ class ProcessBackend(ComputeBackend):
         start = time.monotonic()
         try:
             future = self._pool.submit(execute_group_remote, scale,
-                                       system, profile, prices, store)
-            outcomes, counts = await asyncio.wrap_future(future)
+                                       system, profile, prices, store,
+                                       TRACER.active)
+            result = await asyncio.wrap_future(future)
         except asyncio.CancelledError:
             raise
         except Exception:
@@ -194,9 +191,8 @@ class ProcessBackend(ComputeBackend):
             # group in-process rather than failing the whole batch.
             return await self._run_fallback(scale, system, profile,
                                             prices, store)
-        TRACER.merge_counts(counts)
-        self._trace.record_dispatch(profile, start, 1)
-        return outcomes
+        record_dispatch(profile, start, 1, [result])
+        return result[0]
 
     def stats(self) -> Dict[str, object]:
         return {"name": self.name, "workers": self.workers,
@@ -209,7 +205,6 @@ class ProcessBackend(ComputeBackend):
             self._pool.shutdown(wait=False)
             self._pool = None
         self._fallback_pool.shutdown(wait=False)
-        self._trace.finish()
         # Drop this process's shared-graph mappings along with the pool.
         from repro.graph.shared import release_graphs
         release_graphs()

@@ -81,11 +81,6 @@ def profile_workload(workload: Workload,
 class Runner:
     """Memoizing simulation front end over one stage pricer."""
 
-    #: Result cache and store the pricer persists stage artifacts in;
-    #: None keeps them transient (the jobs layer's runner binds its own).
-    cache = None
-    store = None
-
     def __init__(self, scale: int = DEFAULT_SCALE,
                  system: Optional[SystemConfig] = None) -> None:
         self.scale = scale
@@ -114,9 +109,7 @@ class Runner:
         if self._pricer is None:
             from repro.stages import StagePricer
             self._pricer = StagePricer(scale=self.scale,
-                                       system=self.system,
-                                       cache=self.cache,
-                                       store=self.store)
+                                       system=self.system)
         return self._pricer
 
     # -- building blocks -------------------------------------------------------

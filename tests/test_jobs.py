@@ -14,7 +14,6 @@ from repro.jobs import (
     RunRequest,
     TelemetryWriter,
     build_job_graph,
-    canonical_params,
     code_salt,
     experiment_requests,
     job_fingerprint,
@@ -30,19 +29,6 @@ SCALE = 65536
 # ---------------------------------------------------------------------------
 
 class TestJobModel:
-    def test_canonical_params_normalizes_sets(self):
-        a = canonical_params({"parts": frozenset({"b", "a"})})
-        b = canonical_params({"parts": frozenset({"a", "b"})})
-        assert a == b == (("parts", ("a", "b")),)
-
-    def test_params_roundtrip_to_kwargs(self):
-        from repro.jobs.model import params_to_kwargs
-        params = canonical_params({"parts": frozenset({"x"}),
-                                   "decoupled_only": True})
-        kwargs = params_to_kwargs(params)
-        assert kwargs == {"parts": frozenset({"x"}),
-                          "decoupled_only": True}
-
     def test_graph_shares_profile_jobs(self):
         requests = [RunRequest("pr", s, "arb") for s in ("push", "phi")]
         requests += [RunRequest("pr", "push", "ukl")]
@@ -94,11 +80,10 @@ class TestFingerprint:
         keys.add(job_fingerprint(other, SCALE, system))
         keys.add(job_fingerprint(base, SCALE // 2,
                                  SystemConfig().scaled(SCALE // 2)))
-        params = build_job_graph(
-            [RunRequest("pr", "push", "arb", "none",
-                        canonical_params({"decoupled_only": True}))]
+        variant = build_job_graph(
+            [RunRequest("pr", "phi+spzip[decoupled]", "arb")]
         ).price_jobs[0]
-        keys.add(job_fingerprint(params, SCALE, system))
+        keys.add(job_fingerprint(variant, SCALE, system))
         assert len(keys) == 4
 
     def test_code_salt_is_short_hex(self):
@@ -339,8 +324,10 @@ class TestExecutor:
         ((profile, prices),) = graph.groups()
         TRACER.count("stage.test.prior", 5)
         try:
-            outcomes, counts = execute_group_remote(SCALE, None, profile,
-                                                    prices)
+            outcomes, counts, spans = execute_group_remote(
+                SCALE, None, profile, prices)
+            _outcomes, _counts, traced = execute_group_remote(
+                SCALE, None, profile, prices, traced=True)
         finally:
             TRACER.reset_counts("stage.test.")
         assert [o[0] for o in outcomes] == \
@@ -348,6 +335,11 @@ class TestExecutor:
         assert "stage.test.prior" not in counts
         assert counts and all(name.startswith("stage.") and n > 0
                               for name, n in counts.items())
+        # Spans travel only when the dispatcher was tracing.
+        assert spans == []
+        roots = [span for span in traced if span.parent_id is None]
+        assert [span.name for span in roots] == ["jobs.group"]
+        assert not TRACER.active
 
 
 class TestJobRunner:
@@ -369,6 +361,41 @@ class TestJobRunner:
         assert fresh.run("dc", "ub", "arb") == first
         records = fresh._telemetry.records
         assert [r.attrs["status"] for r in records] == ["hit"]
+
+    def test_profiles_reuse_the_bundles_prefetch_built(self):
+        """The runner prices through the pricer its in-process groups
+        use, so reading profiles after a prefetch rebuilds nothing."""
+        from repro.stages import reset_stage_counters, stage_counters
+        runner = JobRunner(scale=SCALE, jobs=1)
+        runner.prefetch([RunRequest("cc", scheme, "arb")
+                         for scheme in ("push", "phi")])
+        reset_stage_counters()
+        assert runner.profiles("cc", "arb")
+        counts = stage_counters()
+        assert {name for name in counts if name.endswith(".memo")} == \
+            {"stream.memo", "replay.memo", "compress.memo"}
+        assert not any(name.endswith(".computed") for name in counts)
+
+    def test_corrupt_stage_artifact_reaches_progress(self, tmp_path):
+        from dataclasses import replace
+        from repro.jobs.fingerprint import stream_fingerprint
+        JobRunner(scale=SCALE, cache_dir=str(tmp_path)).prefetch(
+            [RunRequest("cc", "push", "arb")])
+        key = stream_fingerprint("cc", "arb", "none", SCALE)
+        with open(ResultCache(str(tmp_path))._path(key), "wb") as handle:
+            handle.write(b"torn")
+        # Another model config: a pricer that reads the store afresh.
+        system = SystemConfig().scaled(SCALE)
+        system = replace(system, memory=replace(
+            system.memory, gb_per_sec_per_controller=2
+            * system.memory.gb_per_sec_per_controller))
+        seen = []
+        runner = JobRunner(scale=SCALE, system=system,
+                           cache_dir=str(tmp_path), progress=seen.append)
+        runner.prefetch([RunRequest("dc", "push", "arb")])
+        assert runner.profiles("cc", "arb")
+        assert any(message.startswith("cache: dropping unreadable")
+                   and key in message for message in seen)
 
     def test_is_a_drop_in_runner(self):
         runner = JobRunner(scale=SCALE)
@@ -398,12 +425,9 @@ class TestPlans:
         requests = experiment_requests(["fig19"])
         parted = [r for r in requests if "[parts=" in r.scheme]
         assert parted
-        # Ablations are scheme identities now, not side-channel params.
-        assert all(not r.params for r in requests)
         assert any(r.scheme == "phi+spzip[parts=adjacency]"
                    for r in parted)
 
     def test_fig20_plan_folds_decoupled_into_scheme(self):
         requests = experiment_requests(["fig20"])
         assert any(r.scheme == "phi+spzip[decoupled]" for r in requests)
-        assert all(not r.params for r in requests)

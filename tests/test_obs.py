@@ -1,4 +1,4 @@
-"""The tracing layer: spans, export/merge, adoption, and perf diffs."""
+"""The tracing layer: spans, export, adoption, and perf diffs."""
 
 import json
 import os
@@ -6,12 +6,10 @@ import os
 import pytest
 
 from repro.obs import (
-    REPRO_TRACE_DIR,
     TRACER,
     Tracer,
     diff_timings,
     load_timings,
-    merge_traces,
     perf_diff,
     read_trace,
     render_diff,
@@ -118,74 +116,31 @@ class TestExportAndMerge:
         assert by_name["inner"].parent_id == by_name["outer"].span_id
         assert by_name["outer"].attrs["app"] == "bfs"
 
-    def test_flush_part_appends_and_clears(self, tracer, tmp_path):
-        with tracer.span("a"):
-            pass
-        part = str(tmp_path / "worker-1.jsonl")
-        tracer.flush_part(part)
-        assert tracer.spans == []
-        with tracer.span("b"):
-            pass
-        tracer.flush_part(part)
-        with open(part) as handle:
-            names = [json.loads(line)["name"] for line in handle]
-        assert names == ["a", "b"]
-
-    def test_adopt_parts_reparents_by_job_id(self, tracer, tmp_path):
+    def test_adopt_keeps_worker_nesting_under_the_given_parent(
+            self, tracer):
+        import pickle
         worker = Tracer()
         worker.start()
         with worker.span("jobs.group", job_id="job-1"):
             with worker.span("jobs.price"):
                 pass
-        parts = tmp_path / "parts"
-        worker.flush_part(str(parts / "worker-9.jsonl"))
+        with worker.span("jobs.group", job_id="job-2"):
+            pass
         worker.stop()
+        # The spans cross the pool by pickle.
+        spans = pickle.loads(pickle.dumps(worker.spans))
 
-        with tracer.span("jobs.run") as run:
-            task = tracer.manual_span("jobs.task", duration_s=0.1,
-                                      job_id="job-1")
-        adopted = tracer.adopt_parts(str(parts),
-                                     {"job-1": task.span_id},
-                                     fallback_parent=run.span_id)
-        assert adopted == 2
-        by_name = {s.name: s for s in tracer.spans}
-        group = by_name["jobs.group"]
-        assert group.parent_id == task.span_id
-        # Intra-worker nesting is preserved.
-        assert by_name["jobs.price"].parent_id == group.span_id
-
-    def test_adopt_parts_fallback_and_missing_dir(self, tracer,
-                                                  tmp_path):
-        worker = Tracer()
-        worker.start()
-        with worker.span("jobs.group", job_id="unknown"):
-            pass
-        parts = tmp_path / "parts"
-        worker.flush_part(str(parts / "worker-2.jsonl"))
-        with tracer.span("jobs.run") as run:
-            pass
-        tracer.adopt_parts(str(parts), {}, fallback_parent=run.span_id)
-        group = next(s for s in tracer.spans if s.name == "jobs.group")
-        assert group.parent_id == run.span_id
-        assert tracer.adopt_parts(str(tmp_path / "nope"), {}) == 0
-
-    def test_merge_traces(self, tracer, tmp_path):
-        with tracer.span("a"):
-            pass
-        first = str(tmp_path / "one.jsonl")
-        tracer.save(first)
-        other = Tracer()
-        other.start(trace_id="t2")
-        with other.span("b"):
-            pass
-        second = str(tmp_path / "two.jsonl")
-        other.save(second)
-        merged_path = str(tmp_path / "merged.jsonl")
-        merged = merge_traces([first, second], merged_path)
-        assert sorted(s.name for s in merged) == ["a", "b"]
-        header, spans = read_trace(merged_path)
-        assert header["trace_id"] == "t-test"  # first header wins
-        assert len(spans) == 2
+        with tracer.span("jobs.run"):
+            task = tracer.manual_span("jobs.task", duration_s=0.1)
+        tracer.adopt(spans, task.span_id)
+        assert tracer.spans[-3:] == spans
+        groups = [s for s in spans if s.name == "jobs.group"]
+        price = next(s for s in spans if s.name == "jobs.price")
+        # The worker's top-level spans go under the given parent ...
+        assert [g.parent_id for g in groups] == [task.span_id] * 2
+        # ... and its nesting is kept.
+        assert price.parent_id == next(
+            g.span_id for g in groups if g.attrs["job_id"] == "job-1")
 
     def test_summaries_and_rendering(self, tracer, tmp_path):
         with tracer.span("heavy", count=10):
@@ -246,7 +201,6 @@ class TestGlobalTracer:
     def test_module_tracer_is_inactive_by_default(self):
         assert isinstance(TRACER, Tracer)
         assert not TRACER.active
-        assert REPRO_TRACE_DIR == "REPRO_TRACE_DIR"
 
 
 class TestDiff:

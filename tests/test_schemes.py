@@ -184,7 +184,6 @@ class TestJobsIdentity:
             "dc", "phi+spzip", "ukl", "none",
             parts=frozenset({"adjacency"}))
         assert request.scheme == "phi+spzip[parts=adjacency]"
-        assert request.params == ()
         dec = canonical_request("dc", "phi+spzip", "ukl", "none",
                                 decoupled_only=True)
         assert dec.scheme == "phi+spzip[decoupled]"

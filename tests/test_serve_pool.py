@@ -1,6 +1,7 @@
 """Compute backends (repro.serve.pool) and app-level batch dispatch."""
 
 import asyncio
+import os
 from collections import Counter
 
 import pytest
@@ -327,3 +328,78 @@ class TestStageCountersAcrossBackends:
         assert thread["timing.computed"] == len(self.CELLS)
         assert thread["stream.computed"] == 2
         assert process == thread
+
+
+def _price_in_turn(tmp_path, start_tracer_first):
+    """Trace a process-backend app that prices two same-profile cells
+    one after the other.  Returns the trace and, after each ``price``
+    returned, how many worker spans the tracer held."""
+    from repro.obs import TRACER
+    if start_tracer_first:
+        TRACER.start()
+    app = make_app(tmp_path, backend="process", workers=2,
+                   batch_window_s=0.01)
+    if not start_tracer_first:
+        TRACER.start()
+    if app.backend.stats()["pool"] != "up":
+        app.close()
+        TRACER.stop()
+        pytest.skip("process pool unavailable")
+    seen = []
+
+    async def go():
+        try:
+            for scheme in ("push", "phi"):
+                await app.price(parse_price(
+                    {"app": "bfs", "scheme": scheme, "dataset": "ukl"}))
+                seen.append(sum(1 for span in TRACER.spans
+                                if span.pid != os.getpid()))
+        finally:
+            app.close()
+
+    try:
+        run(go())
+    finally:
+        TRACER.stop()
+    assert app.backend.stats()["dispatches"] == 2
+    return list(TRACER.spans), seen
+
+
+@pytest.fixture(scope="class")
+def traced_in_turn(tmp_path_factory):
+    return _price_in_turn(tmp_path_factory.mktemp("traced"), True)
+
+
+class TestProcessBackendTrace:
+    """Worker spans come home with each dispatch's result."""
+
+    def test_each_group_sits_in_its_own_dispatch(self, traced_in_turn):
+        spans, _seen = traced_in_turn
+        by_id = {span.span_id: span for span in spans}
+        tasks = [span for span in spans if span.name == "jobs.task"]
+        groups = [span for span in spans if span.name == "jobs.group"
+                  and span.pid != os.getpid()]
+        assert len(tasks) == len(groups) == 2
+        # Both dispatches share one profile job id; each still gets
+        # exactly its own worker group beneath it.
+        assert len({task.attrs["job_id"] for task in tasks}) == 1
+        assert {group.parent_id for group in groups} == \
+            {task.span_id for task in tasks}
+        for group in groups:
+            task = by_id[group.parent_id]
+            assert task.attrs["job_id"] == group.attrs["job_id"]
+            assert task.start_s <= group.start_s
+            assert group.start_s + group.duration_s <= \
+                task.start_s + task.duration_s
+
+    def test_worker_spans_arrive_before_close(self, traced_in_turn):
+        _spans, seen = traced_in_turn
+        first, second = seen
+        assert 0 < first < second
+
+    def test_tracer_started_after_the_app_gets_worker_spans(
+            self, tmp_path):
+        spans, seen = _price_in_turn(tmp_path, False)
+        assert seen[0] > 0
+        assert any(span.name == "jobs.group" and span.pid != os.getpid()
+                   for span in spans)
