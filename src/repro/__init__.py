@@ -10,7 +10,7 @@ Top-level convenience imports cover the objects most users need; see the
 subpackages for the full API:
 
 * ``repro.compression`` -- delta / BPC / BDI / RLE codecs
-* ``repro.memory``      -- caches, DRAM, NoC, compressed hierarchy
+* ``repro.memory``      -- address space, caches, DRAM, NoC
 * ``repro.graph``       -- CSR graphs, generators, preprocessing
 * ``repro.dcl``         -- the Dataflow Configuration Language
 * ``repro.engine``      -- the SpZip fetcher and compressor

@@ -64,6 +64,15 @@ import numpy as np
 from repro.jobs.cache import DEFAULT_CACHE_DIR
 
 
+def _known(kind: str, name: str, valid) -> bool:
+    """Whether ``name`` is registered; if not, say so and list ``valid``."""
+    if name in valid:
+        return True
+    print(f"unknown {kind} {name!r}; have {', '.join(sorted(valid))}",
+          file=sys.stderr)
+    return False
+
+
 def _cmd_list(_args) -> int:
     from repro.apps import ALL_APPS
     from repro.compression import available_codecs
@@ -109,9 +118,7 @@ def _cmd_schemes(args) -> int:
 def _cmd_experiment(args) -> int:
     from repro.harness import EXPERIMENTS, render_table
     from repro.sim import Runner
-    if args.id not in EXPERIMENTS:
-        print(f"unknown experiment {args.id!r}; try `python -m repro "
-              f"list`", file=sys.stderr)
+    if not _known("experiment", args.id, EXPERIMENTS):
         return 2
     runner = Runner(scale=args.scale)
     result = EXPERIMENTS[args.id](runner)
@@ -120,12 +127,20 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from repro.apps import ALL_APPS
+    from repro.graph.datasets import DATASETS
+    from repro.graph.preprocess import PREPROCESSORS
     from repro.schemes import (
         SchemeParseError,
         UnknownSchemeError,
         parse_scheme,
     )
     from repro.sim import Runner
+    if not (_known("app", args.app, ALL_APPS)
+            and _known("dataset", args.dataset, DATASETS)
+            and _known("preprocessing", args.preprocessing,
+                       PREPROCESSORS)):
+        return 2
     try:
         spec = parse_scheme(args.scheme)
     except (SchemeParseError, UnknownSchemeError) as err:
@@ -150,7 +165,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_compress(args) -> int:
-    from repro.compression import make_codec
+    from repro.compression import available_codecs, make_codec
     rng = np.random.default_rng(0)
     generators = {
         "sorted-ids": lambda: np.sort(rng.integers(0, 50_000, 1024)
@@ -165,9 +180,8 @@ def _cmd_compress(args) -> int:
         "floats": lambda: rng.standard_normal(1024
                                               ).astype(np.float32),
     }
-    if args.data not in generators:
-        print(f"unknown data kind {args.data!r}; have "
-              f"{sorted(generators)}", file=sys.stderr)
+    if not (_known("codec", args.codec, available_codecs())
+            and _known("data kind", args.data, generators)):
         return 2
     data = generators[args.data]()
     codec = make_codec(args.codec)
@@ -182,8 +196,11 @@ def _cmd_compress(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    from repro.harness import generate_report
+    from repro.harness import EXPERIMENTS, generate_report
     from repro.jobs import JobRunner
+    ids = args.experiments or None
+    if not all(_known("experiment", i, EXPERIMENTS) for i in ids or ()):
+        return 2
     runner = JobRunner(
         scale=args.scale, jobs=args.jobs,
         cache_dir=None if args.no_cache else args.cache_dir,
@@ -191,7 +208,6 @@ def _cmd_report(args) -> int:
         timeout=args.timeout, retries=args.retries,
         progress=print if not args.out else None,
         partitions=args.partitions)
-    ids = args.experiments or None
     report = generate_report(runner, experiment_ids=ids, progress=True)
     if args.out:
         with open(args.out, "w") as handle:
@@ -333,8 +349,10 @@ def _cmd_traverse(args) -> int:
         compressed_csr_traversal,
         drive,
     )
-    from repro.graph import CompressedCsr, load
+    from repro.graph import DATASETS, CompressedCsr, load
     from repro.memory import AddressSpace
+    if not _known("dataset", args.dataset, DATASETS):
+        return 2
     graph = load(args.dataset, args.scale)
     rows = min(args.rows, graph.num_vertices)
     compressed = CompressedCsr(graph)
@@ -358,12 +376,25 @@ def _cmd_traverse(args) -> int:
     return 0 if ok else 1
 
 
+def _require(value, ok: bool, rule: str):
+    if not ok:
+        raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
+    return value
+
+
 def _positive_int(text: str) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive integer, got {value}")
-    return value
+    return _require(value, value >= 1, "a positive integer")
+
+
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    return _require(value, value >= 0, "a non-negative integer")
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    return _require(value, value > 0, "a positive number")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -383,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     experiment = sub.add_parser("experiment",
                                 help="run one table/figure experiment")
     experiment.add_argument("id")
-    experiment.add_argument("--scale", type=int, default=4096)
+    experiment.add_argument("--scale", type=_positive_int, default=4096)
     experiment.add_argument("--perf", action="store_true",
                             help="trace the run and print its per-span "
                                  "summary to stderr")
@@ -396,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--scheme", default="phi+spzip")
     simulate.add_argument("--dataset", default="ukl")
     simulate.add_argument("--preprocessing", default="none")
-    simulate.add_argument("--scale", type=int, default=4096)
+    simulate.add_argument("--scale", type=_positive_int, default=4096)
     simulate.add_argument("--perf", action="store_true",
                           help="trace the run and print its per-span "
                                "summary to stderr")
@@ -410,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     report = sub.add_parser("report",
                             help="run all experiments, emit markdown")
     report.add_argument("--out", default=None)
-    report.add_argument("--scale", type=int, default=4096)
+    report.add_argument("--scale", type=_positive_int, default=4096)
     report.add_argument("--experiments", nargs="*", default=None)
     report.add_argument("--jobs", type=_positive_int, default=1,
                         help="worker processes (1 = in-process)")
@@ -421,9 +452,9 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--telemetry", default=None,
                         help="JSONL telemetry path (default: under the "
                              "cache dir)")
-    report.add_argument("--timeout", type=float, default=None,
+    report.add_argument("--timeout", type=_positive_float, default=None,
                         help="per-job-group timeout in seconds")
-    report.add_argument("--retries", type=int, default=1,
+    report.add_argument("--retries", type=_nonnegative_int, default=1,
                         help="retries per failed/timed-out job group")
     report.add_argument("--partitions", type=_positive_int, default=1,
                         help="vertex-range partitions of the stream "
@@ -466,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "company before dispatching")
     serve.add_argument("--batch-max", type=_positive_int, default=16,
                        help="cells per execute_group dispatch ceiling")
-    serve.add_argument("--scale", type=int, default=4096)
+    serve.add_argument("--scale", type=_positive_int, default=4096)
     serve.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
                        help="on-disk tier of the result store")
     serve.add_argument("--no-cache", action="store_true",
@@ -504,8 +535,8 @@ def build_parser() -> argparse.ArgumentParser:
     traverse = sub.add_parser("traverse",
                               help="run the functional fetcher")
     traverse.add_argument("--dataset", default="ukl")
-    traverse.add_argument("--rows", type=int, default=500)
-    traverse.add_argument("--scale", type=int, default=4096)
+    traverse.add_argument("--rows", type=_positive_int, default=500)
+    traverse.add_argument("--scale", type=_positive_int, default=4096)
 
     return parser
 

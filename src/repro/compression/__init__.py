@@ -12,7 +12,6 @@ from repro.compression.base import (
     Codec,
     RawCodec,
     as_unsigned_bits,
-    check_roundtrip,
     from_unsigned_bits,
 )
 from repro.compression.bdi import (
@@ -24,7 +23,6 @@ from repro.compression.bdi import (
 )
 from repro.compression.bpc import BPC_CHUNK, BpcCodec, bpc_chunk_encoded_sizes
 from repro.compression.chunked import ChunkedCodec, SortingCodec
-from repro.compression.array import CompressedArray
 from repro.compression.counted import CountedCodec
 from repro.compression.delta import DeltaCodec
 from repro.compression.forcodec import FOR_CHUNK, ForCodec
@@ -52,7 +50,6 @@ __all__ = [
     "BdiCodec",
     "BpcCodec",
     "ChunkedCodec",
-    "CompressedArray",
     "Codec",
     "CountedCodec",
     "DeltaCodec",
@@ -78,7 +75,6 @@ __all__ = [
     "bdi_line_sizes",
     "best_of",
     "bpc_chunk_encoded_sizes",
-    "check_roundtrip",
     "from_unsigned_bits",
     "make_codec",
     "nibble_size_bits",

@@ -16,7 +16,6 @@ levels:
 from __future__ import annotations
 
 import abc
-from typing import Sequence
 
 import numpy as np
 
@@ -125,14 +124,3 @@ class RawCodec(Codec):
 
     def encoded_size(self, values: np.ndarray) -> int:
         return values.size * values.dtype.itemsize
-
-
-def check_roundtrip(codec: Codec, values: Sequence[int], dtype=np.uint32) -> None:
-    """Test helper: assert that ``codec`` round-trips ``values``."""
-    array = np.asarray(values, dtype=dtype)
-    encoded = codec.encode(array)
-    decoded = codec.decode(encoded, array.size, array.dtype)
-    if not np.array_equal(decoded, array):
-        raise AssertionError(
-            f"{codec.name} round-trip failed: {array!r} -> {decoded!r}"
-        )

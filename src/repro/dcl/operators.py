@@ -104,13 +104,6 @@ class Operator:
 
     # -- helpers ---------------------------------------------------------------
 
-    def _outputs_have_space(self, entries: int = 1, markers: int = 0) -> bool:
-        return all(q.has_space(entries, markers) for q in self.out_queues)
-
-    def _broadcast(self, value: int, marker: bool = False) -> None:
-        for queue in self.out_queues:
-            queue.push(value, marker)
-
     def _throughput_elems(self, engine, elem_bytes: int) -> int:
         return max(1, engine.config.fu_bytes_per_cycle // elem_bytes)
 
@@ -702,9 +695,6 @@ class BinAppendOp(Operator):
         self.bin_chunks[queue_id] += 1
         self.chunk_sizes[queue_id].append(len(self._buffer))
         self._buffer.clear()
-
-    def total_compressed_bytes(self) -> int:
-        return sum(self.bin_bytes)
 
     def done(self, engine) -> bool:
         return not self._buffer

@@ -105,11 +105,6 @@ class CsrGraph:
             raise IndexError(f"vertex {vertex} out of range")
         return self.neighbors[self.offsets[vertex]:self.offsets[vertex + 1]]
 
-    def row_values(self, vertex: int) -> np.ndarray:
-        if self.values is None:
-            raise ValueError("graph has no edge values")
-        return self.values[self.offsets[vertex]:self.offsets[vertex + 1]]
-
     def iter_rows(self) -> Iterable[Tuple[int, np.ndarray]]:
         for vertex in range(self.num_vertices):
             yield vertex, self.row(vertex)
@@ -181,14 +176,6 @@ class CsrGraph:
                                    perm[self.neighbors.astype(np.int64)],
                                    values=self.values,
                                    dedup=False, drop_self_loops=False)
-
-    # -- footprint -------------------------------------------------------------
-
-    def adjacency_bytes(self, offset_bytes: int = 8,
-                        neighbor_bytes: int = 4) -> int:
-        """Uncompressed footprint of the adjacency structure."""
-        return (self.offsets.size * offset_bytes
-                + self.neighbors.size * neighbor_bytes)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"CsrGraph(vertices={self.num_vertices}, "

@@ -91,10 +91,6 @@ def split_version(name: str) -> Tuple[str, Optional[str]]:
     return base, (version or None)
 
 
-def base_dataset(name: str) -> str:
-    return split_version(name)[0]
-
-
 def resolve_version(name: str, scale: int = DEFAULT_SCALE) -> str:
     """Current head of a mutated dataset; bare names pass through
     unless a delta has been applied, explicit versions always do."""

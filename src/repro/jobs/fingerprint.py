@@ -77,7 +77,7 @@ STAGE_DEPS: Dict[str, Tuple[str, ...]] = {
     "compress": ("stages/artifacts.py", "stages/compress.py",
                  "runtime/traffic.py", "runtime/traffic_array.py",
                  "compression", "graph/idspace.py", "memory/address.py",
-                 "memory/compressed.py", "schemes/pricing.py"),
+                 "schemes/pricing.py"),
     "timing": ("stages/artifacts.py", "stages/timing.py", "schemes",
                "sim", "runtime/traffic.py", "runtime/traffic_array.py",
                "runtime/scheduling.py", "config.py",

@@ -1,4 +1,4 @@
-"""Memory-system substrate: address space, caches, DRAM, NoC, CMH."""
+"""Memory-system substrate: address space, caches, DRAM, NoC."""
 
 from repro.memory.address import (
     DATA_CLASSES,
@@ -12,42 +12,22 @@ from repro.memory.cache import (
     SetAssocCache,
     make_cache,
 )
-from repro.memory.compressed import (
-    LCP_SLOT_SIZES,
-    PAGE_BYTES,
-    CompressedLlc,
-    LcpMemory,
-)
 from repro.memory.dram import DramModel, TrafficCounter
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.noc import MeshNoc, NocStats
-from repro.memory.tlb import (
-    PageFault,
-    PageTable,
-    Tlb,
-    TranslatingPort,
-)
 
 __all__ = [
     "AddressSpace",
     "CacheStats",
-    "CompressedLlc",
     "DATA_CLASSES",
     "DramModel",
     "FastLruCache",
-    "LCP_SLOT_SIZES",
     "LINE_BYTES",
-    "LcpMemory",
     "MemoryHierarchy",
     "MeshNoc",
     "NocStats",
-    "PAGE_BYTES",
-    "PageFault",
-    "PageTable",
     "Region",
     "SetAssocCache",
-    "Tlb",
     "TrafficCounter",
-    "TranslatingPort",
     "make_cache",
 ]

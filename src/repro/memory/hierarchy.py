@@ -142,13 +142,6 @@ class MemoryHierarchy:
         """Account a sequential streaming write (full-line writes)."""
         self.dram.add_bulk(nbytes, data_class, write=True, sequential=True)
 
-    def scattered_write(self, nbytes: int, data_class: str) -> None:
-        """Account scattered line-granular write traffic."""
-        self.dram.add_bulk(nbytes, data_class, write=True, sequential=False)
-
-    def scattered_read(self, nbytes: int, data_class: str) -> None:
-        self.dram.add_bulk(nbytes, data_class, write=False, sequential=False)
-
     def finalize_writebacks(self, data_class: str = "other") -> int:
         """Account LLC dirty-eviction writebacks as off-chip write traffic.
 

@@ -66,18 +66,6 @@ class Workload:
     dst_values: Optional[np.ndarray] = None
     extras: dict = field(default_factory=dict)
 
-    @property
-    def total_edges(self) -> float:
-        """Weighted edges processed across the recorded execution."""
-        degrees = self.graph.out_degrees()
-        return float(sum(degrees[it.sources].sum() * it.weight
-                         for it in self.iterations))
-
-    @property
-    def total_sources(self) -> float:
-        return float(sum(it.num_sources * it.weight
-                         for it in self.iterations))
-
 
 def sample_iterations(iterations: List[Iteration],
                       period: int = SAMPLE_PERIOD) -> List[Iteration]:

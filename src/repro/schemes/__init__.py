@@ -12,7 +12,7 @@ The package replaces string-suffix dispatch with three layers:
   :class:`~repro.sim.metrics.RunMetrics`.
 
 Adding an execution scheme means registering a family and a cost model
-here — no edits across runner/sweeps/harness/jobs/CLI.
+here — no edits across runner/harness/jobs/CLI.
 """
 
 from repro.schemes.costs import (

@@ -19,7 +19,6 @@ import numpy as np
 
 from repro.compression import bdi_line_size, bdi_line_sizes
 from repro.memory.address import LINE_BYTES
-from repro.memory.compressed import LCP_SLOT_SIZES, PAGE_BYTES
 from repro.schemes.costs import cost_model_for, costs_for
 from repro.schemes.spec import SchemeSpec
 from repro.sim.metrics import RunMetrics, merge_traffic
@@ -64,6 +63,17 @@ def _price_spec(workload, profiles, spec: SchemeSpec, cfg,
 # --------------------------------------------------------------------------
 # Compressed memory hierarchy baseline (Fig 22)
 # --------------------------------------------------------------------------
+#
+# LCP main memory (Pekhimenko et al.) stores every line of a 4 KB page at
+# one uniform slot size, so one DRAM transfer can carry several
+# compressed lines; a page with an incompressible line is stored raw.
+
+PAGE_BYTES = 4096
+
+#: LCP slot menu: lines compress to one of these sizes or the page is
+#: stored uncompressed (values from the LCP paper's practical designs).
+LCP_SLOT_SIZES = (16, 21, 32, 44)
+
 
 def _pad_line(line: bytes) -> bytes:
     """Zero-pad a trailing partial line to the full 64 bytes."""

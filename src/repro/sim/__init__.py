@@ -7,7 +7,6 @@ from repro.sim.metrics import (
     merge_traffic,
 )
 from repro.sim.runner import Runner
-from repro.sim.sweeps import bandwidth_sweep, core_sweep, llc_sweep
 from repro.sim.timing import (
     MISS_LATENCY,
     RANDOM_BW_DERATE,
@@ -23,13 +22,10 @@ __all__ = [
     "RANDOM_BW_DERATE",
     "RunMetrics",
     "Runner",
-    "bandwidth_sweep",
-    "core_sweep",
     "SchemeCosts",
     "TRAFFIC_CLASSES",
     "effective_bytes_per_cycle",
     "gmean_speedups",
-    "llc_sweep",
     "merge_traffic",
     "phase_cycles",
 ]

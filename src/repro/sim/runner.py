@@ -87,21 +87,7 @@ class Runner:
         self.system = system if system is not None \
             else SystemConfig().scaled(scale)
         self._workloads: Dict[Tuple[str, str, str], Workload] = {}
-        self._cfgs: Dict[str, ModelConfig] = {}
         self._pricer = None
-
-    def config_for(self, workload: Workload) -> ModelConfig:
-        """Model config with the LLC sized for this input (see above).
-
-        Keyed on the workload's full identity (app + graph content),
-        not just the vertex count, so a future per-input sizing term
-        cannot cross-contaminate configs.
-        """
-        key = f"{workload.app}/{workload.graph.content_digest()}"
-        if key not in self._cfgs:
-            self._cfgs[key] = sized_model_config(
-                self.system, self.scale, workload.graph.num_vertices)
-        return self._cfgs[key]
 
     def _stage_pricer(self):
         # Built on first use: importing the pipeline is measurable

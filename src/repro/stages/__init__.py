@@ -5,7 +5,7 @@ The one path from an (app, scheme, dataset, preprocessing) cell to
 cache-replay → compress → timing — whose artifacts persist in the
 result cache under fingerprints of (stage code salt, upstream artifact
 digests, stage-relevant config slice).  :class:`~repro.sim.Runner`, the
-jobs executor, the sweeps and the server all price through it.  See
+jobs executor and the server all price through it.  See
 docs/PIPELINE.md.
 """
 

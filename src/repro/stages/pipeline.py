@@ -233,8 +233,8 @@ def compose(workload, cfg: ModelConfig) -> ProfileBundle:
     """The uncached stage composition under one explicit model config.
 
     stream → replay → compress → assemble with no store, no memo and no
-    identity labels: the form the LLC sweep (whose per-point LLC is not
-    a system edit) and the profile equivalence suites price through.
+    identity labels: the form :func:`~repro.sim.runner.profile_workload`
+    and the profile equivalence suites price through.
     """
     stream = _generate(workload)
     replay = _replay(stream, stage_config_slice("replay", cfg))

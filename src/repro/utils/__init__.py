@@ -1,4 +1,4 @@
-"""Shared low-level utilities: bit/byte packing, RNG, statistics."""
+"""Shared low-level utilities: bit/byte packing, RNG, means."""
 
 from repro.utils.bitstream import (
     BitReader,
@@ -7,11 +7,7 @@ from repro.utils.bitstream import (
     zigzag_encode,
 )
 from repro.utils.rng import make_rng
-from repro.utils.stats import (
-    RunningStats,
-    arithmetic_mean,
-    geometric_mean,
-)
+from repro.utils.stats import arithmetic_mean, geometric_mean
 from repro.utils.varint import (
     decode_varint,
     decode_varint_stream,
@@ -22,7 +18,6 @@ from repro.utils.varint import (
 __all__ = [
     "BitReader",
     "BitWriter",
-    "RunningStats",
     "arithmetic_mean",
     "decode_varint",
     "decode_varint_stream",

@@ -64,10 +64,6 @@ class BitWriter:
     def getvalue(self) -> bytes:
         return bytes(self._bytes)
 
-    @property
-    def num_bytes(self) -> int:
-        return len(self._bytes)
-
 
 class BitReader:
     """Reads bits MSB-first from a byte buffer produced by ``BitWriter``."""

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, List
+from typing import Iterable
 
 
 def geometric_mean(values: Iterable[float]) -> float:
@@ -23,31 +22,3 @@ def arithmetic_mean(values: Iterable[float]) -> float:
     if not values:
         raise ValueError("arithmetic mean of empty sequence")
     return sum(values) / len(values)
-
-
-@dataclass
-class RunningStats:
-    """Streaming count/mean/min/max accumulator."""
-
-    count: int = 0
-    total: float = 0.0
-    minimum: float = math.inf
-    maximum: float = -math.inf
-    _values: List[float] = field(default_factory=list, repr=False)
-
-    def add(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        self.minimum = min(self.minimum, value)
-        self.maximum = max(self.maximum, value)
-        self._values.append(value)
-
-    @property
-    def mean(self) -> float:
-        if self.count == 0:
-            raise ValueError("no samples")
-        return self.total / self.count
-
-    @property
-    def values(self) -> List[float]:
-        return list(self._values)

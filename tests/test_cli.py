@@ -111,6 +111,37 @@ class TestCommands:
         assert main(["schemes", "--group", "nope"]) == 2
 
 
+#: Bad input, each naming the bad value last.  Every one must be refused
+#: before any work starts: no traceback, no run with a silly value.
+BAD_INPUT = [
+    ["simulate", "--app", "nope"],
+    ["simulate", "--dataset", "nope"],
+    ["simulate", "--preprocessing", "nope"],
+    ["traverse", "--dataset", "nope"],
+    ["compress", "--codec", "nope"],
+    ["report", "--no-cache", "--experiments", "nope"],
+    ["report", "--scale", "0"],
+    ["experiment", "table1", "--scale", "0"],
+    ["simulate", "--scale", "0"],
+    ["serve", "--scale", "0"],
+    ["traverse", "--rows", "-1"],
+    ["report", "--experiments", "table1", "--no-cache", "--timeout", "-1"],
+    ["report", "--experiments", "table1", "--no-cache", "--retries", "-1"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_INPUT, ids=" ".join)
+def test_bad_input_is_refused_with_exit_2(argv, capsys):
+    try:
+        status = main(argv)
+    except SystemExit as exc:  # argparse rejects malformed values
+        status = exc.code
+    out, err = capsys.readouterr()
+    assert status == 2
+    assert out == ""
+    assert argv[-1] in err.strip().splitlines()[-1]
+
+
 class TestReport:
     def test_report_selected_experiments(self, tmp_path, capsys):
         out = tmp_path / "report.md"
@@ -121,10 +152,9 @@ class TestReport:
         assert "## table1" in text
         assert "| fetcher | Total | 47300 |" in text
 
-    def test_report_unknown_experiment(self):
-        import pytest as _pytest
-        with _pytest.raises(KeyError):
-            main(["report", "--experiments", "fig99"])
+    def test_report_unknown_experiment(self, capsys):
+        assert main(["report", "--experiments", "table1", "fig99"]) == 2
+        assert "unknown experiment 'fig99'" in capsys.readouterr().err
 
     def test_generate_report_api(self):
         from repro.harness import generate_report

@@ -154,11 +154,3 @@ class TestMisc:
     def test_row_bounds(self):
         with pytest.raises(IndexError):
             tiny_graph().row(4)
-
-    def test_row_values_requires_values(self):
-        with pytest.raises(ValueError):
-            tiny_graph().row_values(0)
-
-    def test_adjacency_bytes(self):
-        g = tiny_graph()
-        assert g.adjacency_bytes() == 5 * 8 + 7 * 4

@@ -399,10 +399,8 @@ class TestJobRunner:
 
     def test_is_a_drop_in_runner(self):
         runner = JobRunner(scale=SCALE)
-        workload = runner.workload("dc", "arb")
+        assert runner.workload("dc", "arb")
         assert runner.profiles("dc", "arb")
-        assert runner.config_for(workload) is \
-            runner.config_for(workload)
 
 
 class TestPlans:

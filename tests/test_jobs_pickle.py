@@ -13,7 +13,7 @@ import pytest
 
 from repro.graph import shared
 from repro.sim.metrics import RunMetrics
-from repro.sim.runner import Runner
+from repro.sim.runner import Runner, sized_model_config
 
 SCALE = 65536
 
@@ -73,7 +73,8 @@ def test_workload_roundtrip_prices_identically(runner):
     from repro.schemes import resolve
     from repro.stages.pipeline import compose, price_bundle
     workload = runner.workload("dc", "arb")
-    cfg = runner.config_for(workload)
+    cfg = sized_model_config(runner.system, runner.scale,
+                             workload.graph.num_vertices)
     local = price_bundle(compose(workload, cfg), resolve("phi"),
                          "arb", "none")
     shipped = price_bundle(compose(roundtrip(workload), roundtrip(cfg)),

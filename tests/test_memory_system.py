@@ -1,17 +1,14 @@
-"""Tests for DRAM, NoC, hierarchy, and the compressed-hierarchy models."""
+"""Tests for DRAM, NoC, and the memory hierarchy."""
 
 import pytest
 
 from repro.config import MemoryConfig, NocConfig, SystemConfig
 from repro.memory import (
-    CompressedLlc,
     DramModel,
-    LcpMemory,
     MemoryHierarchy,
     MeshNoc,
     TrafficCounter,
 )
-from repro.memory.compressed import LINE_BYTES, PAGE_BYTES
 
 
 class TestTrafficCounter:
@@ -164,70 +161,3 @@ class TestMemoryHierarchy:
         added = hier.finalize_writebacks("destination_vertex")
         assert added > 0
         assert hier.traffic_by_class()["destination_vertex"] > added
-
-
-class TestCompressedLlc:
-    def test_holds_more_compressible_lines_than_budget(self):
-        llc = CompressedLlc(16 * LINE_BYTES, line_sizer=lambda line: 16)
-        for line in range(30):
-            llc.access(line)
-        assert llc.resident_lines > 16
-        assert llc.resident_lines <= llc.max_tags
-
-    def test_incompressible_lines_cap_at_budget(self):
-        llc = CompressedLlc(16 * LINE_BYTES, line_sizer=lambda line: 64)
-        for line in range(30):
-            llc.access(line)
-        assert llc.resident_lines == 16
-
-    def test_tag_limit_is_twice_lines(self):
-        llc = CompressedLlc(16 * LINE_BYTES, line_sizer=lambda line: 1)
-        for line in range(100):
-            llc.access(line)
-        assert llc.resident_lines == 32
-
-    def test_effective_capacity_ratio(self):
-        llc = CompressedLlc(16 * LINE_BYTES, line_sizer=lambda line: 16)
-        for line in range(32):
-            llc.access(line)
-        assert llc.effective_capacity_ratio() == pytest.approx(2.0)
-
-    def test_write_resizes_line(self):
-        sizes = {0: 8}
-        llc = CompressedLlc(4 * LINE_BYTES,
-                            line_sizer=lambda line: sizes.get(line, 64))
-        llc.access(0)
-        before = llc.used_bytes
-        sizes[0] = 64
-        llc.access(0, write=True)
-        assert llc.used_bytes > before
-
-    def test_rejects_tiny_capacity(self):
-        with pytest.raises(ValueError):
-            CompressedLlc(32, line_sizer=lambda line: 8)
-
-
-class TestLcpMemory:
-    def test_uniform_slot_is_worst_line(self):
-        lcp = LcpMemory()
-        slot = lcp.set_page_lines(0, [10, 12, 20, 9])
-        assert slot == 21  # smallest menu slot >= 20
-
-    def test_one_incompressible_line_ruins_page(self):
-        lcp = LcpMemory()
-        sizes = [10] * 63 + [60]
-        assert lcp.set_page_lines(0, sizes) == LINE_BYTES
-        assert lcp.page_ratio(0) == 1.0
-
-    def test_fetch_bytes_uses_page_slot(self):
-        lcp = LcpMemory()
-        lcp.set_page_lines(0, [8] * 64)
-        assert lcp.fetch_bytes(0) == 16
-        assert lcp.fetch_bytes(PAGE_BYTES // LINE_BYTES) == LINE_BYTES
-
-    def test_average_fetch_ratio(self):
-        lcp = LcpMemory()
-        assert lcp.average_fetch_ratio() == 1.0
-        lcp.set_page_lines(0, [8] * 64)   # 64/16 = 4x
-        lcp.set_page_lines(1, [64] * 64)  # 1x
-        assert lcp.average_fetch_ratio() == pytest.approx(2.5)

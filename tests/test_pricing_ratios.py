@@ -13,8 +13,9 @@ import pytest
 
 from repro.compression import bdi_line_size, bdi_line_sizes
 from repro.memory.address import LINE_BYTES
-from repro.memory.compressed import LCP_SLOT_SIZES, PAGE_BYTES
 from repro.schemes.pricing import (
+    LCP_SLOT_SIZES,
+    PAGE_BYTES,
     _bdi_ratio,
     _bdi_ratio_scalar,
     _lcp_fetch_ratio,

@@ -4,6 +4,7 @@ import pytest
 
 from repro.schemes import SCHEME_COSTS
 from repro.sim import Runner
+from repro.sim.runner import sized_model_config
 from repro.sim.timing import (
     PhaseWork,
     SchemeCosts,
@@ -164,6 +165,9 @@ class TestRunner:
                                 "phi", "phi+spzip"}
 
     def test_llc_sized_per_input(self, runner):
-        small = runner.config_for(runner.workload("pr", "arb", "none"))
-        big = runner.config_for(runner.workload("pr", "web", "none"))
-        assert big.system.llc.size_bytes > small.system.llc.size_bytes
+        def llc_bytes(dataset):
+            graph = runner.workload("pr", dataset, "none").graph
+            cfg = sized_model_config(runner.system, runner.scale,
+                                     graph.num_vertices)
+            return cfg.system.llc.size_bytes
+        assert llc_bytes("web") > llc_bytes("arb")

@@ -18,6 +18,7 @@ from repro.memory.address import LINE_BYTES
 from repro.schemes.pricing import _bdi_ratio, _lcp_fetch_ratio
 from repro.sim import Runner
 from repro.sim.metrics import RunMetrics, merge_traffic
+from repro.sim.runner import sized_model_config
 from repro.sim.timing import PhaseWork, SchemeCosts, phase_cycles
 
 TEST_SCALE = 16384
@@ -261,7 +262,8 @@ def test_registry_path_matches_legacy(runner, app, preprocessing):
     dataset = "nlp" if app == "sp" else "ukl"
     workload = runner.workload(app, dataset, preprocessing)
     profiles = runner.profiles(app, dataset, preprocessing)
-    cfg = runner.config_for(workload)
+    cfg = sized_model_config(runner.system, runner.scale,
+                             workload.graph.num_vertices)
     for scheme in SCHEMES:
         for kwargs in _cases(scheme):
             legacy = legacy_simulate_scheme(
@@ -277,7 +279,8 @@ def test_legacy_misparse_is_now_an_error(runner):
     the registered schemes instead."""
     workload = runner.workload("dc", "arb", "none")
     profiles = runner.profiles("dc", "arb", "none")
-    cfg = runner.config_for(workload)
+    cfg = sized_model_config(runner.system, runner.scale,
+                             workload.graph.num_vertices)
     silently_push = legacy_simulate_scheme(workload, profiles,
                                            "push+bogus", cfg)
     assert silently_push.scheme == "push+bogus"  # priced as plain push!
