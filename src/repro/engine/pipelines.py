@@ -14,6 +14,9 @@ time).  These are the pipelines the paper draws:
 * :func:`single_stream_compress` — Fig 13, compress one stream;
 * :func:`ub_bins_compress` — Fig 14, the two-MQU update-binning pipeline.
 
+:func:`traversal_cycles` runs the Fig 3 pipeline over a graph on a
+fetcher (Fig 21's scratchpad sweep).
+
 One modelling note: Fig 11 shows a single core-facing input queue feeding
 two range-fetch operators.  Queues in this model are single-consumer (two
 poppers would race), so builders declare one input queue per consuming
@@ -25,8 +28,16 @@ from __future__ import annotations
 
 from typing import Optional
 
+import numpy as np
+
 from repro.compression import Codec, DeltaCodec
+from repro.config import SpZipConfig
+from repro.dcl.operators import pack_range
 from repro.dcl.program import Program
+from repro.engine.fetcher import Fetcher
+from repro.graph.compressed_csr import CompressedCsr
+from repro.graph.csr import CsrGraph
+from repro.memory.address import AddressSpace
 
 #: Canonical queue names used by the builders (and the examples/tests).
 INPUT_QUEUE = "input"
@@ -80,6 +91,32 @@ def compressed_csr_traversal(offsets_region: str = "offsets",
     p.decompress("dec", "crows", [ROWS_QUEUE],
                  codec=codec or DeltaCodec(), elem_bytes=elem_bytes)
     return p
+
+
+def traversal_cycles(graph: CsrGraph, config: SpZipConfig, rows: int,
+                     mem_latency: int) -> int:
+    """Cycles a fetcher takes to walk ``graph``'s first ``rows`` rows.
+
+    Delta-compresses the adjacency, then drives
+    :func:`compressed_csr_traversal` over rows ``[0, min(rows, n))``
+    against a flat ``mem_latency`` memory port, with the core dequeuing
+    four decompressed neighbours per cycle.
+    """
+    # Resolved at call time so a wrapper installed on the driver module
+    # after import (perfbench's layer trace) sees every walk.
+    from repro.engine.driver import DriveRequest, drive
+    cc = CompressedCsr(graph)
+    space = AddressSpace()
+    space.alloc_array("offsets", cc.offsets, "adjacency")
+    space.alloc_array("payload", np.frombuffer(cc.payload, dtype=np.uint8),
+                      "adjacency")
+    fetcher = Fetcher.from_program(compressed_csr_traversal(), space,
+                                   config, mem_latency=mem_latency)
+    walk = min(rows, graph.num_vertices)
+    result = drive(fetcher, DriveRequest(
+        feeds={INPUT_QUEUE: [pack_range(0, walk + 1)]},
+        consume=[ROWS_QUEUE], dequeues_per_cycle=4, max_cycles=10 ** 8))
+    return result.cycles
 
 
 def pagerank_push(offsets_region: str = "offsets",

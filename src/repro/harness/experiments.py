@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
+from repro.config import SpZipConfig
 from repro.graph.datasets import GRAPH_INPUTS
 from repro.schemes import scheme_names
 from repro.sim.metrics import TRAFFIC_CLASSES, RunMetrics
@@ -376,53 +377,24 @@ def fig20_decoupling_vs_compression(runner: Runner) -> ExperimentResult:
         rows)
 
 
-def fig21_scratchpad(runner: Runner, rows_to_walk: int = 1500,
-                     mode: str = "event") -> ExperimentResult:
+def fig21_scratchpad(runner: Runner,
+                     rows_to_walk: int = 1500) -> ExperimentResult:
     """Fig 21: fetcher scratchpad size sensitivity (functional engine).
 
     Runs the Fig 3 compressed-CSR traversal of CC's input through the
     *functional* fetcher model at 1/2/4 KB scratchpads, for the
     non-preprocessed and DFS-preprocessed graphs, reporting cycles
     normalized to the 2 KB default (higher = better performance).
-    ``mode`` selects the engine execution mode (the event-driven default
-    skips the idle cycles that dominate this memory-bound sweep; the
-    per-cycle reference produces identical cycle counts).
+    Each walk is a content-addressed result of the runner's store.
     """
-    import numpy as np
-    from repro.config import SpZipConfig
-    from repro.dcl import pack_range
-    from repro.engine import (
-        DriveRequest,
-        INPUT_QUEUE,
-        ROWS_QUEUE,
-        Fetcher,
-        compressed_csr_traversal,
-        drive,
-    )
-    from repro.graph import CompressedCsr
-    from repro.memory import AddressSpace
-
     rows = []
     for label, preprocessing in (("none", "none"), ("dfs", "dfs")):
-        graph = runner.workload("cc", "ukl", preprocessing).graph
-        cc = CompressedCsr(graph)
-        cycles_by_size = {}
-        for scratch_kb in (1, 2, 4):
-            space = AddressSpace()
-            space.alloc_array("offsets", cc.offsets, "adjacency")
-            space.alloc_array("payload",
-                              np.frombuffer(cc.payload, dtype=np.uint8),
-                              "adjacency")
-            fetcher = Fetcher.from_program(
-                compressed_csr_traversal(), space,
+        cycles_by_size = {
+            scratch_kb: runner.traversal_cycles(
+                "ukl", preprocessing,
                 SpZipConfig(scratchpad_bytes=scratch_kb * 1024),
-                mem_latency=60, mode=mode)
-            walk = min(rows_to_walk, graph.num_vertices)
-            result = drive(fetcher, DriveRequest(feeds={INPUT_QUEUE: [pack_range(0, walk + 1)]},
-                                                 consume=[ROWS_QUEUE],
-                                                 dequeues_per_cycle=4,
-                                                 max_cycles=10 ** 8))
-            cycles_by_size[scratch_kb] = result.cycles
+                rows_to_walk, mem_latency=60)
+            for scratch_kb in (1, 2, 4)}
         base = cycles_by_size[2]
         rows.append({
             "graph": label,

@@ -68,12 +68,12 @@ def generate_report(runner: Optional[Runner] = None,
         f"discussion.",
     ]
     for experiment_id in ids:
-        start = time.time()
+        start = time.perf_counter()
         with TRACER.span("harness.experiment",
                          experiment=experiment_id):
             result = EXPERIMENTS[experiment_id](runner)
         if progress:
-            print(f"  {experiment_id}: {time.time() - start:.1f}s")
+            print(f"  {experiment_id}: {time.perf_counter() - start:.1f}s")
         sections.append("")
         sections.append(_markdown_table(result))
     return "\n".join(sections) + "\n"

@@ -1,13 +1,14 @@
 """Content-addressed on-disk result cache.
 
-Entries are pickled job results stored under
-``<root>/objects/<key[:2]>/<key>.pkl`` where ``key`` is the job
+Entries are pickled results — priced cells, stage artifacts and
+functional-engine runs — stored under
+``<root>/objects/<key[:2]>/<key>.pkl`` where ``key`` is the result's
 fingerprint (:mod:`repro.jobs.fingerprint`).  Writes are atomic
 (temp file + ``os.replace``) so concurrent workers and interrupted runs
-can never leave a torn entry; reads treat any unpicklable entry as a
-miss and delete it.  Invalidation is purely key-based: a model change
-rotates the code salt, old keys stop being looked up, and ``prune``
-removes them.
+can never leave a torn entry; a write that fails is dropped, and reads
+treat any unpicklable entry as a miss and delete it.  Invalidation is
+purely key-based: a model change rotates the code salt, old keys stop
+being looked up, and ``prune`` removes them.
 """
 
 from __future__ import annotations
@@ -78,10 +79,10 @@ class StoreConfig:
 class ResultCache:
     """Pickle-on-disk store addressed by content fingerprint.
 
-    Corruption and cleanup failures are survivable (an unreadable entry
-    is just a miss), but never silent: they are reported through
-    ``on_error``, which the job executor wires to its progress/telemetry
-    channel.
+    Corruption, write and cleanup failures are survivable (an
+    unreadable or unwritten entry is just a miss), but never silent:
+    they are reported through ``on_error``, which the job executor
+    wires to its progress/telemetry channel.
     """
 
     def __init__(self, root: str = DEFAULT_CACHE_DIR,
@@ -92,6 +93,9 @@ class ResultCache:
         #: Unreadable/undecodable entries dropped by :meth:`get` since
         #: construction — the store's corruption telemetry counter.
         self.corrupt_dropped = 0
+        #: Writes :meth:`put` gave up on (an ``OSError``) since
+        #: construction.
+        self.write_failed = 0
         self._objects = os.path.join(root, "objects")
 
     def _report(self, message: str) -> None:
@@ -131,18 +135,28 @@ class ResultCache:
             return None
 
     def put(self, key: str, value: Any) -> None:
-        """Atomically store ``value`` under ``key``."""
+        """Atomically store ``value`` under ``key``.
+
+        A failed write (full disk, read-only root) costs only the entry,
+        never the caller's computed result: the ``OSError`` is counted
+        in :attr:`write_failed`, reported through ``on_error``, and
+        swallowed.  Pickling errors still raise.
+        """
         path = self._path(key)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path),
-                                   suffix=".tmp")
+        tmp = None
         try:
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path),
+                                       suffix=".tmp")
             with os.fdopen(fd, "wb") as handle:
                 pickle.dump(value, handle,
                             protocol=pickle.HIGHEST_PROTOCOL)
             os.replace(tmp, path)
+        except OSError as exc:
+            self.write_failed += 1
+            self._report(f"could not store entry {key} ({exc!r})")
         finally:
-            if os.path.exists(tmp):
+            if tmp is not None and os.path.exists(tmp):
                 try:
                     os.remove(tmp)
                 except OSError as exc:
@@ -158,7 +172,8 @@ class ResultCache:
         return sorted(found)
 
     def stats(self) -> Dict[str, int]:
-        """Entry count, total size in bytes, and corruption drops."""
+        """Entry count, total size in bytes, corruption drops and
+        failed writes."""
         entries, nbytes = 0, 0
         for dirpath, _dirnames, filenames in os.walk(self._objects):
             for name in filenames:
@@ -173,7 +188,8 @@ class ResultCache:
                     entries += 1
                     nbytes += size
         return {"entries": entries, "bytes": nbytes,
-                "corrupt_dropped": self.corrupt_dropped}
+                "corrupt_dropped": self.corrupt_dropped,
+                "write_failed": self.write_failed}
 
     def prune(self, live_keys) -> Tuple[int, int]:
         """Drop entries not in ``live_keys``; returns (kept, removed).
@@ -228,4 +244,5 @@ class NullCache:
         return []
 
     def stats(self) -> Dict[str, int]:
-        return {"entries": 0, "bytes": 0, "corrupt_dropped": 0}
+        return {"entries": 0, "bytes": 0, "corrupt_dropped": 0,
+                "write_failed": 0}

@@ -22,7 +22,7 @@ from dataclasses import asdict, is_dataclass
 from functools import lru_cache
 from typing import Dict, Iterable, Tuple
 
-from repro.config import SystemConfig
+from repro.config import SpZipConfig, SystemConfig
 from repro.jobs.model import JobSpec
 
 #: Top-level entries under ``src/repro`` that cannot change simulation
@@ -171,6 +171,22 @@ def stream_partition_fingerprint(lo: int, hi: int,
                         "salt": stage_salt("stream"),
                         "lo": lo, "hi": hi,
                         "payload": payload_digest})
+
+
+def engine_fingerprint(graph_digest: str, config: SpZipConfig, rows: int,
+                       mem_latency: int) -> str:
+    """Cache key of one functional-engine traversal (Fig 21).
+
+    ``rows`` is the walked row count (already clamped to the graph).
+    The walk reads engine, DCL, compression, memory, graph and config
+    code — nearly the whole model — so the key takes the whole
+    :func:`code_salt` rather than a hand-kept dependency list that could
+    miss one.  No system field enters it: the walk reads only
+    ``config`` and ``mem_latency``, so a system knob edit reuses it.
+    """
+    return fingerprint({"kind": "engine.traversal", "salt": code_salt(),
+                        "graph": graph_digest, "config": config,
+                        "rows": rows, "mem_latency": mem_latency})
 
 
 def stage_fingerprint(stage: str, upstream: Iterable[str],

@@ -7,8 +7,10 @@ is best-effort by design: a request missing from a plan is not an
 error — the experiment simply computes that run in-process through the
 orchestrator's memoized fallback — so plans only ever *accelerate*.
 
-Profile-only experiments (table3, fig21, sorting) have empty plans:
-their work has no per-scheme pricing step to parallelize.
+Profile-only experiments (table3, sorting) have empty plans: their
+work has no per-scheme pricing step to parallelize.  Fig 21's plan is
+empty too: its functional-engine runs are not planned but cached by
+:meth:`~repro.stages.StagePricer.traversal_cycles`.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.config import SystemConfig
+from repro.config import SpZipConfig, SystemConfig
 from repro.graph.datasets import DEFAULT_SCALE, load_preprocessed
 from repro.obs import TRACER
 from repro.runtime.traffic import IterationProfile, ModelConfig
@@ -112,6 +112,14 @@ class Runner:
                  preprocessing: str = "none") -> List[IterationProfile]:
         return self._stage_pricer().bundle(app, dataset,
                                            preprocessing).profiles
+
+    def traversal_cycles(self, dataset: str, preprocessing: str,
+                         config: SpZipConfig, rows: int,
+                         mem_latency: int) -> int:
+        """Cycles of one functional-engine walk (see
+        :meth:`~repro.stages.StagePricer.traversal_cycles`)."""
+        return self._stage_pricer().traversal_cycles(
+            dataset, preprocessing, config, rows, mem_latency)
 
     # -- simulation -------------------------------------------------------------
 

@@ -13,6 +13,9 @@ Chaining keys on upstream *content digests* (not keys) gives early
 cutoff: a code edit that rotates a stage's salt but reproduces
 byte-identical output leaves every downstream key intact.
 
+The same store holds Fig 21's functional-engine walks
+(:meth:`StagePricer.traversal_cycles`), evaluated as stage ``engine``.
+
 Every lookup and computation is counted as a ``stage.<name>.<event>``
 count on :data:`~repro.obs.TRACER` (surfaced through the executor's
 progress line and ``repro serve``'s ``/stats``, whichever process did
@@ -27,11 +30,12 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.config import SystemConfig
+from repro.config import SpZipConfig, SystemConfig
 from repro.graph.datasets import DEFAULT_SCALE
 from repro.jobs.cache import NullCache, StoreConfig
 from repro.jobs.fingerprint import (
     artifact_digest,
+    engine_fingerprint,
     stage_config_slice,
     stage_fingerprint,
     stream_fingerprint,
@@ -53,7 +57,8 @@ def stage_counters() -> Dict[str, int]:
     """The ``stage.*`` counts on :data:`~repro.obs.TRACER`, keyed
     without the prefix: ``<stage>.hit`` (disk-cache hit),
     ``<stage>.computed`` (ran the stage), ``<stage>.memo`` (served from
-    a pricer's in-memory bundle), ``stream.partition.hit`` / ``.computed``.
+    a pricer's in-memory bundle), ``stream.partition.hit`` / ``.computed``,
+    and ``engine.hit`` / ``engine.computed`` for functional-engine walks.
     """
     return {name[len("stage."):]: n
             for name, n in TRACER.counts("stage.").items()}
@@ -227,6 +232,28 @@ class StagePricer:
         with self._lock:
             self._metrics[timing_key] = metrics
         return metrics
+
+    # -- functional engine -----------------------------------------------------
+
+    def traversal_cycles(self, dataset: str, preprocessing: str,
+                         config: SpZipConfig, rows: int,
+                         mem_latency: int) -> int:
+        """Cycles of one functional-engine walk of a dataset's
+        compressed adjacency (Fig 21), stored like a stage artifact
+        under :func:`~repro.jobs.fingerprint.engine_fingerprint`."""
+        # Imported here: start-up needs no engine code, and a wrapper
+        # installed on load_preprocessed after import (perfbench's layer
+        # trace) must see these loads.
+        from repro.engine.pipelines import traversal_cycles
+        from repro.graph.datasets import load_preprocessed
+        graph = load_preprocessed(dataset, preprocessing, self.scale)
+        rows = min(rows, graph.num_vertices)
+        key = engine_fingerprint(graph.content_digest(), config, rows,
+                                 mem_latency)
+        return self._evaluate(
+            "engine", key,
+            lambda: traversal_cycles(graph, config, rows, mem_latency),
+            dataset=dataset, preprocessing=preprocessing)
 
 
 def compose(workload, cfg: ModelConfig) -> ProfileBundle:

@@ -15,7 +15,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.config import SystemConfig
+from repro.config import SpZipConfig, SystemConfig
 from repro.jobs.cache import ResultCache
 from repro.jobs.fingerprint import (
     STAGE_DEPS,
@@ -235,6 +235,96 @@ class TestInvalidation:
 
 
 # ---------------------------------------------------------------------------
+# Functional-engine runs (Fig 21's walks)
+# ---------------------------------------------------------------------------
+
+
+def _reference_walk(graph, scratch_kb: int, rows: int) -> int:
+    """Fig 21's walk written out against the engine API, as the harness
+    ran it inline before walks became store entries."""
+    import numpy as np
+    from repro.dcl import pack_range
+    from repro.engine import (
+        INPUT_QUEUE,
+        ROWS_QUEUE,
+        DriveRequest,
+        Fetcher,
+        compressed_csr_traversal,
+        drive,
+    )
+    from repro.graph import CompressedCsr
+    from repro.memory import AddressSpace
+    cc = CompressedCsr(graph)
+    space = AddressSpace()
+    space.alloc_array("offsets", cc.offsets, "adjacency")
+    space.alloc_array("payload", np.frombuffer(cc.payload, dtype=np.uint8),
+                      "adjacency")
+    fetcher = Fetcher.from_program(
+        compressed_csr_traversal(), space,
+        SpZipConfig(scratchpad_bytes=scratch_kb * 1024), mem_latency=60)
+    walk = min(rows, graph.num_vertices)
+    return drive(fetcher, DriveRequest(
+        feeds={INPUT_QUEUE: [pack_range(0, walk + 1)]},
+        consume=[ROWS_QUEUE], dequeues_per_cycle=4,
+        max_cycles=10 ** 8)).cycles
+
+
+class TestEngineRuns:
+    ROWS = 64
+
+    def _walk(self, cache, system=None, preprocessing="none",
+              scratch_kb=2, rows=ROWS, mem_latency=60):
+        pricer = StagePricer(scale=SCALE, system=system, cache=cache)
+        return pricer.traversal_cycles(
+            "ukl", preprocessing,
+            SpZipConfig(scratchpad_bytes=scratch_kb * 1024), rows,
+            mem_latency)
+
+    def test_cycles_match_a_direct_walk(self, tmp_path):
+        from repro.sim.runner import identity_workload
+        cache = ResultCache(str(tmp_path))
+        for preprocessing in ("none", "dfs"):
+            graph = identity_workload("cc", "ukl", preprocessing,
+                                      SCALE).graph
+            for scratch_kb in (1, 2, 4):
+                assert self._walk(cache, preprocessing=preprocessing,
+                                  scratch_kb=scratch_kb) == \
+                    _reference_walk(graph, scratch_kb, self.ROWS)
+
+    def test_bandwidth_edit_reuses_the_walk(self, tmp_path):
+        cache = ResultCache(str(tmp_path))
+        system = SystemConfig().scaled(SCALE)
+        first = self._walk(cache, system)
+        assert stage_counters() == {"engine.computed": 1}
+        reset_stage_counters()
+        faster = replace(system, memory=replace(
+            system.memory,
+            gb_per_sec_per_controller=2
+            * system.memory.gb_per_sec_per_controller))
+        assert self._walk(cache, faster) == first
+        assert stage_counters() == {"engine.hit": 1}
+
+    @pytest.mark.parametrize("edit", [
+        {"preprocessing": "dfs"}, {"scratch_kb": 4},
+        {"rows": ROWS // 2}, {"mem_latency": 90}], ids=lambda e: next(iter(e)))
+    def test_key_covers_every_walk_input(self, tmp_path, edit):
+        cache = ResultCache(str(tmp_path))
+        self._walk(cache)
+        reset_stage_counters()
+        self._walk(cache, **edit)
+        assert stage_counters() == {"engine.computed": 1}
+
+    def test_code_edit_recomputes_the_walk(self, tmp_path, monkeypatch):
+        import repro.jobs.fingerprint as fp
+        cache = ResultCache(str(tmp_path))
+        first = self._walk(cache)
+        reset_stage_counters()
+        monkeypatch.setattr(fp, "code_salt", lambda: "edited")
+        assert self._walk(cache) == first
+        assert stage_counters() == {"engine.computed": 1}
+
+
+# ---------------------------------------------------------------------------
 # Store hardening: crash simulation and scan races
 # ---------------------------------------------------------------------------
 
@@ -312,6 +402,42 @@ class TestStoreCrashAndRaces:
         kept, removed = cache.prune([])
         assert (kept, removed) == (0, 2)  # vanished entry still counts
         assert errors == []  # a lost race is not an error
+
+    def test_full_disk_keeps_the_computed_result(self, tmp_path,
+                                                 monkeypatch):
+        """A write failing with ENOSPC loses the entry, not the result."""
+        import errno
+
+        import repro.jobs.cache as cache_module
+        errors = []
+        cache = ResultCache(str(tmp_path), on_error=errors.append)
+        objects = os.path.join(str(tmp_path), "objects")
+        real_replace = os.replace
+
+        def full_disk(src, dst):
+            if str(dst).startswith(objects):
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(cache_module.os, "replace", full_disk)
+        metrics = StagePricer(scale=SCALE, cache=cache).price(
+            "pr", "push+spzip", "ukl", "none")
+        assert metrics == StagePricer(scale=SCALE).price(
+            "pr", "push+spzip", "ukl", "none")
+        assert errors and "No space left" in errors[0]
+        assert cache.stats()["write_failed"] > 0
+        assert cache.stats()["entries"] == 0
+        leftovers = [name for _, _, names in os.walk(objects)
+                     for name in names if name.endswith(".tmp")]
+        assert leftovers == []
+
+    def test_unpicklable_value_still_raises(self, tmp_path):
+        cache = ResultCache(str(tmp_path))
+        with pytest.raises((pickle.PicklingError, AttributeError)):
+            cache.put("gg" + "0" * 14, lambda: None)
+        assert cache.stats()["write_failed"] == 0
+        assert os.listdir(os.path.join(str(tmp_path), "objects",
+                                       "gg")) == []
 
 
 # ---------------------------------------------------------------------------
