@@ -19,6 +19,8 @@ import tempfile
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.obs import TRACER
+
 #: Default cache root, relative to the working directory.
 DEFAULT_CACHE_DIR = ".repro-cache"
 
@@ -82,7 +84,11 @@ class ResultCache:
     Corruption, write and cleanup failures are survivable (an
     unreadable or unwritten entry is just a miss), but never silent:
     they are reported through ``on_error``, which the job executor
-    wires to its progress/telemetry channel.
+    wires to its progress/telemetry channel.  Dropped entries and
+    failed writes are also counted on :data:`~repro.obs.TRACER` as
+    ``stage.store.corrupt_dropped`` / ``stage.store.write_failed``, so
+    a pool worker's store failures travel home with its group's count
+    delta like its other stage counts.
     """
 
     def __init__(self, root: str = DEFAULT_CACHE_DIR,
@@ -126,6 +132,7 @@ class ResultCache:
             return None
         except Exception as exc:
             self.corrupt_dropped += 1
+            TRACER.count("stage.store.corrupt_dropped")
             self._report(f"dropping unreadable entry {key} ({exc!r})")
             try:
                 os.remove(path)
@@ -154,6 +161,7 @@ class ResultCache:
             os.replace(tmp, path)
         except OSError as exc:
             self.write_failed += 1
+            TRACER.count("stage.store.write_failed")
             self._report(f"could not store entry {key} ({exc!r})")
         finally:
             if tmp is not None and os.path.exists(tmp):

@@ -22,6 +22,9 @@ Execution policy:
   covers payloads the pool cannot pickle);
 * per-job cache lookups happen before dispatch, so a warm-cache run
   dispatches nothing and profiles nothing;
+* the process that prices a cell stores it (:func:`execute_group`), so
+  pool workers write their cells in parallel while the pool runs and
+  the dispatcher only reads the store;
 * pool tasks run :func:`execute_group_remote`, which sends the worker's
   :data:`~repro.obs.TRACER` count delta, and its spans when the
   dispatcher was tracing at submit time, home with the outcomes;
@@ -91,7 +94,10 @@ def execute_group(scale: int, system: Optional[SystemConfig],
     ``store`` carries the dispatching process's resolved
     :class:`~repro.jobs.cache.StoreConfig` — cache root, stream
     partition count — so stage artifacts persist across workers and
-    runs (a rootless store keeps them in worker memory only).
+    runs (a rootless store keeps them in worker memory only).  Each
+    priced cell is stored here, under the same
+    :func:`~repro.jobs.fingerprint.job_fingerprint` key the dispatcher
+    looks up; nothing else writes it.
 
     Every path reaches :func:`_execute_group` through this module's
     globals, so a wrapper installed there (perfbench's layer trace)
@@ -188,6 +194,8 @@ def _execute_group(scale: int, system: Optional[SystemConfig],
                     metrics = pricer.price(job.app, job.scheme,
                                            job.dataset,
                                            job.preprocessing)
+                pricer.cache.put(
+                    job_fingerprint(job, scale, pricer.system), metrics)
                 outcomes.append((job.job_id, metrics,
                                  time.monotonic() - start, pid, ""))
             except Exception as exc:
@@ -261,9 +269,13 @@ class JobExecutor:
 
     def run(self, requests: List[RunRequest]
             ) -> Dict[RunRequest, RunMetrics]:
-        """Execute all requests; returns results in request order."""
+        """Execute all requests; returns results in request order.
+
+        The run's telemetry records reach the file in one append, also
+        when the run raises.
+        """
         with TRACER.span("jobs.run", requests=len(requests),
-                         workers=self.jobs):
+                         workers=self.jobs), self.telemetry.batch():
             return self._run(requests)
 
     def _run(self, requests: List[RunRequest]
@@ -312,7 +324,11 @@ class JobExecutor:
     def _absorb(self, outcomes: Dict[str, Tuple[JobOutcome, int]],
                 jobs: Dict[str, JobSpec], keys: Dict[str, str],
                 results: Dict[str, RunMetrics]) -> None:
-        """Record telemetry, fill the cache, surface failures."""
+        """Record telemetry, collect results, surface failures.
+
+        The cells are already stored: the process that priced each one
+        wrote it (:func:`execute_group`).
+        """
         failed: List[str] = []
         for job_id in sorted(outcomes):
             (jid, metrics, wall, pid, error), retries = outcomes[job_id]
@@ -325,7 +341,6 @@ class JobExecutor:
                 failed.append(f"{jid}: {error}")
             if metrics is not None:
                 results[jid] = metrics
-                self.cache.put(keys[jid], metrics)
         if failed:
             raise JobExecutionError(
                 "jobs failed after retries:\n  " + "\n  ".join(failed))

@@ -57,13 +57,15 @@ def code_salt() -> str:
 # Stage-level fingerprints (the staged pricing pipeline, repro.stages)
 # --------------------------------------------------------------------------
 
-#: Source dependencies of each pricing stage, relative to ``src/repro``
-#: (a directory hashes every ``.py`` beneath it).  A stage's salt
-#: rotates only when code that can change *its* output changes, so an
-#: edit to the timing model leaves stream/replay/compress artifacts
-#: valid.  Shared low-level modules (``runtime/traffic.py``,
+#: Source dependencies of each stored pricing stage, relative to
+#: ``src/repro`` (a directory hashes every ``.py`` beneath it).  A
+#: stage's salt rotates only when code that can change *its* output
+#: changes, so an edit to the timing model leaves stream/replay/compress
+#: artifacts valid.  Shared low-level modules (``runtime/traffic.py``,
 #: ``memory/address.py``) appear in several stages deliberately: an
-#: edit there conservatively invalidates them all.
+#: edit there conservatively invalidates them all.  The timing step has
+#: no entry: its result is stored only as the cell, whose key
+#: (:func:`job_fingerprint`) takes the whole :func:`code_salt`.
 STAGE_DEPS: Dict[str, Tuple[str, ...]] = {
     # sim/runner.py: identity_workload maps identities to workloads.
     "stream": ("stages/artifacts.py", "stages/streams.py",
@@ -78,14 +80,11 @@ STAGE_DEPS: Dict[str, Tuple[str, ...]] = {
                  "runtime/traffic.py", "runtime/traffic_array.py",
                  "compression", "graph/idspace.py", "memory/address.py",
                  "schemes/pricing.py"),
-    "timing": ("stages/artifacts.py", "stages/timing.py", "schemes",
-               "sim", "runtime/traffic.py", "runtime/traffic_array.py",
-               "runtime/scheduling.py", "config.py",
-               "memory/address.py"),
 }
 
-#: Stage evaluation order (each stage keys on the digests of the ones
-#: before it that it consumes).
+#: Pipeline step order: the stored stages of :data:`STAGE_DEPS` (each
+#: keys on the digests of the ones before it that it consumes), then
+#: the unstored timing step.
 STAGE_NAMES = ("stream", "replay", "compress", "timing")
 
 
@@ -135,10 +134,6 @@ def stage_config_slice(stage: str, cfg) -> Dict[str, object]:
     if stage == "compress":
         return {"id_scale": cfg.id_scale,
                 "sort_updates": cfg.sort_updates}
-    if stage == "timing":
-        return {"num_cores": cfg.system.num_cores,
-                "bytes_per_cycle": cfg.system.bytes_per_cycle,
-                "llc_lines": cfg.llc_lines}
     raise KeyError(f"unknown stage {stage!r}")
 
 
@@ -233,6 +228,13 @@ def fingerprint(payload: object) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+@lru_cache(maxsize=256)
+def _system_digest(system: SystemConfig) -> str:
+    """Digest of one frozen system config, computed once per distinct
+    config: rendering it is most of a cell key's cost."""
+    return fingerprint(system)
+
+
 def job_fingerprint(job: JobSpec, scale: int,
                     system: SystemConfig) -> str:
     """Cache key for one price job under one model configuration.
@@ -245,7 +247,7 @@ def job_fingerprint(job: JobSpec, scale: int,
     return fingerprint({
         "salt": code_salt(),
         "scale": scale,
-        "system": system,
+        "system": _system_digest(system),
         "kind": job.kind,
         "app": job.app,
         "dataset": job.dataset,

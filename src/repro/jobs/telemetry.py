@@ -18,11 +18,12 @@ jobs``.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import os
 import time
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from repro.jobs.model import JobSpec
 from repro.obs import TRACER, Span, read_trace
@@ -35,6 +36,7 @@ class TelemetryWriter:
     """Append-only span file for one orchestrated run; ``path=None``
     keeps the spans in :attr:`records` only.
 
+    Each record is appended as it is made, except inside :meth:`batch`.
     The header's ``mono_epoch`` marks the run's start: durations use
     the monotonic clock, which cannot run backwards under NTP slew.
     """
@@ -42,6 +44,8 @@ class TelemetryWriter:
     def __init__(self, path: Optional[str]) -> None:
         self.path = path
         self.records: List[Span] = []
+        self._written = 0  # records already in the file
+        self._deferred = False
         wall = time.time()
         self._header = {"event": "trace_start",
                         "trace_id": f"run-{int(wall)}-{os.getpid()}",
@@ -58,14 +62,32 @@ class TelemetryWriter:
             retries=retries, worker_pid=worker_pid,
             cache_key=cache_key, error=error)
         self.records.append(span)
-        if not self.path:
+        if not self._deferred:
+            self._flush()
+
+    @contextlib.contextmanager
+    def batch(self) -> Iterator[None]:
+        """Hold the records made inside for one append at exit, also
+        when the body raises: one file open per executor run instead
+        of one per job."""
+        self._deferred = True
+        try:
+            yield
+        finally:
+            self._deferred = False
+            self._flush()
+
+    def _flush(self) -> None:
+        if not self.path or self._written == len(self.records):
             return
         os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
         with open(self.path, "a") as handle:
-            if len(self.records) == 1:
+            if not self._written:
                 handle.write(json.dumps(self._header, sort_keys=True)
                              + "\n")
-            handle.write(span.to_json() + "\n")
+            for span in self.records[self._written:]:
+                handle.write(span.to_json() + "\n")
+        self._written = len(self.records)
 
 
 def telemetry_dir(cache_root: str) -> str:

@@ -8,7 +8,9 @@ Request lifecycle (one ``serve.request`` span per request)::
         disk lookup (store, io thread) ...... promote on hit
         group batcher (batching) ............ join a same-profile batch
           admission slot (admission) ........ bounded dispatches
-            compute backend (pool) .......... execute_group + put
+            compute backend (pool) .......... execute_group (stores
+                                              each cell on disk)
+          hot-tier admit (store) ............ no disk write here
 
 Heavy work — disk pickle I/O and pricing — never runs on the event
 loop: lookups go to a small I/O thread pool, and pricing goes to the
@@ -259,9 +261,11 @@ class ServeApp:
 
         The batcher's dispatch hook: takes ``(request, key)`` cells
         sharing one profile, prices them in one ``execute_group`` call
-        on the compute backend, write-throughs every result, and
-        returns per-key results (a per-cell failure is an exception
-        *value* so one bad cell cannot sink its batch-mates).
+        on the compute backend, admits every result to the hot tier,
+        and returns per-key results (a per-cell failure is an exception
+        *value* so one bad cell cannot sink its batch-mates).  The
+        process that priced a cell already stored it on disk under
+        ``key``, so the event loop writes nothing.
         """
         async with self.admission.slot() as waited_s:
             TRACER.manual_span("serve.admission", waited_s,
@@ -289,7 +293,7 @@ class ServeApp:
                 results[key] = ComputeError(
                     f"no result for {request.describe()}")
             else:
-                self.store.put(key, metrics)
+                self.store.admit(key, metrics)
                 self.computes += 1
                 results[key] = metrics
         return results

@@ -10,7 +10,12 @@ dict so repeat traffic never touches the filesystem:
           a hit is *promoted* into the hot tier; lookups block on I/O,
           so the app runs them in its compute pool.
 
-Writes go through both tiers (write-through), so a server restart warms
+The server's computed cells reach disk from the process that priced
+them (:func:`~repro.jobs.executor.execute_group` stores each one), and
+the server admits them to the hot tier only
+(:meth:`~TieredStore.admit`), so its event loop never writes a file.
+:meth:`~TieredStore.put` stays write-through for other callers.
+Either way a server restart warms
 from disk and parallel batch runs (``repro report --cache-dir``) share
 results with the server bidirectionally.  All counters — per-tier hits,
 misses, evictions, promotions, and the disk tier's corruption drops —
@@ -111,9 +116,14 @@ class TieredStore:
 
     def put(self, key: str, value: Any) -> None:
         """Write-through: hot tier now, disk for the next process."""
+        self.admit(key, value)
+        self.disk.put(key, value)
+
+    def admit(self, key: str, value: Any) -> None:
+        """Hot tier only, for a value whose disk entry the process that
+        computed it has already written."""
         with self._lock:
             self._admit(key, value)
-        self.disk.put(key, value)
 
     def keys(self) -> List[str]:
         with self._lock:

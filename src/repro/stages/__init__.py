@@ -1,10 +1,11 @@
 """Content-addressed stage-graph pricing pipeline.
 
 The one path from an (app, scheme, dataset, preprocessing) cell to
-:class:`~repro.sim.metrics.RunMetrics`: four pure stages — stream-gen →
-cache-replay → compress → timing — whose artifacts persist in the
-result cache under fingerprints of (stage code salt, upstream artifact
-digests, stage-relevant config slice).  :class:`~repro.sim.Runner`, the
+:class:`~repro.sim.metrics.RunMetrics`: four pure steps — stream-gen →
+cache-replay → compress → timing.  The first three persist their
+artifacts in the result cache under fingerprints of (stage code salt,
+upstream artifact digests, stage-relevant config slice); timing's
+result is stored once, as the cell.  :class:`~repro.sim.Runner`, the
 jobs executor and the server all price through it.  See
 docs/PIPELINE.md.
 """

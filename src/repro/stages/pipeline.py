@@ -1,13 +1,19 @@
 """The stage-graph orchestrator: content-addressed incremental pricing.
 
 :class:`StagePricer` prices (app, scheme, dataset, preprocessing) cells
-through the four-stage pipeline — stream-gen → cache-replay → compress →
-timing — persisting each stage's artifact in the content-addressed
+through the four-step pipeline — stream-gen → cache-replay → compress →
+timing.  The three artifact stages persist in the content-addressed
 result cache under a fingerprint of (stage code salt, upstream artifact
 digests, stage-relevant config slice).  Editing the timing model or a
 system knob like memory bandwidth therefore recomputes *only* the cheap
-timing stage against frozen upstream artifacts; an LLC geometry change
+timing step against frozen upstream artifacts; an LLC geometry change
 reuses the streams; only a new input regenerates everything.
+
+Timing is not stored: pricing a cell from its bundle costs less than
+one store write.  :meth:`StagePricer.price` memoizes it per cell
+in memory, and the process that priced a cell stores the result once,
+as the cell entry under :func:`~repro.jobs.fingerprint.job_fingerprint`
+(see :func:`repro.jobs.executor.execute_group`).
 
 Chaining keys on upstream *content digests* (not keys) gives early
 cutoff: a code edit that rotates a stage's salt but reproduces
@@ -70,7 +76,7 @@ def reset_stage_counters() -> None:
 
 @dataclass
 class ProfileBundle:
-    """Everything the timing stage needs for one profile identity.
+    """Everything the timing step needs for one profile identity.
 
     Small by design: assembled profiles, the CMH ratio dict, the frozen
     Push replays, and the pricing view — the bulky stream/replay
@@ -82,9 +88,6 @@ class ProfileBundle:
     cfg: ModelConfig
     cmh_ratios: Dict[str, float]
     push_replays: List[Tuple[int, int]]
-    #: stream/replay/compress digests (empty off the content-addressed
-    #: path, see :func:`compose`).
-    upstream: Tuple[str, ...]
 
 
 class StagePricer:
@@ -110,7 +113,7 @@ class StagePricer:
         # each generated graph instead of regenerating it.
         store.activate_graph_store()
         self._bundles: Dict[Tuple[str, str, str], ProfileBundle] = {}
-        self._metrics: Dict[str, RunMetrics] = {}
+        self._metrics: Dict[Tuple[str, str, str, str], RunMetrics] = {}
         self._lock = threading.RLock()
 
     # -- stage evaluation ------------------------------------------------------
@@ -188,11 +191,8 @@ class StagePricer:
         compress = self._evaluate(
             "compress", compress_key,
             lambda: _compress(stream, replay, cfg), **labels)
-        compress_digest = artifact_digest(compress)
 
-        bundle = _assemble(app, stream, replay, compress, cfg,
-                           (stream_digest, replay_digest,
-                            compress_digest))
+        bundle = _assemble(app, stream, replay, compress, cfg)
         with self._lock:
             self._bundles[ident] = bundle
         return bundle
@@ -204,33 +204,30 @@ class StagePricer:
 
     def price(self, app: str, scheme, dataset: str,
               preprocessing: str = "none", **kwargs) -> RunMetrics:
-        """Price one cell; only the timing stage sees scheme identity."""
+        """Price one cell; only the timing step sees scheme identity.
+
+        Makes no store call: the caller stores the cell (see the module
+        docstring).  The memo's identity key is as exact as a content
+        key here, because a pricer's system is fixed and its bundles
+        are per identity.
+        """
         from repro.schemes import resolve
         spec = resolve(scheme, **kwargs)
         bundle = self.bundle(app, dataset, preprocessing)
-
-        # Identity labels join the timing key because RunMetrics embeds
-        # them — artifacts deliberately exclude labels so identical
-        # streams dedup, but two labelled results must not collide.
-        slice_ = dict(stage_config_slice("timing", bundle.cfg))
-        slice_.update(app=app, dataset=dataset,
-                      preprocessing=preprocessing,
-                      scheme=spec.canonical())
-        timing_key = stage_fingerprint("timing", bundle.upstream,
-                                       slice_)
+        ident = (app, dataset, preprocessing, spec.canonical())
         with self._lock:
-            memo = self._metrics.get(timing_key)
+            memo = self._metrics.get(ident)
         if memo is not None:
             TRACER.count("stage.timing.memo")
             return memo
 
-        metrics = self._evaluate(
-            "timing", timing_key,
-            lambda: price_bundle(bundle, spec, dataset, preprocessing),
-            app=app, scheme=spec.canonical(), dataset=dataset,
-            preprocessing=preprocessing)
+        with TRACER.span("stage.timing.computed", app=app,
+                         scheme=spec.canonical(), dataset=dataset,
+                         preprocessing=preprocessing):
+            metrics = price_bundle(bundle, spec, dataset, preprocessing)
+        TRACER.count("stage.timing.computed")
         with self._lock:
-            self._metrics[timing_key] = metrics
+            self._metrics[ident] = metrics
         return metrics
 
     # -- functional engine -----------------------------------------------------
@@ -266,12 +263,11 @@ def compose(workload, cfg: ModelConfig) -> ProfileBundle:
     stream = _generate(workload)
     replay = _replay(stream, stage_config_slice("replay", cfg))
     compress = _compress(stream, replay, cfg)
-    return _assemble(workload.app, stream, replay, compress, cfg, ())
+    return _assemble(workload.app, stream, replay, compress, cfg)
 
 
 def _assemble(app: str, stream: StreamArtifact, replay, compress,
-              cfg: ModelConfig, upstream: Tuple[str, ...]
-              ) -> ProfileBundle:
+              cfg: ModelConfig) -> ProfileBundle:
     return ProfileBundle(
         profiles=assemble_profiles(stream, replay, compress,
                                    cfg.system.num_cores),
@@ -284,13 +280,12 @@ def _assemble(app: str, stream: StreamArtifact, replay, compress,
         push_replays=[
             (rp.push_dest_misses, rp.push_dest_write_bytes // LINE_BYTES)
             for rp in replay.iterations],
-        upstream=upstream,
     )
 
 
 def price_bundle(bundle: ProfileBundle, spec, dataset: str,
                  preprocessing: str) -> RunMetrics:
-    """Price one scheme spec against a bundle (the timing stage)."""
+    """Price one scheme spec against a bundle (the timing step)."""
     return price_staged(spec, bundle.profiles, bundle.view, bundle.cfg,
                         dataset, preprocessing, bundle.cmh_ratios,
                         bundle.push_replays)

@@ -86,6 +86,38 @@ class TestFingerprint:
         keys.add(job_fingerprint(variant, SCALE, system))
         assert len(keys) == 4
 
+    def test_system_is_rendered_once_per_config(self, monkeypatch):
+        """Equal systems built apart share a key, an edited system does
+        not, and keys for many jobs under one system render it once."""
+        from dataclasses import replace
+
+        import repro.jobs.fingerprint as fp
+        jobs = build_job_graph([RunRequest("pr", scheme, "arb")
+                                for scheme in ("push", "phi", "ub")]
+                               ).price_jobs
+        system = SystemConfig().scaled(SCALE)
+        twin = SystemConfig().scaled(SCALE)
+        assert twin is not system
+        assert job_fingerprint(jobs[0], SCALE, twin) == \
+            job_fingerprint(jobs[0], SCALE, system)
+        faster = replace(system, memory=replace(
+            system.memory, gb_per_sec_per_controller=2
+            * system.memory.gb_per_sec_per_controller))
+        assert job_fingerprint(jobs[0], SCALE, faster) != \
+            job_fingerprint(jobs[0], SCALE, system)
+        renders = []
+        real_asdict = fp.asdict
+
+        def counting_asdict(value):
+            renders.append(value)
+            return real_asdict(value)
+
+        monkeypatch.setattr(fp, "asdict", counting_asdict)
+        fp._system_digest.cache_clear()
+        keys = {job_fingerprint(job, SCALE, faster) for job in jobs}
+        assert len(keys) == len(jobs)
+        assert renders == [faster]
+
     def test_code_salt_is_short_hex(self):
         salt = code_salt()
         assert len(salt) == 16
@@ -255,9 +287,9 @@ class TestExecutor:
         statuses = [r.attrs["status"] for r in telemetry.records]
         assert statuses.count("miss") == len(REQUESTS) + 1  # + profile
         # One cell result per request, plus the staged pipeline's
-        # artifacts: one stream/replay/compress for the shared profile
-        # and one timing entry per cell.
-        assert cache.stats()["entries"] == 2 * len(REQUESTS) + 3
+        # artifacts: one stream/replay/compress for the shared profile.
+        # Timing is not stored apart from the cell.
+        assert cache.stats()["entries"] == len(REQUESTS) + 3
 
     def test_warm_cache_skips_profiling(self, tmp_path):
         cache = ResultCache(str(tmp_path))
@@ -293,6 +325,56 @@ class TestExecutor:
                     if r.attrs["status"] == "failed"]
         assert statuses and all(r.attrs["retries"] == 2
                                 for r in statuses)
+
+    def test_failed_run_writes_its_records_in_one_append(
+            self, tmp_path, monkeypatch):
+        import repro.jobs.telemetry as telemetry_module
+        from repro.obs import read_trace
+        opens = []
+
+        def counting_open(*args, **kwargs):
+            opens.append(args[0])
+            return open(*args, **kwargs)
+
+        monkeypatch.setattr(telemetry_module, "open", counting_open,
+                            raising=False)
+        path = str(tmp_path / "run.jsonl")
+        executor = JobExecutor(scale=SCALE, jobs=1, retries=2,
+                               telemetry=TelemetryWriter(path=path))
+        with pytest.raises(JobExecutionError):
+            executor.run([RunRequest("dc", "no-such-scheme", "arb")])
+        assert opens == [path]
+        _header, spans = read_trace(path)
+        written = [(s.attrs["job_id"], s.attrs["status"]) for s in spans]
+        assert ("price:dc/arb/none/no-such-scheme", "failed") in written
+        assert written == [(r.attrs["job_id"], r.attrs["status"])
+                           for r in executor.telemetry.records]
+
+    def test_pool_workers_store_each_cell_once(self, tmp_path):
+        """The process that prices a cell stores it, under the key the
+        dispatcher looks up: one entry per cell, and a second run on
+        the same store hits every cell and dispatches nothing."""
+        from repro.sim.metrics import RunMetrics
+        requests = list(REQUESTS) + [RunRequest("cc", scheme, "arb")
+                                     for scheme in ("push", "phi")]
+        cache = ResultCache(str(tmp_path))
+        cold = JobExecutor(scale=SCALE, jobs=2, cache=cache).run(requests)
+        stored = [cache.get(key) for key in cache.keys()]
+        assert sum(isinstance(value, RunMetrics)
+                   for value in stored) == len(requests)
+        telemetry = TelemetryWriter(path=None)
+        progress = []
+        warm = JobExecutor(scale=SCALE, jobs=2, cache=cache,
+                           telemetry=telemetry,
+                           progress=progress.append).run(requests)
+        assert warm == cold
+        assert sorted(r.attrs["status"] for r in telemetry.records
+                      if r.attrs["kind"] == "price") == \
+            ["hit"] * len(requests)
+        assert {r.attrs["status"] for r in telemetry.records
+                if r.attrs["kind"] == "profile"} == {"skipped"}
+        assert not [line for line in progress
+                    if line.startswith(("group", "stages:"))]
 
     def test_rejects_nonpositive_jobs(self):
         with pytest.raises(ValueError):
@@ -340,6 +422,42 @@ class TestExecutor:
         roots = [span for span in traced if span.parent_id is None]
         assert [span.name for span in roots] == ["jobs.group"]
         assert not TRACER.active
+
+    def test_worker_store_failures_travel_home(self, tmp_path,
+                                               monkeypatch):
+        """A pool task whose cell writes hit a full disk returns the
+        same results, and its count delta carries the failures to the
+        dispatcher."""
+        import errno
+
+        import repro.jobs.cache as cache_module
+        from repro.jobs.cache import StoreConfig
+        from repro.jobs.executor import execute_group_remote
+        ((profile, prices),) = build_job_graph(list(REQUESTS)).groups()
+
+        def results(outcomes):
+            return [(job_id, metrics, error)
+                    for job_id, metrics, _wall, _pid, error in outcomes]
+
+        plain, _counts, _spans = execute_group_remote(
+            SCALE, None, profile, prices,
+            StoreConfig(root=str(tmp_path / "ok")))
+        full_objects = str(tmp_path / "full" / "objects")
+        real_replace = os.replace
+
+        def full_disk(src, dst):
+            if str(dst).startswith(full_objects):
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(cache_module.os, "replace", full_disk)
+        full, counts, _spans = execute_group_remote(
+            SCALE, None, profile, prices,
+            StoreConfig(root=str(tmp_path / "full")))
+        assert results(full) == results(plain)
+        assert all(metrics is not None for _j, metrics, _e
+                   in results(full)[1:])
+        assert counts.get("stage.store.write_failed", 0) >= len(prices)
 
 
 class TestJobRunner:

@@ -260,6 +260,44 @@ class TestAppBatching:
         app2_dispatches = app.backend.stats()["dispatches"]
         assert app2_dispatches == 1
 
+    def test_workers_store_the_cells_the_server_admits(self, tmp_path,
+                                                       monkeypatch):
+        """On the process backend the worker that prices a cell writes
+        it to disk, once; the server only admits it to the hot tier."""
+        from repro.sim.metrics import RunMetrics
+        app = make_app(tmp_path, backend="process", workers=2,
+                       batch_window_s=0.05)
+        writes = []
+        real_put = ResultCache.put
+
+        def recording_put(cache, key, value):
+            writes.append(key)
+            real_put(cache, key, value)
+
+        # Installed after the pool forked: workers keep the real put.
+        monkeypatch.setattr(ResultCache, "put", recording_put)
+        cells = [parse_price({"app": "dc", "scheme": scheme,
+                              "dataset": dataset})
+                 for dataset in ("arb", "ukl")
+                 for scheme in ("push", "phi")]
+
+        async def go():
+            try:
+                return await asyncio.gather(
+                    *(app.price(cell) for cell in cells))
+            finally:
+                app.close()
+
+        results = run(go())
+        assert app.computes == len(cells)
+        disk = app.store.disk
+        assert sum(isinstance(disk.get(key), RunMetrics)
+                   for key in disk.keys()) == len(cells)
+        for cell, (metrics, _source) in zip(cells, results):
+            assert app.store.get_hot(app.request_key(cell)) is metrics
+        if app.backend.stats()["pool"] == "up":  # sandbox may deny pools
+            assert writes == []
+
     def test_one_bad_cell_does_not_sink_its_batch(self, tmp_path):
         app = make_app(tmp_path, batch_window_s=0.05)
         good = parse_price({"app": "dc", "scheme": "push",
