@@ -239,11 +239,9 @@ def _cmd_jobs(args) -> int:
         status = 1
     cache = ResultCache(args.cache_dir)
     stats = cache.stats()
-    dropped = "" if not stats["corrupt_dropped"] else \
-        f", {stats['corrupt_dropped']} corrupt entr(ies) dropped"
     print(f"cache:     {stats['entries']} entries, "
-          f"{stats['bytes'] / 1024:.1f} KiB under {cache.root}"
-          f"{dropped}")
+          f"{stats['bytes'] / 1024:.1f} KiB in {stats['segments']} "
+          f"segment(s) under {cache.root}")
     return status
 
 

@@ -1,14 +1,15 @@
 """Tiered result store: in-process hot LRU over the on-disk cache.
 
-The serving read path promotes the PR-1 content-addressed disk cache
+The serving read path promotes the content-addressed disk cache
 (:class:`~repro.jobs.cache.ResultCache`) behind a bounded in-process
 dict so repeat traffic never touches the filesystem:
 
 ``hot``   an LRU ``OrderedDict`` capped at ``hot_capacity`` entries —
           hits are O(1) and safe to take on the event loop;
-``disk``  the content-addressed pickle store (or ``NullCache``) —
-          a hit is *promoted* into the hot tier; lookups block on I/O,
-          so the app runs them in its compute pool.
+``disk``  the content-addressed pickle store, records appended to a
+          few segment files (or ``NullCache``) — a hit is *promoted*
+          into the hot tier; lookups block on I/O, so the app runs them
+          in its compute pool.
 
 The server's computed cells reach disk from the process that priced
 them (:func:`~repro.jobs.executor.execute_group` stores each one), and
@@ -18,9 +19,9 @@ the server admits them to the hot tier only
 Either way a server restart warms
 from disk and parallel batch runs (``repro report --cache-dir``) share
 results with the server bidirectionally.  All counters — per-tier hits,
-misses, evictions, promotions, and the disk tier's corruption drops —
-are exposed via :meth:`TieredStore.stats` for ``/stats``, the load
-harness, and CI assertions.
+misses, evictions, promotions, and the disk tier's corruption drops,
+entries and segments — are exposed via :meth:`TieredStore.stats` for
+``/stats``, the load harness, and CI assertions.
 
 The store satisfies the jobs layer's cache interface (``get``/``put``/
 ``keys``/``stats``/``enabled``/``on_error``), so a

@@ -244,6 +244,25 @@ class TestReportOrchestration:
         assert "hit rate" in out
         assert "entries" in out
 
+    def test_jobs_command_reports_store_entries_and_segments(
+            self, tmp_path, capsys):
+        import re
+
+        from repro.jobs import ResultCache
+        cache = str(tmp_path / "cache")
+        self._report(tmp_path, "run.md", "--cache-dir", cache)
+        capsys.readouterr()
+        assert main(["jobs", "--cache-dir", cache]) == 0
+        line = capsys.readouterr().out.splitlines()[-1]
+        stats = ResultCache(cache).stats()
+        match = re.fullmatch(r"cache: +(\d+) entries, ([\d.]+) KiB in "
+                             r"(\d+) segment\(s\) under (.+)", line)
+        assert match, line
+        assert int(match[1]) == stats["entries"] > 0
+        assert float(match[2]) == round(stats["bytes"] / 1024, 1)
+        assert int(match[3]) == 1  # one process wrote the whole report
+        assert match[4] == cache
+
     def test_jobs_command_without_telemetry_fails_cleanly(
             self, tmp_path, capsys):
         assert main(["jobs", "--cache-dir",

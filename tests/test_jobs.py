@@ -20,6 +20,7 @@ from repro.jobs import (
     latest_telemetry,
     summarize,
 )
+from tests.store_faults import damage_record, segment_paths
 
 SCALE = 65536
 
@@ -140,19 +141,16 @@ class TestResultCache:
     def test_corrupt_entry_reads_as_miss(self, tmp_path):
         cache = ResultCache(str(tmp_path))
         cache.put("cd" * 32, [1, 2])
-        path = cache._path("cd" * 32)
-        with open(path, "wb") as handle:
-            handle.write(b"not a pickle")
+        damage_record(str(tmp_path), "cd" * 32, "flip")
         assert cache.get("cd" * 32) is None
-        assert not os.path.exists(path)
+        assert "cd" * 32 not in cache.keys()  # dropped from the index
 
     def test_corruption_is_reported_not_silent(self, tmp_path):
         """Regression: dropped entries must reach the error channel."""
         messages = []
         cache = ResultCache(str(tmp_path), on_error=messages.append)
         cache.put("cd" * 32, [1, 2])
-        with open(cache._path("cd" * 32), "wb") as handle:
-            handle.write(b"not a pickle")
+        damage_record(str(tmp_path), "cd" * 32, "flip")
         assert cache.get("cd" * 32) is None
         assert len(messages) == 1
         assert messages[0].startswith("cache: dropping unreadable")
@@ -181,32 +179,23 @@ class TestResultCache:
         cache = ResultCache(str(tmp_path))
         assert cache.stats()["corrupt_dropped"] == 0
         cache.put("cd" * 32, [1, 2])
-        with open(cache._path("cd" * 32), "wb") as handle:
-            handle.write(b"not a pickle")
+        damage_record(str(tmp_path), "cd" * 32, "flip")
         assert cache.get("cd" * 32) is None
         assert cache.corrupt_dropped == 1
         assert cache.stats()["corrupt_dropped"] == 1
 
     def test_truncated_entry_reads_as_miss(self, tmp_path):
-        """A torn write (empty file) is a miss, dropped and counted."""
+        """A record cut mid-value is a miss, dropped and counted."""
         cache = ResultCache(str(tmp_path))
         cache.put("ef" * 32, {"x": 1})
-        with open(cache._path("ef" * 32), "wb"):
-            pass  # truncate to zero bytes
+        damage_record(str(tmp_path), "ef" * 32, "truncate")
         assert cache.get("ef" * 32) is None
-        assert not os.path.exists(cache._path("ef" * 32))
+        assert "ef" * 32 not in cache.keys()
         assert cache.stats()["corrupt_dropped"] == 1
-        # The slot is reusable after the drop.
+        # The key is writable again after the drop.
         cache.put("ef" * 32, {"x": 2})
         assert cache.get("ef" * 32) == {"x": 2}
-
-    def test_prune_keeps_live_keys(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
-        cache.put("aa" * 32, 1)
-        cache.put("bb" * 32, 2)
-        kept, removed = cache.prune(["aa" * 32])
-        assert (kept, removed) == (1, 1)
-        assert cache.get("aa" * 32) == 1
+        assert ResultCache(str(tmp_path)).get("ef" * 32) == {"x": 2}
 
     def test_null_cache_stores_nothing(self):
         cache = NullCache()
@@ -442,15 +431,11 @@ class TestExecutor:
         plain, _counts, _spans = execute_group_remote(
             SCALE, None, profile, prices,
             StoreConfig(root=str(tmp_path / "ok")))
-        full_objects = str(tmp_path / "full" / "objects")
-        real_replace = os.replace
 
-        def full_disk(src, dst):
-            if str(dst).startswith(full_objects):
-                raise OSError(errno.ENOSPC, "No space left on device")
-            return real_replace(src, dst)
+        def full_disk(fd, buffers):
+            raise OSError(errno.ENOSPC, "No space left on device")
 
-        monkeypatch.setattr(cache_module.os, "replace", full_disk)
+        monkeypatch.setattr(cache_module.os, "writev", full_disk)
         full, counts, _spans = execute_group_remote(
             SCALE, None, profile, prices,
             StoreConfig(root=str(tmp_path / "full")))
@@ -458,6 +443,9 @@ class TestExecutor:
         assert all(metrics is not None for _j, metrics, _e
                    in results(full)[1:])
         assert counts.get("stage.store.write_failed", 0) >= len(prices)
+        # Each failed append was cut back: the segment holds nothing.
+        assert [os.path.getsize(path) for path in
+                segment_paths(str(tmp_path / "full"))] == [0]
 
 
 class TestJobRunner:
@@ -500,8 +488,7 @@ class TestJobRunner:
         JobRunner(scale=SCALE, cache_dir=str(tmp_path)).prefetch(
             [RunRequest("cc", "push", "arb")])
         key = stream_fingerprint("cc", "arb", "none", SCALE)
-        with open(ResultCache(str(tmp_path))._path(key), "wb") as handle:
-            handle.write(b"torn")
+        damage_record(str(tmp_path), key, "flip")
         # Another model config: a pricer that reads the store afresh.
         system = SystemConfig().scaled(SCALE)
         system = replace(system, memory=replace(

@@ -4,6 +4,7 @@ import pytest
 
 from repro.jobs import NullCache, ResultCache
 from repro.serve import TieredStore
+from tests.store_faults import damage_record
 
 KEY_A = "aa" * 32
 KEY_B = "bb" * 32
@@ -114,8 +115,7 @@ class TestCacheInterface:
         store = TieredStore(ResultCache(str(tmp_path)))
         store.on_error = messages.append
         store.put(KEY_A, 1)
-        with open(store.disk._path(KEY_A), "wb") as handle:
-            handle.write(b"garbage")
+        damage_record(str(tmp_path), KEY_A, "flip")
         fresh = TieredStore(store.disk)  # cold hot tier, same disk
         fresh.on_error = messages.append
         assert fresh.get(KEY_A) is None

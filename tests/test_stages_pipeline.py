@@ -4,9 +4,9 @@ and the store's crash/race hardening.
 The delta-invalidation matrix is the contract that makes incremental
 sweeps work (docs/PIPELINE.md): a knob edit recomputes exactly the
 stages whose config slice contains it, everything upstream is a cache
-hit.  The crash-simulation tests pin the atomic-write guarantee of
-``ResultCache.put`` — a torn or orphaned write must never surface as a
-corrupt read.
+hit.  The crash-simulation tests pin what ``ResultCache`` guarantees
+about its segment files — a torn or damaged record must never surface
+as a corrupt read, and the next writer cuts a dead writer's torn tail.
 """
 
 import os
@@ -31,6 +31,7 @@ from repro.stages import (
     reset_stage_counters,
     stage_counters,
 )
+from tests.store_faults import damage_record, segment_paths
 
 SCALE = 4096
 
@@ -334,78 +335,97 @@ class TestEngineRuns:
 
 
 class TestStoreCrashAndRaces:
+    @staticmethod
+    def _torn_record(tmp_path, key, value):
+        """The first half of the bytes ``put(key, value)`` appends: what
+        a writer killed mid-append leaves behind."""
+        scratch = str(tmp_path / "scratch")
+        ResultCache(scratch).put(key, value)
+        (path,) = segment_paths(scratch)
+        with open(path, "rb") as handle:
+            record = handle.read()
+        return record[:len(record) // 2]
+
     def test_torn_write_is_invisible(self, tmp_path):
-        """A writer that dies mid-write must leave no readable trace."""
-        cache = ResultCache(str(tmp_path))
-        cache.put("aa" + "0" * 14, {"ok": True})
-        # Simulate the crash: a partial temp file next to the objects
-        # (what mkstemp leaves if the process dies before os.replace).
-        bucket = os.path.join(str(tmp_path), "objects", "aa")
-        with open(os.path.join(bucket, "crashed0.tmp"), "wb") as fh:
-            fh.write(b"partial pickle bytes")
+        """A dead writer's torn tail reads as nothing, and the next
+        claimer of its segment cuts it; earlier records still read."""
+        root = str(tmp_path / "store")
+        ResultCache(root).put("aa" + "0" * 14, {"ok": True})
+        (segment,) = segment_paths(root)
+        intact = os.path.getsize(segment)
+        with open(segment, "ab") as handle:  # the writer died mid-append
+            handle.write(self._torn_record(tmp_path, "ab" + "0" * 14,
+                                           list(range(1000))))
+        errors = []
+        cache = ResultCache(root, on_error=errors.append)
         assert cache.get("aa" + "0" * 14) == {"ok": True}
-        assert cache.stats()["entries"] == 1  # tmp never counted
-        # prune sweeps the orphan without touching live entries.
-        kept, removed = cache.prune(["aa" + "0" * 14])
-        assert (kept, removed) == (1, 0)
-        assert os.listdir(bucket) == ["aa" + "0" * 14 + ".pkl"]
+        assert cache.get("ab" + "0" * 14) is None
+        assert cache.keys() == ["aa" + "0" * 14]
+        assert cache.corrupt_dropped == 0  # its write may be in flight
+        cache.put("ac" + "0" * 14, "next")  # claims the segment
+        assert segment_paths(root) == [segment]
+        assert cache.corrupt_dropped == 1
+        assert len(errors) == 1 and "torn tail" in errors[0]
+        assert cache.get("aa" + "0" * 14) == {"ok": True}
+        with open(segment, "rb") as handle:
+            handle.seek(intact)
+            assert b"ab" + b"0" * 14 not in handle.read()
 
     def test_torn_destination_reads_as_miss(self, tmp_path):
-        """Truncated final file (torn at the fs level): miss + delete."""
+        """A record cut mid-value (torn at the fs level): miss + drop."""
         cache = ResultCache(str(tmp_path))
         key = "bb" + "0" * 14
         cache.put(key, list(range(1000)))
-        path = os.path.join(str(tmp_path), "objects", "bb",
-                            key + ".pkl")
-        blob = pickle.dumps(list(range(1000)),
-                            protocol=pickle.HIGHEST_PROTOCOL)
-        with open(path, "wb") as fh:
-            fh.write(blob[:len(blob) // 2])
+        damage_record(str(tmp_path), key, "truncate")
         assert cache.get(key) is None
         assert cache.corrupt_dropped == 1
-        assert not os.path.exists(path)
+        assert key not in cache.keys()
 
     def test_put_survives_interrupted_predecessor(self, tmp_path):
-        """A retried put after a simulated crash fully replaces."""
-        cache = ResultCache(str(tmp_path))
-        key = "cc" + "0" * 14
-        path = os.path.join(str(tmp_path), "objects", "cc",
-                            key + ".pkl")
-        os.makedirs(os.path.dirname(path))
-        with open(path, "wb") as fh:
-            fh.write(b"torn")
-        cache.put(key, "fresh")
-        assert cache.get(key) == "fresh"
+        """Records appended after a cut tail read back, also in a
+        process that indexes the segment afresh."""
+        root = str(tmp_path / "store")
+        ResultCache(root).put("cb" + "0" * 14, "before")
+        (segment,) = segment_paths(root)
+        with open(segment, "ab") as handle:
+            handle.write(self._torn_record(tmp_path, "cc" + "0" * 14,
+                                           "torn"))
+        cache = ResultCache(root)
+        cache.put("cc" + "0" * 14, "fresh")
+        cache.put("cd" + "0" * 14, "after")
+        assert cache.get("cc" + "0" * 14) == "fresh"
+        del cache  # closes the segment; the next cache indexes anew
+        fresh = ResultCache(root)
+        assert [fresh.get(k + "0" * 14) for k in ("cb", "cc", "cd")] \
+            == ["before", "fresh", "after"]
+        assert fresh.corrupt_dropped == 0
 
     def test_stats_tolerates_entries_vanishing_mid_scan(self, tmp_path,
                                                         monkeypatch):
-        cache = ResultCache(str(tmp_path))
-        cache.put("dd" + "0" * 14, 1)
-        cache.put("ee" + "0" * 14, 2)
-        doomed = cache._path("dd" + "0" * 14)
-        real_getsize = os.path.getsize
+        """A segment removed between the listing and the open is simply
+        gone: not counted, not an error."""
+        import shutil
 
-        def racy_getsize(path):
-            if path == doomed:
-                raise FileNotFoundError(path)  # pruned concurrently
-            return real_getsize(path)
+        import repro.jobs.cache as cache_module
+        root = str(tmp_path / "store")
+        ResultCache(root).put("dd" + "0" * 14, 1)
+        (kept,) = segment_paths(root)
+        doomed = os.path.join(os.path.dirname(kept), "000001.seg")
+        shutil.copyfile(kept, doomed)
+        real_listdir = os.listdir
 
-        monkeypatch.setattr(os.path, "getsize", racy_getsize)
-        stats = cache.stats()
-        assert stats["entries"] == 1
+        def racy_listdir(path):
+            names = real_listdir(path)
+            if os.path.exists(doomed):
+                os.remove(doomed)  # removed concurrently
+            return names
 
-    def test_prune_counts_concurrent_removal_as_removed(self, tmp_path,
-                                                        monkeypatch):
-        cache = ResultCache(str(tmp_path))
-        cache.put("ff" + "0" * 14, 1)
+        monkeypatch.setattr(cache_module.os, "listdir", racy_listdir)
         errors = []
-        cache.on_error = errors.append
-        monkeypatch.setattr(
-            ResultCache, "keys",
-            lambda self: ["ff" + "0" * 14, "00" + "f" * 14])
-        kept, removed = cache.prune([])
-        assert (kept, removed) == (0, 2)  # vanished entry still counts
-        assert errors == []  # a lost race is not an error
+        stats = ResultCache(root, on_error=errors.append).stats()
+        assert (stats["entries"], stats["segments"]) == (1, 1)
+        assert stats["bytes"] == os.path.getsize(kept)
+        assert errors == []
 
     def test_full_disk_keeps_the_computed_result(self, tmp_path,
                                                  monkeypatch):
@@ -415,15 +435,11 @@ class TestStoreCrashAndRaces:
         import repro.jobs.cache as cache_module
         errors = []
         cache = ResultCache(str(tmp_path), on_error=errors.append)
-        objects = os.path.join(str(tmp_path), "objects")
-        real_replace = os.replace
 
-        def full_disk(src, dst):
-            if str(dst).startswith(objects):
-                raise OSError(errno.ENOSPC, "No space left on device")
-            return real_replace(src, dst)
+        def full_disk(fd, buffers):
+            raise OSError(errno.ENOSPC, "No space left on device")
 
-        monkeypatch.setattr(cache_module.os, "replace", full_disk)
+        monkeypatch.setattr(cache_module.os, "writev", full_disk)
         metrics = StagePricer(scale=SCALE, cache=cache).price(
             "pr", "push+spzip", "ukl", "none")
         assert metrics == StagePricer(scale=SCALE).price(
@@ -431,17 +447,20 @@ class TestStoreCrashAndRaces:
         assert errors and "No space left" in errors[0]
         assert cache.stats()["write_failed"] > 0
         assert cache.stats()["entries"] == 0
-        leftovers = [name for _, _, names in os.walk(objects)
-                     for name in names if name.endswith(".tmp")]
-        assert leftovers == []
+        # Each failed append was cut back to where its record began.
+        assert [os.path.getsize(path)
+                for path in segment_paths(str(tmp_path))] == [0]
 
     def test_unpicklable_value_still_raises(self, tmp_path):
         cache = ResultCache(str(tmp_path))
+        cache.put("gf" + "0" * 14, 1)
+        (segment,) = segment_paths(str(tmp_path))
+        size = os.path.getsize(segment)
         with pytest.raises((pickle.PicklingError, AttributeError)):
             cache.put("gg" + "0" * 14, lambda: None)
         assert cache.stats()["write_failed"] == 0
-        assert os.listdir(os.path.join(str(tmp_path), "objects",
-                                       "gg")) == []
+        assert os.path.getsize(segment) == size  # no byte written
+        assert cache.keys() == ["gf" + "0" * 14]
 
 
 # ---------------------------------------------------------------------------
