@@ -309,13 +309,13 @@ async def boot_server(args, backend, workers, cache_dir=None):
     """Self-host one server; returns (server, client)."""
     import tempfile
 
-    from repro.jobs.cache import ResultCache
-    from repro.serve import ServeApp, ServeServer, TieredStore
+    from repro.jobs.cache import StoreConfig
+    from repro.serve import ServeApp, ServeServer
     cache_dir = cache_dir or tempfile.mkdtemp(prefix="serve-load-")
-    store = TieredStore(ResultCache(cache_dir))
-    app = ServeApp(scale=args.scale, store=store, workers=workers,
-                   backend=backend, batch_window_s=args.batch_window,
-                   batch_max=args.batch_max)
+    app = ServeApp(scale=args.scale, workers=workers, backend=backend,
+                   batch_window_s=args.batch_window,
+                   batch_max=args.batch_max,
+                   store_config=StoreConfig(root=cache_dir))
     server = await ServeServer(app, "127.0.0.1", 0).start()
     print(f"self-hosted server on {server.url} "
           f"(scale={args.scale}, backend={app.backend.name}, "

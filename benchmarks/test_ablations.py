@@ -18,10 +18,11 @@ from conftest import run_once
 from repro.graph import load_preprocessed
 from repro.runtime import chunked_ids_values_compressed, \
     rows_compressed_bytes
+from repro.sim.runner import identity_workload
 
 
 def _update_stream(runner, dataset="ukl"):
-    workload = runner.workload("pr", dataset, "none")
+    workload = identity_workload("pr", dataset, "none", runner.scale)
     graph = workload.graph
     dsts = graph.neighbors.astype(np.uint32)
     values = np.repeat(workload.iterations[0].src_values,

@@ -12,7 +12,7 @@ Run:  python examples/scheme_study.py [app] [dataset]
 
 import sys
 
-from repro.sim import Runner
+from repro.jobs import JobRunner
 
 
 def show(runner, app, dataset, preprocessing):
@@ -39,7 +39,7 @@ def main():
     dataset = sys.argv[2] if len(sys.argv) > 2 else "ukl"
     if app == "sp":
         dataset = "nlp"
-    runner = Runner()
+    runner = JobRunner()
     show(runner, app, dataset, "none")
     show(runner, app, dataset, "dfs")
     print("\nReading the table: without preprocessing, scattered "

@@ -117,10 +117,10 @@ def _cmd_schemes(args) -> int:
 
 def _cmd_experiment(args) -> int:
     from repro.harness import EXPERIMENTS, render_table
-    from repro.sim import Runner
+    from repro.jobs import JobRunner
     if not _known("experiment", args.id, EXPERIMENTS):
         return 2
-    runner = Runner(scale=args.scale)
+    runner = JobRunner(scale=args.scale)
     result = EXPERIMENTS[args.id](runner)
     print(render_table(result))
     return 0
@@ -135,7 +135,7 @@ def _cmd_simulate(args) -> int:
         UnknownSchemeError,
         parse_scheme,
     )
-    from repro.sim import Runner
+    from repro.jobs import JobRunner
     if not (_known("app", args.app, ALL_APPS)
             and _known("dataset", args.dataset, DATASETS)
             and _known("preprocessing", args.preprocessing,
@@ -146,7 +146,7 @@ def _cmd_simulate(args) -> int:
     except (SchemeParseError, UnknownSchemeError) as err:
         print(err, file=sys.stderr)
         return 2
-    runner = Runner(scale=args.scale)
+    runner = JobRunner(scale=args.scale)
     run = runner.run(args.app, spec, args.dataset,
                      args.preprocessing)
     base = runner.run(args.app, "push", args.dataset, args.preprocessing)

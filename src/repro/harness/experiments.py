@@ -1,6 +1,6 @@
 """Experiment registry: one entry per table/figure of the evaluation.
 
-Each experiment function takes a shared :class:`~repro.sim.Runner` and
+Each experiment function takes a shared :class:`~repro.jobs.JobRunner` and
 returns an :class:`ExperimentResult` whose rows mirror the bars/series
 the paper plots.  The benchmarks under ``benchmarks/`` are thin wrappers
 that execute these and print/save the tables; ``EXPERIMENTS.md`` records
@@ -10,14 +10,16 @@ the paper-vs-measured comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from repro.config import SpZipConfig
 from repro.graph.datasets import GRAPH_INPUTS
 from repro.schemes import scheme_names
 from repro.sim.metrics import TRAFFIC_CLASSES, RunMetrics
-from repro.sim.runner import Runner
 from repro.utils import arithmetic_mean, geometric_mean
+
+if TYPE_CHECKING:
+    from repro.jobs import JobRunner
 
 #: The paper's six schemes (Fig 15 bar order), from the registry.
 SCHEMES = scheme_names("paper")
@@ -48,7 +50,7 @@ def _inputs_for(app: str) -> Sequence[str]:
     return ("nlp",) if app == "sp" else GRAPH_INPUTS
 
 
-def _speedup_rows(runner: Runner, apps: Sequence[str], preprocessing: str,
+def _speedup_rows(runner: JobRunner, apps: Sequence[str], preprocessing: str,
                   schemes: Sequence[str] = SCHEMES) -> List[Dict[str,
                                                                  object]]:
     """Per-app gmean speedups over Push (Fig 15a/15c structure)."""
@@ -72,7 +74,7 @@ def _speedup_rows(runner: Runner, apps: Sequence[str], preprocessing: str,
     return rows
 
 
-def _traffic_rows(runner: Runner, apps: Sequence[str], preprocessing: str,
+def _traffic_rows(runner: JobRunner, apps: Sequence[str], preprocessing: str,
                   schemes: Sequence[str] = SCHEMES) -> List[Dict[str,
                                                                  object]]:
     """Per-app traffic breakdowns normalized to Push (Fig 15b/15d)."""
@@ -98,7 +100,7 @@ def _traffic_rows(runner: Runner, apps: Sequence[str], preprocessing: str,
 # Motivation figures (Sec II-D)
 # --------------------------------------------------------------------------
 
-def fig07_bfs_motivation(runner: Runner,
+def fig07_bfs_motivation(runner: JobRunner,
                          preprocessing: str = "none") -> ExperimentResult:
     """Fig 7: BFS on uk-2005 — performance and traffic per scheme."""
     rows = []
@@ -123,7 +125,7 @@ def fig07_bfs_motivation(runner: Runner,
                              *TRAFFIC_CLASSES], rows)
 
 
-def fig08_bfs_preprocessed(runner: Runner) -> ExperimentResult:
+def fig08_bfs_preprocessed(runner: JobRunner) -> ExperimentResult:
     """Fig 8: the Fig 7 experiment with DFS preprocessing."""
     return fig07_bfs_motivation(runner, preprocessing="dfs")
 
@@ -132,7 +134,7 @@ def fig08_bfs_preprocessed(runner: Runner) -> ExperimentResult:
 # Tables
 # --------------------------------------------------------------------------
 
-def table1_area(_runner: Runner = None) -> ExperimentResult:
+def table1_area(_runner: JobRunner = None) -> ExperimentResult:
     """Table I: area breakdown of the SpZip engines."""
     from repro.engine import compressor_area, fetcher_area, \
         spzip_core_overhead
@@ -156,7 +158,7 @@ def table1_area(_runner: Runner = None) -> ExperimentResult:
               f"(paper: 0.2%)")
 
 
-def table2_config(_runner: Runner = None) -> ExperimentResult:
+def table2_config(_runner: JobRunner = None) -> ExperimentResult:
     """Table II: the simulated system configuration."""
     from repro.config import default_system
     system = default_system()
@@ -196,7 +198,7 @@ def table2_config(_runner: Runner = None) -> ExperimentResult:
                             ["component", "value"], rows)
 
 
-def table3_datasets(runner: Runner) -> ExperimentResult:
+def table3_datasets(runner: JobRunner) -> ExperimentResult:
     """Table III: inputs — paper shape vs generated model shape."""
     from repro.graph.datasets import DATASETS, load
     rows = []
@@ -221,7 +223,7 @@ def table3_datasets(runner: Runner) -> ExperimentResult:
 # Main results (Sec V-A)
 # --------------------------------------------------------------------------
 
-def fig15_speedups(runner: Runner,
+def fig15_speedups(runner: JobRunner,
                    preprocessing: str = "none") -> ExperimentResult:
     """Fig 15a/15c: per-application speedups over Push."""
     rows = _speedup_rows(runner, ALL_APPS, preprocessing)
@@ -232,7 +234,7 @@ def fig15_speedups(runner: Runner,
         ["app", *SCHEMES], rows)
 
 
-def fig15_traffic(runner: Runner,
+def fig15_traffic(runner: JobRunner,
                   preprocessing: str = "none") -> ExperimentResult:
     """Fig 15b/15d: traffic breakdowns normalized to Push."""
     rows = _traffic_rows(runner, ALL_APPS, preprocessing)
@@ -243,7 +245,7 @@ def fig15_traffic(runner: Runner,
         ["app", "scheme", *TRAFFIC_CLASSES, "total"], rows)
 
 
-def fig16_per_input(runner: Runner,
+def fig16_per_input(runner: JobRunner,
                     preprocessing: str = "none") -> ExperimentResult:
     """Fig 16/17: per-input speedup and traffic for the graph apps."""
     rows = []
@@ -265,7 +267,7 @@ def fig16_per_input(runner: Runner,
         ["app", "input", "scheme", "speedup", "traffic"], rows)
 
 
-def fig17_per_input_preprocessed(runner: Runner) -> ExperimentResult:
+def fig17_per_input_preprocessed(runner: JobRunner) -> ExperimentResult:
     return fig16_per_input(runner, preprocessing="dfs")
 
 
@@ -273,7 +275,7 @@ def fig17_per_input_preprocessed(runner: Runner) -> ExperimentResult:
 # Preprocessing study (Sec V-B)
 # --------------------------------------------------------------------------
 
-def fig18_preprocessing(runner: Runner,
+def fig18_preprocessing(runner: JobRunner,
                         dataset: str = "ukl") -> ExperimentResult:
     """Fig 18: PHI vs PHI+SpZip traffic under five preprocessings."""
     rows = []
@@ -297,10 +299,12 @@ def fig18_preprocessing(runner: Runner,
             rows.append(row)
             bases[scheme] = row["total"]
         # Adjacency compression ratio this preprocessing achieves.
+        # Imported here, so a wrapper installed on load_preprocessed
+        # after import (perfbench's layer trace) sees this load.
+        from repro.graph.datasets import load_preprocessed
         from repro.runtime.traffic import rows_compressed_bytes
         import numpy as np
-        workload = runner.workload("pr", dataset, preprocessing)
-        graph = workload.graph
+        graph = load_preprocessed(dataset, preprocessing, runner.scale)
         comp = rows_compressed_bytes(graph,
                                      np.arange(graph.num_vertices),
                                      runner.scale)
@@ -317,7 +321,7 @@ def fig18_preprocessing(runner: Runner,
 # Sensitivity studies (Sec V-C)
 # --------------------------------------------------------------------------
 
-def fig19_compression_factors(runner: Runner,
+def fig19_compression_factors(runner: JobRunner,
                               preprocessing: str = "none"
                               ) -> ExperimentResult:
     """Fig 19: which compressed structure buys how much speedup."""
@@ -351,7 +355,7 @@ def fig19_compression_factors(runner: Runner,
         ["app", "phi", "+adjacency", "+bins", "+vertex"], rows)
 
 
-def fig20_decoupling_vs_compression(runner: Runner) -> ExperimentResult:
+def fig20_decoupling_vs_compression(runner: JobRunner) -> ExperimentResult:
     """Fig 20: decoupled fetching alone vs full SpZip, over PHI."""
     rows = []
     for preprocessing in ("none", "dfs"):
@@ -377,7 +381,7 @@ def fig20_decoupling_vs_compression(runner: Runner) -> ExperimentResult:
         rows)
 
 
-def fig21_scratchpad(runner: Runner,
+def fig21_scratchpad(runner: JobRunner,
                      rows_to_walk: int = 1500) -> ExperimentResult:
     """Fig 21: fetcher scratchpad size sensitivity (functional engine).
 
@@ -408,7 +412,7 @@ def fig21_scratchpad(runner: Runner,
         ["graph", "1KB", "2KB", "4KB"], rows)
 
 
-def fig22_cmh(runner: Runner,
+def fig22_cmh(runner: JobRunner,
               preprocessing: str = "none") -> ExperimentResult:
     """Fig 22: compressed memory hierarchy baseline on Push and UB."""
     schemes = ("push", "push+cmh", "ub", "ub+cmh")
@@ -420,7 +424,7 @@ def fig22_cmh(runner: Runner,
         ["app", *schemes], speed_rows)
 
 
-def sorting_optimization(runner: Runner) -> ExperimentResult:
+def sorting_optimization(runner: JobRunner) -> ExperimentResult:
     """Sec V-C: order-insensitive sorting on CC's UB bins.
 
     The paper reports sorting improves CC's binned-update compression
@@ -453,7 +457,7 @@ def sorting_optimization(runner: Runner) -> ExperimentResult:
 
 
 #: Registry used by the benchmarks and EXPERIMENTS.md generation.
-EXPERIMENTS: Dict[str, Callable[[Runner], ExperimentResult]] = {
+EXPERIMENTS: Dict[str, Callable[[JobRunner], ExperimentResult]] = {
     "fig07": fig07_bfs_motivation,
     "fig08": fig08_bfs_preprocessed,
     "table1": table1_area,

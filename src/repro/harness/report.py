@@ -9,11 +9,13 @@ the CLI as ``python -m repro report``.
 from __future__ import annotations
 
 import time
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.harness.experiments import EXPERIMENTS, ExperimentResult
 from repro.obs import TRACER
-from repro.sim.runner import Runner
+
+if TYPE_CHECKING:
+    from repro.jobs import JobRunner
 
 
 def _markdown_table(result: ExperimentResult) -> str:
@@ -35,31 +37,32 @@ def _markdown_table(result: ExperimentResult) -> str:
     return "\n".join(parts)
 
 
-def generate_report(runner: Optional[Runner] = None,
+def generate_report(runner: Optional[JobRunner] = None,
                     experiment_ids: Optional[Iterable[str]] = None,
                     progress: bool = False) -> str:
     """Run experiments and return the combined markdown report.
 
-    When ``runner`` is a :class:`~repro.jobs.JobRunner`, the whole
-    cross-product of simulations the selected experiments need is
-    prefetched through the job layer first (parallel workers, disk
-    cache), and the experiment functions then assemble their tables
-    from the prefetched results.
+    The whole cross-product of simulations the selected experiments
+    need is prefetched through the runner's job layer first (parallel
+    workers, disk cache), and the experiment functions then assemble
+    their tables from the prefetched results.  ``runner`` defaults to
+    a serial, disk-less :class:`~repro.jobs.JobRunner`.
     """
-    runner = runner if runner is not None else Runner()
+    if runner is None:
+        from repro.jobs import JobRunner
+        runner = JobRunner()
     ids = list(experiment_ids) if experiment_ids is not None \
         else sorted(EXPERIMENTS)
     unknown = [i for i in ids if i not in EXPERIMENTS]
     if unknown:
         raise KeyError(f"unknown experiments: {unknown}")
-    if hasattr(runner, "prefetch"):
-        from repro.jobs.plan import experiment_requests
-        requests = experiment_requests(ids)
-        if requests:
-            if progress:
-                print(f"  prefetching {len(requests)} simulations "
-                      f"(jobs={getattr(runner, 'jobs', 1)})")
-            runner.prefetch(requests)
+    from repro.jobs.plan import experiment_requests
+    requests = experiment_requests(ids)
+    if requests:
+        if progress:
+            print(f"  prefetching {len(requests)} simulations "
+                  f"(jobs={runner.jobs})")
+        runner.prefetch(requests)
     sections = [
         "# SpZip reproduction — generated evaluation report",
         "",

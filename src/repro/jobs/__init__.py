@@ -9,7 +9,7 @@ Layering (each module only imports downward):
 ``telemetry``    per-job ``jobs.job`` spans of a run and their summaries
 ``executor``     serial / process-pool graph execution
 ``plan``         experiment id -> required simulations
-``orchestrator`` the ``Runner``-compatible front end (``JobRunner``)
+``orchestrator`` the runner experiments price through (``JobRunner``)
 """
 
 from repro.jobs.cache import DEFAULT_CACHE_DIR, NullCache, ResultCache

@@ -52,14 +52,12 @@ DEFAULT_HOT_CAPACITY = 1024
 class StoreConfig:
     """One frozen description of every store a pricing run touches.
 
-    Cache-root plumbing used to travel as four ad-hoc parameters —
-    ``execute_group(..., cache_root=)``, the ``TieredStore`` disk root,
-    the ``StagePricer`` bundle memo's cache, and the ``GraphStore``
-    activation path.  This object consolidates them: it is hashable
-    (it keys per-process worker-pricer memo tables), picklable (it
-    crosses pool boundaries verbatim), and explicit (every layer
-    receives the same resolved configuration instead of re-deriving
-    roots from whatever cache object happens to be nearby).
+    The one store handle: the runner, the executor, the stage pricer,
+    the server and the pool tasks each take this object and build the
+    stores they need from it (the result cache, the serving store's
+    tiers, the shared graph store).  It is hashable (it keys the
+    per-process pricer memo) and picklable (it crosses pool boundaries
+    verbatim).
     """
 
     #: On-disk root shared by the result cache, the tiered store's disk
@@ -71,14 +69,6 @@ class StoreConfig:
     stream_partitions: int = 1
     #: Hot-tier entry budget of the serving store.
     hot_capacity: int = DEFAULT_HOT_CAPACITY
-
-    @classmethod
-    def from_cache(cls, cache: Any,
-                   stream_partitions: int = 1) -> "StoreConfig":
-        """Adopt an existing cache object's root (compat shim for the
-        ``cache=``-only call sites)."""
-        return cls(root=getattr(cache, "root", None),
-                   stream_partitions=stream_partitions)
 
     def result_cache(self) -> Any:
         """A result cache rooted at :attr:`root` (Null when disabled)."""

@@ -46,7 +46,7 @@ from concurrent.futures import ProcessPoolExecutor, TimeoutError as \
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.config import SystemConfig
-from repro.jobs.cache import NullCache, ResultCache, StoreConfig
+from repro.jobs.cache import StoreConfig
 from repro.jobs.fingerprint import job_fingerprint
 from repro.jobs.model import JobGraph, JobSpec, RunRequest, build_job_graph
 from repro.jobs.telemetry import TelemetryWriter
@@ -77,9 +77,8 @@ def pricer_for(scale: int, system: Optional[SystemConfig],
     from repro.stages import StagePricer
     key = (scale, system, store)
     if key not in _PRICERS:
-        _PRICERS[key] = StagePricer(
-            scale=scale, system=system,
-            store=store if store is not None else StoreConfig())
+        _PRICERS[key] = StagePricer(scale=scale, system=system,
+                                    store=store)
     return _PRICERS[key]
 
 
@@ -215,38 +214,34 @@ class JobExecutor:
     def __init__(self, scale: int,
                  system: Optional[SystemConfig] = None,
                  jobs: int = 1,
-                 cache: Optional[ResultCache] = None,
+                 store: Optional[StoreConfig] = None,
                  telemetry: Optional[TelemetryWriter] = None,
                  timeout: Optional[float] = None,
                  retries: int = 1,
-                 progress: Optional[Callable[[str], None]] = None,
-                 partitions: int = 1
+                 progress: Optional[Callable[[str], None]] = None
                  ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if partitions < 1:
-            raise ValueError("partitions must be >= 1")
         self.scale = scale
         self.system = system
         self.jobs = jobs
-        self.cache = cache if cache is not None else NullCache()
         # Workers read/write stage artifacts through the same
         # content-addressed store that holds final cell results; the
         # one StoreConfig crosses the pool boundary verbatim.
-        self._store = StoreConfig.from_cache(
-            self.cache, stream_partitions=partitions)
+        self.store = store if store is not None else StoreConfig()
         self.telemetry = telemetry if telemetry is not None \
             else TelemetryWriter(path=None)
         self.timeout = timeout
         self.retries = retries
         self._progress = progress or (lambda _msg: None)
-        # Cache-level failures (corrupt entries, cleanup errors) are
-        # non-fatal but must not vanish: route them through this
-        # executor's progress channel unless the cache already reports.
-        if getattr(self.cache, "on_error", None) is None:
-            self.cache.on_error = self._progress
 
     # -- cache bookkeeping ------------------------------------------------
+
+    @property
+    def cache(self):
+        """The store's result cache: the one this process's pricer for
+        the executor's configuration reads and writes."""
+        return pricer_for(self.scale, self.system, self.store).cache
 
     def _fingerprint(self, job: JobSpec) -> str:
         system = self.system if self.system is not None \
@@ -256,11 +251,12 @@ class JobExecutor:
     def _lookup(self, graph: JobGraph) -> Tuple[
             Dict[str, RunMetrics], Dict[str, str]]:
         """Pre-dispatch cache pass: (hits by job id, key by job id)."""
+        cache = self.cache
         hits: Dict[str, RunMetrics] = {}
         keys: Dict[str, str] = {}
         for job in graph.price_jobs:
             keys[job.job_id] = key = self._fingerprint(job)
-            cached = self.cache.get(key)
+            cached = cache.get(key)
             if cached is not None:
                 hits[job.job_id] = cached
         return hits, keys
@@ -274,6 +270,11 @@ class JobExecutor:
         The run's telemetry records reach the file in one append, also
         when the run raises.
         """
+        # Store errors (corrupt entries, failed writes) are survivable
+        # but must not vanish.  The pricer, and so its cache, is shared
+        # by every executor and runner on this configuration in this
+        # process, so point its error channel at this run's progress.
+        self.cache.on_error = self._progress
         with TRACER.span("jobs.run", requests=len(requests),
                          workers=self.jobs), self.telemetry.batch():
             return self._run(requests)
@@ -354,12 +355,12 @@ class JobExecutor:
         for index, (profile, prices) in enumerate(pending):
             attempt = 0
             group = execute_group(self.scale, self.system, profile,
-                                  prices, self._store)
+                                  prices, self.store)
             while self._group_has_failure(group) and \
                     attempt < self.retries:
                 attempt += 1
                 group = execute_group(self.scale, self.system, profile,
-                                      prices, self._store)
+                                      prices, self.store)
             for outcome in group:
                 outcomes[outcome[0]] = (outcome, attempt)
             self._progress(f"group {index + 1}/{len(pending)}: "
@@ -378,10 +379,11 @@ class JobExecutor:
 
         def submit(profile: JobSpec, prices: List[JobSpec]):
             return pool.submit(execute_group_remote, self.scale,
-                               self.system, profile, prices, self._store,
+                               self.system, profile, prices, self.store,
                                TRACER.active)
 
         done_groups = 0
+        timed_out = False
         try:
             # future -> (profile, prices, attempt, submit time, the
             # results of the group's earlier attempts)
@@ -401,6 +403,7 @@ class JobExecutor:
                             attempt < self.retries:
                         group = None  # retry the whole group
                 except FutureTimeout:
+                    timed_out = True
                     future.cancel()
                     self._progress(
                         f"group {profile.job_id}: timed out after "
@@ -425,7 +428,7 @@ class JobExecutor:
                                 f"in-process")
                     group = execute_group(self.scale, self.system,
                                           profile, prices,
-                                          self._store)
+                                          self.store)
                     attempt += 1
                 for outcome in group:
                     outcomes[outcome[0]] = (outcome, attempt)
@@ -434,7 +437,17 @@ class JobExecutor:
                 self._progress(f"group {done_groups}/{len(pending)}: "
                                f"{profile.job_id}")
         finally:
+            # cancel() cannot stop a running task, and shutdown leaves
+            # its worker running: a hung group would keep the
+            # interpreter from exiting.  So after a timeout, stop the
+            # workers (once the loop is done, every group has its
+            # outcome).
+            workers = list((pool._processes or {}).values()) \
+                if timed_out else []
             pool.shutdown(wait=False)
+            for worker in workers:
+                worker.kill()
+                worker.join()
             # Drop shared-graph mappings along with the pool.
             from repro.graph.shared import release_graphs
             release_graphs()

@@ -5,8 +5,8 @@ the expensive step (workload construction, cache replays, compression
 measurement).  One *price* job exists per requested
 ``(app, scheme, dataset, preprocessing)`` simulation; it depends
 on its profile job, so the six schemes of a Fig 15 bar group share a
-single profiling pass exactly as the in-process
-:class:`~repro.sim.runner.Runner` memoizes them today.
+single profiling pass, as a :class:`~repro.stages.StagePricer`'s
+per-identity bundle memo shares it in-process.
 
 The executor (:mod:`repro.jobs.executor`) schedules profile jobs and
 their dependent price jobs onto one worker as a *group*, which keeps the
@@ -39,7 +39,7 @@ def canonical_request(app: str, scheme: object, dataset: str,
 
 @dataclass(frozen=True, order=True)
 class RunRequest:
-    """One simulation the caller wants: Runner.run's argument tuple."""
+    """One simulation the caller wants: JobRunner.run's argument tuple."""
 
     app: str
     scheme: str

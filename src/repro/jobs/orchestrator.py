@@ -1,42 +1,46 @@
-"""The orchestrating runner: a drop-in ``Runner`` backed by the jobs
-layer.
+"""The runner: every experiment prices its cells through the job layer.
 
-:class:`JobRunner` subclasses :class:`~repro.sim.runner.Runner`, so
-every experiment function keeps its signature and behaviour.  What
-changes is where results come from:
+:class:`JobRunner` turns (app, scheme, dataset, preprocessing) cells
+into :class:`~repro.sim.metrics.RunMetrics`.  Results come from, in
+order:
 
-1. results prefetched through :meth:`prefetch` (parallel, cached);
+1. results prefetched through :meth:`~JobRunner.prefetch` (parallel,
+   cached);
 2. otherwise the content-addressed disk cache;
 3. otherwise the stage pricer this process's in-process groups use
    (:func:`~repro.jobs.executor.pricer_for`), bound to the same store,
    which reuses the bundles an in-process prefetch built and any frozen
    stage artifacts, and then populates the cell-level cache.
 
-The inherited ``profiles`` reads through that same pricer, so
-experiments that inspect raw profiles (sorting) reuse what a prefetch
-built or the pool stored instead of re-profiling in the parent.  The
-pricer's store is the runner's :attr:`~JobRunner.cache`, so a corrupt
-stage artifact is reported wherever a corrupt cell is.
+:meth:`~JobRunner.profiles` and :meth:`~JobRunner.traversal_cycles`
+read through that same pricer, so experiments that inspect raw
+profiles (sorting) reuse what a prefetch built or the pool stored
+instead of re-profiling in the parent.  The pricer is shared by every
+runner on the same configuration and store, so each runner points the
+store's error channel at its own ``progress`` before it uses it: a
+corrupt cell or stage artifact is reported to the runner that read it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Optional
+from typing import Callable, Dict, Iterable, List, Optional
 
-from repro.config import SystemConfig
+from repro.config import SpZipConfig, SystemConfig
+from repro.graph.datasets import DEFAULT_SCALE
 from repro.jobs.cache import StoreConfig
 from repro.jobs.executor import JobExecutor, pricer_for
 from repro.jobs.fingerprint import job_fingerprint
 from repro.jobs.model import RunRequest, build_job_graph, canonical_request
 from repro.jobs.telemetry import TelemetryWriter, default_telemetry_path
+from repro.obs import TRACER
+from repro.runtime.traffic import IterationProfile
 from repro.sim.metrics import RunMetrics
-from repro.sim.runner import Runner
 
 
-class JobRunner(Runner):
+class JobRunner:
     """Memoizing runner whose results flow through the job layer."""
 
-    def __init__(self, scale: int = None,  # type: ignore[assignment]
+    def __init__(self, scale: int = DEFAULT_SCALE,
                  system: Optional[SystemConfig] = None,
                  jobs: int = 1,
                  cache_dir: Optional[str] = None,
@@ -46,12 +50,10 @@ class JobRunner(Runner):
                  progress: Optional[Callable[[str], None]] = None,
                  partitions: int = 1
                  ) -> None:
-        if scale is None:
-            from repro.graph.datasets import DEFAULT_SCALE
-            scale = DEFAULT_SCALE
-        super().__init__(scale=scale, system=system)
+        self.scale = scale
+        self.system = system if system is not None \
+            else SystemConfig().scaled(scale)
         self.jobs = jobs
-        self.partitions = partitions
         self.store = StoreConfig(root=cache_dir or None,
                                  stream_partitions=partitions)
         if telemetry_path is None and cache_dir:
@@ -63,14 +65,12 @@ class JobRunner(Runner):
         self._results: Dict[RunRequest, RunMetrics] = {}
         self._telemetry: Optional[TelemetryWriter] = None
 
-    def _stage_pricer(self):
-        return pricer_for(self.scale, self.system, self.store)
-
-    @property
-    def cache(self):
-        """The result cache: the stage pricer's own (NullCache when
-        disk-less)."""
-        return self._stage_pricer().cache
+    def _pricer(self):
+        """This process's pricer for the runner's configuration and
+        store, its store errors routed to this runner's progress."""
+        pricer = pricer_for(self.scale, self.system, self.store)
+        pricer.cache.on_error = self.progress
+        return pricer
 
     # -- orchestration -----------------------------------------------------
 
@@ -90,40 +90,88 @@ class JobRunner(Runner):
         if todo:
             executor = JobExecutor(
                 scale=self.scale, system=self.system, jobs=self.jobs,
-                cache=self.cache, telemetry=self._writer(),
+                store=self.store, telemetry=self._writer(),
                 timeout=self.timeout, retries=self.retries,
-                progress=self.progress, partitions=self.partitions)
+                progress=self.progress)
             self._results.update(executor.run(todo))
         return len(self._results)
 
-    # -- Runner interface --------------------------------------------------
+    # -- simulation --------------------------------------------------------
 
     def run(self, app: str, scheme, dataset: str,
             preprocessing: str = "none", **kwargs) -> RunMetrics:
-        # Canonicalization folds ablation kwargs into the scheme name,
-        # so `run(..., "phi+spzip", parts=...)` and the equivalent
-        # bracket string share one request, memo entry, and cache key.
+        """Simulate one configuration.
+
+        ``scheme`` is a name (including ablation brackets, e.g.
+        ``phi+spzip[parts=adjacency]``) or a
+        :class:`~repro.schemes.SchemeSpec`; kwargs feed the legacy
+        ablation knobs (``parts``, ``decoupled_only``), which
+        canonicalization folds into the scheme name, so both spellings
+        share one request, memo entry and cache key.
+        """
         request = canonical_request(app, scheme, dataset, preprocessing,
                                     **kwargs)
         hit = self._results.get(request)
         if hit is not None:
             return hit
-        # Disk cache, then the inherited in-process path.
-        graph = build_job_graph([request])
-        job = graph.jobs[graph.request_jobs[request]]
-        key = job_fingerprint(job, self.scale, self.system)
-        metrics = self.cache.get(key)
-        if metrics is None:
-            # Miss path prices through the pricer bound to the same
-            # store, so partial work (frozen streams, replays) survives
-            # even when the cell-level key missed.
-            metrics = self._stage_pricer().price(
-                app, request.scheme, dataset, preprocessing)
-            self.cache.put(key, metrics)
-            status = "miss"
-        else:
-            status = "hit"
+        # One span per (app, scheme, input) cell, tagged with the
+        # canonical scheme string — the unit the paper's sweep (and
+        # `repro perf diff`) attributes wall time to.
+        with TRACER.span("runner.cell", app=app, scheme=request.scheme,
+                         dataset=dataset, preprocessing=preprocessing):
+            graph = build_job_graph([request])
+            job = graph.jobs[graph.request_jobs[request]]
+            key = job_fingerprint(job, self.scale, self.system)
+            pricer = self._pricer()
+            metrics = pricer.cache.get(key)
+            if metrics is None:
+                # The pricer is bound to the same store, so partial work
+                # (frozen streams, replays) survives even when the
+                # cell-level key missed.
+                with TRACER.span("runner.price"):
+                    metrics = pricer.price(app, request.scheme, dataset,
+                                           preprocessing)
+                pricer.cache.put(key, metrics)
+                status = "miss"
+            else:
+                status = "hit"
         if self.telemetry_path:
             self._writer().record(job, status, cache_key=key)
         self._results[request] = metrics
         return metrics
+
+    def run_all_schemes(self, app: str, dataset: str,
+                        preprocessing: str = "none",
+                        schemes=None) -> Dict[str, RunMetrics]:
+        """Run one app against a set of schemes.
+
+        ``schemes`` is a registry group name (``"paper"``, ``"cmh"``,
+        ``"extensions"``, ``"all"``), an iterable of scheme
+        names/specs, or ``None`` for the paper's six schemes.  Keys of
+        the result are the scheme names as given (canonical form for
+        specs).
+        """
+        from repro.schemes import SchemeSpec, scheme_names
+        if schemes is None:
+            schemes = scheme_names("paper")
+        elif isinstance(schemes, str):
+            schemes = scheme_names(schemes)
+        out: Dict[str, RunMetrics] = {}
+        for scheme in schemes:
+            key = scheme.canonical() if isinstance(scheme, SchemeSpec) \
+                else str(scheme)
+            out[key] = self.run(app, scheme, dataset, preprocessing)
+        return out
+
+    def profiles(self, app: str, dataset: str,
+                 preprocessing: str = "none") -> List[IterationProfile]:
+        """The assembled iteration profiles of one identity."""
+        return self._pricer().bundle(app, dataset, preprocessing).profiles
+
+    def traversal_cycles(self, dataset: str, preprocessing: str,
+                         config: SpZipConfig, rows: int,
+                         mem_latency: int) -> int:
+        """Cycles of one functional-engine walk (see
+        :meth:`~repro.stages.StagePricer.traversal_cycles`)."""
+        return self._pricer().traversal_cycles(
+            dataset, preprocessing, config, rows, mem_latency)

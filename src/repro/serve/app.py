@@ -92,7 +92,6 @@ class ServeApp:
 
     def __init__(self, scale: Optional[int] = None,
                  system: Optional[SystemConfig] = None,
-                 store: Optional[TieredStore] = None,
                  workers: int = DEFAULT_WORKERS,
                  admission_limit: Optional[int] = None,
                  backend: Union[str, ComputeBackend] = "thread",
@@ -109,16 +108,10 @@ class ServeApp:
         self._system_resolved = system if system is not None \
             else SystemConfig().scaled(scale)
         # One StoreConfig describes every store the server touches
-        # (tiered result store, stage partitions, graph store); an
-        # explicit ``store=`` keeps working and contributes its root.
-        if store is None:
-            self.store_config = store_config if store_config is not None \
-                else StoreConfig()
-            self.store = TieredStore.from_config(self.store_config)
-        else:
-            self.store = store
-            self.store_config = store_config if store_config is not None \
-                else StoreConfig.from_cache(store)
+        # (tiered result store, stage partitions, graph store).
+        self.store_config = store_config if store_config is not None \
+            else StoreConfig()
+        self.store = TieredStore.from_config(self.store_config)
         # Serving a delta means publishing the mutated graph where the
         # compute side will look for it: activate the shared graph
         # store now (no-op when rootless).
@@ -432,7 +425,12 @@ class ServeApp:
 
     async def _get_stats(self, _request: HttpRequest
                          ) -> Tuple[int, object]:
-        return 200, self.stats()
+        # The disk tier's stats list and stat every segment, and a
+        # server's first call indexes the whole store: I/O-pool work.
+        disk = await self._in_pool(self.store.disk.stats)
+        stats = self._counters()
+        stats["store"]["disk"] = disk
+        return 200, stats
 
     async def _get_schemes(self, _request: HttpRequest
                            ) -> Tuple[int, object]:
@@ -457,7 +455,13 @@ class ServeApp:
     # -- lifecycle / introspection ----------------------------------------
 
     def stats(self) -> Dict[str, object]:
-        """Every counter the server keeps, for /stats and harnesses."""
+        """Every counter the server keeps, for harnesses.  Reads the
+        disk tier's stats on the calling thread; the /stats route
+        reads them on the I/O pool."""
+        return {**self._counters(), "store": self.store.stats()}
+
+    def _counters(self) -> Dict[str, object]:
+        """:meth:`stats` without the disk tier's: no I/O."""
         return {
             "uptime_s": time.monotonic() - self._start_mono,
             "requests": dict(self.requests),
@@ -471,7 +475,7 @@ class ServeApp:
             "flight": self.flight.stats(),
             "batcher": self.batcher.stats(),
             "backend": self.backend.stats(),
-            "store": self.store.stats(),
+            "store": self.store.counters(),
             # Stage pipeline activity on either backend: process-pool
             # workers' counts are merged as their groups come back.
             "stages": stage_counters(),

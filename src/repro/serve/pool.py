@@ -34,6 +34,7 @@ import contextvars
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import Dict, List, Optional
 
 from repro.config import SystemConfig
@@ -179,16 +180,23 @@ class ProcessBackend(ComputeBackend):
             return await self._run_fallback(scale, system, profile,
                                             prices, store)
         start = time.monotonic()
+        pool = self._pool
         try:
-            future = self._pool.submit(execute_group_remote, scale,
-                                       system, profile, prices, store,
-                                       TRACER.active)
+            future = pool.submit(execute_group_remote, scale, system,
+                                 profile, prices, store, TRACER.active)
             result = await asyncio.wrap_future(future)
         except asyncio.CancelledError:
             raise
-        except Exception:
+        except Exception as exc:
             # Broken pool, unpicklable payload, dead worker: serve the
             # group in-process rather than failing the whole batch.
+            if isinstance(exc, BrokenProcessPool) and self._pool is pool:
+                # A dead worker breaks the whole pool, so drop it: stats
+                # read "fallback" and later dispatches skip the dead
+                # submit.  No restart: forking while server threads are
+                # live can deadlock the child (see _warm).
+                self._pool = None
+                pool.shutdown(wait=False)
             return await self._run_fallback(scale, system, profile,
                                             prices, store)
         record_dispatch(profile, start, 1, [result])

@@ -23,9 +23,9 @@ misses, evictions, promotions, and the disk tier's corruption drops,
 entries and segments — are exposed via :meth:`TieredStore.stats` for
 ``/stats``, the load harness, and CI assertions.
 
-The store satisfies the jobs layer's cache interface (``get``/``put``/
-``keys``/``stats``/``enabled``/``on_error``), so a
-:class:`~repro.jobs.executor.JobExecutor` can run directly against it.
+The store is built from the server's
+:class:`~repro.jobs.cache.StoreConfig` (:meth:`TieredStore.from_config`),
+the one store handle every layer takes.
 """
 
 from __future__ import annotations
@@ -133,6 +133,13 @@ class TieredStore:
 
     def stats(self) -> Dict[str, object]:
         """Both tiers' counters plus the disk store's own stats."""
+        counters = self.counters()
+        counters["disk"] = self.disk.stats()
+        return counters
+
+    def counters(self) -> Dict[str, object]:
+        """This process's tier counters — no I/O, event-loop safe.
+        :meth:`stats` adds the disk store's, which lists its files."""
         with self._lock:
             counters = {
                 "hot_entries": len(self._hot),
@@ -148,7 +155,6 @@ class TieredStore:
         counters["hit_rate"] = (
             (counters["hot_hits"] + counters["disk_hits"]) / lookups
             if lookups else 0.0)
-        counters["disk"] = self.disk.stats()
         return counters
 
     # -- hot-tier internals ------------------------------------------------

@@ -1,4 +1,6 @@
-"""Simulation layer: metrics, timing, and the experiment runner."""
+"""Simulation layer: metrics, timing, and the identity → workload
+helpers (:mod:`repro.sim.runner`).  Cells are priced by
+:class:`~repro.jobs.JobRunner`."""
 
 from repro.sim.metrics import (
     TRAFFIC_CLASSES,
@@ -6,7 +8,6 @@ from repro.sim.metrics import (
     gmean_speedups,
     merge_traffic,
 )
-from repro.sim.runner import Runner
 from repro.sim.timing import (
     MISS_LATENCY,
     RANDOM_BW_DERATE,
@@ -21,7 +22,6 @@ __all__ = [
     "PhaseWork",
     "RANDOM_BW_DERATE",
     "RunMetrics",
-    "Runner",
     "SchemeCosts",
     "TRAFFIC_CLASSES",
     "effective_bytes_per_cycle",

@@ -1,27 +1,22 @@
-"""The experiment runner: app x scheme x dataset x preprocessing.
+"""Identity-level helpers the staged pricing pipeline builds on.
 
-One stop for the harness and benchmarks: a memoizing front end over one
-:class:`~repro.stages.StagePricer`, which turns every cell into
-:class:`~repro.sim.metrics.RunMetrics` through the staged pipeline
-(stream-gen → cache-replay → compress → timing).  The pricer memoizes
-one profile bundle per (app, dataset, preprocessing) identity, so the
-six schemes of a Fig 15 bar group share a single profiling pass.
-
-This module also owns the two identity-level helpers the pipeline
-builds on: :func:`identity_workload` (the one identity → workload
-mapping) and :func:`sized_model_config` (the per-input LLC sizing).
+:func:`identity_workload` is the one (app, dataset, preprocessing) →
+workload mapping, :func:`sized_model_config` the per-input LLC sizing,
+and :func:`profile_workload` the uncached stage composition under one
+explicit model config.  Cells are priced by
+:class:`~repro.jobs.JobRunner`, through a
+:class:`~repro.stages.StagePricer`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List
 
-from repro.config import SpZipConfig, SystemConfig
-from repro.graph.datasets import DEFAULT_SCALE, load_preprocessed
+from repro.config import SystemConfig
+from repro.graph.datasets import load_preprocessed
 from repro.obs import TRACER
 from repro.runtime.traffic import IterationProfile, ModelConfig
 from repro.runtime.workload import Workload
-from repro.sim.metrics import RunMetrics
 
 
 #: Model-LLC sizing: fraction of the 4-byte destination array the scaled
@@ -71,98 +66,8 @@ def profile_workload(workload: Workload,
     """Profile every recorded iteration under one model config.
 
     Runs the uncached stage composition (stream → replay → compress →
-    assemble, no store); :class:`Runner` reaches the same stages through
-    its content-addressed pricer.
+    assemble, no store); a :class:`~repro.stages.StagePricer` reaches
+    the same stages through its content-addressed store.
     """
     from repro.stages.pipeline import compose
     return compose(workload, cfg).profiles
-
-
-class Runner:
-    """Memoizing simulation front end over one stage pricer."""
-
-    def __init__(self, scale: int = DEFAULT_SCALE,
-                 system: Optional[SystemConfig] = None) -> None:
-        self.scale = scale
-        self.system = system if system is not None \
-            else SystemConfig().scaled(scale)
-        self._workloads: Dict[Tuple[str, str, str], Workload] = {}
-        self._pricer = None
-
-    def _stage_pricer(self):
-        # Built on first use: importing the pipeline is measurable
-        # start-up cost for callers that only construct a runner.
-        if self._pricer is None:
-            from repro.stages import StagePricer
-            self._pricer = StagePricer(scale=self.scale,
-                                       system=self.system)
-        return self._pricer
-
-    # -- building blocks -------------------------------------------------------
-
-    def workload(self, app: str, dataset: str,
-                 preprocessing: str = "none") -> Workload:
-        key = (app, dataset, preprocessing)
-        if key not in self._workloads:
-            self._workloads[key] = identity_workload(
-                app, dataset, preprocessing, self.scale)
-        return self._workloads[key]
-
-    def profiles(self, app: str, dataset: str,
-                 preprocessing: str = "none") -> List[IterationProfile]:
-        return self._stage_pricer().bundle(app, dataset,
-                                           preprocessing).profiles
-
-    def traversal_cycles(self, dataset: str, preprocessing: str,
-                         config: SpZipConfig, rows: int,
-                         mem_latency: int) -> int:
-        """Cycles of one functional-engine walk (see
-        :meth:`~repro.stages.StagePricer.traversal_cycles`)."""
-        return self._stage_pricer().traversal_cycles(
-            dataset, preprocessing, config, rows, mem_latency)
-
-    # -- simulation -------------------------------------------------------------
-
-    def run(self, app: str, scheme, dataset: str,
-            preprocessing: str = "none", **kwargs) -> RunMetrics:
-        """Simulate one configuration.
-
-        ``scheme`` is a name (including ablation brackets, e.g.
-        ``phi+spzip[parts=adjacency]``) or a
-        :class:`~repro.schemes.SchemeSpec`; kwargs feed the legacy
-        ablation knobs (``parts``, ``decoupled_only``).
-        """
-        from repro.schemes import resolve
-        spec = resolve(scheme, **kwargs)
-        # One span per (app, scheme, input) cell, tagged with the
-        # canonical SchemeSpec string — the unit the paper's sweep (and
-        # `repro perf diff`) attributes wall time to.
-        with TRACER.span("runner.cell", app=app,
-                         scheme=spec.canonical(), dataset=dataset,
-                         preprocessing=preprocessing):
-            with TRACER.span("runner.price"):
-                return self._stage_pricer().price(app, spec, dataset,
-                                                  preprocessing)
-
-    def run_all_schemes(self, app: str, dataset: str,
-                        preprocessing: str = "none",
-                        schemes=None) -> Dict[str, RunMetrics]:
-        """Run one app against a set of schemes.
-
-        ``schemes`` is a registry group name (``"paper"``, ``"cmh"``,
-        ``"extensions"``, ``"all"``), an iterable of scheme
-        names/specs, or ``None`` for the paper's six schemes.  Keys of
-        the result are the scheme names as given (canonical form for
-        specs).
-        """
-        from repro.schemes import SchemeSpec, scheme_names
-        if schemes is None:
-            schemes = scheme_names("paper")
-        elif isinstance(schemes, str):
-            schemes = scheme_names(schemes)
-        out: Dict[str, RunMetrics] = {}
-        for scheme in schemes:
-            key = scheme.canonical() if isinstance(scheme, SchemeSpec) \
-                else str(scheme)
-            out[key] = self.run(app, scheme, dataset, preprocessing)
-        return out

@@ -5,8 +5,8 @@ The one path from an (app, scheme, dataset, preprocessing) cell to
 cache-replay → compress → timing.  The first three persist their
 artifacts in the result cache under fingerprints of (stage code salt,
 upstream artifact digests, stage-relevant config slice); timing's
-result is stored once, as the cell.  :class:`~repro.sim.Runner`, the
-jobs executor and the server all price through it.  See
+result is stored once, as the cell.  :class:`~repro.jobs.JobRunner`,
+the jobs executor and the server all price through it.  See
 docs/PIPELINE.md.
 """
 

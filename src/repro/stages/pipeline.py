@@ -38,7 +38,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.config import SpZipConfig, SystemConfig
 from repro.graph.datasets import DEFAULT_SCALE
-from repro.jobs.cache import NullCache, StoreConfig
+from repro.jobs.cache import StoreConfig
 from repro.jobs.fingerprint import (
     artifact_digest,
     engine_fingerprint,
@@ -95,23 +95,18 @@ class StagePricer:
 
     def __init__(self, scale: int = DEFAULT_SCALE,
                  system: Optional[SystemConfig] = None,
-                 cache=None,
                  store: Optional[StoreConfig] = None) -> None:
         self.scale = scale
         self.system = system if system is not None \
             else SystemConfig().scaled(scale)
-        # One StoreConfig describes every store this pricer touches;
-        # a bare ``cache=`` adopts that cache's root (compat path).
-        if store is None:
-            store = StoreConfig.from_cache(
-                cache if cache is not None else NullCache())
-        self.store = store
-        self.partitions = max(1, store.stream_partitions)
-        self.cache = cache if cache is not None else store.result_cache()
+        # One StoreConfig describes every store this pricer touches.
+        self.store = store if store is not None else StoreConfig()
+        self.partitions = max(1, self.store.stream_partitions)
+        self.cache = self.store.result_cache()
         # An on-disk root also hosts the shared graph store: every
         # worker process pointed at this root memory-maps one copy of
         # each generated graph instead of regenerating it.
-        store.activate_graph_store()
+        self.store.activate_graph_store()
         self._bundles: Dict[Tuple[str, str, str], ProfileBundle] = {}
         self._metrics: Dict[Tuple[str, str, str, str], RunMetrics] = {}
         self._lock = threading.RLock()

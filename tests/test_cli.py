@@ -269,8 +269,16 @@ class TestReportOrchestration:
                      str(tmp_path / "empty")]) == 1
 
 
+@pytest.fixture
+def cold_pricers(monkeypatch):
+    """A fresh per-process pricer memo, so an in-process command prices
+    its cells instead of reading an earlier test's from memory."""
+    import repro.jobs.executor as executor
+    monkeypatch.setattr(executor, "_PRICERS", {})
+
+
 class TestPerfFlag:
-    def test_perf_prints_stage_breakdown(self, capsys):
+    def test_perf_prints_stage_breakdown(self, capsys, cold_pricers):
         assert main(["simulate", "--app", "dc", "--scheme", "phi",
                      "--dataset", "arb", "--scale", "65536",
                      "--perf"]) == 0
@@ -301,7 +309,8 @@ class TestPerfFlag:
 
 class TestTrace:
     def test_simulate_trace_has_cell_and_stage_spans(self, tmp_path,
-                                                     capsys):
+                                                     capsys,
+                                                     cold_pricers):
         from repro.obs import read_trace
         path = str(tmp_path / "trace.jsonl")
         assert main(["simulate", "--app", "dc", "--scheme", "phi",

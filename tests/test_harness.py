@@ -24,14 +24,14 @@ from repro.harness import (
     table2_config,
     table3_datasets,
 )
-from repro.sim import Runner
+from repro.jobs import JobRunner
 
 TINY = 131072
 
 
 @pytest.fixture(scope="module")
 def runner():
-    return Runner(scale=TINY)
+    return JobRunner(scale=TINY)
 
 
 class TestRegistry:

@@ -109,9 +109,15 @@ class TestEngineVsAnalyticModel:
 
 
 class TestEndToEndRunnerDeterminism:
-    def test_same_runner_inputs_same_results(self):
-        from repro.sim import Runner
-        a = Runner(scale=65536).run("pr", "phi+spzip", "ukl", "dfs")
-        b = Runner(scale=65536).run("pr", "phi+spzip", "ukl", "dfs")
+    def test_same_runner_inputs_same_results(self, monkeypatch):
+        """A runner's cell equals an independently built pricer's."""
+        import repro.jobs.executor as executor
+        from repro.jobs import JobRunner
+        from repro.stages import StagePricer
+        # A cold per-process pricer memo: the runner prices the cell.
+        monkeypatch.setattr(executor, "_PRICERS", {})
+        a = JobRunner(scale=65536).run("pr", "phi+spzip", "ukl", "dfs")
+        b = StagePricer(scale=65536).price("pr", "phi+spzip", "ukl",
+                                           "dfs")
         assert a.cycles == b.cycles
         assert a.traffic == b.traffic

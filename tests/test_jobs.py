@@ -20,6 +20,7 @@ from repro.jobs import (
     latest_telemetry,
     summarize,
 )
+from repro.jobs.cache import StoreConfig
 from tests.store_faults import damage_record, segment_paths
 
 SCALE = 65536
@@ -157,23 +158,28 @@ class TestResultCache:
         assert "cd" * 32 in messages[0]
 
     def test_executor_wires_cache_error_channel(self, tmp_path):
-        from repro.jobs.executor import JobExecutor
         seen = []
-        cache = ResultCache(str(tmp_path))
-        JobExecutor(scale=1 << 10, cache=cache, progress=seen.append)
-        assert cache.on_error is not None
-        cache.on_error("hello")
-        assert seen == ["hello"]
+        executor = JobExecutor(scale=1 << 10,
+                               store=StoreConfig(root=str(tmp_path)),
+                               progress=seen.append)
+        executor.run([])
+        executor.cache.on_error("hello")
+        assert seen[-1] == "hello"
 
-    def test_executor_keeps_existing_error_channel(self, tmp_path):
-        from repro.jobs.executor import JobExecutor
-        mine = []
-        handler = mine.append
-        cache = ResultCache(str(tmp_path), on_error=handler)
-        JobExecutor(scale=1 << 10, cache=cache, progress=lambda _m: None)
-        assert cache.on_error is handler
-        cache.on_error("kept")
-        assert mine == ["kept"]
+    def test_each_executor_run_reports_to_its_own_channel(self,
+                                                          tmp_path):
+        """Executors on one store and config share this process's
+        pricer, and so its cache: each run points the cache's error
+        channel at its own progress, not the first executor's."""
+        store = StoreConfig(root=str(tmp_path))
+        first, second = [], []
+        JobExecutor(scale=1 << 10, store=store,
+                    progress=first.append).run([])
+        executor = JobExecutor(scale=1 << 10, store=store,
+                               progress=second.append)
+        executor.run([])
+        executor.cache.on_error("mine")
+        assert "mine" in second and "mine" not in first
 
     def test_corruption_counts_in_stats(self, tmp_path):
         cache = ResultCache(str(tmp_path))
@@ -269,7 +275,8 @@ class TestExecutor:
     def test_serial_executes_and_caches(self, tmp_path):
         cache = ResultCache(str(tmp_path))
         telemetry = TelemetryWriter(path=None)
-        executor = JobExecutor(scale=SCALE, jobs=1, cache=cache,
+        executor = JobExecutor(scale=SCALE, jobs=1,
+                               store=StoreConfig(root=str(tmp_path)),
                                telemetry=telemetry)
         results = executor.run(list(REQUESTS))
         assert list(results) == REQUESTS  # deterministic order
@@ -281,11 +288,11 @@ class TestExecutor:
         assert cache.stats()["entries"] == len(REQUESTS) + 3
 
     def test_warm_cache_skips_profiling(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
-        JobExecutor(scale=SCALE, jobs=1, cache=cache).run(
+        store = StoreConfig(root=str(tmp_path))
+        JobExecutor(scale=SCALE, jobs=1, store=store).run(
             list(REQUESTS))
         telemetry = TelemetryWriter(path=None)
-        executor = JobExecutor(scale=SCALE, jobs=1, cache=cache,
+        executor = JobExecutor(scale=SCALE, jobs=1, store=store,
                                telemetry=telemetry)
         warm = executor.run(list(REQUESTS))
         statuses = {r.attrs["job_id"]: r.attrs["status"]
@@ -297,13 +304,14 @@ class TestExecutor:
         assert warm == cold
 
     def test_matches_plain_runner(self):
-        from repro.sim.runner import Runner
+        from repro.stages import StagePricer
         results = JobExecutor(scale=SCALE, jobs=1).run(list(REQUESTS))
-        runner = Runner(scale=SCALE)
+        # Built here, not taken from the executor's per-process memo.
+        pricer = StagePricer(scale=SCALE)
         for request, metrics in results.items():
-            assert metrics == runner.run(request.app, request.scheme,
-                                         request.dataset,
-                                         request.preprocessing)
+            assert metrics == pricer.price(request.app, request.scheme,
+                                           request.dataset,
+                                           request.preprocessing)
 
     def test_failure_raises_after_retries(self):
         executor = JobExecutor(scale=SCALE, jobs=1, retries=2)
@@ -346,14 +354,15 @@ class TestExecutor:
         from repro.sim.metrics import RunMetrics
         requests = list(REQUESTS) + [RunRequest("cc", scheme, "arb")
                                      for scheme in ("push", "phi")]
+        store = StoreConfig(root=str(tmp_path))
+        cold = JobExecutor(scale=SCALE, jobs=2, store=store).run(requests)
         cache = ResultCache(str(tmp_path))
-        cold = JobExecutor(scale=SCALE, jobs=2, cache=cache).run(requests)
         stored = [cache.get(key) for key in cache.keys()]
         assert sum(isinstance(value, RunMetrics)
                    for value in stored) == len(requests)
         telemetry = TelemetryWriter(path=None)
         progress = []
-        warm = JobExecutor(scale=SCALE, jobs=2, cache=cache,
+        warm = JobExecutor(scale=SCALE, jobs=2, store=store,
                            telemetry=telemetry,
                            progress=progress.append).run(requests)
         assert warm == cold
@@ -380,7 +389,7 @@ class TestExecutor:
             lines = []
             # A fresh store per run: nothing is shared between the two.
             JobExecutor(scale=SCALE, jobs=jobs,
-                        cache=ResultCache(str(tmp_path / f"j{jobs}")),
+                        store=StoreConfig(root=str(tmp_path / f"j{jobs}")),
                         progress=lines.append).run(list(requests))
             return [line for line in lines if line.startswith("stages:")]
 
@@ -420,7 +429,6 @@ class TestExecutor:
         import errno
 
         import repro.jobs.cache as cache_module
-        from repro.jobs.cache import StoreConfig
         from repro.jobs.executor import execute_group_remote
         ((profile, prices),) = build_job_graph(list(REQUESTS)).groups()
 
@@ -446,6 +454,71 @@ class TestExecutor:
         # Each failed append was cut back: the segment holds nothing.
         assert [os.path.getsize(path) for path in
                 segment_paths(str(tmp_path / "full"))] == [0]
+
+
+#: Prefetches two groups with jobs=2, timeout=2 and retries=0 after
+#: making pool workers that run the ``cc`` group wait until their
+#: parent is gone; writes the cells to ``argv[2]``.
+HUNG_WORKER_SCRIPT = """
+import multiprocessing, os, pickle, sys, time
+multiprocessing.set_start_method("fork")
+import repro.jobs.executor as executor
+from repro.jobs import JobRunner
+
+parent = os.getpid()
+real = executor._execute_group
+
+
+def hang_in_workers(scale, system, profile, prices, store=None):
+    if os.getpid() != parent and profile.app == "cc":
+        while os.getppid() == parent:
+            time.sleep(0.1)
+    return real(scale, system, profile, prices, store)
+
+
+executor._execute_group = hang_in_workers
+requests = pickle.loads(bytes.fromhex(sys.argv[1]))
+runner = JobRunner(scale=%d, jobs=2, timeout=2, retries=0,
+                   progress=print)
+runner.prefetch(requests)
+with open(sys.argv[2], "wb") as handle:
+    pickle.dump([runner.run(r.app, r.scheme, r.dataset)
+                 for r in requests], handle)
+""" % SCALE
+
+
+class TestHungWorker:
+    def test_timed_out_worker_does_not_hold_the_exit(self, tmp_path):
+        """A worker that never returns: its group times out and runs
+        in-process, the pool's workers are stopped, and the interpreter
+        exits promptly with a clean run's cells."""
+        import contextlib
+        import pickle
+        import signal
+        import subprocess
+        import sys
+        requests = [RunRequest(app, scheme, "arb")
+                    for app in ("dc", "cc") for scheme in ("push", "phi")]
+        out = tmp_path / "cells.pkl"
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        with subprocess.Popen(
+                [sys.executable, "-c", HUNG_WORKER_SCRIPT,
+                 pickle.dumps(requests).hex(), str(out)],
+                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                text=True, start_new_session=True) as proc:
+            try:
+                # A worker left running would hold the exit: timeout.
+                stdout, stderr = proc.communicate(timeout=30)
+            finally:
+                # Whatever happened, leave no worker of it running.
+                with contextlib.suppress(ProcessLookupError):
+                    os.killpg(proc.pid, signal.SIGKILL)
+        assert proc.returncode == 0, stderr
+        assert "group profile:cc/arb/none: timed out" in stdout
+        clean = JobExecutor(scale=SCALE, jobs=1).run(requests)
+        with open(out, "rb") as handle:
+            assert pickle.load(handle) == [clean[r] for r in requests]
 
 
 class TestJobRunner:
@@ -502,10 +575,39 @@ class TestJobRunner:
         assert any(message.startswith("cache: dropping unreadable")
                    and key in message for message in seen)
 
-    def test_is_a_drop_in_runner(self):
+    def test_store_errors_reach_the_runner_that_read_them(self,
+                                                          tmp_path):
+        """Runners on one store and config share this process's pricer;
+        a damaged cell is reported to the runner that looked it up, by
+        prefetch or by run, and to no other."""
+        request = RunRequest("dc", "push", "arb")
+        graph = build_job_graph([request])
+        key = job_fingerprint(graph.jobs[graph.request_jobs[request]],
+                              SCALE, SystemConfig().scaled(SCALE))
+        first, second, third = [], [], []
+
+        def runner(progress):
+            return JobRunner(scale=SCALE, cache_dir=str(tmp_path),
+                             progress=progress)
+
+        def dropped(messages):
+            return [m for m in messages
+                    if m.startswith("cache: dropping unreadable")
+                    and key in m]
+
+        runner(first.append).prefetch([request])
+        damage_record(str(tmp_path), key, "flip")
+        runner(second.append).prefetch([request])
+        damage_record(str(tmp_path), key, "flip")
+        runner(third.append).run("dc", "push", "arb")
+        assert (len(dropped(first)), len(dropped(second)),
+                len(dropped(third))) == (0, 1, 1)
+
+    def test_run_profiles_and_schemes(self):
         runner = JobRunner(scale=SCALE)
-        assert runner.workload("dc", "arb")
         assert runner.profiles("dc", "arb")
+        assert set(runner.run_all_schemes("dc", "arb")) == \
+            {"push", "push+spzip", "ub", "ub+spzip", "phi", "phi+spzip"}
 
 
 class TestPlans:

@@ -12,15 +12,21 @@ import numpy as np
 import pytest
 
 from repro.graph import shared
+from repro.jobs import JobRunner
 from repro.sim.metrics import RunMetrics
-from repro.sim.runner import Runner, sized_model_config
+from repro.sim.runner import identity_workload, sized_model_config
 
 SCALE = 65536
 
 
 @pytest.fixture(scope="module")
 def runner():
-    return Runner(scale=SCALE)
+    return JobRunner(scale=SCALE)
+
+
+@pytest.fixture(scope="module")
+def workload():
+    return identity_workload("dc", "arb", "none", SCALE)
 
 
 def roundtrip(obj):
@@ -28,8 +34,7 @@ def roundtrip(obj):
                                      protocol=pickle.HIGHEST_PROTOCOL))
 
 
-def test_workload_roundtrips(runner):
-    workload = runner.workload("dc", "arb")
+def test_workload_roundtrips(workload):
     clone = roundtrip(workload)
     assert clone.app == workload.app
     assert clone.frontier_based == workload.frontier_based
@@ -68,11 +73,10 @@ def test_run_metrics_roundtrip(runner):
         assert clone.traffic[cls].hex() == nbytes.hex()
 
 
-def test_workload_roundtrip_prices_identically(runner):
+def test_workload_roundtrip_prices_identically(runner, workload):
     """A shipped workload prices exactly like the original."""
     from repro.schemes import resolve
     from repro.stages.pipeline import compose, price_bundle
-    workload = runner.workload("dc", "arb")
     cfg = sized_model_config(runner.system, runner.scale,
                              workload.graph.num_vertices)
     local = price_bundle(compose(workload, cfg), resolve("phi"),
@@ -101,9 +105,8 @@ def graph_store(tmp_path):
 
 
 class TestSharedGraphStore:
-    def test_graph_payload_excludes_arrays(self, graph_store, runner):
+    def test_graph_payload_excludes_arrays(self, graph_store, workload):
         """Store active: a pickled graph is paths, not array bytes."""
-        workload = runner.workload("dc", "arb")
         graph = workload.graph
         payload = pickle.dumps(graph,
                                protocol=pickle.HIGHEST_PROTOCOL)
@@ -115,8 +118,7 @@ class TestSharedGraphStore:
             graph.neighbors).tobytes() not in payload
 
     def test_workload_payload_excludes_graph_arrays(self, graph_store,
-                                                    runner):
-        workload = runner.workload("dc", "arb")
+                                                    workload):
         payload = pickle.dumps(workload,
                                protocol=pickle.HIGHEST_PROTOCOL)
         # Iteration arrays still ride along inline; the graph's three
@@ -129,10 +131,9 @@ class TestSharedGraphStore:
         np.testing.assert_array_equal(clone.graph.neighbors,
                                       workload.graph.neighbors)
 
-    def test_roundtrip_without_store_still_inline(self, runner):
+    def test_roundtrip_without_store_still_inline(self, workload):
         """No store active: the old inline pickling, bit for bit."""
         assert shared.active_graph_store() is None
-        workload = runner.workload("dc", "arb")
         clone = roundtrip(workload)
         np.testing.assert_array_equal(clone.graph.neighbors,
                                       workload.graph.neighbors)
@@ -141,11 +142,10 @@ class TestSharedGraphStore:
 
     @pytest.mark.parametrize("method", ["fork", "spawn"])
     def test_digest_identity_across_pool(self, graph_store, method,
-                                         runner):
+                                         workload):
         """A mapped graph unpickles to identical content in workers."""
         if method not in multiprocessing.get_all_start_methods():
             pytest.skip(f"{method} start method unavailable")
-        workload = runner.workload("dc", "arb")
         payload = pickle.dumps(workload.graph,
                                protocol=pickle.HIGHEST_PROTOCOL)
         try:
@@ -185,7 +185,7 @@ class TestSharedGraphStore:
             graph.content_digest()
 
     def test_stale_root_republishes_under_new_store(self, tmp_path,
-                                                    runner):
+                                                    workload):
         """A graph memoized under a store root that is later replaced
         (or deleted) must re-publish under the new root, not hand
         workers dangling paths."""
@@ -195,7 +195,6 @@ class TestSharedGraphStore:
         clear_cache()
         store_a = shared.enable_graph_store(str(tmp_path / "a"))
         try:
-            workload = runner.workload("dc", "arb")
             graph = workload.graph
             pickle.dumps(graph, protocol=pickle.HIGHEST_PROTOCOL)
             paths_a = graph._store_paths

@@ -3,12 +3,12 @@
 import pytest
 
 from repro.schemes import scheme_names
-from repro.sim import Runner
+from repro.jobs import JobRunner
 
 
 @pytest.fixture(scope="module")
 def runner():
-    return Runner(scale=16384)
+    return JobRunner(scale=16384)
 
 
 class TestPullScheme:

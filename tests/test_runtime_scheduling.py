@@ -80,8 +80,8 @@ class TestIterationImbalance:
 
     def test_imbalance_feeds_compute_model(self):
         """Strategies stretch compute (not traffic) by the factor."""
-        from repro.sim import Runner
-        runner = Runner(scale=16384)
+        from repro.jobs import JobRunner
+        runner = JobRunner(scale=16384)
         run = runner.run("pr", "push", "ukl", "none")
         profile = runner.profiles("pr", "ukl", "none")[0]
         assert profile.load_imbalance >= 1.0

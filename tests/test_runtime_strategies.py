@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.graph.datasets import load_preprocessed
+from repro.jobs import JobRunner
 from repro.schemes import SCHEME_COSTS
-from repro.sim import Runner
 from repro.sim.runner import sized_model_config
 from repro.sim.timing import (
     PhaseWork,
@@ -18,7 +19,7 @@ TEST_SCALE = 16384  # small instances: fast but non-degenerate
 
 @pytest.fixture(scope="module")
 def runner():
-    return Runner(scale=TEST_SCALE)
+    return JobRunner(scale=TEST_SCALE)
 
 
 class TestTimingModel:
@@ -166,7 +167,7 @@ class TestRunner:
 
     def test_llc_sized_per_input(self, runner):
         def llc_bytes(dataset):
-            graph = runner.workload("pr", dataset, "none").graph
+            graph = load_preprocessed(dataset, "none", runner.scale)
             cfg = sized_model_config(runner.system, runner.scale,
                                      graph.num_vertices)
             return cfg.system.llc.size_bytes

@@ -1,12 +1,12 @@
-"""Golden parity: ``Runner.run`` reproduces the legacy pricing bit for
-bit.
+"""Golden parity: ``JobRunner.run`` reproduces the legacy pricing bit
+for bit.
 
 The legacy string-suffix dispatch (the scheme layer before the scheme
 registry) is frozen below, constants and the CMH baseline's in-place
 BDI/LCP sweep and scatter replay included.  Every (app x scheme x
 preprocessing) combination — plus the Fig 19/20 ablations — is priced
 by the legacy code over the runner's own profiles and through
-``Runner.run``.  ``RunMetrics`` equality is exact (dataclass ``==``, no
+``JobRunner.run``.  ``RunMetrics`` equality is exact (dataclass ``==``, no
 tolerance): the refactor moved code, it must not move numbers.
 """
 
@@ -16,9 +16,9 @@ import pytest
 from repro.graph.idspace import expand_ids
 from repro.memory.address import LINE_BYTES
 from repro.schemes.pricing import _bdi_ratio, _lcp_fetch_ratio
-from repro.sim import Runner
+from repro.jobs import JobRunner
 from repro.sim.metrics import RunMetrics, merge_traffic
-from repro.sim.runner import sized_model_config
+from repro.sim.runner import identity_workload, sized_model_config
 from repro.sim.timing import PhaseWork, SchemeCosts, phase_cycles
 
 TEST_SCALE = 16384
@@ -243,7 +243,7 @@ SCHEMES = ("push", "push+spzip", "ub", "ub+spzip", "phi", "phi+spzip",
 
 @pytest.fixture(scope="module")
 def runner():
-    return Runner(scale=TEST_SCALE)
+    return JobRunner(scale=TEST_SCALE)
 
 
 def _cases(scheme):
@@ -260,7 +260,7 @@ def _cases(scheme):
 @pytest.mark.parametrize("app", APPS)
 def test_registry_path_matches_legacy(runner, app, preprocessing):
     dataset = "nlp" if app == "sp" else "ukl"
-    workload = runner.workload(app, dataset, preprocessing)
+    workload = identity_workload(app, dataset, preprocessing, runner.scale)
     profiles = runner.profiles(app, dataset, preprocessing)
     cfg = sized_model_config(runner.system, runner.scale,
                              workload.graph.num_vertices)
@@ -277,7 +277,7 @@ def test_registry_path_matches_legacy(runner, app, preprocessing):
 def test_legacy_misparse_is_now_an_error(runner):
     """`push+bogus` silently priced as plain push before; now it names
     the registered schemes instead."""
-    workload = runner.workload("dc", "arb", "none")
+    workload = identity_workload("dc", "arb", "none", runner.scale)
     profiles = runner.profiles("dc", "arb", "none")
     cfg = sized_model_config(runner.system, runner.scale,
                              workload.graph.num_vertices)

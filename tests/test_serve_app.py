@@ -7,13 +7,12 @@ from collections import Counter
 
 import pytest
 
-from repro.jobs import ResultCache
+from repro.jobs.cache import StoreConfig
 from repro.serve import (
     AdmissionController,
     ServeApp,
     ServeServer,
     SingleFlight,
-    TieredStore,
     parse_price,
     parse_response,
 )
@@ -28,8 +27,8 @@ def run(coro):
 
 
 def make_app(tmp_path, **kwargs):
-    store = TieredStore(ResultCache(str(tmp_path / "cache")))
-    return ServeApp(scale=SCALE, store=store, **kwargs)
+    return ServeApp(scale=SCALE, store_config=StoreConfig(
+        root=str(tmp_path / "cache")), **kwargs)
 
 
 def http_bytes(method, path, payload=None):
@@ -543,6 +542,33 @@ class TestEndpoints:
             assert stats["flight"]["leaders"] == 1
         run(with_server(tmp_path, go))
 
+    def test_stats_reads_the_disk_tier_off_the_event_loop(self,
+                                                          tmp_path):
+        """The disk tier's stats list every segment, and a server's
+        first call indexes the whole store: /stats runs that on the I/O
+        pool, and answers with the same keys ``stats()`` has."""
+        import threading
+
+        async def go(app, server):
+            threads = []
+            disk_stats = app.store.disk.stats
+
+            def recorded():
+                threads.append(threading.current_thread())
+                return disk_stats()
+
+            app.store.disk.stats = recorded
+            await json_request(server, "POST", "/price", CELL)
+            status, stats = await json_request(server, "GET", "/stats")
+            assert status == 200
+            assert len(threads) == 1
+            assert threads[0] is not threading.current_thread()
+            assert threads[0].name.startswith("serve-io")
+            assert stats["store"]["disk"]["entries"] >= 4
+            assert sorted(stats) == sorted(app.stats())
+            assert sorted(stats["store"]) == sorted(app.stats()["store"])
+        run(with_server(tmp_path, go))
+
 
 # ---------------------------------------------------------------------------
 # Dynamic graphs over the wire
@@ -637,8 +663,7 @@ class TestGraphDelta:
         """Worker processes can only see a mutation through the shared
         graph store; with no on-disk root that is impossible: 409."""
         async def go():
-            app = ServeApp(scale=SCALE, store=TieredStore(),
-                           backend="process", workers=1)
+            app = ServeApp(scale=SCALE, backend="process", workers=1)
             server = await ServeServer(app, "127.0.0.1", 0).start()
             try:
                 status, body = await json_request(server, "POST",

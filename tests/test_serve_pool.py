@@ -7,12 +7,12 @@ from collections import Counter
 import pytest
 
 from repro.jobs import ResultCache
+from repro.jobs.cache import StoreConfig
 from repro.jobs.model import build_job_graph, canonical_request
 from repro.serve import (
     ProcessBackend,
     ServeApp,
     ThreadBackend,
-    TieredStore,
     make_backend,
     parse_price,
 )
@@ -35,8 +35,8 @@ def one_group(app="dc", dataset="arb", schemes=("push", "phi")):
 
 
 def make_app(tmp_path, **kwargs):
-    store = TieredStore(ResultCache(str(tmp_path / "cache")))
-    return ServeApp(scale=SCALE, store=store, **kwargs)
+    return ServeApp(scale=SCALE, store_config=StoreConfig(
+        root=str(tmp_path / "cache")), **kwargs)
 
 
 class TestMakeBackend:
@@ -81,7 +81,7 @@ class TestThreadBackend:
 
     def test_same_profile_dispatches_serialize(self):
         """Two concurrent same-profile groups run one after the other
-        (the per-profile lock), so the Runner memo is built once."""
+        (the per-profile lock), so the pricer's bundle is built once."""
         backend = ThreadBackend(workers=2)
         profile, prices = one_group(schemes=SCHEMES)
         order = []
@@ -164,6 +164,49 @@ class TestProcessBackend:
         assert all(error == "" for *_rest, error in outcomes)
         assert backend.fallbacks == 1
         assert len(outcomes) == 1 + len(prices)
+
+    def test_dead_worker_demotes_the_pool_to_fallback(self):
+        """A killed worker breaks the whole pool: the dispatch that
+        finds it broken runs in-process, the backend drops the pool, so
+        stats read ``fallback``, and later dispatches submit nothing."""
+        import signal
+        import time
+        backend = ProcessBackend(workers=2)
+        pool = backend._pool
+        if pool is None:
+            backend.close()
+            pytest.skip("process pool unavailable")
+        profile, prices = one_group()
+        submits = []
+        real_submit = pool.submit
+
+        def counted(*args, **kwargs):
+            submits.append(args[0])
+            return real_submit(*args, **kwargs)
+
+        pool.submit = counted
+        os.kill(next(iter(pool._processes)), signal.SIGKILL)
+        deadline = time.monotonic() + 30
+        while not pool._broken and time.monotonic() < deadline:
+            time.sleep(0.05)
+
+        async def go():
+            return [await backend.run_group(SCALE, None, profile, prices)
+                    for _ in range(3)]
+
+        try:
+            results = run(go())
+        finally:
+            backend.close()
+        for outcomes in results:
+            assert len(outcomes) == 1 + len(prices)
+            assert all(error == "" for *_rest, error in outcomes)
+            assert {pid for _j, _m, _w, pid, _e in outcomes} == \
+                {os.getpid()}
+        assert len(submits) == 1
+        stats = backend.stats()
+        assert (stats["pool"], stats["dispatches"], stats["fallbacks"]) \
+            == ("fallback", 3, 3)
 
 
 class TestAppBatching:

@@ -205,8 +205,8 @@ class TestWireForms:
     def test_metrics_to_json_is_complete_and_plain(self):
         import json
 
-        from repro.sim.runner import Runner
-        metrics = Runner(scale=65536).run("dc", "phi", "arb")
+        from repro.jobs import JobRunner
+        metrics = JobRunner(scale=65536).run("dc", "phi", "arb")
         wire = metrics_to_json(metrics)
         json.dumps(wire)  # JSON-serializable end to end
         assert wire["cycles"] == metrics.cycles

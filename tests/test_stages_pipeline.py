@@ -16,7 +16,7 @@ from dataclasses import replace
 import pytest
 
 from repro.config import SpZipConfig, SystemConfig
-from repro.jobs.cache import ResultCache
+from repro.jobs.cache import ResultCache, StoreConfig
 from repro.jobs.fingerprint import (
     STAGE_DEPS,
     STAGE_NAMES,
@@ -131,45 +131,45 @@ class TestStageFingerprints:
 
 
 class TestInvalidation:
-    def _sweep(self, system, cache):
-        pricer = StagePricer(scale=SCALE, system=system, cache=cache)
+    def _sweep(self, system, store):
+        pricer = StagePricer(scale=SCALE, system=system, store=store)
         pricer.price("pr", "push+spzip", "ukl", "none")
         return stage_counters()
 
     def test_cold_run_computes_every_stage(self, tmp_path):
         counters = self._sweep(SystemConfig().scaled(SCALE),
-                               ResultCache(str(tmp_path)))
+                               StoreConfig(root=str(tmp_path)))
         assert counters == {f"{s}.computed": 1 for s in STAGE_NAMES}
 
     def test_identical_rerun_hits_every_stage(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
+        store = StoreConfig(root=str(tmp_path))
         system = SystemConfig().scaled(SCALE)
-        self._sweep(system, cache)
+        self._sweep(system, store)
         reset_stage_counters()
-        counters = self._sweep(system, cache)
+        counters = self._sweep(system, store)
         # Timing is not stored: a fresh pricer recomputes it.
         assert counters == {"stream.hit": 1, "replay.hit": 1,
                             "compress.hit": 1, "timing.computed": 1}
 
     def test_bandwidth_edit_recomputes_timing_only(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
+        store = StoreConfig(root=str(tmp_path))
         system = SystemConfig().scaled(SCALE)
-        self._sweep(system, cache)
+        self._sweep(system, store)
         reset_stage_counters()
         faster = replace(system, memory=replace(
             system.memory,
             gb_per_sec_per_controller=2
             * system.memory.gb_per_sec_per_controller))
-        counters = self._sweep(faster, cache)
+        counters = self._sweep(faster, store)
         assert counters == {"stream.hit": 1, "replay.hit": 1,
                             "compress.hit": 1, "timing.computed": 1}
 
     def test_core_count_edit_recomputes_timing_only(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
+        store = StoreConfig(root=str(tmp_path))
         system = SystemConfig().scaled(SCALE)
-        self._sweep(system, cache)
+        self._sweep(system, store)
         reset_stage_counters()
-        counters = self._sweep(replace(system, num_cores=8), cache)
+        counters = self._sweep(replace(system, num_cores=8), store)
         assert counters == {"stream.hit": 1, "replay.hit": 1,
                             "compress.hit": 1, "timing.computed": 1}
 
@@ -177,21 +177,21 @@ class TestInvalidation:
         # Associativity reaches the resolved LLC size through the
         # sizing granule, so replay (and everything after) recomputes —
         # but the system-independent stream artifact stays frozen.
-        cache = ResultCache(str(tmp_path))
+        store = StoreConfig(root=str(tmp_path))
         system = SystemConfig().scaled(SCALE)
-        self._sweep(system, cache)
+        self._sweep(system, store)
         reset_stage_counters()
         rewayed = replace(system, llc=replace(system.llc, ways=4))
-        counters = self._sweep(rewayed, cache)
+        counters = self._sweep(rewayed, store)
         assert counters["stream.hit"] == 1
         assert counters["replay.computed"] == 1
         assert counters["compress.computed"] == 1
         assert counters["timing.computed"] == 1
 
     def test_new_scheme_recomputes_timing_only(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
+        store = StoreConfig(root=str(tmp_path))
         system = SystemConfig().scaled(SCALE)
-        pricer = StagePricer(scale=SCALE, system=system, cache=cache)
+        pricer = StagePricer(scale=SCALE, system=system, store=store)
         pricer.price("pr", "push+spzip", "ukl", "none")
         reset_stage_counters()
         pricer.price("pr", "ub+spzip", "ukl", "none")
@@ -204,16 +204,16 @@ class TestInvalidation:
         """A traffic_array edit (simulated by rotating the salts) must
         recompute every stage — stale planted artifacts are unreachable
         under the new keys — and reprice to the same result."""
-        cache = ResultCache(str(tmp_path))
+        store = StoreConfig(root=str(tmp_path))
         system = SystemConfig().scaled(SCALE)
-        pricer = StagePricer(scale=SCALE, system=system, cache=cache)
+        pricer = StagePricer(scale=SCALE, system=system, store=store)
         first = pricer.price("pr", "push+spzip", "ukl", "none")
         reset_stage_counters()
         import repro.jobs.fingerprint as fp
         real = stage_salt
         monkeypatch.setattr(fp, "stage_salt",
                             lambda stage: real(stage)[::-1])
-        edited = StagePricer(scale=SCALE, system=system, cache=cache)
+        edited = StagePricer(scale=SCALE, system=system, store=store)
         again = edited.price("pr", "push+spzip", "ukl", "none")
         counters = stage_counters()
         assert counters == {f"{s}.computed": 1 for s in STAGE_NAMES}
@@ -221,8 +221,8 @@ class TestInvalidation:
         assert again == first
 
     def test_memoized_cell_skips_the_store(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
-        pricer = StagePricer(scale=SCALE, cache=cache)
+        store = StoreConfig(root=str(tmp_path))
+        pricer = StagePricer(scale=SCALE, store=store)
         first = pricer.price("pr", "push", "ukl", "none")
         reset_stage_counters()
         again = pricer.price("pr", "push", "ukl", "none")
@@ -233,7 +233,7 @@ class TestInvalidation:
 
     def test_cacheless_pricer_matches_cached(self, tmp_path):
         cached = StagePricer(scale=SCALE,
-                             cache=ResultCache(str(tmp_path)))
+                             store=StoreConfig(root=str(tmp_path)))
         bare = StagePricer(scale=SCALE)
         assert cached.price("bfs", "phi+spzip", "ukl", "degree") == \
             bare.price("bfs", "phi+spzip", "ukl", "degree")
@@ -277,9 +277,9 @@ def _reference_walk(graph, scratch_kb: int, rows: int) -> int:
 class TestEngineRuns:
     ROWS = 64
 
-    def _walk(self, cache, system=None, preprocessing="none",
+    def _walk(self, store, system=None, preprocessing="none",
               scratch_kb=2, rows=ROWS, mem_latency=60):
-        pricer = StagePricer(scale=SCALE, system=system, cache=cache)
+        pricer = StagePricer(scale=SCALE, system=system, store=store)
         return pricer.traversal_cycles(
             "ukl", preprocessing,
             SpZipConfig(scratchpad_bytes=scratch_kb * 1024), rows,
@@ -287,45 +287,45 @@ class TestEngineRuns:
 
     def test_cycles_match_a_direct_walk(self, tmp_path):
         from repro.sim.runner import identity_workload
-        cache = ResultCache(str(tmp_path))
+        store = StoreConfig(root=str(tmp_path))
         for preprocessing in ("none", "dfs"):
             graph = identity_workload("cc", "ukl", preprocessing,
                                       SCALE).graph
             for scratch_kb in (1, 2, 4):
-                assert self._walk(cache, preprocessing=preprocessing,
+                assert self._walk(store, preprocessing=preprocessing,
                                   scratch_kb=scratch_kb) == \
                     _reference_walk(graph, scratch_kb, self.ROWS)
 
     def test_bandwidth_edit_reuses_the_walk(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
+        store = StoreConfig(root=str(tmp_path))
         system = SystemConfig().scaled(SCALE)
-        first = self._walk(cache, system)
+        first = self._walk(store, system)
         assert stage_counters() == {"engine.computed": 1}
         reset_stage_counters()
         faster = replace(system, memory=replace(
             system.memory,
             gb_per_sec_per_controller=2
             * system.memory.gb_per_sec_per_controller))
-        assert self._walk(cache, faster) == first
+        assert self._walk(store, faster) == first
         assert stage_counters() == {"engine.hit": 1}
 
     @pytest.mark.parametrize("edit", [
         {"preprocessing": "dfs"}, {"scratch_kb": 4},
         {"rows": ROWS // 2}, {"mem_latency": 90}], ids=lambda e: next(iter(e)))
     def test_key_covers_every_walk_input(self, tmp_path, edit):
-        cache = ResultCache(str(tmp_path))
-        self._walk(cache)
+        store = StoreConfig(root=str(tmp_path))
+        self._walk(store)
         reset_stage_counters()
-        self._walk(cache, **edit)
+        self._walk(store, **edit)
         assert stage_counters() == {"engine.computed": 1}
 
     def test_code_edit_recomputes_the_walk(self, tmp_path, monkeypatch):
         import repro.jobs.fingerprint as fp
-        cache = ResultCache(str(tmp_path))
-        first = self._walk(cache)
+        store = StoreConfig(root=str(tmp_path))
+        first = self._walk(store)
         reset_stage_counters()
         monkeypatch.setattr(fp, "code_salt", lambda: "edited")
-        assert self._walk(cache) == first
+        assert self._walk(store) == first
         assert stage_counters() == {"engine.computed": 1}
 
 
@@ -434,14 +434,16 @@ class TestStoreCrashAndRaces:
 
         import repro.jobs.cache as cache_module
         errors = []
-        cache = ResultCache(str(tmp_path), on_error=errors.append)
+        pricer = StagePricer(scale=SCALE,
+                             store=StoreConfig(root=str(tmp_path)))
+        cache = pricer.cache
+        cache.on_error = errors.append
 
         def full_disk(fd, buffers):
             raise OSError(errno.ENOSPC, "No space left on device")
 
         monkeypatch.setattr(cache_module.os, "writev", full_disk)
-        metrics = StagePricer(scale=SCALE, cache=cache).price(
-            "pr", "push+spzip", "ukl", "none")
+        metrics = pricer.price("pr", "push+spzip", "ukl", "none")
         assert metrics == StagePricer(scale=SCALE).price(
             "pr", "push+spzip", "ukl", "none")
         assert errors and "No space left" in errors[0]
@@ -472,13 +474,13 @@ class TestExecutorIntegration:
     def test_worker_pricers_share_the_store(self, tmp_path):
         from repro.jobs.executor import JobExecutor
         from repro.jobs.model import RunRequest
-        cache = ResultCache(str(tmp_path))
+        store = StoreConfig(root=str(tmp_path))
         requests = [RunRequest("dc", s, "arb")
                     for s in ("push", "phi")]
-        JobExecutor(scale=SCALE, jobs=1, cache=cache).run(requests)
+        JobExecutor(scale=SCALE, jobs=1, store=store).run(requests)
         reset_stage_counters()
         # A fresh pricer over the same store sees frozen artifacts.
-        pricer = StagePricer(scale=SCALE, cache=cache)
+        pricer = StagePricer(scale=SCALE, store=store)
         pricer.price("dc", "push", "arb", "none")
         counters = stage_counters()
         assert counters == {"stream.hit": 1, "replay.hit": 1,

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.jobs.cache import ResultCache
+from repro.jobs.cache import ResultCache, StoreConfig
 from repro.stages import StagePricer
 from tests.store_faults import segment_paths
 
@@ -179,9 +179,10 @@ def values(tmp_path_factory):
     """Mixed-size values: tiny ones plus a priced cell and the stage
     artifacts behind it."""
     from repro.graph.shared import disable_graph_store
-    cache = ResultCache(str(tmp_path_factory.mktemp("artifacts")))
-    cell = StagePricer(scale=SCALE, cache=cache).price(
-        "bfs", "push+spzip", "ukl", "none")
+    pricer = StagePricer(scale=SCALE, store=StoreConfig(
+        root=str(tmp_path_factory.mktemp("artifacts"))))
+    cell = pricer.price("bfs", "push+spzip", "ukl", "none")
+    cache = pricer.cache
     disable_graph_store()  # the pricer enabled one under that root
     artifacts = [cache.get(key) for key in cache.keys()]
     return [0, "x" * 300, cell, list(range(2000))] + artifacts
