@@ -7,7 +7,9 @@ Layering (each module only imports downward):
 ``fingerprint``  content-addressed cache keys (code-salted)
 ``cache``        the on-disk pickle store
 ``telemetry``    per-job ``jobs.job`` spans of a run and their summaries
-``executor``     serial / process-pool graph execution
+``executor``     group tasks, the one dispatcher (in-process or on a
+                 process pool, for reports and the server) and graph
+                 execution
 ``plan``         experiment id -> required simulations
 ``orchestrator`` the runner experiments price through (``JobRunner``)
 """

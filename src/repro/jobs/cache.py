@@ -438,10 +438,6 @@ class ResultCache:
         TRACER.count("stage.store.corrupt_dropped")
         self._report(message)
 
-    @property
-    def enabled(self) -> bool:
-        return True
-
     def get(self, key: str) -> Optional[Any]:
         """Stored object for ``key``, or None on miss/corruption.
 
@@ -522,10 +518,6 @@ class NullCache:
     root = None
     on_error: Optional[Callable[[str], None]] = None
     corrupt_dropped = 0
-
-    @property
-    def enabled(self) -> bool:
-        return False
 
     def get(self, key: str) -> Optional[Any]:
         return None

@@ -1,4 +1,4 @@
-"""Job-graph execution: serial or process-pool, with retries.
+"""Job-graph execution: one dispatcher runs job groups, with retries.
 
 The unit of dispatch is a *group* — one profile job plus every price
 job that depends on it (:meth:`~repro.jobs.model.JobGraph.groups`).
@@ -9,17 +9,28 @@ back, so the expensive workload/profile structures never need to cross
 a process boundary (though they can — see
 ``tests/test_jobs_pickle.py``).
 
-Execution policy:
+:class:`Dispatcher` is the one path from groups to outcomes.
+:class:`JobExecutor` runs a report's pending groups through one
+dispatcher per run; ``repro serve`` keeps one for its whole life and
+calls it from its compute threads (:mod:`repro.serve.pool`).  Policy:
 
-* ``jobs == 1`` runs everything in-process on one shared
-  :class:`~repro.stages.StagePricer` (no pool, no pickling);
-* ``jobs > 1`` uses a ``ProcessPoolExecutor``; each worker memoizes one
+* with no pool (``--jobs 1``, the thread backend) a group runs on the
+  calling thread, on this process's shared
+  :class:`~repro.stages.StagePricer` (no pickling);
+* with ``processes > 0`` a ``ProcessPoolExecutor`` of that many
+  workers is forked at construction; each worker memoizes one
   StagePricer per (scale, system, store config) so successive groups on
   the same worker reuse its profile bundles, and all workers share the
-  dispatcher's content-addressed stage store;
+  dispatcher's content-addressed stage store.  All of a run's groups
+  are submitted at once and waited for in order;
 * a group that fails or times out is retried up to ``retries`` times,
   then re-run in-process as a last resort (which also transparently
   covers payloads the pool cannot pickle);
+* a pool that cannot start or breaks (a dead worker) is dropped, and
+  its groups and every later one run on the calling thread, counted in
+  :attr:`Dispatcher.fallbacks`;
+* a worker ends itself once the process that started it is gone, and
+  :meth:`Dispatcher.close` kills the workers after a group timed out;
 * per-job cache lookups happen before dispatch, so a warm-cache run
   dispatches nothing and profiles nothing;
 * the process that prices a cell stores it (:func:`execute_group`), so
@@ -39,10 +50,12 @@ order.
 from __future__ import annotations
 
 import os
+import threading
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor, TimeoutError as \
-    FutureTimeout
+from concurrent.futures import Future, ProcessPoolExecutor, \
+    TimeoutError as FutureTimeout
+from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.config import SystemConfig
@@ -59,6 +72,14 @@ JobOutcome = Tuple[str, Optional[RunMetrics], float, int, str]
 
 #: What a pool task sends home: (outcomes, count delta, spans).
 RemoteResult = Tuple[List[JobOutcome], Dict[str, int], List[Span]]
+
+#: One group's :func:`execute_group` arguments:
+#: (scale, system, profile, prices, store).
+GroupArgs = Tuple[int, Optional[SystemConfig], JobSpec, List[JobSpec],
+                  Optional[StoreConfig]]
+
+#: How long a new pool may take to answer its first, trivial task.
+START_TIMEOUT_S = 30.0
 
 #: Per-process StagePricer memo, keyed by (scale, system, store
 #: config): successive groups on one process — a pool worker, or the
@@ -172,7 +193,7 @@ def _execute_group(scale: int, system: Optional[SystemConfig],
             with TRACER.span("jobs.profile", job_id=profile.job_id,
                              app=profile.app, dataset=profile.dataset,
                              preprocessing=profile.preprocessing):
-                pricer.ensure(profile.app, profile.dataset,
+                pricer.bundle(profile.app, profile.dataset,
                               profile.preprocessing)
             outcomes.append((profile.job_id, None,
                              time.monotonic() - start, pid, ""))
@@ -202,6 +223,185 @@ def _execute_group(scale: int, system: Optional[SystemConfig],
                                  time.monotonic() - start, pid,
                                  repr(exc)))
     return outcomes
+
+
+def _exit_with_parent() -> None:
+    """Pool-worker initializer: end this worker once the process that
+    started it is gone.
+
+    A dispatcher killed before it could shut its pool down (SIGKILL,
+    the OOM killer) would otherwise leave its workers waiting for work
+    forever.  ``prctl(PR_SET_PDEATHSIG)`` does not do this: it fires
+    when the *thread* that forked the worker exits, not the process.
+    The parent is read here rather than passed in, because under the
+    ``forkserver`` start method it is the fork server, which exits
+    with the dispatcher.
+    """
+    parent = os.getppid()
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(1.0)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="parent-watch",
+                     daemon=True).start()
+
+
+def _failed(group: List[JobOutcome]) -> bool:
+    return any(error for _jid, _m, _w, _p, error in group)
+
+
+def _stop(pool: ProcessPoolExecutor, kill: bool) -> None:
+    """Shut ``pool`` down; with ``kill``, end its workers too, which
+    ``cancel()`` cannot do for a running task: a worker left running
+    keeps the interpreter from exiting."""
+    workers = list((pool._processes or {}).values()) if kill else []
+    pool.shutdown(wait=False)
+    for worker in workers:
+        worker.kill()
+        worker.join()
+
+
+class Dispatcher:
+    """Runs job groups on a process pool of ``processes`` workers, or on
+    the calling thread when it has none (see the module docstring).
+
+    :meth:`run` may be called from several threads at once.
+    """
+
+    def __init__(self, processes: int = 0,
+                 timeout: Optional[float] = None, retries: int = 0,
+                 progress: Optional[Callable[[str], None]] = None
+                 ) -> None:
+        self.processes = processes
+        self.timeout = timeout
+        self.retries = retries
+        #: Groups run in-process although a pool was asked for.
+        self.fallbacks = 0
+        self._progress = progress or (lambda _msg: None)
+        self._lock = threading.Lock()
+        self._timed_out = False
+        self._pool: Optional[ProcessPoolExecutor] = None
+        if not processes:
+            return
+        try:
+            self._pool = ProcessPoolExecutor(
+                max_workers=processes, initializer=_exit_with_parent)
+            # The first submit forks every worker (under the ``fork``
+            # start method): do it now, while this process is quiet.  Forked later, mid-burst, a child could
+            # inherit a lock some server thread holds, and deadlock.
+            # The answer also shows that the workers can start.
+            self._pool.submit(int).result(timeout=START_TIMEOUT_S)
+        except Exception as exc:  # e.g. sandboxed /dev/shm
+            self._progress(f"process pool unavailable ({exc!r}); "
+                           f"running groups in-process")
+            pool, self._pool = self._pool, None
+            if pool is not None:
+                _stop(pool, kill=True)
+
+    def run(self, scale: int, system: Optional[SystemConfig],
+            store: Optional[StoreConfig],
+            groups: List[Tuple[JobSpec, List[JobSpec]]]
+            ) -> List[Tuple[List[JobOutcome], int]]:
+        """Run each ``(profile, prices)`` group; returns every group's
+        outcomes and retry count, in group order.
+
+        All groups are submitted before the first is waited for, so
+        they queue in the pool, not on this thread.
+        """
+        submitted = []
+        for profile, prices in groups:
+            args: GroupArgs = (scale, system, profile, prices, store)
+            start_s = time.monotonic()
+            submitted.append((args, start_s, self._submit(args)))
+        done = []
+        for index, (args, start_s, future) in enumerate(submitted):
+            done.append(self._finish(args, start_s, future))
+            self._progress(f"group {index + 1}/{len(groups)}: "
+                           f"{args[2].job_id}")
+        return done
+
+    def _submit(self, args: GroupArgs) -> Optional[Future]:
+        """The group's pool future, or None to run it in-process."""
+        pool = self._pool
+        if pool is None:
+            return None
+        try:
+            return pool.submit(execute_group_remote, *args, TRACER.active)
+        except Exception as exc:  # shut down, or broken by a dead worker
+            self._drop(exc)
+            return None
+
+    def _finish(self, args: GroupArgs, start_s: float,
+                future: Optional[Future]) -> Tuple[List[JobOutcome], int]:
+        """Wait for one group, retrying it as the policy says."""
+        pooled = future is not None
+        results: List[RemoteResult] = []
+        attempt = 0
+        while True:
+            if future is None:
+                group = self._here(args)
+            else:
+                group = self._wait(future, args[2], attempt, results)
+                if group is None and attempt >= self.retries:
+                    group = self._here(args)  # the last resort
+                    attempt += 1
+                    break
+            if group is not None and (attempt >= self.retries
+                                      or not _failed(group)):
+                break
+            attempt += 1
+            future = self._submit(args)
+        if pooled:
+            record_dispatch(args[2], start_s, attempt + 1, results)
+        return group, attempt
+
+    def _wait(self, future: Future, profile: JobSpec, attempt: int,
+              results: List[RemoteResult]) -> Optional[List[JobOutcome]]:
+        """One pool attempt's outcomes, or None if it failed or timed
+        out; a result that came back is kept in ``results``."""
+        try:
+            results.append(future.result(timeout=self.timeout))
+            return results[-1][0]
+        except FutureTimeout:
+            self._timed_out = True
+            future.cancel()
+            self._progress(f"group {profile.job_id}: timed out after "
+                           f"{self.timeout}s (attempt {attempt + 1})")
+        except Exception as exc:
+            # Broken pool, unpicklable payload/result, worker death.
+            if isinstance(exc, BrokenProcessPool):
+                self._drop(exc)
+            self._progress(f"group {profile.job_id}: worker failed with "
+                           f"{exc!r} (attempt {attempt + 1})")
+        return None
+
+    def _here(self, args: GroupArgs) -> List[JobOutcome]:
+        if self.processes:
+            with self._lock:
+                self.fallbacks += 1
+        return execute_group(*args)
+
+    def _drop(self, exc: Exception) -> None:
+        """Stop using a pool that broke: later groups run in-process.
+        No restart: forking while server threads are live can deadlock
+        the child (see :meth:`__init__`)."""
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            self._progress(f"process pool lost ({exc!r}); running "
+                           f"groups in-process")
+            _stop(pool, kill=False)
+
+    def close(self) -> None:
+        """Stop the pool, killing its workers if a group timed out (one
+        may still be running it), and drop this process's shared-graph
+        mappings."""
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            _stop(pool, kill=self._timed_out)
+        from repro.graph.shared import release_graphs
+        release_graphs()
 
 
 class JobExecutionError(RuntimeError):
@@ -301,10 +501,19 @@ class JobExecutor:
         if pending:
             from repro.stages import stage_counters
             before = Counter(stage_counters())
-            if self.jobs == 1 or len(pending) == 1:
-                outcomes = self._run_serial(pending)
-            else:
-                outcomes = self._run_pool(pending)
+            # One pool per run, no larger than the run, and none for a
+            # single group.
+            processes = min(self.jobs, len(pending))
+            dispatcher = Dispatcher(processes if processes > 1 else 0,
+                                    self.timeout, self.retries,
+                                    self._progress)
+            try:
+                done = dispatcher.run(self.scale, self.system, self.store,
+                                      pending)
+            finally:
+                dispatcher.close()
+            outcomes = {outcome[0]: (outcome, retries)
+                        for group, retries in done for outcome in group}
             self._absorb(outcomes, graph.jobs, keys, results)
             # Pool workers' counts were merged as their groups came
             # back, so this covers every process that did the work.
@@ -345,110 +554,3 @@ class JobExecutor:
         if failed:
             raise JobExecutionError(
                 "jobs failed after retries:\n  " + "\n  ".join(failed))
-
-    def _group_has_failure(self, group: List[JobOutcome]) -> bool:
-        return any(error for _jid, _m, _w, _p, error in group)
-
-    def _run_serial(self, pending) -> Dict[str, Tuple[JobOutcome, int]]:
-        """In-process execution with bounded per-group retry."""
-        outcomes: Dict[str, Tuple[JobOutcome, int]] = {}
-        for index, (profile, prices) in enumerate(pending):
-            attempt = 0
-            group = execute_group(self.scale, self.system, profile,
-                                  prices, self.store)
-            while self._group_has_failure(group) and \
-                    attempt < self.retries:
-                attempt += 1
-                group = execute_group(self.scale, self.system, profile,
-                                      prices, self.store)
-            for outcome in group:
-                outcomes[outcome[0]] = (outcome, attempt)
-            self._progress(f"group {index + 1}/{len(pending)}: "
-                           f"{profile.job_id}")
-        return outcomes
-
-    def _run_pool(self, pending) -> Dict[str, Tuple[JobOutcome, int]]:
-        """Process-pool execution; per-group timeout, retry, fallback."""
-        outcomes: Dict[str, Tuple[JobOutcome, int]] = {}
-        try:
-            pool = ProcessPoolExecutor(max_workers=self.jobs)
-        except (OSError, ValueError) as exc:  # e.g. sandboxed /dev/shm
-            self._progress(f"process pool unavailable ({exc!r}); "
-                           f"running {len(pending)} group(s) serially")
-            return self._run_serial(pending)
-
-        def submit(profile: JobSpec, prices: List[JobSpec]):
-            return pool.submit(execute_group_remote, self.scale,
-                               self.system, profile, prices, self.store,
-                               TRACER.active)
-
-        done_groups = 0
-        timed_out = False
-        try:
-            # future -> (profile, prices, attempt, submit time, the
-            # results of the group's earlier attempts)
-            futures = {}
-            for profile, prices in pending:
-                futures[submit(profile, prices)] = (
-                    profile, prices, 0, time.monotonic(), [])
-            while futures:
-                future = next(iter(futures))
-                profile, prices, attempt, start_s, results = \
-                    futures.pop(future)
-                group: Optional[List[JobOutcome]] = None
-                try:
-                    results.append(future.result(timeout=self.timeout))
-                    group = results[-1][0]
-                    if self._group_has_failure(group) and \
-                            attempt < self.retries:
-                        group = None  # retry the whole group
-                except FutureTimeout:
-                    timed_out = True
-                    future.cancel()
-                    self._progress(
-                        f"group {profile.job_id}: timed out after "
-                        f"{self.timeout}s (attempt {attempt + 1})")
-                except Exception as exc:
-                    # Broken pool, unpicklable payload/result, worker
-                    # death: handled below by retry/local fallback.
-                    self._progress(f"group {profile.job_id}: worker "
-                                   f"failed with {exc!r} "
-                                   f"(attempt {attempt + 1})")
-                if group is None:
-                    if attempt < self.retries:
-                        try:
-                            futures[submit(profile, prices)] = (
-                                profile, prices, attempt + 1, start_s,
-                                results)
-                            continue
-                        except Exception as exc:  # pool unusable
-                            self._progress(
-                                f"group {profile.job_id}: pool resubmit "
-                                f"failed with {exc!r}; running "
-                                f"in-process")
-                    group = execute_group(self.scale, self.system,
-                                          profile, prices,
-                                          self.store)
-                    attempt += 1
-                for outcome in group:
-                    outcomes[outcome[0]] = (outcome, attempt)
-                done_groups += 1
-                record_dispatch(profile, start_s, attempt + 1, results)
-                self._progress(f"group {done_groups}/{len(pending)}: "
-                               f"{profile.job_id}")
-        finally:
-            # cancel() cannot stop a running task, and shutdown leaves
-            # its worker running: a hung group would keep the
-            # interpreter from exiting.  So after a timeout, stop the
-            # workers (once the loop is done, every group has its
-            # outcome).
-            workers = list((pool._processes or {}).values()) \
-                if timed_out else []
-            pool.shutdown(wait=False)
-            for worker in workers:
-                worker.kill()
-                worker.join()
-            # Drop shared-graph mappings along with the pool.
-            from repro.graph.shared import release_graphs
-            release_graphs()
-        return outcomes

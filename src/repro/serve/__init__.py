@@ -10,8 +10,8 @@ package answers "keep answering pricing questions forever".  Layering
 ``admission``  bounded dispatch concurrency with wait telemetry
 ``batching``   single-flight coalescing of identical in-flight requests
                plus cross-request batching of same-profile cells
-``pool``       compute backends: in-process threads or a sharded
-               OS-process worker pool
+``pool``       the compute backend: the jobs layer's dispatcher on
+               threads, in-process or over an OS-process worker pool
 ``app``        endpoints, request spans, compute dispatch, graceful
                drain
 
@@ -45,13 +45,7 @@ from repro.serve.http import (
     render_response,
     write_json,
 )
-from repro.serve.pool import (
-    BACKENDS,
-    ComputeBackend,
-    ProcessBackend,
-    ThreadBackend,
-    make_backend,
-)
+from repro.serve.pool import BACKENDS, ServeBackend
 from repro.serve.protocol import (
     ProtocolError,
     metrics_to_json,
@@ -64,7 +58,6 @@ __all__ = [
     "AdmissionController",
     "BACKENDS",
     "BadRequest",
-    "ComputeBackend",
     "ComputeError",
     "DEFAULT_BATCH_MAX",
     "DEFAULT_BATCH_WINDOW_S",
@@ -74,14 +67,12 @@ __all__ = [
     "HttpRequest",
     "MAX_BODY_BYTES",
     "MAX_SWEEP_CELLS",
-    "ProcessBackend",
     "ProtocolError",
     "ServeApp",
+    "ServeBackend",
     "ServeServer",
     "SingleFlight",
-    "ThreadBackend",
     "TieredStore",
-    "make_backend",
     "metrics_to_json",
     "parse_price",
     "parse_response",

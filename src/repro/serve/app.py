@@ -39,7 +39,7 @@ import dataclasses
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.config import SystemConfig
 from repro.jobs.cache import StoreConfig
@@ -59,7 +59,7 @@ from repro.serve.http import (
     read_request,
     write_json,
 )
-from repro.serve.pool import ComputeBackend, make_backend
+from repro.serve.pool import ServeBackend
 from repro.serve.protocol import (
     ProtocolError,
     metrics_to_json,
@@ -94,7 +94,7 @@ class ServeApp:
                  system: Optional[SystemConfig] = None,
                  workers: int = DEFAULT_WORKERS,
                  admission_limit: Optional[int] = None,
-                 backend: Union[str, ComputeBackend] = "thread",
+                 backend: str = "thread",
                  batch_window_s: float = DEFAULT_BATCH_WINDOW_S,
                  batch_max: int = DEFAULT_BATCH_MAX,
                  store_config: Optional[StoreConfig] = None) -> None:
@@ -119,8 +119,7 @@ class ServeApp:
         self.admission = AdmissionController(
             admission_limit if admission_limit is not None else workers)
         self.flight = SingleFlight()
-        self.backend = backend if isinstance(backend, ComputeBackend) \
-            else make_backend(backend, workers)
+        self.backend = ServeBackend(backend, workers)
         self.batcher = GroupBatcher(self._dispatch_cells,
                                     window_s=batch_window_s,
                                     max_cells=batch_max)

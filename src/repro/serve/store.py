@@ -15,13 +15,12 @@ The server's computed cells reach disk from the process that priced
 them (:func:`~repro.jobs.executor.execute_group` stores each one), and
 the server admits them to the hot tier only
 (:meth:`~TieredStore.admit`), so its event loop never writes a file.
-:meth:`~TieredStore.put` stays write-through for other callers.
-Either way a server restart warms
-from disk and parallel batch runs (``repro report --cache-dir``) share
-results with the server bidirectionally.  All counters — per-tier hits,
-misses, evictions, promotions, and the disk tier's corruption drops,
-entries and segments — are exposed via :meth:`TieredStore.stats` for
-``/stats``, the load harness, and CI assertions.
+A server restart warms from disk, and parallel batch runs
+(``repro report --cache-dir``) share results with the server
+bidirectionally.  All counters — per-tier hits, misses, evictions,
+promotions, and the disk tier's corruption drops, entries and segments
+— are exposed via :meth:`TieredStore.stats` for ``/stats``, the load
+harness, and CI assertions.
 
 The store is built from the server's
 :class:`~repro.jobs.cache.StoreConfig` (:meth:`TieredStore.from_config`),
@@ -32,7 +31,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Dict, Optional, Union
 
 from repro.jobs.cache import (
     DEFAULT_HOT_CAPACITY,
@@ -52,7 +51,7 @@ _MISS = object()
 
 
 class TieredStore:
-    """Read-through, write-through two-tier result store."""
+    """Read-through two-tier result store."""
 
     def __init__(self,
                  disk: Optional[Union[ResultCache, NullCache]] = None,
@@ -74,24 +73,6 @@ class TieredStore:
         """The serving store one :class:`StoreConfig` describes."""
         return cls(disk=config.result_cache(),
                    hot_capacity=config.hot_capacity)
-
-    # -- cache interface (jobs-layer compatible) ---------------------------
-
-    @property
-    def enabled(self) -> bool:
-        return True
-
-    @property
-    def root(self) -> Optional[str]:
-        return self.disk.root
-
-    @property
-    def on_error(self) -> Optional[Callable[[str], None]]:
-        return self.disk.on_error
-
-    @on_error.setter
-    def on_error(self, handler: Optional[Callable[[str], None]]) -> None:
-        self.disk.on_error = handler
 
     def get(self, key: str, default: Any = None) -> Optional[Any]:
         """Hot tier, then disk (promoting); ``default`` on miss.
@@ -115,21 +96,11 @@ class TieredStore:
             self._admit(key, value)
         return value
 
-    def put(self, key: str, value: Any) -> None:
-        """Write-through: hot tier now, disk for the next process."""
-        self.admit(key, value)
-        self.disk.put(key, value)
-
     def admit(self, key: str, value: Any) -> None:
         """Hot tier only, for a value whose disk entry the process that
         computed it has already written."""
         with self._lock:
             self._admit(key, value)
-
-    def keys(self) -> List[str]:
-        with self._lock:
-            hot = set(self._hot)
-        return sorted(hot | set(self.disk.keys()))
 
     def stats(self) -> Dict[str, object]:
         """Both tiers' counters plus the disk store's own stats."""

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -110,6 +111,10 @@ class StagePricer:
         self._bundles: Dict[Tuple[str, str, str], ProfileBundle] = {}
         self._metrics: Dict[Tuple[str, str, str, str], RunMetrics] = {}
         self._lock = threading.RLock()
+        # One build lock per identity: threads that ask for a bundle
+        # being built wait for it instead of building it again.
+        self._builds: Dict[Tuple[str, str, str], threading.Lock] = \
+            defaultdict(threading.Lock)
 
     # -- stage evaluation ------------------------------------------------------
 
@@ -149,12 +154,18 @@ class StagePricer:
         """Run (or reuse) the three artifact stages for one identity."""
         ident = (app, dataset, preprocessing)
         with self._lock:
+            build = self._builds[ident]
+        with build:
             cached = self._bundles.get(ident)
-        if cached is not None:
-            for stage in ("stream", "replay", "compress"):
-                TRACER.count(f"stage.{stage}.memo")
-            return cached
+            if cached is None:
+                cached = self._bundles[ident] = self._build(*ident)
+                return cached
+        for stage in ("stream", "replay", "compress"):
+            TRACER.count(f"stage.{stage}.memo")
+        return cached
 
+    def _build(self, app: str, dataset: str,
+               preprocessing: str) -> ProfileBundle:
         labels = {"app": app, "dataset": dataset,
                   "preprocessing": preprocessing}
 
@@ -187,13 +198,7 @@ class StagePricer:
             "compress", compress_key,
             lambda: _compress(stream, replay, cfg), **labels)
 
-        bundle = _assemble(app, stream, replay, compress, cfg)
-        with self._lock:
-            self._bundles[ident] = bundle
-        return bundle
-
-    # JobExecutor's profile jobs warm the shared prefix of a bar group.
-    ensure = bundle
+        return _assemble(app, stream, replay, compress, cfg)
 
     # -- pricing ---------------------------------------------------------------
 

@@ -39,12 +39,12 @@ def warm(tmp_path_factory):
         scale=SCALE,
         store=StoreConfig(root=root, stream_partitions=PARTITIONS))
     for app in GRAPH_APPS:
-        pricer.ensure(app, "ukl", "none")
+        pricer.bundle(app, "ukl", "none")
     # "natural" keeps vertex ids delta-stable, so localized deltas stay
     # localized through the partition keys — the reuse assertions below
     # price under it ("none" reseeds its random relabeling on the new
     # edge count, which legitimately rotates every partition).
-    pricer.ensure("dc", "ukl", "natural")
+    pricer.bundle("dc", "ukl", "natural")
     base = load("ukl", SCALE)
     delta = sample_delta(base, seed=41, insertions=10, deletions=10,
                          row_range=(0, 128))

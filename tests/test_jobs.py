@@ -207,7 +207,6 @@ class TestResultCache:
         cache = NullCache()
         cache.put("x", 1)
         assert cache.get("x") is None
-        assert not cache.enabled
         assert cache.stats()["corrupt_dropped"] == 0
 
 
@@ -519,6 +518,74 @@ class TestHungWorker:
         clean = JobExecutor(scale=SCALE, jobs=1).run(requests)
         with open(out, "rb") as handle:
             assert pickle.load(handle) == [clean[r] for r in requests]
+
+
+#: Runs two groups with jobs=2 whose pool workers each drop a file
+#: named after their pid into ``argv[1]`` and then sleep.
+ORPHAN_SCRIPT = """
+import os, sys, time
+import repro.jobs.executor as executor
+from repro.jobs import JobExecutor, RunRequest
+
+parent = os.getpid()
+
+
+def mark_and_sleep(scale, system, profile, prices, store=None):
+    if os.getpid() != parent:
+        open(os.path.join(sys.argv[1], str(os.getpid())), "w").close()
+        time.sleep(60)
+    return []
+
+
+executor._execute_group = mark_and_sleep
+JobExecutor(scale=%d, jobs=2).run([RunRequest("dc", "push", "arb"),
+                                   RunRequest("cc", "push", "arb")])
+""" % SCALE
+
+
+def _running(pid):
+    """Whether ``pid`` runs; a zombie nobody reaped has ended."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+class TestOrphanedWorkers:
+    def test_workers_exit_when_the_dispatcher_is_killed(self, tmp_path):
+        """SIGKILL the dispatching process mid-group: its workers
+        notice and end themselves instead of waiting forever."""
+        import contextlib
+        import signal
+        import subprocess
+        import sys
+        import time
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        proc = subprocess.Popen(
+            [sys.executable, "-c", ORPHAN_SCRIPT, str(tmp_path)],
+            env=env, start_new_session=True)
+        try:
+            deadline = time.monotonic() + 60
+            while len(os.listdir(tmp_path)) < 2:
+                assert proc.poll() is None and \
+                    time.monotonic() < deadline, "workers never started"
+                time.sleep(0.05)
+            workers = [int(name) for name in os.listdir(tmp_path)]
+            os.kill(proc.pid, signal.SIGKILL)  # the dispatcher alone
+            proc.wait()
+            deadline = time.monotonic() + 10
+            while any(map(_running, workers)) and \
+                    time.monotonic() < deadline:
+                time.sleep(0.1)
+            assert not [pid for pid in workers if _running(pid)]
+        finally:
+            # Whatever happened, leave nothing of it running.
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
 
 
 class TestJobRunner:

@@ -681,16 +681,19 @@ class TestGraphDelta:
 # ---------------------------------------------------------------------------
 
 class TestShutdown:
-    def test_drain_waits_for_in_flight_requests(self, tmp_path):
+    def test_drain_waits_for_in_flight_requests(self, tmp_path,
+                                                monkeypatch):
+        import repro.jobs.executor as executor
+        original = executor._execute_group
+
+        def slow(*args):
+            time.sleep(0.3)
+            return original(*args)
+
+        monkeypatch.setattr(executor, "_execute_group", slow)
+
         async def go():
             app = make_app(tmp_path)
-            original = app.backend._run_locked
-
-            def slow(*args):
-                time.sleep(0.3)
-                return original(*args)
-
-            app.backend._run_locked = slow
             server = await ServeServer(app, "127.0.0.1", 0).start()
             client = asyncio.ensure_future(
                 json_request(server, "POST", "/price", CELL))
@@ -710,16 +713,19 @@ class TestShutdown:
                 await asyncio.open_connection(server.host, server.port)
         run(refused())
 
-    def test_drain_timeout_reports_failure(self, tmp_path):
+    def test_drain_timeout_reports_failure(self, tmp_path,
+                                           monkeypatch):
+        import repro.jobs.executor as executor
+        original = executor._execute_group
+
+        def slow(*args):
+            time.sleep(0.4)
+            return original(*args)
+
+        monkeypatch.setattr(executor, "_execute_group", slow)
+
         async def go():
             app = make_app(tmp_path)
-            original = app.backend._run_locked
-
-            def slow(*args):
-                time.sleep(0.4)
-                return original(*args)
-
-            app.backend._run_locked = slow
             server = await ServeServer(app, "127.0.0.1", 0).start()
             client = asyncio.ensure_future(
                 json_request(server, "POST", "/price", CELL))

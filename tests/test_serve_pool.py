@@ -9,13 +9,7 @@ import pytest
 from repro.jobs import ResultCache
 from repro.jobs.cache import StoreConfig
 from repro.jobs.model import build_job_graph, canonical_request
-from repro.serve import (
-    ProcessBackend,
-    ServeApp,
-    ThreadBackend,
-    make_backend,
-    parse_price,
-)
+from repro.serve import ServeApp, ServeBackend, parse_price
 
 SCALE = 65536
 
@@ -41,30 +35,35 @@ def make_app(tmp_path, **kwargs):
 
 class TestMakeBackend:
     def test_builds_by_name(self):
-        thread = make_backend("thread", 2)
-        process = make_backend("process", 2)
+        thread = ServeBackend("thread", 2)
+        process = ServeBackend("process", 2)
         try:
-            assert isinstance(thread, ThreadBackend)
-            assert isinstance(process, ProcessBackend)
+            assert thread.name == "thread"
+            assert set(thread.stats()) == {"name", "workers",
+                                           "dispatches"}
+            assert process.name == "process"
+            assert set(process.stats()) == {"name", "workers",
+                                            "dispatches", "fallbacks",
+                                            "pool"}
         finally:
             thread.close()
             process.close()
 
     def test_unknown_name_lists_valid(self):
         with pytest.raises(ValueError) as info:
-            make_backend("gpu", 2)
+            ServeBackend("gpu", 2)
         assert "thread" in str(info.value)
         assert "process" in str(info.value)
 
     @pytest.mark.parametrize("name", ["thread", "process"])
     def test_rejects_nonpositive_workers(self, name):
         with pytest.raises(ValueError):
-            make_backend(name, 0)
+            ServeBackend(name, 0)
 
 
 class TestThreadBackend:
     def test_runs_group_and_counts_dispatches(self):
-        backend = ThreadBackend(workers=2)
+        backend = ServeBackend("thread", 2)
         profile, prices = one_group()
 
         async def go():
@@ -79,38 +78,40 @@ class TestThreadBackend:
         assert backend.stats() == {"name": "thread", "workers": 2,
                                    "dispatches": 1}
 
-    def test_same_profile_dispatches_serialize(self):
-        """Two concurrent same-profile groups run one after the other
-        (the per-profile lock), so the pricer's bundle is built once."""
-        backend = ThreadBackend(workers=2)
+    def test_same_profile_dispatches_serialize(self, tmp_path):
+        """Two concurrent same-profile groups on two threads build the
+        pricer's bundle once: the second waits for the first's build
+        (the pricer's per-identity lock) and reuses it."""
+        from repro.stages import stage_counters
+        backend = ServeBackend("thread", 2)
         profile, prices = one_group(schemes=SCHEMES)
-        order = []
-        original = backend._run_locked
-
-        def observed(*args):
-            order.append("start")
-            result = original(*args)
-            order.append("end")
-            return result
-
-        backend._run_locked = observed
+        # A store of its own, so no earlier test's pricer holds the
+        # bundle already.
+        store = StoreConfig(root=str(tmp_path / "cache"))
 
         async def go():
-            await asyncio.gather(
-                backend.run_group(SCALE, None, profile, prices[:3]),
-                backend.run_group(SCALE, None, profile, prices[3:]))
+            return await asyncio.gather(
+                backend.run_group(SCALE, None, profile, prices[:3],
+                                  store),
+                backend.run_group(SCALE, None, profile, prices[3:],
+                                  store))
 
+        before = Counter(stage_counters())
         try:
-            run(go())
+            results = run(go())
         finally:
             backend.close()
-        assert order in (["start", "end", "start", "end"],)
+        delta = Counter(stage_counters()) - before
+        assert all(error == "" for outcomes in results
+                   for *_rest, error in outcomes)
+        assert delta["stream.computed"] == 1
+        assert delta["stream.memo"] == 1 + len(prices)
 
 
 class TestProcessBackend:
     def test_runs_group_in_worker_process(self):
         import os
-        backend = ProcessBackend(workers=2)
+        backend = ServeBackend("process", 2)
         profile, prices = one_group(dataset="ukl")
 
         async def go():
@@ -134,7 +135,7 @@ class TestProcessBackend:
         from repro.graph.datasets import clear_cache
         clear_cache()
         store = shared.enable_graph_store(str(tmp_path / "graphs"))
-        backend = ProcessBackend(workers=1)
+        backend = ServeBackend("process", 1)
         try:
             from repro.graph.datasets import load_preprocessed
             load_preprocessed("arb", "none", SCALE)   # build + publish
@@ -149,7 +150,7 @@ class TestProcessBackend:
                 clear_cache()
 
     def test_broken_pool_falls_back_in_process(self):
-        backend = ProcessBackend(workers=1)
+        backend = ServeBackend("process", 1)
         profile, prices = one_group()
         if backend._pool is not None:
             backend._pool.shutdown(wait=False)  # submits now raise
@@ -169,9 +170,7 @@ class TestProcessBackend:
         """A killed worker breaks the whole pool: the dispatch that
         finds it broken runs in-process, the backend drops the pool, so
         stats read ``fallback``, and later dispatches submit nothing."""
-        import signal
-        import time
-        backend = ProcessBackend(workers=2)
+        backend = ServeBackend("process", 2)
         pool = backend._pool
         if pool is None:
             backend.close()
@@ -185,10 +184,7 @@ class TestProcessBackend:
             return real_submit(*args, **kwargs)
 
         pool.submit = counted
-        os.kill(next(iter(pool._processes)), signal.SIGKILL)
-        deadline = time.monotonic() + 30
-        while not pool._broken and time.monotonic() < deadline:
-            time.sleep(0.05)
+        _break(pool)
 
         async def go():
             return [await backend.run_group(SCALE, None, profile, prices)
@@ -207,6 +203,64 @@ class TestProcessBackend:
         stats = backend.stats()
         assert (stats["pool"], stats["dispatches"], stats["fallbacks"]) \
             == ("fallback", 3, 3)
+
+    def test_broken_pool_falls_back_on_every_thread(self, tmp_path,
+                                                    monkeypatch):
+        """Once a dead worker broke the pool, concurrent dispatches run
+        in-process on as many threads at once, not one by one."""
+        import threading
+        import time
+
+        import repro.jobs.executor as executor
+        app = make_app(tmp_path, backend="process", workers=2)
+        pool = app.backend._pool
+        if pool is None:
+            app.close()
+            pytest.skip("process pool unavailable")
+        spans = []
+        real = executor._execute_group
+
+        def slow(*args):
+            start = time.monotonic()
+            time.sleep(0.3)
+            result = real(*args)
+            spans.append((start, time.monotonic(),
+                          threading.current_thread().name))
+            return result
+
+        # Installed after the pool forked: only in-process runs see it.
+        monkeypatch.setattr(executor, "_execute_group", slow)
+        _break(pool)
+        groups = [one_group(dataset=dataset) for dataset in ("arb", "ukl")]
+
+        async def go():
+            return await asyncio.gather(*(
+                app.backend.run_group(SCALE, None, profile, prices,
+                                      app.store_config)
+                for profile, prices in groups))
+
+        try:
+            results = run(go())
+        finally:
+            app.close()
+        for outcomes in results:
+            assert all(error == "" for *_rest, error in outcomes)
+        (start_a, end_a, thread_a), (start_b, end_b, thread_b) = spans
+        assert thread_a != thread_b
+        assert max(start_a, start_b) < min(end_a, end_b)  # overlapped
+        stats = app.backend.stats()
+        assert (stats["pool"], stats["dispatches"], stats["fallbacks"]) \
+            == ("fallback", 2, 2)
+
+
+def _break(pool):
+    """Kill one of ``pool``'s workers and wait until the pool knows."""
+    import signal
+    import time
+    os.kill(next(iter(pool._processes)), signal.SIGKILL)
+    deadline = time.monotonic() + 30
+    while not pool._broken and time.monotonic() < deadline:
+        time.sleep(0.05)
 
 
 class TestAppBatching:

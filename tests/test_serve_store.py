@@ -4,7 +4,6 @@ import pytest
 
 from repro.jobs import NullCache, ResultCache
 from repro.serve import TieredStore
-from tests.store_faults import damage_record
 
 KEY_A = "aa" * 32
 KEY_B = "bb" * 32
@@ -12,18 +11,17 @@ KEY_C = "cc" * 32
 
 
 class TestReadThrough:
-    def test_miss_then_write_through_then_hot_hit(self, tmp_path):
+    def test_miss_then_admit_then_hot_hit(self, tmp_path):
         store = TieredStore(ResultCache(str(tmp_path)))
         assert store.get(KEY_A) is None
         assert store.misses == 1
-        store.put(KEY_A, {"cycles": 7})
+        store.admit(KEY_A, {"cycles": 7})
         assert store.get(KEY_A) == {"cycles": 7}
         assert store.hot_hits == 1
         assert store.disk_hits == 0  # hot tier answered
 
     def test_disk_hit_promotes_to_hot(self, tmp_path):
-        disk = ResultCache(str(tmp_path))
-        TieredStore(disk).put(KEY_A, [1, 2])  # another process wrote
+        ResultCache(str(tmp_path)).put(KEY_A, [1, 2])  # another process
         store = TieredStore(ResultCache(str(tmp_path)))
         assert store.get(KEY_A) == [1, 2]
         assert (store.disk_hits, store.promotions) == (1, 1)
@@ -35,7 +33,7 @@ class TestReadThrough:
         store = TieredStore()
         assert store.get_hot(KEY_A) is None
         assert store.misses == 0
-        store.put(KEY_A, 1)
+        store.admit(KEY_A, 1)
         assert store.get_hot(KEY_A) == 1
         assert store.hot_hits == 1
 
@@ -46,7 +44,7 @@ class TestFalsyValues:
     @pytest.mark.parametrize("value", [None, 0, 0.0, False, "", {}, []])
     def test_falsy_round_trip_hits_hot(self, value):
         store = TieredStore()
-        store.put(KEY_A, value)
+        store.admit(KEY_A, value)
         assert store.get_hot(KEY_A) == value
         assert store.get(KEY_A) == value
         assert store.hot_hits == 2
@@ -61,39 +59,40 @@ class TestFalsyValues:
 
     def test_none_value_distinguishable_via_default(self):
         store = TieredStore()
-        store.put(KEY_A, None)
+        store.admit(KEY_A, None)
         sentinel = object()
         assert store.get_hot(KEY_A, sentinel) is None  # a real hit
         assert store.hot_hits == 1
 
     def test_falsy_entry_tracks_lru_recency(self):
         store = TieredStore(hot_capacity=2)
-        store.put(KEY_A, 0)
-        store.put(KEY_B, 2)
+        store.admit(KEY_A, 0)
+        store.admit(KEY_B, 2)
         assert store.get_hot(KEY_A) == 0  # refreshes A's recency
-        store.put(KEY_C, 3)  # so B is the eviction victim
+        store.admit(KEY_C, 3)  # so B is the eviction victim
         assert store.get_hot(KEY_A) == 0
         assert store.get_hot(KEY_B) is None
 
 
 class TestEviction:
     def test_lru_eviction_at_capacity(self, tmp_path):
-        store = TieredStore(ResultCache(str(tmp_path)), hot_capacity=2)
-        store.put(KEY_A, 1)
-        store.put(KEY_B, 2)
-        store.put(KEY_C, 3)  # evicts A, the least recently used
+        disk = ResultCache(str(tmp_path))
+        store = TieredStore(disk, hot_capacity=2)
+        for key, value in ((KEY_A, 1), (KEY_B, 2), (KEY_C, 3)):
+            disk.put(key, value)  # as the pricing process does
+            store.admit(key, value)  # C evicts A, the least recent
         assert store.evictions == 1
         assert store.get_hot(KEY_A) is None
-        # ... but write-through kept it on disk: read-through recovers.
+        # ... but it is still on disk: read-through recovers.
         assert store.get(KEY_A) == 1
         assert store.disk_hits == 1
 
     def test_hot_hit_refreshes_recency(self):
         store = TieredStore(hot_capacity=2)
-        store.put(KEY_A, 1)
-        store.put(KEY_B, 2)
+        store.admit(KEY_A, 1)
+        store.admit(KEY_B, 2)
         assert store.get_hot(KEY_A) == 1  # A becomes most recent
-        store.put(KEY_C, 3)  # so B is the one evicted
+        store.admit(KEY_C, 3)  # so B is the one evicted
         assert store.get_hot(KEY_A) == 1
         assert store.get_hot(KEY_B) is None
 
@@ -103,35 +102,17 @@ class TestEviction:
 
 
 class TestCacheInterface:
-    def test_keys_union_both_tiers(self, tmp_path):
-        disk = ResultCache(str(tmp_path))
-        disk.put(KEY_A, 1)
-        store = TieredStore(disk, hot_capacity=4)
-        store.put(KEY_B, 2)
-        assert store.keys() == sorted([KEY_A, KEY_B])
-
-    def test_on_error_passes_through_to_disk(self, tmp_path):
-        messages = []
-        store = TieredStore(ResultCache(str(tmp_path)))
-        store.on_error = messages.append
-        store.put(KEY_A, 1)
-        damage_record(str(tmp_path), KEY_A, "flip")
-        fresh = TieredStore(store.disk)  # cold hot tier, same disk
-        fresh.on_error = messages.append
-        assert fresh.get(KEY_A) is None
-        assert messages and "dropping unreadable" in messages[-1]
-
     def test_null_disk_default(self):
         store = TieredStore()
         assert isinstance(store.disk, NullCache)
-        assert store.enabled  # the hot tier always works
-        assert store.root is None
-        store.put(KEY_A, 1)
+        store.admit(KEY_A, 1)
         assert store.get(KEY_A) == 1  # served by the hot tier alone
 
     def test_stats_shape(self, tmp_path):
-        store = TieredStore(ResultCache(str(tmp_path)), hot_capacity=8)
-        store.put(KEY_A, 1)
+        disk = ResultCache(str(tmp_path))
+        store = TieredStore(disk, hot_capacity=8)
+        disk.put(KEY_A, 1)
+        store.admit(KEY_A, 1)
         store.get(KEY_A)
         store.get(KEY_B)
         stats = store.stats()

@@ -231,6 +231,38 @@ class TestInvalidation:
                                     "compress.memo": 1,
                                     "timing.memo": 1}
 
+    def test_concurrent_callers_build_a_bundle_once(self):
+        """Eight threads ask one pricer for one identity at once, with a
+        short switch interval: one builds the bundle, and the others
+        wait for it instead of building it again."""
+        import sys
+        import threading
+        pricer = StagePricer(scale=SCALE)
+        start = threading.Barrier(8, timeout=60)
+        bundles = []
+
+        def ask():
+            start.wait()
+            bundles.append(pricer.bundle("pr", "ukl", "none"))
+
+        threads = [threading.Thread(target=ask) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(bundles) == 8
+        assert all(bundle is bundles[0] for bundle in bundles)
+        assert stage_counters() == {
+            "stream.computed": 1, "replay.computed": 1,
+            "compress.computed": 1, "stream.memo": 7, "replay.memo": 7,
+            "compress.memo": 7}
+
     def test_cacheless_pricer_matches_cached(self, tmp_path):
         cached = StagePricer(scale=SCALE,
                              store=StoreConfig(root=str(tmp_path)))
