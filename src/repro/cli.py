@@ -77,6 +77,7 @@ def _cmd_list(_args) -> int:
     from repro.apps import ALL_APPS
     from repro.compression import available_codecs
     from repro.graph.datasets import DATASETS
+    from repro.graph.preprocess import PREPROCESSORS
     from repro.harness import EXPERIMENTS
     from repro.schemes import scheme_names
     print("experiments:", ", ".join(sorted(EXPERIMENTS)))
@@ -84,7 +85,7 @@ def _cmd_list(_args) -> int:
     print("datasets:   ", ", ".join(sorted(DATASETS)))
     print("schemes:    ", ", ".join(scheme_names("all")))
     print("codecs:     ", ", ".join(available_codecs()))
-    print("preprocess: ", "none, natural, degree, bfs, dfs, gorder")
+    print("preprocess: ", ", ".join(PREPROCESSORS))
     return 0
 
 
@@ -231,7 +232,12 @@ def _cmd_jobs(args) -> int:
     status = 0
     path = args.telemetry or latest_telemetry(args.cache_dir)
     if path:
-        print(render_summary(summarize(path)))
+        try:
+            summary = summarize(path)
+        except (OSError, ValueError) as err:
+            print(f"cannot summarize {path!r}: {err}", file=sys.stderr)
+            return 2
+        print(render_summary(summary))
     else:
         print(f"no telemetry found under {args.cache_dir!r}; run "
               f"`python -m repro report --cache-dir {args.cache_dir}` "

@@ -1,14 +1,16 @@
-"""Parallel experiment orchestration: job graphs, process-pool
-execution, content-addressed result caching, and run telemetry.
+"""Parallel experiment orchestration: cells grouped by identity,
+process-pool execution, content-addressed result caching, and run
+telemetry.
 
 Layering (each module only imports downward):
 
-``model``        job specs, the dependency graph, request canonical form
+``model``        the cell (``RunRequest``) in canonical form, and its
+                 grouping by identity
 ``fingerprint``  content-addressed cache keys (code-salted)
 ``cache``        the on-disk pickle store
 ``telemetry``    per-job ``jobs.job`` spans of a run and their summaries
 ``executor``     group tasks, the one dispatcher (in-process or on a
-                 process pool, for reports and the server) and graph
+                 process pool, for reports and the server) and batch
                  execution
 ``plan``         experiment id -> required simulations
 ``orchestrator`` the runner experiments price through (``JobRunner``)
@@ -21,13 +23,7 @@ from repro.jobs.executor import (
     execute_group,
 )
 from repro.jobs.fingerprint import code_salt, job_fingerprint
-from repro.jobs.model import (
-    JobGraph,
-    JobSpec,
-    RunRequest,
-    build_job_graph,
-    canonical_request,
-)
+from repro.jobs.model import RunRequest, canonical_request
 from repro.jobs.orchestrator import JobRunner
 from repro.jobs.plan import experiment_requests
 from repro.jobs.telemetry import (
@@ -42,14 +38,11 @@ __all__ = [
     "DEFAULT_CACHE_DIR",
     "JobExecutionError",
     "JobExecutor",
-    "JobGraph",
     "JobRunner",
-    "JobSpec",
     "NullCache",
     "ResultCache",
     "RunRequest",
     "TelemetryWriter",
-    "build_job_graph",
     "canonical_request",
     "code_salt",
     "default_telemetry_path",

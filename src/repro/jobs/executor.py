@@ -1,13 +1,13 @@
-"""Job-graph execution: one dispatcher runs job groups, with retries.
+"""Group execution: one dispatcher runs groups of cells, with retries.
 
-The unit of dispatch is a *group* — one profile job plus every price
-job that depends on it (:meth:`~repro.jobs.model.JobGraph.groups`).
-Executing a whole group inside one worker keeps the shared profiling
-pass in that worker's memory: only the job specs travel to the worker
-and only small :class:`~repro.sim.metrics.RunMetrics` records travel
-back, so the expensive workload/profile structures never need to cross
-a process boundary (though they can — see
-``tests/test_jobs_pickle.py``).
+The unit of dispatch is a *group* — one identity and the cells
+(:class:`~repro.jobs.model.RunRequest`) that share its profile
+(:func:`~repro.jobs.model.group_requests`).  Executing a whole group
+inside one worker keeps the shared profiling pass in that worker's
+memory: only the requests travel to the worker and only small
+:class:`~repro.sim.metrics.RunMetrics` records travel back, so the
+expensive workload/profile structures never need to cross a process
+boundary (though they can — see ``tests/test_jobs_pickle.py``).
 
 :class:`Dispatcher` is the one path from groups to outcomes.
 :class:`JobExecutor` runs a report's pending groups through one
@@ -31,7 +31,7 @@ calls it from its compute threads (:mod:`repro.serve.pool`).  Policy:
   :attr:`Dispatcher.fallbacks`;
 * a worker ends itself once the process that started it is gone, and
   :meth:`Dispatcher.close` kills the workers after a group timed out;
-* per-job cache lookups happen before dispatch, so a warm-cache run
+* per-cell cache lookups happen before dispatch, so a warm-cache run
   dispatches nothing and profiles nothing;
 * the process that prices a cell stores it (:func:`execute_group`), so
   pool workers write their cells in parallel while the pool runs and
@@ -56,26 +56,31 @@ from collections import Counter
 from concurrent.futures import Future, ProcessPoolExecutor, \
     TimeoutError as FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.config import SystemConfig
 from repro.jobs.cache import StoreConfig
 from repro.jobs.fingerprint import job_fingerprint
-from repro.jobs.model import JobGraph, JobSpec, RunRequest, build_job_graph
+from repro.jobs.model import Identity, RunRequest, group_requests, job_label
 from repro.jobs.telemetry import TelemetryWriter
 from repro.obs import TRACER, Span
 from repro.sim.metrics import RunMetrics
 
-#: One executed job coming back from a worker:
-#: (job_id, result or None, wall seconds, worker pid, error string).
-JobOutcome = Tuple[str, Optional[RunMetrics], float, int, str]
+#: One executed step coming back from a worker: (the cell priced, or
+#: the group's identity for its profile step; result or None; wall
+#: seconds; worker pid; error string).
+JobOutcome = Tuple[Union[RunRequest, Identity], Optional[RunMetrics],
+                   float, int, str]
 
 #: What a pool task sends home: (outcomes, count delta, spans).
 RemoteResult = Tuple[List[JobOutcome], Dict[str, int], List[Span]]
 
+#: One group: an identity and its cells.
+Group = Tuple[Identity, List[RunRequest]]
+
 #: One group's :func:`execute_group` arguments:
-#: (scale, system, profile, prices, store).
-GroupArgs = Tuple[int, Optional[SystemConfig], JobSpec, List[JobSpec],
+#: (scale, system, identity, cells, store).
+GroupArgs = Tuple[int, Optional[SystemConfig], Identity, List[RunRequest],
                   Optional[StoreConfig]]
 
 #: How long a new pool may take to answer its first, trivial task.
@@ -104,13 +109,15 @@ def pricer_for(scale: int, system: Optional[SystemConfig],
 
 
 def execute_group(scale: int, system: Optional[SystemConfig],
-                  profile: JobSpec, prices: List[JobSpec],
+                  identity: Identity, cells: List[RunRequest],
                   store: Optional[StoreConfig] = None) -> List[JobOutcome]:
-    """Run one profile job and its price jobs on this process's pricer.
+    """Profile one identity and price its cells on this process's
+    pricer: the only code that prices and stores a cell.
 
     Module-level so the process pool can pickle it by reference; also
-    the serial path's implementation.  Failures are captured per job so
-    one bad configuration cannot take down its group's siblings.
+    the serial path's implementation.  Returns the profile step's
+    outcome, then each cell's.  Failures are captured per cell so one
+    bad configuration cannot take down its group's siblings.
     ``store`` carries the dispatching process's resolved
     :class:`~repro.jobs.cache.StoreConfig` — cache root, stream
     partition count — so stage artifacts persist across workers and
@@ -123,11 +130,11 @@ def execute_group(scale: int, system: Optional[SystemConfig],
     globals, so a wrapper installed there (perfbench's layer trace)
     sees every group.
     """
-    return _execute_group(scale, system, profile, prices, store)
+    return _execute_group(scale, system, identity, cells, store)
 
 
 def execute_group_remote(scale: int, system: Optional[SystemConfig],
-                         profile: JobSpec, prices: List[JobSpec],
+                         identity: Identity, cells: List[RunRequest],
                          store: Optional[StoreConfig] = None,
                          traced: bool = False) -> RemoteResult:
     """:func:`execute_group` as a pool task: its outcomes, the change in
@@ -146,7 +153,7 @@ def execute_group_remote(scale: int, system: Optional[SystemConfig],
     if traced:
         TRACER.start()  # a fresh span list and nesting stack
     try:
-        outcomes = execute_group(scale, system, profile, prices, store)
+        outcomes = execute_group(scale, system, identity, cells, store)
     finally:
         if traced:
             TRACER.stop()
@@ -154,7 +161,7 @@ def execute_group_remote(scale: int, system: Optional[SystemConfig],
             TRACER.spans if traced else [])
 
 
-def record_dispatch(profile: JobSpec, start_s: float, attempts: int,
+def record_dispatch(identity: Identity, start_s: float, attempts: int,
                     results: List[RemoteResult]) -> None:
     """Bring one group dispatch's pool results into this process.
 
@@ -167,61 +174,58 @@ def record_dispatch(profile: JobSpec, start_s: float, attempts: int,
         TRACER.merge_counts(counts)
     if not TRACER.active:
         return
+    app, dataset, preprocessing = identity
     task = TRACER.manual_span(
         "jobs.task", time.monotonic() - start_s, start_s=start_s,
-        job_id=profile.job_id, app=profile.app, dataset=profile.dataset,
-        preprocessing=profile.preprocessing, attempts=attempts)
+        job_id=job_label(identity), app=app, dataset=dataset,
+        preprocessing=preprocessing, attempts=attempts)
     for _outcomes, _counts, spans in results:
         TRACER.adopt(spans, task.span_id)
 
 
 def _execute_group(scale: int, system: Optional[SystemConfig],
-                   profile: JobSpec, prices: List[JobSpec],
+                   identity: Identity, cells: List[RunRequest],
                    store: Optional[StoreConfig] = None
                    ) -> List[JobOutcome]:
     pricer = pricer_for(scale, system, store)
     pid = os.getpid()
     outcomes: List[JobOutcome] = []
-    with TRACER.span("jobs.group", job_id=profile.job_id,
-                     app=profile.app, dataset=profile.dataset,
-                     preprocessing=profile.preprocessing):
+    app, dataset, preprocessing = identity
+    attrs = {"job_id": job_label(identity), "app": app,
+             "dataset": dataset, "preprocessing": preprocessing}
+    with TRACER.span("jobs.group", **attrs):
         # Durations use the monotonic clock: wall-clock (time.time) can
         # jump under NTP adjustment, producing negative or wildly wrong
         # job times.
         start = time.monotonic()
         try:
-            with TRACER.span("jobs.profile", job_id=profile.job_id,
-                             app=profile.app, dataset=profile.dataset,
-                             preprocessing=profile.preprocessing):
-                pricer.bundle(profile.app, profile.dataset,
-                              profile.preprocessing)
-            outcomes.append((profile.job_id, None,
-                             time.monotonic() - start, pid, ""))
+            with TRACER.span("jobs.profile", **attrs):
+                pricer.bundle(app, dataset, preprocessing)
+            outcomes.append((identity, None, time.monotonic() - start,
+                             pid, ""))
         except Exception as exc:  # profiling failed: poisons the group
             wall = time.monotonic() - start
-            outcomes.append((profile.job_id, None, wall, pid,
-                             repr(exc)))
-            for job in prices:
-                outcomes.append((job.job_id, None, 0.0, pid, repr(exc)))
+            outcomes.append((identity, None, wall, pid, repr(exc)))
+            for cell in cells:
+                outcomes.append((cell, None, 0.0, pid, repr(exc)))
             return outcomes
-        for job in prices:
+        for cell in cells:
             start = time.monotonic()
             try:
-                with TRACER.span("jobs.price", job_id=job.job_id,
-                                 app=job.app, scheme=job.scheme,
-                                 dataset=job.dataset,
-                                 preprocessing=job.preprocessing):
-                    metrics = pricer.price(job.app, job.scheme,
-                                           job.dataset,
-                                           job.preprocessing)
+                with TRACER.span("jobs.price", job_id=job_label(cell),
+                                 app=cell.app, scheme=cell.scheme,
+                                 dataset=cell.dataset,
+                                 preprocessing=cell.preprocessing):
+                    metrics = pricer.price(cell.app, cell.scheme,
+                                           cell.dataset,
+                                           cell.preprocessing)
                 pricer.cache.put(
-                    job_fingerprint(job, scale, pricer.system), metrics)
-                outcomes.append((job.job_id, metrics,
+                    job_fingerprint(cell, scale, pricer.system), metrics)
+                outcomes.append((cell, metrics,
                                  time.monotonic() - start, pid, ""))
             except Exception as exc:
-                outcomes.append((job.job_id, None,
-                                 time.monotonic() - start, pid,
-                                 repr(exc)))
+                outcomes.append((cell, None, time.monotonic() - start,
+                                 pid, repr(exc)))
     return outcomes
 
 
@@ -249,7 +253,7 @@ def _exit_with_parent() -> None:
 
 
 def _failed(group: List[JobOutcome]) -> bool:
-    return any(error for _jid, _m, _w, _p, error in group)
+    return any(error for _cell, _m, _w, _p, error in group)
 
 
 def _stop(pool: ProcessPoolExecutor, kill: bool) -> None:
@@ -289,9 +293,10 @@ class Dispatcher:
             self._pool = ProcessPoolExecutor(
                 max_workers=processes, initializer=_exit_with_parent)
             # The first submit forks every worker (under the ``fork``
-            # start method): do it now, while this process is quiet.  Forked later, mid-burst, a child could
-            # inherit a lock some server thread holds, and deadlock.
-            # The answer also shows that the workers can start.
+            # start method): do it now, while this process is quiet.
+            # Forked later, mid-burst, a child could inherit a lock
+            # some server thread holds, and deadlock.  The answer also
+            # shows that the workers can start.
             self._pool.submit(int).result(timeout=START_TIMEOUT_S)
         except Exception as exc:  # e.g. sandboxed /dev/shm
             self._progress(f"process pool unavailable ({exc!r}); "
@@ -301,25 +306,24 @@ class Dispatcher:
                 _stop(pool, kill=True)
 
     def run(self, scale: int, system: Optional[SystemConfig],
-            store: Optional[StoreConfig],
-            groups: List[Tuple[JobSpec, List[JobSpec]]]
+            store: Optional[StoreConfig], groups: List[Group]
             ) -> List[Tuple[List[JobOutcome], int]]:
-        """Run each ``(profile, prices)`` group; returns every group's
+        """Run each ``(identity, cells)`` group; returns every group's
         outcomes and retry count, in group order.
 
         All groups are submitted before the first is waited for, so
         they queue in the pool, not on this thread.
         """
         submitted = []
-        for profile, prices in groups:
-            args: GroupArgs = (scale, system, profile, prices, store)
+        for identity, cells in groups:
+            args: GroupArgs = (scale, system, identity, cells, store)
             start_s = time.monotonic()
             submitted.append((args, start_s, self._submit(args)))
         done = []
         for index, (args, start_s, future) in enumerate(submitted):
             done.append(self._finish(args, start_s, future))
             self._progress(f"group {index + 1}/{len(groups)}: "
-                           f"{args[2].job_id}")
+                           f"{job_label(args[2])}")
         return done
 
     def _submit(self, args: GroupArgs) -> Optional[Future]:
@@ -357,7 +361,7 @@ class Dispatcher:
             record_dispatch(args[2], start_s, attempt + 1, results)
         return group, attempt
 
-    def _wait(self, future: Future, profile: JobSpec, attempt: int,
+    def _wait(self, future: Future, identity: Identity, attempt: int,
               results: List[RemoteResult]) -> Optional[List[JobOutcome]]:
         """One pool attempt's outcomes, or None if it failed or timed
         out; a result that came back is kept in ``results``."""
@@ -367,14 +371,14 @@ class Dispatcher:
         except FutureTimeout:
             self._timed_out = True
             future.cancel()
-            self._progress(f"group {profile.job_id}: timed out after "
-                           f"{self.timeout}s (attempt {attempt + 1})")
+            self._progress(f"group {job_label(identity)}: timed out "
+                           f"after {self.timeout}s (attempt {attempt + 1})")
         except Exception as exc:
             # Broken pool, unpicklable payload/result, worker death.
             if isinstance(exc, BrokenProcessPool):
                 self._drop(exc)
-            self._progress(f"group {profile.job_id}: worker failed with "
-                           f"{exc!r} (attempt {attempt + 1})")
+            self._progress(f"group {job_label(identity)}: worker failed "
+                           f"with {exc!r} (attempt {attempt + 1})")
         return None
 
     def _here(self, args: GroupArgs) -> List[JobOutcome]:
@@ -409,7 +413,8 @@ class JobExecutionError(RuntimeError):
 
 
 class JobExecutor:
-    """Executes a job graph against one model configuration."""
+    """Prices a batch of requests, grouped by identity, against one
+    model configuration."""
 
     def __init__(self, scale: int,
                  system: Optional[SystemConfig] = None,
@@ -434,6 +439,7 @@ class JobExecutor:
         self.timeout = timeout
         self.retries = retries
         self._progress = progress or (lambda _msg: None)
+        self._pricer = pricer_for(scale, system, self.store)
 
     # -- cache bookkeeping ------------------------------------------------
 
@@ -441,24 +447,20 @@ class JobExecutor:
     def cache(self):
         """The store's result cache: the one this process's pricer for
         the executor's configuration reads and writes."""
-        return pricer_for(self.scale, self.system, self.store).cache
+        return self._pricer.cache
 
-    def _fingerprint(self, job: JobSpec) -> str:
-        system = self.system if self.system is not None \
-            else SystemConfig().scaled(self.scale)
-        return job_fingerprint(job, self.scale, system)
-
-    def _lookup(self, graph: JobGraph) -> Tuple[
-            Dict[str, RunMetrics], Dict[str, str]]:
-        """Pre-dispatch cache pass: (hits by job id, key by job id)."""
-        cache = self.cache
-        hits: Dict[str, RunMetrics] = {}
-        keys: Dict[str, str] = {}
-        for job in graph.price_jobs:
-            keys[job.job_id] = key = self._fingerprint(job)
-            cached = cache.get(key)
-            if cached is not None:
-                hits[job.job_id] = cached
+    def _lookup(self, groups: List[Group]) -> Tuple[
+            Dict[RunRequest, RunMetrics], Dict[RunRequest, str]]:
+        """Pre-dispatch cache pass: (hits by cell, key by cell)."""
+        hits: Dict[RunRequest, RunMetrics] = {}
+        keys: Dict[RunRequest, str] = {}
+        for _identity, cells in groups:
+            for cell in cells:
+                keys[cell] = key = job_fingerprint(cell, self.scale,
+                                                   self._pricer.system)
+                cached = self.cache.get(key)
+                if cached is not None:
+                    hits[cell] = cached
         return hits, keys
 
     # -- execution --------------------------------------------------------
@@ -483,21 +485,21 @@ class JobExecutor:
              ) -> Dict[RunRequest, RunMetrics]:
         start = time.monotonic()
         first = len(self.telemetry.records)
-        graph = build_job_graph(requests)
-        hits, keys = self._lookup(graph)
-        results: Dict[str, RunMetrics] = dict(hits)
+        groups = group_requests(requests)
+        hits, keys = self._lookup(groups)
+        results: Dict[RunRequest, RunMetrics] = dict(hits)
 
-        pending: List[Tuple[JobSpec, List[JobSpec]]] = []
-        for profile, prices in graph.groups():
-            missing = [j for j in prices if j.job_id not in hits]
-            for job in prices:
-                if job.job_id in hits:
-                    self.telemetry.record(job, "hit",
-                                          cache_key=keys[job.job_id])
+        pending: List[Group] = []
+        for identity, cells in groups:
+            for cell in cells:
+                if cell in hits:
+                    self.telemetry.record(cell, "hit",
+                                          cache_key=keys[cell])
+            missing = [cell for cell in cells if cell not in hits]
             if missing:
-                pending.append((profile, missing))
+                pending.append((identity, missing))
             else:
-                self.telemetry.record(profile, "skipped")
+                self.telemetry.record(identity, "skipped")
         if pending:
             from repro.stages import stage_counters
             before = Counter(stage_counters())
@@ -512,9 +514,7 @@ class JobExecutor:
                                       pending)
             finally:
                 dispatcher.close()
-            outcomes = {outcome[0]: (outcome, retries)
-                        for group, retries in done for outcome in group}
-            self._absorb(outcomes, graph.jobs, keys, results)
+            self._absorb(done, keys, results)
             # Pool workers' counts were merged as their groups came
             # back, so this covers every process that did the work.
             delta = Counter(stage_counters()) - before
@@ -528,29 +528,27 @@ class JobExecutor:
             f"jobs: {sum(statuses.values())} total, {statuses['hit']} "
             f"cache hits, {statuses['miss']} executed, "
             f"{time.monotonic() - start:.1f}s")
-        return {request: results[job_id]
-                for request, job_id in graph.request_jobs.items()}
+        return {request: results[request] for request in requests}
 
-    def _absorb(self, outcomes: Dict[str, Tuple[JobOutcome, int]],
-                jobs: Dict[str, JobSpec], keys: Dict[str, str],
-                results: Dict[str, RunMetrics]) -> None:
+    def _absorb(self, done: List[Tuple[List[JobOutcome], int]],
+                keys: Dict[RunRequest, str],
+                results: Dict[RunRequest, RunMetrics]) -> None:
         """Record telemetry, collect results, surface failures.
 
         The cells are already stored: the process that priced each one
         wrote it (:func:`execute_group`).
         """
         failed: List[str] = []
-        for job_id in sorted(outcomes):
-            (jid, metrics, wall, pid, error), retries = outcomes[job_id]
-            job = jobs[jid]
-            self.telemetry.record(
-                job, "failed" if error else "miss", wall,
-                retries=retries, worker_pid=pid, error=error,
-                cache_key=keys.get(jid, ""))
-            if error and job.kind == "price":
-                failed.append(f"{jid}: {error}")
-            if metrics is not None:
-                results[jid] = metrics
+        for outcomes, retries in done:
+            for cell, metrics, wall, pid, error in outcomes:
+                self.telemetry.record(
+                    cell, "failed" if error else "miss", wall,
+                    retries=retries, worker_pid=pid, error=error,
+                    cache_key=keys.get(cell, ""))
+                if error and isinstance(cell, RunRequest):
+                    failed.append(f"{job_label(cell)}: {error}")
+                if metrics is not None:
+                    results[cell] = metrics
         if failed:
             raise JobExecutionError(
                 "jobs failed after retries:\n  " + "\n  ".join(failed))

@@ -1,7 +1,7 @@
 """Content-addressed cache keys for job results.
 
-A price job's result is a pure function of (a) the model code, (b) the
-system configuration and scale, and (c) the job's own identity — app,
+A cell's result is a pure function of (a) the model code, (b) the
+system configuration and scale, and (c) the cell itself — app,
 dataset, preprocessing, scheme, extra parameters.  Datasets themselves
 are deterministic functions of ``(name, preprocessing, scale)`` (seeded
 synthetic generators, see :mod:`repro.graph.datasets`), so naming them
@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import Dict, Iterable, Tuple
 
 from repro.config import SpZipConfig, SystemConfig
-from repro.jobs.model import JobSpec
+from repro.jobs.model import RunRequest
 
 #: Top-level entries under ``src/repro`` that cannot change simulation
 #: results: orchestration, rendering, serving, and interface layers.
@@ -235,11 +235,11 @@ def _system_digest(system: SystemConfig) -> str:
     return fingerprint(system)
 
 
-def job_fingerprint(job: JobSpec, scale: int,
+def job_fingerprint(request: RunRequest, scale: int,
                     system: SystemConfig) -> str:
-    """Cache key for one price job under one model configuration.
+    """Cache key for one cell under one model configuration.
 
-    ``job.scheme`` is the spec's canonical string (see
+    ``request.scheme`` is the spec's canonical string (see
     :func:`repro.jobs.model.canonical_request`): ablation variants like
     ``phi+spzip[parts=adjacency]`` are distinct scheme identities here,
     so Fig 19/20 runs cache independently of the plain scheme.
@@ -248,9 +248,9 @@ def job_fingerprint(job: JobSpec, scale: int,
         "salt": code_salt(),
         "scale": scale,
         "system": _system_digest(system),
-        "kind": job.kind,
-        "app": job.app,
-        "dataset": job.dataset,
-        "preprocessing": job.preprocessing,
-        "scheme": job.scheme,
+        "kind": "price",
+        "app": request.app,
+        "dataset": request.dataset,
+        "preprocessing": request.preprocessing,
+        "scheme": request.scheme,
     })

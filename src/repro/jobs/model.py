@@ -1,23 +1,27 @@
-"""The job model: experiments as an explicit dependency graph.
+"""The job model: a cell is a :class:`RunRequest`, a group is the cells
+of one identity.
 
-One *profile* job exists per ``(app, dataset, preprocessing)`` triple —
-the expensive step (workload construction, cache replays, compression
-measurement).  One *price* job exists per requested
-``(app, scheme, dataset, preprocessing)`` simulation; it depends
-on its profile job, so the six schemes of a Fig 15 bar group share a
-single profiling pass, as a :class:`~repro.stages.StagePricer`'s
-per-identity bundle memo shares it in-process.
+A *cell* is one requested ``(app, scheme, dataset, preprocessing)``
+simulation.  Its *identity* is ``(app, dataset, preprocessing)``: the
+expensive profiling pass (workload construction, cache replays,
+compression measurement) that every scheme of one input shares, as a
+:class:`~repro.stages.StagePricer`'s per-identity bundle memo shares
+it in-process.
 
-The executor (:mod:`repro.jobs.executor`) schedules profile jobs and
-their dependent price jobs onto one worker as a *group*, which keeps the
-shared profiles in the worker's memory instead of shipping them across
-process boundaries.
+:func:`group_requests` turns requests into ``(identity, cells)``
+groups, the executor's unit of dispatch (:mod:`repro.jobs.executor`):
+one worker runs a whole group, which keeps the shared profiles in its
+memory instead of shipping them across process boundaries.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
+
+#: ``(app, dataset, preprocessing)``: what every scheme's cell of one
+#: input shares.
+Identity = Tuple[str, str, str]
 
 
 def canonical_request(app: str, scheme: object, dataset: str,
@@ -47,7 +51,7 @@ class RunRequest:
     preprocessing: str = "none"
 
     @property
-    def profile_key(self) -> Tuple[str, str, str]:
+    def profile_key(self) -> Identity:
         return (self.app, self.dataset, self.preprocessing)
 
     def describe(self) -> str:
@@ -55,86 +59,22 @@ class RunRequest:
                 f"{self.scheme}")
 
 
-@dataclass(frozen=True)
-class JobSpec:
-    """One node of the job graph."""
-
-    job_id: str
-    kind: str  # "profile" or "price"
-    app: str
-    dataset: str
-    preprocessing: str
-    scheme: str = ""  # empty for profile jobs
-    deps: Tuple[str, ...] = ()
-
-
-@dataclass
-class JobGraph:
-    """A dependency-ordered set of jobs built from run requests."""
-
-    jobs: Dict[str, JobSpec] = field(default_factory=dict)
-    #: request -> price job id, in first-seen request order.
-    request_jobs: Dict[RunRequest, str] = field(default_factory=dict)
-
-    def __len__(self) -> int:
-        return len(self.jobs)
-
-    @property
-    def profile_jobs(self) -> List[JobSpec]:
-        return sorted((j for j in self.jobs.values()
-                       if j.kind == "profile"),
-                      key=lambda j: j.job_id)
-
-    @property
-    def price_jobs(self) -> List[JobSpec]:
-        return sorted((j for j in self.jobs.values() if j.kind == "price"),
-                      key=lambda j: j.job_id)
-
-    def groups(self) -> List[Tuple[JobSpec, List[JobSpec]]]:
-        """(profile job, dependent price jobs) pairs, deterministically
-        ordered — the executor's unit of dispatch."""
-        by_profile: Dict[str, List[JobSpec]] = {}
-        for job in self.price_jobs:
-            for dep in job.deps:
-                by_profile.setdefault(dep, []).append(job)
-        return [(profile, by_profile.get(profile.job_id, []))
-                for profile in self.profile_jobs]
-
-    def topological(self) -> List[JobSpec]:
-        """All jobs with every dependency before its dependents."""
-        order: List[JobSpec] = []
-        for profile, prices in self.groups():
-            order.append(profile)
-            order.extend(prices)
-        return order
-
-
-def profile_job_id(app: str, dataset: str, preprocessing: str) -> str:
-    return f"profile:{app}/{dataset}/{preprocessing}"
-
-
-def price_job_id(request: RunRequest) -> str:
-    return f"price:{request.describe()}"
-
-
-def build_job_graph(requests: Iterable[RunRequest]) -> JobGraph:
-    """Deduplicate requests and link each to its shared profile job."""
-    graph = JobGraph()
+def group_requests(requests: Iterable[RunRequest]
+                   ) -> List[Tuple[Identity, List[RunRequest]]]:
+    """Deduplicated ``(identity, cells)`` groups, identities sorted and
+    each group's cells sorted by scheme: one dispatch order, whatever
+    order the requests came in."""
+    groups: Dict[Identity, Set[RunRequest]] = {}
     for request in requests:
-        if request in graph.request_jobs:
-            continue
-        pid = profile_job_id(*request.profile_key)
-        if pid not in graph.jobs:
-            graph.jobs[pid] = JobSpec(
-                job_id=pid, kind="profile", app=request.app,
-                dataset=request.dataset,
-                preprocessing=request.preprocessing)
-        jid = price_job_id(request)
-        if jid not in graph.jobs:
-            graph.jobs[jid] = JobSpec(
-                job_id=jid, kind="price", app=request.app,
-                dataset=request.dataset,
-                preprocessing=request.preprocessing,
-                scheme=request.scheme, deps=(pid,))
-        graph.request_jobs[request] = jid
-    return graph
+        groups.setdefault(request.profile_key, set()).add(request)
+    return [(identity, sorted(groups[identity]))
+            for identity in sorted(groups)]
+
+
+def job_label(cell: Union[RunRequest, Identity]) -> str:
+    """``price:app/dataset/preprocessing/scheme`` for a cell,
+    ``profile:app/dataset/preprocessing`` for an identity: the
+    ``job_id`` that spans, telemetry and progress text name it by."""
+    if isinstance(cell, RunRequest):
+        return f"price:{cell.describe()}"
+    return "profile:" + "/".join(cell)

@@ -1,24 +1,23 @@
 """The runner: every experiment prices its cells through the job layer.
 
 :class:`JobRunner` turns (app, scheme, dataset, preprocessing) cells
-into :class:`~repro.sim.metrics.RunMetrics`.  Results come from, in
-order:
-
-1. results prefetched through :meth:`~JobRunner.prefetch` (parallel,
-   cached);
-2. otherwise the content-addressed disk cache;
-3. otherwise the stage pricer this process's in-process groups use
-   (:func:`~repro.jobs.executor.pricer_for`), bound to the same store,
-   which reuses the bundles an in-process prefetch built and any frozen
-   stage artifacts, and then populates the cell-level cache.
+into :class:`~repro.sim.metrics.RunMetrics`.  Every cell comes from a
+:meth:`~JobRunner.prefetch`: one :class:`~repro.jobs.executor.JobExecutor`
+run over a batch of requests (the disk cache first, then
+:func:`~repro.jobs.executor.execute_group`, on a process pool when
+``jobs > 1``).  A :meth:`~JobRunner.run` of a cell no prefetch brought
+is a one-cell prefetch, so ``execute_group`` is the only code that
+prices and stores a cell.
 
 :meth:`~JobRunner.profiles` and :meth:`~JobRunner.traversal_cycles`
-read through that same pricer, so experiments that inspect raw
-profiles (sorting) reuse what a prefetch built or the pool stored
-instead of re-profiling in the parent.  The pricer is shared by every
-runner on the same configuration and store, so each runner points the
-store's error channel at its own ``progress`` before it uses it: a
-corrupt cell or stage artifact is reported to the runner that read it.
+read through the stage pricer this process's in-process groups use
+(:func:`~repro.jobs.executor.pricer_for`), bound to the same store, so
+experiments that inspect raw profiles (sorting) reuse what a prefetch
+built or the pool stored instead of re-profiling in the parent.  The
+pricer is shared by every runner on the same configuration and store,
+so each runner points the store's error channel at its own
+``progress`` before it uses it: a corrupt cell or stage artifact is
+reported to the runner that read it.
 """
 
 from __future__ import annotations
@@ -29,8 +28,7 @@ from repro.config import SpZipConfig, SystemConfig
 from repro.graph.datasets import DEFAULT_SCALE
 from repro.jobs.cache import StoreConfig
 from repro.jobs.executor import JobExecutor, pricer_for
-from repro.jobs.fingerprint import job_fingerprint
-from repro.jobs.model import RunRequest, build_job_graph, canonical_request
+from repro.jobs.model import RunRequest, canonical_request
 from repro.jobs.telemetry import TelemetryWriter, default_telemetry_path
 from repro.obs import TRACER
 from repro.runtime.traffic import IterationProfile
@@ -107,7 +105,8 @@ class JobRunner:
         :class:`~repro.schemes.SchemeSpec`; kwargs feed the legacy
         ablation knobs (``parts``, ``decoupled_only``), which
         canonicalization folds into the scheme name, so both spellings
-        share one request, memo entry and cache key.
+        share one request, memo entry and cache key.  A cell no
+        prefetch brought is priced by a one-cell :meth:`prefetch`.
         """
         request = canonical_request(app, scheme, dataset, preprocessing,
                                     **kwargs)
@@ -119,26 +118,8 @@ class JobRunner:
         # `repro perf diff`) attributes wall time to.
         with TRACER.span("runner.cell", app=app, scheme=request.scheme,
                          dataset=dataset, preprocessing=preprocessing):
-            graph = build_job_graph([request])
-            job = graph.jobs[graph.request_jobs[request]]
-            key = job_fingerprint(job, self.scale, self.system)
-            pricer = self._pricer()
-            metrics = pricer.cache.get(key)
-            if metrics is None:
-                # The pricer is bound to the same store, so partial work
-                # (frozen streams, replays) survives even when the
-                # cell-level key missed.
-                with TRACER.span("runner.price"):
-                    metrics = pricer.price(app, request.scheme, dataset,
-                                           preprocessing)
-                pricer.cache.put(key, metrics)
-                status = "miss"
-            else:
-                status = "hit"
-        if self.telemetry_path:
-            self._writer().record(job, status, cache_key=key)
-        self._results[request] = metrics
-        return metrics
+            self.prefetch([request])
+        return self._results[request]
 
     def run_all_schemes(self, app: str, dataset: str,
                         preprocessing: str = "none",

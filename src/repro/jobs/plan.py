@@ -1,11 +1,11 @@
 """Experiment plans: which simulations each registered experiment needs.
 
 Mirrors the run calls made by :mod:`repro.harness.experiments` so the
-orchestrator can prefetch an experiment's whole cross-product through
-the job graph before the experiment function renders it.  The mapping
-is best-effort by design: a request missing from a plan is not an
-error — the experiment simply computes that run in-process through the
-orchestrator's memoized fallback — so plans only ever *accelerate*.
+orchestrator can prefetch an experiment's whole cross-product in one
+executor run before the experiment function renders it.  A request
+missing from a plan is not an error — the runner prices that cell as a
+one-cell prefetch — so plans only ever *accelerate*; the test suite
+checks that each plan is exactly the cells its experiment reads.
 
 Profile-only experiments (table3, sorting) have empty plans: their
 work has no per-scheme pricing step to parallelize.  Fig 21's plan is

@@ -3,11 +3,13 @@
 Each orchestrated run appends one file under
 ``<cache root>/telemetry/`` in the trace JSONL format
 (:mod:`repro.obs.trace`): a ``trace_start`` header, then one
-``jobs.job`` span per executed, cached or skipped job.  Its ``dur_s``
-is the job's wall time; its attributes are the job's identity
-(``job_id``, ``kind``, ``app``, ``dataset``, ``preprocessing``,
-``scheme``), its ``status`` (``hit`` | ``miss`` | ``skipped`` |
-``failed``), ``retries``, ``worker_pid``, ``cache_key`` and ``error``.
+``jobs.job`` span per executed, cached or skipped job — a *price* job
+per cell (:class:`~repro.jobs.model.RunRequest`), a *profile* job per
+group's identity.  Its ``dur_s`` is the job's wall time; its
+attributes name the job (``job_id``, ``kind``, ``app``, ``dataset``,
+``preprocessing``, ``scheme``), its ``status`` (``hit`` | ``miss`` |
+``skipped`` | ``failed``), ``retries``, ``worker_pid``, ``cache_key``
+and ``error``.
 
 The spans are the ones :data:`~repro.obs.TRACER` records, so a traced
 run carries the same ``jobs.job`` spans in its trace.
@@ -23,9 +25,9 @@ import itertools
 import json
 import os
 import time
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Union
 
-from repro.jobs.model import JobSpec
+from repro.jobs.model import Identity, RunRequest, job_label
 from repro.obs import TRACER, Span, read_trace
 
 #: Job statuses, in reporting order.
@@ -52,15 +54,19 @@ class TelemetryWriter:
                         "wall_epoch": wall, "mono_epoch": time.monotonic(),
                         "pid": os.getpid()}
 
-    def record(self, job: JobSpec, status: str, wall_s: float = 0.0,
-               retries: int = 0, worker_pid: int = 0,
-               cache_key: str = "", error: str = "") -> None:
+    def record(self, cell: Union[RunRequest, Identity], status: str,
+               wall_s: float = 0.0, retries: int = 0,
+               worker_pid: int = 0, cache_key: str = "",
+               error: str = "") -> None:
+        """Record a cell's price job, or an identity's profile job."""
+        price = isinstance(cell, RunRequest)
+        app, dataset, preprocessing = cell.profile_key if price else cell
         span = TRACER.manual_span(
-            "jobs.job", wall_s, job_id=job.job_id, kind=job.kind,
-            status=status, app=job.app, dataset=job.dataset,
-            preprocessing=job.preprocessing, scheme=job.scheme,
-            retries=retries, worker_pid=worker_pid,
-            cache_key=cache_key, error=error)
+            "jobs.job", wall_s, job_id=job_label(cell),
+            kind="price" if price else "profile", status=status,
+            app=app, dataset=dataset, preprocessing=preprocessing,
+            scheme=cell.scheme if price else "", retries=retries,
+            worker_pid=worker_pid, cache_key=cache_key, error=error)
         self.records.append(span)
         if not self._deferred:
             self._flush()

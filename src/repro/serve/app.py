@@ -44,7 +44,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.config import SystemConfig
 from repro.jobs.cache import StoreConfig
 from repro.jobs.fingerprint import job_fingerprint
-from repro.jobs.model import RunRequest, build_job_graph
+from repro.jobs.model import RunRequest, group_requests, job_label
 from repro.obs import TRACER
 from repro.serve.admission import AdmissionController
 from repro.serve.batching import (
@@ -224,9 +224,7 @@ class ServeApp:
 
     def request_key(self, request: RunRequest) -> str:
         """The canonical content-addressed identity of one cell."""
-        graph = build_job_graph([request])
-        job = graph.jobs[graph.request_jobs[request]]
-        return job_fingerprint(job, self.scale, self._system_resolved)
+        return job_fingerprint(request, self.scale, self._system_resolved)
 
     def _resolve(self, cell: RunRequest) -> RunRequest:
         """Pin the cell's dataset to its current delta version.
@@ -262,23 +260,22 @@ class ServeApp:
         async with self.admission.slot() as waited_s:
             TRACER.manual_span("serve.admission", waited_s,
                                cells=len(cells))
-            requests = [request for request, _key in cells]
-            graph = build_job_graph(requests)
-            ((profile, prices),) = graph.groups()
+            ((identity, group),) = group_requests(
+                request for request, _key in cells)
             with TRACER.span("serve.compute", cells=len(cells),
-                             profile=profile.job_id):
+                             profile=job_label(identity)):
                 outcomes = await self.backend.run_group(
-                    self.scale, self.system, profile, prices,
+                    self.scale, self.system, identity, group,
                     store=self.store_config)
-        by_id = {outcome[0]: outcome for outcome in outcomes}
+        by_cell = {outcome[0]: outcome for outcome in outcomes}
         results: Dict[str, object] = {}
         for request, key in cells:
-            outcome = by_id.get(graph.request_jobs[request])
+            outcome = by_cell.get(request)
             if outcome is None:
                 results[key] = ComputeError(
                     f"no result for {request.describe()}")
                 continue
-            _job_id, metrics, _wall, _pid, error = outcome
+            _cell, metrics, _wall, _pid, error = outcome
             if error:
                 results[key] = ComputeError(error)
             elif metrics is None:

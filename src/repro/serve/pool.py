@@ -1,7 +1,7 @@
 """The compute backend: where the server's ``execute_group`` dispatches run.
 
-One dispatch is the jobs layer's group unit — one profile job plus the
-price jobs batched onto it (:mod:`repro.serve.batching` builds those
+One dispatch is the jobs layer's group unit — one identity plus the
+cells batched onto it (:mod:`repro.serve.batching` builds those
 groups across requests).  The backend is the jobs layer's one
 :class:`~repro.jobs.executor.Dispatcher`, kept for the server's life
 (with no timeout and no retries): each dispatch blocks in
@@ -43,7 +43,7 @@ from typing import Dict, List, Optional
 from repro.config import SystemConfig
 from repro.jobs.cache import StoreConfig
 from repro.jobs.executor import Dispatcher, JobOutcome
-from repro.jobs.model import JobSpec
+from repro.jobs.model import Identity, RunRequest
 
 #: Backend names the CLI accepts.
 BACKENDS = ("thread", "process")
@@ -66,7 +66,7 @@ class ServeBackend(Dispatcher):
             max_workers=workers, thread_name_prefix="serve-compute")
 
     async def run_group(self, scale: int, system: Optional[SystemConfig],
-                        profile: JobSpec, prices: List[JobSpec],
+                        identity: Identity, cells: List[RunRequest],
                         store: Optional[StoreConfig] = None
                         ) -> List[JobOutcome]:
         self.dispatches += 1
@@ -76,7 +76,7 @@ class ServeBackend(Dispatcher):
             await asyncio.get_running_loop().run_in_executor(
                 self._threads,
                 lambda: ctx.run(self.run, scale, system, store,
-                                [(profile, prices)]))
+                                [(identity, cells)]))
         return outcomes
 
     def stats(self) -> Dict[str, object]:

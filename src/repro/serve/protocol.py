@@ -19,9 +19,6 @@ from typing import Dict, List
 from repro.jobs.model import RunRequest, canonical_request
 from repro.sim.metrics import RunMetrics
 
-#: Preprocessing menu (mirrors ``repro.graph.preprocess``).
-PREPROCESSINGS = ("none", "natural", "degree", "bfs", "dfs", "gorder")
-
 #: Keys a price body may carry.
 PRICE_KEYS = {"app", "scheme", "dataset", "preprocessing", "parts",
               "decoupled_only"}
@@ -87,7 +84,8 @@ def _dataset(value: object) -> str:
 
 
 def _preprocessing(value: object) -> str:
-    return _valid_name("preprocessing", value, PREPROCESSINGS)
+    from repro.graph.preprocess import PREPROCESSORS
+    return _valid_name("preprocessing", value, PREPROCESSORS)
 
 
 def parse_price(payload: object) -> RunRequest:

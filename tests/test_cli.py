@@ -268,6 +268,20 @@ class TestReportOrchestration:
         assert main(["jobs", "--cache-dir",
                      str(tmp_path / "empty")]) == 1
 
+    @pytest.mark.parametrize("damage", ["missing", "torn"])
+    def test_jobs_command_reports_an_unreadable_telemetry_file(
+            self, tmp_path, capsys, damage):
+        """A missing file, or one whose last line a killed run left
+        torn, is reported as `perf summary` reports it: exit 2."""
+        path = tmp_path / "run.jsonl"
+        if damage == "torn":
+            path.write_text('{"event": "trace_start", "pid": 1}\n'
+                            '{"event": "span", "name": "jobs.j')
+        assert main(["jobs", "--telemetry", str(path), "--cache-dir",
+                     str(tmp_path / "cache")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot summarize {str(path)!r}: "), err
+
 
 @pytest.fixture
 def cold_pricers(monkeypatch):
@@ -320,7 +334,7 @@ class TestTrace:
         header, spans = read_trace(path)
         assert header["trace_id"]
         names = {s.name for s in spans}
-        assert {"runner.cell", "runner.price",
+        assert {"runner.cell", "jobs.price",
                 "pricing.price"} <= names
         cell = next(s for s in spans if s.name == "runner.cell"
                     and s.attrs.get("scheme") == "phi")

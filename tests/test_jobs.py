@@ -13,7 +13,6 @@ from repro.jobs import (
     ResultCache,
     RunRequest,
     TelemetryWriter,
-    build_job_graph,
     code_salt,
     experiment_requests,
     job_fingerprint,
@@ -21,6 +20,7 @@ from repro.jobs import (
     summarize,
 )
 from repro.jobs.cache import StoreConfig
+from repro.jobs.model import group_requests
 from tests.store_faults import damage_record, segment_paths
 
 SCALE = 65536
@@ -31,33 +31,37 @@ SCALE = 65536
 # ---------------------------------------------------------------------------
 
 class TestJobModel:
-    def test_graph_shares_profile_jobs(self):
+    def test_cells_of_one_identity_share_a_group(self):
         requests = [RunRequest("pr", s, "arb") for s in ("push", "phi")]
         requests += [RunRequest("pr", "push", "ukl")]
-        graph = build_job_graph(requests)
-        profiles = graph.profile_jobs
-        assert len(profiles) == 2  # arb and ukl share nothing
-        assert len(graph.price_jobs) == 3
-        groups = dict((p.job_id, jobs) for p, jobs in graph.groups())
-        assert len(groups["profile:pr/arb/none"]) == 2
+        groups = dict(group_requests(requests))
+        assert len(groups) == 2  # arb and ukl share nothing
+        assert sum(map(len, groups.values())) == 3
+        assert len(groups[("pr", "arb", "none")]) == 2
 
     def test_duplicate_requests_deduplicate(self):
         request = RunRequest("pr", "push", "arb")
-        graph = build_job_graph([request, request])
-        assert len(graph.price_jobs) == 1
+        assert group_requests([request, request]) == \
+            [(("pr", "arb", "none"), [request])]
 
-    def test_price_jobs_depend_on_their_profile(self):
-        graph = build_job_graph([RunRequest("cc", "ub", "twi", "dfs")])
-        (job,) = graph.price_jobs
-        assert job.deps == ("profile:cc/twi/dfs",)
+    def test_group_is_keyed_by_the_cells_identity(self):
+        request = RunRequest("cc", "ub", "twi", "dfs")
+        assert group_requests([request]) == [(("cc", "twi", "dfs"),
+                                              [request])]
 
-    def test_topological_orders_dependencies_first(self):
-        requests = [RunRequest("pr", s, d)
-                    for d in ("arb", "ukl") for s in ("push", "phi")]
-        order = [j.job_id for j in
-                 build_job_graph(requests).topological()]
-        for job in build_job_graph(requests).price_jobs:
-            assert order.index(job.deps[0]) < order.index(job.job_id)
+    def test_identities_and_schemes_come_out_sorted(self):
+        """One dispatch order whatever the request order: identities
+        sorted, and each identity's cells sorted by scheme."""
+        requests = [RunRequest("pr", s, d, p)
+                    for p in ("none", "dfs") for d in ("ukl", "arb")
+                    for s in ("push", "phi", "ub")]
+        groups = group_requests(requests)
+        assert group_requests(reversed(requests)) == groups
+        identities = [identity for identity, _cells in groups]
+        assert identities == sorted(identities) and len(identities) == 4
+        for identity, cells in groups:
+            assert [c.scheme for c in cells] == ["phi", "push", "ub"]
+            assert {c.profile_key for c in cells} == {identity}
 
 
 # ---------------------------------------------------------------------------
@@ -66,25 +70,20 @@ class TestJobModel:
 
 class TestFingerprint:
     def test_stable_across_calls(self):
-        graph = build_job_graph([RunRequest("pr", "push", "arb")])
-        (job,) = graph.price_jobs
+        request = RunRequest("pr", "push", "arb")
         system = SystemConfig().scaled(SCALE)
-        assert job_fingerprint(job, SCALE, system) == \
-            job_fingerprint(job, SCALE, system)
+        assert job_fingerprint(request, SCALE, system) == \
+            job_fingerprint(request, SCALE, system)
 
     def test_sensitive_to_identity_and_config(self):
         system = SystemConfig().scaled(SCALE)
-        base = build_job_graph([RunRequest("pr", "push", "arb")]
-                               ).price_jobs[0]
+        base = RunRequest("pr", "push", "arb")
         keys = {job_fingerprint(base, SCALE, system)}
-        other = build_job_graph([RunRequest("pr", "phi", "arb")]
-                                ).price_jobs[0]
-        keys.add(job_fingerprint(other, SCALE, system))
+        keys.add(job_fingerprint(RunRequest("pr", "phi", "arb"), SCALE,
+                                 system))
         keys.add(job_fingerprint(base, SCALE // 2,
                                  SystemConfig().scaled(SCALE // 2)))
-        variant = build_job_graph(
-            [RunRequest("pr", "phi+spzip[decoupled]", "arb")]
-        ).price_jobs[0]
+        variant = RunRequest("pr", "phi+spzip[decoupled]", "arb")
         keys.add(job_fingerprint(variant, SCALE, system))
         assert len(keys) == 4
 
@@ -94,9 +93,8 @@ class TestFingerprint:
         from dataclasses import replace
 
         import repro.jobs.fingerprint as fp
-        jobs = build_job_graph([RunRequest("pr", scheme, "arb")
-                                for scheme in ("push", "phi", "ub")]
-                               ).price_jobs
+        jobs = [RunRequest("pr", scheme, "arb")
+                for scheme in ("push", "phi", "ub")]
         system = SystemConfig().scaled(SCALE)
         twin = SystemConfig().scaled(SCALE)
         assert twin is not system
@@ -217,21 +215,25 @@ class TestResultCache:
 class TestTelemetry:
     def test_jsonl_records_and_summary(self, tmp_path):
         from repro.jobs import render_summary
-        from repro.jobs.model import JobSpec
         from repro.obs import read_trace
-        profile = JobSpec("profile:a", "profile", "dc", "arb", "none")
-        x = JobSpec("price:a/x", "price", "dc", "arb", "none", "push")
-        y = JobSpec("price:a/y", "price", "dc", "arb", "none", "phi")
         path = str(tmp_path / "run.jsonl")
         writer = TelemetryWriter(path=path)
-        writer.record(profile, "miss", 1.0, worker_pid=11)
-        writer.record(x, "hit")
-        writer.record(y, "miss", 0.5, retries=1, worker_pid=11)
+        writer.record(("dc", "arb", "none"), "miss", 1.0, worker_pid=11)
+        writer.record(RunRequest("dc", "push", "arb"), "hit")
+        writer.record(RunRequest("dc", "phi", "arb"), "miss", 0.5,
+                      retries=1, worker_pid=11)
         # The file is a trace: a header, then one jobs.job span per job
-        # carrying the job's identity.
+        # naming its identity or cell.
         header, spans = read_trace(path)
         assert header["event"] == "trace_start"
         assert [s.name for s in spans] == ["jobs.job"] * 3
+        assert spans[0].attrs == {
+            "job_id": "profile:dc/arb/none", "kind": "profile",
+            "status": "miss", "app": "dc", "dataset": "arb",
+            "preprocessing": "none", "scheme": "", "retries": 0,
+            "worker_pid": 11, "cache_key": "", "error": ""}
+        assert spans[2].attrs["job_id"] == "price:dc/arb/none/phi"
+        assert spans[2].attrs["kind"] == "price"
         assert spans[2].attrs["scheme"] == "phi"
         assert spans[2].duration_s == 0.5
         summary = summarize(path)
@@ -247,7 +249,7 @@ class TestTelemetry:
         # never looks anything up).
         assert summary["hit_rate"] == pytest.approx(1 / 2)
         text = render_summary(summary)
-        assert "hit=1" in text and "profile:a" in text
+        assert "hit=1" in text and "profile:dc/arb/none" in text
 
     def test_latest_telemetry_picks_newest(self, tmp_path):
         root = str(tmp_path)
@@ -399,18 +401,17 @@ class TestExecutor:
     def test_remote_group_sends_its_count_delta_not_totals(self):
         from repro.jobs.executor import execute_group_remote
         from repro.obs import TRACER
-        graph = build_job_graph([RunRequest("dc", "push", "arb")])
-        ((profile, prices),) = graph.groups()
+        request = RunRequest("dc", "push", "arb")
+        identity = request.profile_key
         TRACER.count("stage.test.prior", 5)
         try:
             outcomes, counts, spans = execute_group_remote(
-                SCALE, None, profile, prices)
+                SCALE, None, identity, [request])
             _outcomes, _counts, traced = execute_group_remote(
-                SCALE, None, profile, prices, traced=True)
+                SCALE, None, identity, [request], traced=True)
         finally:
             TRACER.reset_counts("stage.test.")
-        assert [o[0] for o in outcomes] == \
-            [profile.job_id, prices[0].job_id]
+        assert [o[0] for o in outcomes] == [identity, request]
         assert "stage.test.prior" not in counts
         assert counts and all(name.startswith("stage.") and n > 0
                               for name, n in counts.items())
@@ -429,14 +430,14 @@ class TestExecutor:
 
         import repro.jobs.cache as cache_module
         from repro.jobs.executor import execute_group_remote
-        ((profile, prices),) = build_job_graph(list(REQUESTS)).groups()
+        ((identity, cells),) = group_requests(REQUESTS)
 
         def results(outcomes):
-            return [(job_id, metrics, error)
-                    for job_id, metrics, _wall, _pid, error in outcomes]
+            return [(cell, metrics, error)
+                    for cell, metrics, _wall, _pid, error in outcomes]
 
         plain, _counts, _spans = execute_group_remote(
-            SCALE, None, profile, prices,
+            SCALE, None, identity, cells,
             StoreConfig(root=str(tmp_path / "ok")))
 
         def full_disk(fd, buffers):
@@ -444,12 +445,12 @@ class TestExecutor:
 
         monkeypatch.setattr(cache_module.os, "writev", full_disk)
         full, counts, _spans = execute_group_remote(
-            SCALE, None, profile, prices,
+            SCALE, None, identity, cells,
             StoreConfig(root=str(tmp_path / "full")))
         assert results(full) == results(plain)
-        assert all(metrics is not None for _j, metrics, _e
+        assert all(metrics is not None for _c, metrics, _e
                    in results(full)[1:])
-        assert counts.get("stage.store.write_failed", 0) >= len(prices)
+        assert counts.get("stage.store.write_failed", 0) >= len(cells)
         # Each failed append was cut back: the segment holds nothing.
         assert [os.path.getsize(path) for path in
                 segment_paths(str(tmp_path / "full"))] == [0]
@@ -468,11 +469,11 @@ parent = os.getpid()
 real = executor._execute_group
 
 
-def hang_in_workers(scale, system, profile, prices, store=None):
-    if os.getpid() != parent and profile.app == "cc":
+def hang_in_workers(scale, system, identity, cells, store=None):
+    if os.getpid() != parent and identity[0] == "cc":
         while os.getppid() == parent:
             time.sleep(0.1)
-    return real(scale, system, profile, prices, store)
+    return real(scale, system, identity, cells, store)
 
 
 executor._execute_group = hang_in_workers
@@ -530,7 +531,7 @@ from repro.jobs import JobExecutor, RunRequest
 parent = os.getpid()
 
 
-def mark_and_sleep(scale, system, profile, prices, store=None):
+def mark_and_sleep(scale, system, identity, cells, store=None):
     if os.getpid() != parent:
         open(os.path.join(sys.argv[1], str(os.getpid())), "w").close()
         time.sleep(60)
@@ -606,7 +607,8 @@ class TestJobRunner:
                           cache_dir=str(tmp_path))
         assert fresh.run("dc", "ub", "arb") == first
         records = fresh._telemetry.records
-        assert [r.attrs["status"] for r in records] == ["hit"]
+        # A one-cell prefetch: its hit, and its group's skipped profile.
+        assert [r.attrs["status"] for r in records] == ["hit", "skipped"]
 
     def test_profiles_reuse_the_bundles_prefetch_built(self):
         """The runner prices through the pricer its in-process groups
@@ -648,9 +650,7 @@ class TestJobRunner:
         a damaged cell is reported to the runner that looked it up, by
         prefetch or by run, and to no other."""
         request = RunRequest("dc", "push", "arb")
-        graph = build_job_graph([request])
-        key = job_fingerprint(graph.jobs[graph.request_jobs[request]],
-                              SCALE, SystemConfig().scaled(SCALE))
+        key = job_fingerprint(request, SCALE, SystemConfig().scaled(SCALE))
         first, second, third = [], [], []
 
         def runner(progress):
@@ -703,3 +703,33 @@ class TestPlans:
     def test_fig20_plan_folds_decoupled_into_scheme(self):
         requests = experiment_requests(["fig20"])
         assert any(r.scheme == "phi+spzip[decoupled]" for r in requests)
+
+    def test_each_plan_is_exactly_the_cells_its_experiment_reads(self):
+        """Run every experiment against a runner that records each cell
+        it reads: the plan prefetches all of them, and nothing else."""
+        from repro.harness import EXPERIMENTS
+        from repro.jobs import canonical_request
+        real = JobRunner(scale=SCALE)
+        metrics = real.run("dc", "push", "arb")
+        profiles = real.profiles("dc", "arb")
+        read = set()
+
+        class Recorder(JobRunner):
+            def run(self, app, scheme, dataset, preprocessing="none",
+                    **kwargs):
+                read.add(canonical_request(app, scheme, dataset,
+                                           preprocessing, **kwargs))
+                return metrics
+
+            def profiles(self, *_args):
+                return profiles
+
+            def traversal_cycles(self, *_args, **_kwargs):
+                return 1000
+
+        for experiment_id, experiment in sorted(EXPERIMENTS.items()):
+            read.clear()
+            experiment(Recorder(scale=SCALE))
+            plan = set(experiment_requests([experiment_id]))
+            assert (read - plan, plan - read) == (set(), set()), \
+                experiment_id

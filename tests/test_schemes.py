@@ -190,11 +190,7 @@ class TestJobsIdentity:
 
     def test_ablation_variants_get_distinct_fingerprints(self):
         from repro.config import SystemConfig
-        from repro.jobs import (
-            build_job_graph,
-            canonical_request,
-            job_fingerprint,
-        )
+        from repro.jobs import canonical_request, job_fingerprint
         system = SystemConfig()
         variants = [
             canonical_request("dc", "phi+spzip", "ukl", "none"),
@@ -205,9 +201,7 @@ class TestJobsIdentity:
             canonical_request("dc", "phi+spzip", "ukl", "none",
                               decoupled_only=True),
         ]
-        graph = build_job_graph(variants)
-        keys = [job_fingerprint(graph.jobs[graph.request_jobs[r]],
-                                65536, system) for r in variants]
+        keys = [job_fingerprint(r, 65536, system) for r in variants]
         assert len(set(keys)) == len(keys)
 
     def test_fingerprint_stable_across_kwarg_spellings(self):

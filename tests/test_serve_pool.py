@@ -8,7 +8,7 @@ import pytest
 
 from repro.jobs import ResultCache
 from repro.jobs.cache import StoreConfig
-from repro.jobs.model import build_job_graph, canonical_request
+from repro.jobs.model import canonical_request, group_requests
 from repro.serve import ServeApp, ServeBackend, parse_price
 
 SCALE = 65536
@@ -21,11 +21,9 @@ def run(coro):
 
 
 def one_group(app="dc", dataset="arb", schemes=("push", "phi")):
-    requests = [canonical_request(app, scheme, dataset)
-                for scheme in schemes]
-    graph = build_job_graph(requests)
-    ((profile, prices),) = graph.groups()
-    return profile, prices
+    ((identity, cells),) = group_requests(
+        canonical_request(app, scheme, dataset) for scheme in schemes)
+    return identity, cells
 
 
 def make_app(tmp_path, **kwargs):
@@ -64,16 +62,16 @@ class TestMakeBackend:
 class TestThreadBackend:
     def test_runs_group_and_counts_dispatches(self):
         backend = ServeBackend("thread", 2)
-        profile, prices = one_group()
+        identity, cells = one_group()
 
         async def go():
-            return await backend.run_group(SCALE, None, profile, prices)
+            return await backend.run_group(SCALE, None, identity, cells)
 
         try:
             outcomes = run(go())
         finally:
             backend.close()
-        assert len(outcomes) == 1 + len(prices)
+        assert len(outcomes) == 1 + len(cells)
         assert all(error == "" for *_rest, error in outcomes)
         assert backend.stats() == {"name": "thread", "workers": 2,
                                    "dispatches": 1}
@@ -84,16 +82,16 @@ class TestThreadBackend:
         (the pricer's per-identity lock) and reuses it."""
         from repro.stages import stage_counters
         backend = ServeBackend("thread", 2)
-        profile, prices = one_group(schemes=SCHEMES)
+        identity, cells = one_group(schemes=SCHEMES)
         # A store of its own, so no earlier test's pricer holds the
         # bundle already.
         store = StoreConfig(root=str(tmp_path / "cache"))
 
         async def go():
             return await asyncio.gather(
-                backend.run_group(SCALE, None, profile, prices[:3],
+                backend.run_group(SCALE, None, identity, cells[:3],
                                   store),
-                backend.run_group(SCALE, None, profile, prices[3:],
+                backend.run_group(SCALE, None, identity, cells[3:],
                                   store))
 
         before = Counter(stage_counters())
@@ -105,26 +103,26 @@ class TestThreadBackend:
         assert all(error == "" for outcomes in results
                    for *_rest, error in outcomes)
         assert delta["stream.computed"] == 1
-        assert delta["stream.memo"] == 1 + len(prices)
+        assert delta["stream.memo"] == 1 + len(cells)
 
 
 class TestProcessBackend:
     def test_runs_group_in_worker_process(self):
         import os
         backend = ServeBackend("process", 2)
-        profile, prices = one_group(dataset="ukl")
+        identity, cells = one_group(dataset="ukl")
 
         async def go():
-            return await backend.run_group(SCALE, None, profile, prices)
+            return await backend.run_group(SCALE, None, identity, cells)
 
         try:
             outcomes = run(go())
         finally:
             backend.close()
-        assert len(outcomes) == 1 + len(prices)
+        assert len(outcomes) == 1 + len(cells)
         assert all(error == "" for *_rest, error in outcomes)
         if backend.stats()["pool"] == "up":  # sandbox may deny pools
-            pids = {pid for _j, _m, _w, pid, _e in outcomes}
+            pids = {pid for _c, _m, _w, pid, _e in outcomes}
             assert pids and os.getpid() not in pids
             assert backend.fallbacks == 0
         assert backend.dispatches == 1
@@ -151,12 +149,12 @@ class TestProcessBackend:
 
     def test_broken_pool_falls_back_in_process(self):
         backend = ServeBackend("process", 1)
-        profile, prices = one_group()
+        identity, cells = one_group()
         if backend._pool is not None:
             backend._pool.shutdown(wait=False)  # submits now raise
 
         async def go():
-            return await backend.run_group(SCALE, None, profile, prices)
+            return await backend.run_group(SCALE, None, identity, cells)
 
         try:
             outcomes = run(go())
@@ -164,7 +162,7 @@ class TestProcessBackend:
             backend.close()
         assert all(error == "" for *_rest, error in outcomes)
         assert backend.fallbacks == 1
-        assert len(outcomes) == 1 + len(prices)
+        assert len(outcomes) == 1 + len(cells)
 
     def test_dead_worker_demotes_the_pool_to_fallback(self):
         """A killed worker breaks the whole pool: the dispatch that
@@ -175,7 +173,7 @@ class TestProcessBackend:
         if pool is None:
             backend.close()
             pytest.skip("process pool unavailable")
-        profile, prices = one_group()
+        identity, cells = one_group()
         submits = []
         real_submit = pool.submit
 
@@ -187,7 +185,7 @@ class TestProcessBackend:
         _break(pool)
 
         async def go():
-            return [await backend.run_group(SCALE, None, profile, prices)
+            return [await backend.run_group(SCALE, None, identity, cells)
                     for _ in range(3)]
 
         try:
@@ -195,9 +193,9 @@ class TestProcessBackend:
         finally:
             backend.close()
         for outcomes in results:
-            assert len(outcomes) == 1 + len(prices)
+            assert len(outcomes) == 1 + len(cells)
             assert all(error == "" for *_rest, error in outcomes)
-            assert {pid for _j, _m, _w, pid, _e in outcomes} == \
+            assert {pid for _c, _m, _w, pid, _e in outcomes} == \
                 {os.getpid()}
         assert len(submits) == 1
         stats = backend.stats()
@@ -235,9 +233,9 @@ class TestProcessBackend:
 
         async def go():
             return await asyncio.gather(*(
-                app.backend.run_group(SCALE, None, profile, prices,
+                app.backend.run_group(SCALE, None, identity, cells,
                                       app.store_config)
-                for profile, prices in groups))
+                for identity, cells in groups))
 
         try:
             results = run(go())
@@ -321,13 +319,12 @@ class TestAppBatching:
                 app.close()
 
         results = run(go())
-        graph = build_job_graph(cells)
-        ((profile, prices),) = graph.groups()
-        reference = {job_id: metrics for job_id, metrics, *_rest
-                     in execute_group(SCALE, None, profile, prices)
+        ((identity, group),) = group_requests(cells)
+        reference = {cell: metrics for cell, metrics, *_rest
+                     in execute_group(SCALE, None, identity, group)
                      if metrics is not None}
         for cell, (metrics, _source) in zip(cells, results):
-            expected = reference[graph.request_jobs[cell]]
+            expected = reference[cell]
             assert metrics.cycles == expected.cycles
             assert metrics.total_traffic == expected.total_traffic
             key = app.request_key(cell)
@@ -401,17 +398,14 @@ class TestAppBatching:
                             "dataset": "arb"})
         bad = parse_price({"app": "dc", "scheme": "phi",
                            "dataset": "arb"})
-        bad_id = build_job_graph([bad]).request_jobs[bad]
         original = app.backend.run_group
 
-        async def sabotage(scale, system, profile, prices,
-                           store=None):
-            outcomes = await original(scale, system, profile, prices,
+        async def sabotage(scale, system, identity, cells, store=None):
+            outcomes = await original(scale, system, identity, cells,
                                       store=store)
-            return [(job_id, None, wall, pid, "boom")
-                    if job_id == bad_id else
-                    (job_id, metrics, wall, pid, error)
-                    for job_id, metrics, wall, pid, error in outcomes]
+            return [(cell, None, wall, pid, "boom") if cell == bad else
+                    (cell, metrics, wall, pid, error)
+                    for cell, metrics, wall, pid, error in outcomes]
 
         app.backend.run_group = sabotage
 

@@ -70,6 +70,14 @@ class TestParsePrice:
             parse_price({"app": "dc", "scheme": "phi",
                          "dataset": "arb", "preprocessing": "random"})
 
+    def test_every_registered_preprocessing_is_accepted(self):
+        from repro.graph.preprocess import PREPROCESSORS
+        for preprocessing in PREPROCESSORS:
+            request = parse_price({"app": "dc", "scheme": "phi",
+                                   "dataset": "arb",
+                                   "preprocessing": preprocessing})
+            assert request.preprocessing == preprocessing
+
     def test_unknown_scheme_is_protocol_error(self):
         with pytest.raises(ProtocolError):
             parse_price({"app": "dc", "scheme": "push+bogus",
