@@ -38,14 +38,12 @@ Commands:
     until SIGINT/SIGTERM; shuts down gracefully, draining in-flight
     requests.  See docs/SERVING.md.
 
-``perf diff <baseline> --against <current> [--threshold X]``
-    Compare two timing files (bench JSON or trace JSONL) and exit
-    nonzero when any shared metric regressed past the threshold.
+``perf diff <baseline.jsonl> --against <current.jsonl> [--threshold X]``
+    Compare two span traces per span name and exit nonzero when any
+    shared span's total seconds regressed past the threshold.
 
-``perf summary <trace.jsonl | bench.json>``
-    Aggregate a span trace per name (calls, seconds, count), or list a
-    benchmark JSON's flat timing metrics (including latency
-    percentiles).
+``perf summary <trace.jsonl>``
+    Aggregate a span trace per name (calls, seconds, count).
 
 ``experiment``/``simulate``/``report`` additionally accept
 ``--trace PATH`` to record a hierarchical span trace of the run as
@@ -312,18 +310,9 @@ def _cmd_perf(args) -> int:
     )
     if args.perf_command == "summary":
         try:
-            if args.trace.endswith(".jsonl"):
-                print(render_trace_summary(args.trace))
-            else:
-                # Bench JSON: the flat timing view perf diff compares,
-                # including serve-style latency percentiles (p50/p99).
-                timings = load_timings(args.trace)
-                if not timings:
-                    raise ValueError("no timing metrics found")
-                width = max(len(name) for name in timings)
-                print(f"timing metrics in {args.trace}:")
-                for name in sorted(timings):
-                    print(f"  {name:{width}s} {timings[name]:12.6f}s")
+            if not args.trace.endswith(".jsonl"):
+                raise ValueError("expected a span trace (.jsonl)")
+            print(render_trace_summary(args.trace))
         except (OSError, ValueError) as err:
             print(f"cannot summarize {args.trace!r}: {err}",
                   file=sys.stderr)
@@ -524,12 +513,11 @@ def build_parser() -> argparse.ArgumentParser:
                           help="timing diffs and trace summaries")
     perf_sub = perf.add_subparsers(dest="perf_command", required=True)
     diff = perf_sub.add_parser("diff",
-                               help="compare two timing files, exit "
+                               help="compare two span traces, exit "
                                     "nonzero on regression")
-    diff.add_argument("baseline",
-                      help="baseline bench JSON or trace JSONL")
+    diff.add_argument("baseline", help="baseline trace JSONL")
     diff.add_argument("--against", required=True,
-                      help="current bench JSON or trace JSONL")
+                      help="current trace JSONL")
     diff.add_argument("--threshold", type=float, default=1.5,
                       help="regression ratio (must be > 1.0)")
     summary = perf_sub.add_parser("summary",

@@ -79,15 +79,10 @@ class Codec(abc.ABC):
         )
 
     def encoded_size(self, values: np.ndarray) -> int:
-        """Size in bytes of :meth:`encode`'s output (override to vectorize)."""
-        return len(self.encode(values))
+        """Size in bytes of :meth:`encode`'s output (override to vectorize).
 
-    def oracle_size(self, values: np.ndarray) -> int:
-        """Scalar-oracle size: what the real encoder emits, byte for byte.
-
-        Vectorized ``encoded_size`` overrides must equal this on every
-        input (enforced by the differential property suite); benchmarks
-        use it as the scalar leg of the speedup measurement.
+        A vectorized override must equal ``len(encode(values))`` on every
+        input (enforced by the differential property suite).
         """
         return len(self.encode(values))
 

@@ -50,8 +50,7 @@ def _fig07(preprocessing: str) -> List[RunRequest]:
 
 def _fig18() -> List[RunRequest]:
     from repro.harness.experiments import GRAPH_APPS, PREPROCESSINGS
-    requests = [RunRequest(app, "phi", "ukl", "none")
-                for app in GRAPH_APPS]
+    requests: List[RunRequest] = []
     for preprocessing in PREPROCESSINGS:
         for scheme in ("phi", "phi+spzip"):
             requests += [RunRequest(app, scheme, "ukl", preprocessing)

@@ -3,7 +3,7 @@
 The replay stage of the pricing pipeline (:mod:`repro.stages.replay`)
 replays millions of scatter accesses per (app, dataset) identity through
 an LLC-sized LRU.  The scalar ``OrderedDict`` oracle
-(:func:`repro.runtime.traffic_array.lru_scatter_oracle` and friends) is
+(``lru_scatter_oracle`` and friends in ``tests/oracles/traffic.py``) is
 exact but interpreter-bound; this module computes the *same* result with
 NumPy, using the LRU stack property:
 

@@ -1,11 +1,11 @@
 """Unified observability: hierarchical tracing spans and event counts,
-JSONL trace export, and perf-baseline regression diffing.
+JSONL trace export, and trace-vs-trace timing diffs.
 
 ``span``   the :class:`Tracer` / :class:`Span` core and the module-level
            :data:`TRACER` every instrumented subsystem records spans and
            counts into
 ``trace``  trace-file IO: read, per-name summaries
-``diff``   ``BENCH_*.json`` / trace comparison behind ``repro perf diff``
+``diff``   trace-vs-trace comparison behind ``repro perf diff``
 
 See docs/OBSERVABILITY.md for the span model and trace schema.
 """
@@ -13,9 +13,7 @@ See docs/OBSERVABILITY.md for the span model and trace schema.
 from repro.obs.diff import (
     Regression,
     diff_timings,
-    is_timing_key,
     load_timings,
-    perf_diff,
     render_diff,
 )
 from repro.obs.span import (
@@ -38,9 +36,7 @@ __all__ = [
     "TRACER",
     "Tracer",
     "diff_timings",
-    "is_timing_key",
     "load_timings",
-    "perf_diff",
     "read_trace",
     "render_diff",
     "render_spans",

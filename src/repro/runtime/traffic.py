@@ -22,7 +22,7 @@ This module holds what those stages share: :class:`ModelConfig` (the
 scheme-level knobs), the :class:`IterationProfile` record the cost
 models read, the vectorized compressed-size helpers, and the vectorized
 LLC replays.  Each kernel has a scalar oracle in
-:mod:`repro.runtime.traffic_array`.
+``tests/oracles/traffic.py``.
 """
 
 from __future__ import annotations
@@ -270,8 +270,8 @@ def array_compressed_bytes(values: Optional[np.ndarray],
 
 def lru_scatter_replay(lines: np.ndarray, capacity: int
                        ) -> Tuple[int, int]:
-    """Vectorized :func:`~repro.runtime.traffic_array.lru_scatter_oracle`:
-    same (misses, writebacks).
+    """Vectorized form of the scalar ``lru_scatter_oracle``
+    (``tests/oracles/traffic.py``): same (misses, writebacks).
 
     Every line of an RMW stream is inserted dirty, so lifetime
     writebacks (evictions plus the final flush) equal the miss count;
@@ -285,8 +285,8 @@ def lru_scatter_replay(lines: np.ndarray, capacity: int
 def phi_coalesce_replay(dsts: np.ndarray, values: np.ndarray,
                         dst_value_bytes: int, capacity_lines: int
                         ) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Vectorized :func:`~repro.runtime.traffic_array.phi_coalesce_oracle`:
-    identical spill stream.
+    """Vectorized form of the scalar ``phi_coalesce_oracle``
+    (``tests/oracles/traffic.py``): identical spill stream.
 
     Key facts that make the event loop unnecessary:
 

@@ -17,7 +17,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.compression import bdi_line_size, bdi_line_sizes
+from repro.compression import bdi_line_sizes
 from repro.memory.address import LINE_BYTES
 from repro.schemes.costs import cost_model_for, costs_for
 from repro.schemes.spec import SchemeSpec
@@ -75,21 +75,6 @@ PAGE_BYTES = 4096
 LCP_SLOT_SIZES = (16, 21, 32, 44)
 
 
-def _pad_line(line: bytes) -> bytes:
-    """Zero-pad a trailing partial line to the full 64 bytes."""
-    return line if len(line) == LINE_BYTES \
-        else line + bytes(LINE_BYTES - len(line))
-
-
-def _bdi_ratio_scalar(data: bytes) -> float:
-    """Per-line reference for :func:`_bdi_ratio` (equivalence-tested)."""
-    if not data:
-        return 1.0
-    sizes = [bdi_line_size(_pad_line(data[start:start + LINE_BYTES]))
-             for start in range(0, len(data), LINE_BYTES)]
-    return (len(sizes) * LINE_BYTES) / sum(sizes)
-
-
 def _bdi_ratio(data: bytes) -> float:
     """Average BDI compression ratio over 64-byte lines of ``data``.
 
@@ -102,25 +87,6 @@ def _bdi_ratio(data: bytes) -> float:
         return 1.0
     sizes = bdi_line_sizes(data)
     return float(sizes.size * LINE_BYTES) / float(sizes.sum())
-
-
-def _lcp_fetch_ratio_scalar(data: bytes) -> float:
-    """Per-page reference for :func:`_lcp_fetch_ratio`."""
-    if not data:
-        return 1.0
-    ratios = []
-    for page_start in range(0, len(data), PAGE_BYTES):
-        page = data[page_start:page_start + PAGE_BYTES]
-        worst = max(
-            bdi_line_size(_pad_line(page[start:start + LINE_BYTES]))
-            for start in range(0, len(page), LINE_BYTES))
-        slot = LINE_BYTES
-        for candidate in LCP_SLOT_SIZES:
-            if worst <= candidate:
-                slot = candidate
-                break
-        ratios.append(LINE_BYTES / slot)
-    return float(np.mean(ratios)) if ratios else 1.0
 
 
 #: Lines per LCP page (4 KiB / 64 B).

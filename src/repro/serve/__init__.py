@@ -18,15 +18,14 @@ package answers "keep answering pricing questions forever".  Layering
 Endpoints: ``POST /price``, ``POST /simulate``, ``POST /sweep``,
 ``GET /schemes``, ``GET /healthz``, ``GET /stats``.  See
 docs/SERVING.md for schemas and semantics, ``python -m repro serve``
-for the CLI entry point, and ``benchmarks/serve_load.py`` for the
-load/latency harness.
+for the CLI entry point, and the repository benchmark's ``serve_mixed``
+workload (``perfbench/``) for load and latency.
 """
 
 from repro.serve.admission import AdmissionController
 from repro.serve.app import (
     ComputeError,
     DRAIN_TIMEOUT_S,
-    MAX_SWEEP_CELLS,
     ServeApp,
     ServeServer,
 )
@@ -40,13 +39,13 @@ from repro.serve.http import (
     BadRequest,
     HttpRequest,
     MAX_BODY_BYTES,
-    parse_response,
     read_request,
     render_response,
     write_json,
 )
 from repro.serve.pool import BACKENDS, ServeBackend
 from repro.serve.protocol import (
+    MAX_SWEEP_CELLS,
     ProtocolError,
     metrics_to_json,
     parse_price,
@@ -75,7 +74,6 @@ __all__ = [
     "TieredStore",
     "metrics_to_json",
     "parse_price",
-    "parse_response",
     "parse_sweep",
     "read_request",
     "render_response",

@@ -72,10 +72,6 @@ from repro.serve.store import TieredStore
 from repro.sim.metrics import RunMetrics
 from repro.stages import stage_counters
 
-#: Cells one /sweep may expand to (arbitrarily large cross products are
-#: a batch job for ``repro report``, not one HTTP request).
-MAX_SWEEP_CELLS = 1024
-
 #: Default compute pool width.
 DEFAULT_WORKERS = 4
 
@@ -353,10 +349,6 @@ class ServeApp:
     async def _post_sweep(self, request: HttpRequest
                           ) -> Tuple[int, object]:
         cells = [self._resolve(c) for c in parse_sweep(request.json())]
-        if len(cells) > MAX_SWEEP_CELLS:
-            raise ProtocolError(
-                f"sweep expands to {len(cells)} cells, over the "
-                f"{MAX_SWEEP_CELLS}-cell limit; split the request")
         results = await asyncio.gather(*(self.price(c) for c in cells))
         sources = Counter(source for _m, source in results)
         return 200, {

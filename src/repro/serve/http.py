@@ -17,7 +17,7 @@ from __future__ import annotations
 import asyncio
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 #: Request bodies past this size are refused with 413 (one JSON sweep
 #: request is a few KiB; a megabyte means a confused client).
@@ -191,27 +191,3 @@ async def write_json(writer: asyncio.StreamWriter, status: int,
                                  keep_alive=keep_alive,
                                  extra_headers=extra_headers))
     await writer.drain()
-
-
-def parse_response(raw: bytes) -> Tuple[int, Dict[str, str], bytes]:
-    """Parse a full response buffer (the load generator's client side).
-
-    Returns ``(status, headers, body)``; raises ValueError on anything
-    that is not one complete Content-Length-framed response.
-    """
-    head, sep, rest = raw.partition(b"\r\n\r\n")
-    if not sep:
-        raise ValueError("incomplete response: no header terminator")
-    lines = head.decode("latin-1").split("\r\n")
-    parts = lines[0].split(None, 2)
-    if len(parts) < 2 or not parts[0].startswith("HTTP/1."):
-        raise ValueError(f"malformed status line {lines[0]!r}")
-    status = int(parts[1])
-    headers: Dict[str, str] = {}
-    for line in lines[1:]:
-        name, _sep, value = line.partition(":")
-        headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", len(rest)))
-    if len(rest) < length:
-        raise ValueError("incomplete response body")
-    return status, headers, rest[:length]

@@ -14,9 +14,9 @@ valid values, never a 500 from deep inside the model.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, Iterable, List
 
-from repro.jobs.model import RunRequest, canonical_request
+from repro.jobs.model import RunRequest
 from repro.sim.metrics import RunMetrics
 
 #: Keys a price body may carry.
@@ -26,6 +26,10 @@ PRICE_KEYS = {"app", "scheme", "dataset", "preprocessing", "parts",
 #: Keys a sweep body may carry.
 SWEEP_KEYS = {"app", "apps", "scheme", "schemes", "dataset", "datasets",
               "preprocessing"}
+
+#: Cells one /sweep may expand to (arbitrarily large cross products are
+#: a batch job for ``repro report``, not one HTTP request).
+MAX_SWEEP_CELLS = 1024
 
 #: Keys a graph-delta body may carry.
 DELTA_KEYS = {"dataset", "insertions", "deletions", "insert_values"}
@@ -83,14 +87,32 @@ def _dataset(value: object) -> str:
     return value
 
 
+def _distinct(values: Iterable[str]) -> List[str]:
+    """``values`` without repeats, in first-seen order."""
+    return list(dict.fromkeys(values))
+
+
 def _preprocessing(value: object) -> str:
     from repro.graph.preprocess import PREPROCESSORS
     return _valid_name("preprocessing", value, PREPROCESSORS)
 
 
+def _scheme(value: object, **kwargs) -> str:
+    """``value`` in canonical form, the ablation ``kwargs`` folded in:
+    the scheme of :func:`~repro.jobs.model.canonical_request`'s
+    identity."""
+    from repro.schemes import SchemeParseError, UnknownSchemeError, resolve
+    if not isinstance(value, str):
+        raise ProtocolError(f"scheme must be a string, got "
+                            f"{type(value).__name__}")
+    try:
+        return resolve(value, **kwargs).canonical()
+    except (SchemeParseError, UnknownSchemeError, ValueError) as exc:
+        raise ProtocolError(str(exc)) from exc
+
+
 def parse_price(payload: object) -> RunRequest:
     """Normalize one ``/price`` (or ``/simulate``) body."""
-    from repro.schemes import SchemeParseError, UnknownSchemeError
     body = _require_object(payload)
     unknown = set(body) - PRICE_KEYS
     if unknown:
@@ -103,10 +125,6 @@ def parse_price(payload: object) -> RunRequest:
     app = _app(body["app"])
     dataset = _dataset(body["dataset"])
     preprocessing = _preprocessing(body.get("preprocessing", "none"))
-    scheme = body["scheme"]
-    if not isinstance(scheme, str):
-        raise ProtocolError(f"scheme must be a string, got "
-                            f"{type(scheme).__name__}")
     kwargs: Dict[str, object] = {}
     if body.get("parts") is not None:
         parts = body["parts"]
@@ -116,11 +134,8 @@ def parse_price(payload: object) -> RunRequest:
                                     else [str(p) for p in parts])
     if body.get("decoupled_only"):
         kwargs["decoupled_only"] = True
-    try:
-        return canonical_request(app, scheme, dataset, preprocessing,
-                                 **kwargs)
-    except (SchemeParseError, UnknownSchemeError, ValueError) as exc:
-        raise ProtocolError(str(exc)) from exc
+    return RunRequest(app, _scheme(body["scheme"], **kwargs), dataset,
+                      preprocessing)
 
 
 def parse_sweep(payload: object) -> List[RunRequest]:
@@ -153,8 +168,11 @@ def parse_sweep(payload: object) -> List[RunRequest]:
             return [body[singular]]
         raise ProtocolError(f"missing required field {plural!r}")
 
-    apps = [_app(a) for a in many("apps", "app")]
-    datasets = [_dataset(d) for d in many("datasets", "dataset")]
+    # Each axis is validated and deduplicated on its own, each distinct
+    # scheme canonicalized once, and the limit checked before any cell
+    # is built: a body may repeat one value thousands of times.
+    apps = _distinct(_app(a) for a in many("apps", "app"))
+    datasets = _distinct(_dataset(d) for d in many("datasets", "dataset"))
     preprocessing = _preprocessing(body.get("preprocessing", "none"))
     schemes = many("schemes", "scheme")
     if len(schemes) == 1 and isinstance(schemes[0], str):
@@ -162,18 +180,18 @@ def parse_sweep(payload: object) -> List[RunRequest]:
             schemes = list(scheme_names(schemes[0]))
         except UnknownSchemeError:
             pass  # a plain scheme name, not a group
-    requests: List[RunRequest] = []
-    seen = set()
-    for app in apps:
-        for dataset in datasets:
-            for scheme in schemes:
-                request = parse_price({
-                    "app": app, "scheme": scheme, "dataset": dataset,
-                    "preprocessing": preprocessing})
-                if request not in seen:
-                    seen.add(request)
-                    requests.append(request)
-    return requests
+    canonical: Dict[str, str] = {}
+    for scheme in schemes:
+        if not isinstance(scheme, str) or scheme not in canonical:
+            canonical[scheme] = _scheme(scheme)  # raises on a non-string
+    schemes = _distinct(canonical.values())
+    cells = len(apps) * len(datasets) * len(schemes)
+    if cells > MAX_SWEEP_CELLS:
+        raise ProtocolError(
+            f"sweep expands to {cells} cells, over the "
+            f"{MAX_SWEEP_CELLS}-cell limit; split the request")
+    return [RunRequest(app, scheme, dataset, preprocessing)
+            for app in apps for dataset in datasets for scheme in schemes]
 
 
 def parse_delta(payload: object):

@@ -9,8 +9,8 @@ streams, so a timing or codec change never regenerates them.
 The golden parity suite (``tests/test_stages_parity.py``) pins the
 priced output to a committed snapshot, and the equivalence suite
 (``tests/test_traffic_equivalence.py``) holds the assembled profiles
-bit-identical to the scalar oracle
-:func:`repro.runtime.traffic_array.profile_iteration_scalar`.
+bit-identical to the scalar oracle ``profile_iteration_scalar`` in
+``tests/oracles/traffic.py``.
 
 Partitioned generation
 ----------------------

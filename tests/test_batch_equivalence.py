@@ -16,10 +16,7 @@ from repro.config import CacheConfig, SystemConfig
 from repro.memory import FastLruCache, MemoryHierarchy, SetAssocCache
 from repro.memory.batch import lru_hit_mask, replay_lru
 from repro.runtime.traffic import lru_scatter_replay, phi_coalesce_replay
-from repro.runtime.traffic_array import (
-    lru_scatter_oracle,
-    phi_coalesce_oracle,
-)
+from tests.oracles.traffic import lru_scatter_oracle, phi_coalesce_oracle
 
 
 def scalar_reference(cache, lines, writes):

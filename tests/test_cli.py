@@ -380,39 +380,60 @@ class TestTrace:
 
 
 class TestPerfCommand:
-    def _bench(self, tmp_path, name, batch_s):
+    def _trace(self, tmp_path, name, replay_s):
+        """A span trace whose ``stage.replay`` spans total ``replay_s``."""
+        from repro.obs import Span
+        spans = [Span(name=span_name, span_id=f"1-{i}", parent_id=None,
+                      start_s=float(i), duration_s=seconds, pid=1,
+                      attrs={})
+                 for i, (span_name, seconds) in enumerate(
+                     [("stage.replay", replay_s / 2),
+                      ("stage.replay", replay_s / 2),
+                      ("stage.compress", 0.4)])]
         path = tmp_path / name
-        path.write_text(json.dumps(
-            {"push_scatter_binned": {"batch_s": batch_s,
-                                     "scalar_s": 0.4}}))
+        path.write_text(
+            json.dumps({"event": "trace_start", "trace_id": name}) + "\n"
+            + "".join(span.to_json() + "\n" for span in spans))
         return str(path)
 
     def test_diff_identical_exits_zero(self, tmp_path, capsys):
-        base = self._bench(tmp_path, "base.json", 0.1)
-        cur = self._bench(tmp_path, "cur.json", 0.1)
+        base = self._trace(tmp_path, "base.jsonl", 0.1)
+        cur = self._trace(tmp_path, "cur.jsonl", 0.1)
         assert main(["perf", "diff", base, "--against", cur]) == 0
         assert "no regressions" in capsys.readouterr().out
 
     def test_diff_flags_injected_2x_slowdown(self, tmp_path, capsys):
-        base = self._bench(tmp_path, "base.json", 0.1)
-        cur = self._bench(tmp_path, "cur.json", 0.2)
+        base = self._trace(tmp_path, "base.jsonl", 0.1)
+        cur = self._trace(tmp_path, "cur.jsonl", 0.2)
         assert main(["perf", "diff", base, "--against", cur]) == 1
         out = capsys.readouterr().out
         assert "REGRESSION" in out
-        assert "push_scatter_binned/batch_s" in out
+        assert "trace_summary/stage.replay/seconds" in out
+        assert "stage.compress" not in out
 
     def test_diff_respects_threshold(self, tmp_path):
-        base = self._bench(tmp_path, "base.json", 0.1)
-        cur = self._bench(tmp_path, "cur.json", 0.2)
+        base = self._trace(tmp_path, "base.jsonl", 0.1)
+        cur = self._trace(tmp_path, "cur.jsonl", 0.2)
         assert main(["perf", "diff", base, "--against", cur,
                      "--threshold", "2.5"]) == 0
 
     def test_diff_bad_inputs_exit_two(self, tmp_path, capsys):
-        base = self._bench(tmp_path, "base.json", 0.1)
-        assert main(["perf", "diff", str(tmp_path / "missing.json"),
+        base = self._trace(tmp_path, "base.jsonl", 0.1)
+        assert main(["perf", "diff", str(tmp_path / "missing.jsonl"),
                      "--against", base]) == 2
         assert main(["perf", "diff", base, "--against", base,
                      "--threshold", "1.0"]) == 2
+
+    def test_bench_json_is_refused(self, tmp_path, capsys):
+        """Only span traces are timing files; a ``.json`` exits 2."""
+        bench = tmp_path / "bench.json"
+        bench.write_text(json.dumps({"section": {"batch_s": 0.1}}))
+        trace = self._trace(tmp_path, "trace.jsonl", 0.1)
+        assert main(["perf", "diff", str(bench), "--against",
+                     trace]) == 2
+        assert "expected a span trace" in capsys.readouterr().err
+        assert main(["perf", "summary", str(bench)]) == 2
+        assert "expected a span trace" in capsys.readouterr().err
 
     def test_diff_against_trace_jsonl(self, tmp_path, capsys):
         from repro.obs import Tracer

@@ -1,6 +1,5 @@
 """The tracing layer: spans, export, adoption, and perf diffs."""
 
-import json
 import os
 
 import pytest
@@ -10,7 +9,6 @@ from repro.obs import (
     Tracer,
     diff_timings,
     load_timings,
-    perf_diff,
     read_trace,
     render_diff,
     render_trace_summary,
@@ -204,46 +202,6 @@ class TestGlobalTracer:
 
 
 class TestDiff:
-    def test_is_timing_key_accepts_percentiles(self):
-        from repro.obs import is_timing_key
-        for key in ("batch_s", "seconds", "p50", "p95", "p99", "p99.9"):
-            assert is_timing_key(key)
-        for key in ("speedup", "p", "p999", "part", "px", "requests",
-                    "throughput_rps"):
-            assert not is_timing_key(key)
-
-    def test_load_timings_serve_latency_schema(self, tmp_path):
-        """BENCH_serve.json percentiles gate like any other timing."""
-        path = tmp_path / "BENCH_serve.json"
-        path.write_text(json.dumps({
-            "duplicate_heavy": {
-                "latency": {"p50": 0.01, "p95": 0.02, "p99": 0.03},
-                "throughput_rps": 900.0,
-                "requests": 64,
-            },
-        }))
-        timings = load_timings(str(path))
-        assert timings == {"duplicate_heavy/latency/p50": 0.01,
-                           "duplicate_heavy/latency/p95": 0.02,
-                           "duplicate_heavy/latency/p99": 0.03}
-        regressions, compared = diff_timings(
-            timings, {**timings, "duplicate_heavy/latency/p99": 0.09},
-            threshold=1.5)
-        assert compared == 3
-        assert [r.metric for r in regressions] == \
-            ["duplicate_heavy/latency/p99"]
-
-    def test_load_timings_bench_json(self, tmp_path):
-        path = tmp_path / "bench.json"
-        path.write_text(json.dumps({
-            "section": {"batch_s": 0.5, "speedup": 4.0, "streams": 3},
-            "nested": {"deep": {"scalar_s": 1.0}},
-            "bench": "x",
-        }))
-        timings = load_timings(str(path))
-        assert timings == {"section/batch_s": 0.5,
-                           "nested/deep/scalar_s": 1.0}
-
     def test_load_timings_trace_jsonl(self, tmp_path):
         t = Tracer()
         t.start()
@@ -275,11 +233,3 @@ class TestDiff:
         current = {"a/batch_s": 1.0}
         regressions, _ = diff_timings(baseline, current, 1.5)
         assert regressions == []
-
-    def test_perf_diff_end_to_end(self, tmp_path):
-        base = tmp_path / "base.json"
-        cur = tmp_path / "cur.json"
-        base.write_text(json.dumps({"s": {"batch_s": 0.1}}))
-        cur.write_text(json.dumps({"s": {"batch_s": 0.1}}))
-        regressions, compared = perf_diff(str(base), str(cur))
-        assert regressions == [] and compared == 1

@@ -17,10 +17,9 @@ from repro.schemes.pricing import (
     LCP_SLOT_SIZES,
     PAGE_BYTES,
     _bdi_ratio,
-    _bdi_ratio_scalar,
     _lcp_fetch_ratio,
-    _lcp_fetch_ratio_scalar,
 )
+from tests.oracles.pricing import bdi_ratio_scalar, lcp_fetch_ratio_scalar
 
 
 def _buffers():
@@ -62,7 +61,7 @@ class TestBdiLineSizes:
 class TestBdiRatio:
     @pytest.mark.parametrize("label,data", list(_buffers()))
     def test_matches_scalar_reference(self, label, data):
-        assert _bdi_ratio(data) == _bdi_ratio_scalar(data)
+        assert _bdi_ratio(data) == bdi_ratio_scalar(data)
 
     def test_empty_is_neutral(self):
         assert _bdi_ratio(b"") == 1.0
@@ -79,13 +78,13 @@ class TestBdiRatio:
         tail = rng.integers(0, 256, 17, dtype=np.uint8).tobytes()
         with_tail = _bdi_ratio(body + tail)
         assert with_tail < _bdi_ratio(body)
-        assert with_tail == _bdi_ratio_scalar(body + tail)
+        assert with_tail == bdi_ratio_scalar(body + tail)
 
 
 class TestLcpFetchRatio:
     @pytest.mark.parametrize("label,data", list(_buffers()))
     def test_matches_scalar_reference(self, label, data):
-        assert _lcp_fetch_ratio(data) == _lcp_fetch_ratio_scalar(data)
+        assert _lcp_fetch_ratio(data) == lcp_fetch_ratio_scalar(data)
 
     def test_empty_is_neutral(self):
         assert _lcp_fetch_ratio(b"") == 1.0

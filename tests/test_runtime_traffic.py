@@ -11,12 +11,9 @@ from repro.runtime import (
     gather_rows,
     rows_compressed_bytes,
 )
-from repro.runtime.traffic_array import (
-    lru_scatter_oracle,
-    phi_coalesce_oracle,
-)
 from repro.sim.runner import profile_workload
 from repro.compression import DeltaCodec
+from tests.oracles.traffic import lru_scatter_oracle, phi_coalesce_oracle
 
 
 def cfg(llc_kb=16):

@@ -14,8 +14,8 @@ from repro.serve import (
     ServeServer,
     SingleFlight,
     parse_price,
-    parse_response,
 )
+from tests.http_client import parse_response
 
 SCALE = 65536
 
@@ -463,6 +463,30 @@ class TestEndpoints:
             assert status == 200
             assert app.computes == computes
             assert set(again["sources"]) == {"hot"}
+        run(with_server(tmp_path, go))
+
+    def test_oversized_sweep_is_refused_before_any_cell(
+            self, tmp_path, monkeypatch):
+        """7 apps x 15 versions x 10 schemes of distinct values: a 400
+        naming the limit, with no cell built or resolved."""
+        import repro.serve.protocol as protocol
+        from repro.serve import MAX_SWEEP_CELLS
+        built = []
+        monkeypatch.setattr(protocol, "RunRequest",
+                            lambda *cell: built.append(cell))
+        body = {"apps": ["bfs", "cc", "dc", "pr", "prd", "re", "sp"],
+                "datasets": [f"arb@{v}" for v in range(1, 16)],
+                "schemes": "all"}
+
+        async def go(app, server):
+            resolved = []
+            monkeypatch.setattr(app, "_resolve", resolved.append)
+            status, error = await json_request(server, "POST",
+                                               "/sweep", body)
+            assert status == 400
+            assert f"{MAX_SWEEP_CELLS}-cell limit" in error["error"]
+            assert "1050 cells" in error["error"]
+            assert built == [] and resolved == []
         run(with_server(tmp_path, go))
 
     def test_malformed_body_is_400_with_json_error(self, tmp_path):

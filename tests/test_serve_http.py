@@ -11,10 +11,10 @@ from repro.serve.http import (
     BadRequest,
     HttpRequest,
     json_body,
-    parse_response,
     read_request,
     render_response,
 )
+from tests.http_client import parse_response
 
 
 def parse(data: bytes):

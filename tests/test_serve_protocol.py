@@ -132,6 +132,43 @@ class TestParseSweep:
             parse_sweep({"app": "dc", "scheme": "push",
                          "dataset": "arb", "parts": ["adjacency"]})
 
+    def test_repeated_values_canonicalize_once(self, monkeypatch):
+        """Each axis repeats each value 30 times; a per-cell parse
+        would canonicalize 27,000 schemes, this one canonicalizes one
+        per distinct value, and the cells and their order are those of
+        the deduplicated cross product."""
+        import repro.schemes
+        resolve = repro.schemes.resolve
+        calls = []
+
+        def counted(scheme, **knobs):
+            calls.append(scheme)
+            return resolve(scheme, **knobs)
+
+        monkeypatch.setattr(repro.schemes, "resolve", counted)
+        cells = parse_sweep({"apps": ["dc"] * 30,
+                             "datasets": ["arb"] * 30,
+                             "schemes": ["phi+spzip"] * 30})
+        assert cells == [RunRequest("dc", "phi+spzip", "arb")]
+        assert calls == ["phi+spzip"]
+        calls.clear()
+        apps, datasets = ["bfs", "dc"] * 3, ["ukl", "arb"] * 3
+        schemes = ["phi", "push", "phi+spzip[parts=updates+adjacency]",
+                   "phi+spzip[parts=adjacency+updates]"] * 3
+        cells = parse_sweep({"apps": apps, "datasets": datasets,
+                             "schemes": schemes})
+        assert sorted(calls) == sorted(set(schemes))
+        expected = []
+        for app in apps:
+            for dataset in datasets:
+                for scheme in schemes:
+                    cell = parse_price({"app": app, "scheme": scheme,
+                                        "dataset": dataset})
+                    if cell not in expected:
+                        expected.append(cell)
+        assert cells == expected
+        assert len(cells) == 2 * 2 * 3  # two spellings, one scheme
+
 
 class TestParseDelta:
     def test_minimal_body_normalizes(self):

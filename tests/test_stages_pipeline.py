@@ -199,6 +199,38 @@ class TestInvalidation:
         assert counters == {"stream.memo": 1, "replay.memo": 1,
                             "compress.memo": 1, "timing.computed": 1}
 
+    def test_knob_edited_report_reuses_every_frozen_stage(self, tmp_path):
+        """The whole report after a timing-only knob edit: every stored
+        stage and functional-engine walk is a hit, only the 772 cells'
+        timing recomputes; an identical rerun after that computes
+        nothing and prints the cold report's bytes."""
+        from repro.harness import EXPERIMENTS
+        from repro.harness.report import generate_report
+        from repro.jobs import JobRunner, experiment_requests
+        scale = 1 << 20
+        system = SystemConfig().scaled(scale)
+        faster = replace(system, memory=replace(
+            system.memory, gb_per_sec_per_controller=2
+            * system.memory.gb_per_sec_per_controller))
+
+        def report(system):
+            reset_stage_counters()
+            runner = JobRunner(scale=scale, system=system,
+                               cache_dir=str(tmp_path))
+            return generate_report(runner), stage_counters()
+
+        cold, _ = report(system)
+        _, knob = report(faster)
+        for stage in ("stream", "replay", "compress", "engine"):
+            assert knob.get(f"{stage}.computed", 0) == 0, knob
+            assert knob.get(f"{stage}.hit", 0) > 0, knob
+        cells = len(experiment_requests(sorted(EXPERIMENTS)))
+        assert knob["timing.computed"] == cells == 772
+        again, identical = report(system)
+        assert again == cold
+        assert not [name for name in identical
+                    if name.endswith(".computed")], identical
+
     def test_stream_code_edit_invalidates_every_stage(self, tmp_path,
                                                       monkeypatch):
         """A traffic_array edit (simulated by rotating the salts) must

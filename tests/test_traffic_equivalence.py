@@ -2,7 +2,7 @@
 
 The pricing stages (:mod:`repro.stages`) emit every per-strategy access
 stream from raw CSR arrays in vectorized passes; the ``*_scalar``
-oracles in :mod:`repro.runtime.traffic_array` walk the same definitions
+oracles in ``tests/oracles/traffic.py`` walk the same definitions
 vertex by vertex.  These tests hold the two sides exactly equal —
 generator by generator, and end to end through full iteration profiles
 of the stage composition — across hostile shapes: tiny LLCs,
@@ -29,6 +29,7 @@ from repro.runtime.traffic import (
 )
 from repro.runtime.workload import Iteration, Workload
 from repro.sim.runner import profile_workload
+from tests.oracles import traffic as oracle
 
 
 def model_cfg(llc_kb=16, id_scale=4096, sort=True):
@@ -78,9 +79,9 @@ class TestGeneratorEquivalence:
         fast = ta.gather_row_stream(g.offsets, g.neighbors,
                                     g.out_degrees(), sources,
                                     g.num_vertices)
-        slow = ta.gather_row_stream_scalar(g.offsets, g.neighbors,
-                                           g.out_degrees(), sources,
-                                           g.num_vertices)
+        slow = oracle.gather_row_stream_scalar(g.offsets, g.neighbors,
+                                               g.out_degrees(), sources,
+                                               g.num_vertices)
         np.testing.assert_array_equal(fast, slow)
 
     def test_push_scatter_lines(self, make_graph, make_sources):
@@ -89,7 +90,7 @@ class TestGeneratorEquivalence:
         for dvb in (4, 8, 64, 100):
             np.testing.assert_array_equal(
                 ta.push_scatter_lines(dsts, dvb),
-                ta.push_scatter_lines_scalar(dsts, dvb))
+                oracle.push_scatter_lines_scalar(dsts, dvb))
 
     def test_ub_bin_stream(self, make_graph, make_sources):
         g = make_graph()
@@ -98,7 +99,7 @@ class TestGeneratorEquivalence:
         for vpb in (1, 7, 64, 10_000):
             for v in (vals, np.empty(0, dtype=np.uint32)):
                 f_ids, f_vals, f_bins = ta.ub_bin_stream(dsts, v, vpb)
-                s_ids, s_vals, s_bins = ta.ub_bin_stream_scalar(
+                s_ids, s_vals, s_bins = oracle.ub_bin_stream_scalar(
                     dsts, v, vpb)
                 np.testing.assert_array_equal(f_ids, s_ids)
                 np.testing.assert_array_equal(f_vals, s_vals)
@@ -110,7 +111,7 @@ class TestGeneratorEquivalence:
         for svb in (4, 8, 128):
             np.testing.assert_array_equal(
                 ta.pull_gather_lines(neighbors, svb),
-                ta.pull_gather_lines_scalar(neighbors, svb))
+                oracle.pull_gather_lines_scalar(neighbors, svb))
 
     def test_row_line_bytes(self, make_graph, make_sources):
         g = make_graph()
@@ -118,15 +119,15 @@ class TestGeneratorEquivalence:
         for eb in (4, 8):
             assert ta.row_line_bytes(g.offsets, g.num_vertices,
                                      g.num_edges, sources, eb) == \
-                ta.row_line_bytes_scalar(g.offsets, g.num_vertices,
-                                         g.num_edges, sources, eb)
+                oracle.row_line_bytes_scalar(g.offsets, g.num_vertices,
+                                             g.num_edges, sources, eb)
 
     def test_scattered_line_bytes(self, make_graph, make_sources):
         g = make_graph()
         sources = make_sources(g)
         for eb in (4, 8):
             assert ta.scattered_line_bytes(sources, eb) == \
-                ta.scattered_line_bytes_scalar(sources, eb)
+                oracle.scattered_line_bytes_scalar(sources, eb)
 
 
 class TestCompressedSizeOracles:
@@ -139,7 +140,7 @@ class TestCompressedSizeOracles:
         ids = gather_rows(g, sources)
         degrees = g.out_degrees()[sources]
         assert rows_compressed_bytes_from(ids, degrees, id_scale) == \
-            ta.rows_compressed_bytes_scalar(ids, degrees, id_scale)
+            oracle.rows_compressed_bytes_scalar(ids, degrees, id_scale)
 
     @pytest.mark.parametrize("id_scale", [1, 4096])
     @pytest.mark.parametrize("sort", [False, True])
@@ -153,7 +154,7 @@ class TestCompressedSizeOracles:
                      np.empty(0, dtype=np.uint32)):
             assert chunked_ids_values_compressed(
                 ids, vals, id_scale, sort) == \
-                ta.chunked_ids_values_compressed_scalar(
+                oracle.chunked_ids_values_compressed_scalar(
                     ids, vals, id_scale, sort)
 
     def test_array_compressed(self):
@@ -164,14 +165,14 @@ class TestCompressedSizeOracles:
                        rng.standard_normal(65),
                        np.full(40, -1.5e300)):
             assert array_compressed_bytes(values) == \
-                ta.array_compressed_bytes_scalar(values)
+                oracle.array_compressed_bytes_scalar(values)
 
     def test_expand_id_scalar_matches_vectorized(self):
         from repro.graph.idspace import expand_ids
         ids = np.arange(0, 5000, 3, dtype=np.uint32)
         for scale in (1, 2, 3, 4096):
             fast = expand_ids(ids, scale)
-            slow = [ta.expand_id_scalar(int(v), scale)
+            slow = [oracle.expand_id_scalar(int(v), scale)
                     for v in ids.tolist()]
             assert fast.tolist() == slow
 
@@ -201,7 +202,7 @@ class TestFullProfileEquivalence:
         fast = profile_workload(workload, cfg)
         assert len(fast) == len(workload.iterations)
         for profile, iteration in zip(fast[:4], workload.iterations):
-            slow = ta.profile_iteration_scalar(workload, iteration, cfg)
+            slow = oracle.profile_iteration_scalar(workload, iteration, cfg)
             assert profile == slow  # dataclass equality, field by field
 
     def test_community_graph_profiles(self, cfg, app_like):
@@ -211,4 +212,4 @@ class TestFullProfileEquivalence:
         fast = profile_workload(workload, cfg)
         for profile, iteration in zip(fast[:3], workload.iterations):
             assert profile == \
-                ta.profile_iteration_scalar(workload, iteration, cfg)
+                oracle.profile_iteration_scalar(workload, iteration, cfg)
