@@ -8,11 +8,11 @@ and UB+SpZip compresses the now-sequential updates; PHI+SpZip is fastest.
 
 from conftest import run_once
 
-from repro.harness import fig07_bfs_motivation
+from repro.harness import EXPERIMENTS
 
 
 def test_fig07_bfs_motivation(benchmark, runner, report):
-    result = run_once(benchmark, fig07_bfs_motivation, runner)
+    result = run_once(benchmark, EXPERIMENTS["fig07"], runner)
     report(result)
     by_scheme = {row["scheme"]: row for row in result.rows}
     # Scatter updates dominate Push's traffic.

@@ -9,11 +9,11 @@ fastest.
 
 from conftest import run_once
 
-from repro.harness import fig08_bfs_preprocessed
+from repro.harness import EXPERIMENTS
 
 
 def test_fig08_bfs_preprocessed(benchmark, runner, report):
-    result = run_once(benchmark, fig08_bfs_preprocessed, runner)
+    result = run_once(benchmark, EXPERIMENTS["fig08"], runner)
     report(result)
     by_scheme = {row["scheme"]: row for row in result.rows}
     # Preprocessing flips the Push-vs-UB tradeoff: UB is now slower...

@@ -12,11 +12,11 @@ Paper anchors (gmeans over Push):
 
 from conftest import run_once
 
-from repro.harness import fig15_speedups, fig15_traffic
+from repro.harness import EXPERIMENTS
 
 
 def test_fig15a_speedups_no_preprocessing(benchmark, runner, report):
-    result = run_once(benchmark, fig15_speedups, runner, "none")
+    result = run_once(benchmark, EXPERIMENTS["fig15a"], runner)
     report(result)
     gmean = next(r for r in result.rows if r["app"] == "gmean")
     # Orderings the paper calls out.
@@ -34,7 +34,7 @@ def test_fig15a_speedups_no_preprocessing(benchmark, runner, report):
 
 
 def test_fig15b_traffic_no_preprocessing(runner, report, benchmark):
-    result = run_once(benchmark, fig15_traffic, runner, "none")
+    result = run_once(benchmark, EXPERIMENTS["fig15b"], runner)
     report(result)
     rows = {(r["app"], r["scheme"]): r for r in result.rows}
     # Push+SpZip barely reduces traffic (compression ineffective on
@@ -54,7 +54,7 @@ def test_fig15b_traffic_no_preprocessing(runner, report, benchmark):
 
 
 def test_fig15c_speedups_dfs(benchmark, runner, report):
-    result = run_once(benchmark, fig15_speedups, runner, "dfs")
+    result = run_once(benchmark, EXPERIMENTS["fig15c"], runner)
     report(result)
     gmean = next(r for r in result.rows if r["app"] == "gmean")
     # Preprocessing flips UB below Push.
@@ -68,7 +68,7 @@ def test_fig15c_speedups_dfs(benchmark, runner, report):
 
 
 def test_fig15d_traffic_dfs(benchmark, runner, report):
-    result = run_once(benchmark, fig15_traffic, runner, "dfs")
+    result = run_once(benchmark, EXPERIMENTS["fig15d"], runner)
     report(result)
     rows = {(r["app"], r["scheme"]): r for r in result.rows}
     # Preprocessed adjacency compresses well: Push+SpZip now reduces

@@ -7,12 +7,12 @@ gains over their baselines.
 
 from conftest import run_once
 
-from repro.harness import fig16_per_input
+from repro.harness import EXPERIMENTS
 from repro.schemes import scheme_names
 
 
 def test_fig16_per_input(benchmark, runner, report):
-    result = run_once(benchmark, fig16_per_input, runner, "none")
+    result = run_once(benchmark, EXPERIMENTS["fig16"], runner)
     report(result)
     by_key = {(r["app"], r["input"], r["scheme"]): r
               for r in result.rows}

@@ -7,11 +7,11 @@ adjacency compresses less and batching stays comparatively attractive.
 
 from conftest import run_once
 
-from repro.harness import fig17_per_input_preprocessed
+from repro.harness import EXPERIMENTS
 
 
 def test_fig17_per_input_preprocessed(benchmark, runner, report):
-    result = run_once(benchmark, fig17_per_input_preprocessed, runner)
+    result = run_once(benchmark, EXPERIMENTS["fig17"], runner)
     report(result)
     by_key = {(r["app"], r["input"], r["scheme"]): r for r in result.rows}
     apps = sorted({r["app"] for r in result.rows})

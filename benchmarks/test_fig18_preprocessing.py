@@ -10,11 +10,11 @@ heavyweight GOrder.
 
 from conftest import run_once
 
-from repro.harness import fig18_preprocessing
+from repro.harness import EXPERIMENTS
 
 
 def test_fig18_preprocessing(benchmark, runner, report):
-    result = run_once(benchmark, fig18_preprocessing, runner)
+    result = run_once(benchmark, EXPERIMENTS["fig18"], runner)
     report(result)
     total = {(r["preprocessing"], r["scheme"]): r["total"]
              for r in result.rows}

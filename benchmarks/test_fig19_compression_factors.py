@@ -8,12 +8,11 @@ compression helps DC especially (small, highly compressible counts).
 
 from conftest import run_once
 
-from repro.harness import fig19_compression_factors
+from repro.harness import EXPERIMENTS
 
 
 def test_fig19_no_preprocessing(benchmark, runner, report):
-    result = run_once(benchmark, fig19_compression_factors, runner,
-                      "none")
+    result = run_once(benchmark, EXPERIMENTS["fig19"], runner)
     report(result)
     gmean = next(r for r in result.rows if r["app"] == "gmean")
     # Each added structure is monotonically at least as fast.
@@ -27,7 +26,8 @@ def test_fig19_no_preprocessing(benchmark, runner, report):
 
 
 def test_fig19_with_preprocessing(benchmark, runner, report):
-    result = run_once(benchmark, fig19_compression_factors, runner, "dfs")
+    result = run_once(benchmark, EXPERIMENTS["fig19-preprocessed"],
+                      runner)
     report(result)
     gmean = next(r for r in result.rows if r["app"] == "gmean")
     # With preprocessing, adjacency compression becomes a major lever
@@ -44,8 +44,8 @@ def test_fig19_adjacency_lever_grows_with_preprocessing(benchmark,
                                                         runner, report):
     """Cross-check: preprocessing amplifies the adjacency step (the
     paper's core Fig 19 contrast between the two subplots)."""
-    none = fig19_compression_factors(runner, "none")
-    dfs = fig19_compression_factors(runner, "dfs")
+    none = EXPERIMENTS["fig19"](runner)
+    dfs = EXPERIMENTS["fig19-preprocessed"](runner)
     g_none = next(r for r in none.rows if r["app"] == "gmean")
     g_dfs = next(r for r in dfs.rows if r["app"] == "gmean")
     step_none = g_none["+adjacency"] / g_none["phi"]

@@ -7,11 +7,11 @@ delivers the bulk of SpZip's gains (1.5x/1.8x).
 
 from conftest import run_once
 
-from repro.harness import fig20_decoupling_vs_compression
+from repro.harness import EXPERIMENTS
 
 
 def test_fig20_decoupling_vs_compression(benchmark, runner, report):
-    result = run_once(benchmark, fig20_decoupling_vs_compression, runner)
+    result = run_once(benchmark, EXPERIMENTS["fig20"], runner)
     report(result)
     for row in result.rows:
         decoupled = row["+decoupled_fetching"]

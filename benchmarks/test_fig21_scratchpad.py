@@ -9,11 +9,11 @@ can run ahead.
 
 from conftest import run_once
 
-from repro.harness import fig21_scratchpad
+from repro.harness import EXPERIMENTS
 
 
 def test_fig21_scratchpad(benchmark, runner, report):
-    result = run_once(benchmark, fig21_scratchpad, runner)
+    result = run_once(benchmark, EXPERIMENTS["fig21"], runner)
     report(result)
     for row in result.rows:
         # 1 KB is slower than the 2 KB default...

@@ -8,11 +8,11 @@ compression cannot exploit what SpZip's semantic compression does.
 
 from conftest import run_once
 
-from repro.harness import fig22_cmh
+from repro.harness import EXPERIMENTS
 
 
 def test_fig22_cmh_no_preprocessing(benchmark, runner, report):
-    result = run_once(benchmark, fig22_cmh, runner, "none")
+    result = run_once(benchmark, EXPERIMENTS["fig22"], runner)
     report(result)
     gmean = next(r for r in result.rows if r["app"] == "gmean")
     # CMH gives Push little to nothing.
@@ -22,8 +22,8 @@ def test_fig22_cmh_no_preprocessing(benchmark, runner, report):
 
 
 def test_fig22_cmh_preprocessed(benchmark, runner, report):
-    from repro.harness import fig22_cmh as fig
-    result = run_once(benchmark, fig, runner, "dfs")
+    result = run_once(benchmark, EXPERIMENTS["fig22-preprocessed"],
+                      runner)
     report(result)
     gmean = next(r for r in result.rows if r["app"] == "gmean")
     assert gmean["push+cmh"] < 1.35

@@ -6,11 +6,11 @@ from 1.26x to 1.55x across inputs (similar trends on other apps).
 
 from conftest import run_once
 
-from repro.harness import sorting_optimization
+from repro.harness import EXPERIMENTS
 
 
 def test_sorting_optimization(benchmark, runner, report):
-    result = run_once(benchmark, sorting_optimization, runner)
+    result = run_once(benchmark, EXPERIMENTS["sorting"], runner)
     report(result)
     mean = next(r for r in result.rows if r["input"] == "mean")
     # Sorting improves the mean ratio.

@@ -8,11 +8,11 @@ of a core.
 import pytest
 from conftest import run_once
 
-from repro.harness import table1_area
+from repro.harness import EXPERIMENTS
 
 
-def test_table1_area(benchmark, report):
-    result = run_once(benchmark, table1_area)
+def test_table1_area(benchmark, runner, report):
+    result = run_once(benchmark, EXPERIMENTS["table1"], runner)
     report(result)
     totals = {(row["engine"], row["component"]): row["area_um2"]
               for row in result.rows}

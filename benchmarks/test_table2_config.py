@@ -2,11 +2,11 @@
 
 from conftest import run_once
 
-from repro.harness import table2_config
+from repro.harness import EXPERIMENTS
 
 
-def test_table2_config(benchmark, report):
-    result = run_once(benchmark, table2_config)
+def test_table2_config(benchmark, runner, report):
+    result = run_once(benchmark, EXPERIMENTS["table2"], runner)
     report(result)
     values = {row["component"]: row["value"] for row in result.rows}
     assert "16 cores" in values["Cores"]

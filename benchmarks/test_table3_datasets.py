@@ -3,11 +3,11 @@
 import pytest
 from conftest import run_once
 
-from repro.harness import table3_datasets
+from repro.harness import EXPERIMENTS
 
 
 def test_table3_datasets(benchmark, runner, report):
-    result = run_once(benchmark, table3_datasets, runner)
+    result = run_once(benchmark, EXPERIMENTS["table3"], runner)
     report(result)
     rows = {row["graph"]: row for row in result.rows}
     assert set(rows) == {"arb", "ukl", "twi", "it", "web", "nlp"}

@@ -1,52 +1,22 @@
 """Experiment harness: registry + text rendering for every table/figure."""
 
 from repro.harness.experiments import (
-    ALL_APPS,
+    DECLARATIONS,
     EXPERIMENTS,
-    GRAPH_APPS,
-    PREPROCESSINGS,
+    Declaration,
     ExperimentResult,
-    fig07_bfs_motivation,
-    fig08_bfs_preprocessed,
-    fig15_speedups,
-    fig15_traffic,
-    fig16_per_input,
-    fig17_per_input_preprocessed,
-    fig18_preprocessing,
-    fig19_compression_factors,
-    fig20_decoupling_vs_compression,
-    fig21_scratchpad,
-    fig22_cmh,
-    sorting_optimization,
-    table1_area,
-    table2_config,
-    table3_datasets,
+    declared_cells,
 )
 from repro.harness.report import generate_report
 from repro.harness.tables import render_table, save_table
 
 __all__ = [
-    "ALL_APPS",
+    "DECLARATIONS",
+    "Declaration",
     "EXPERIMENTS",
     "ExperimentResult",
-    "GRAPH_APPS",
-    "PREPROCESSINGS",
-    "fig07_bfs_motivation",
-    "fig08_bfs_preprocessed",
-    "fig15_speedups",
-    "fig15_traffic",
-    "fig16_per_input",
-    "fig17_per_input_preprocessed",
-    "fig18_preprocessing",
-    "fig19_compression_factors",
-    "fig20_decoupling_vs_compression",
-    "fig21_scratchpad",
-    "fig22_cmh",
+    "declared_cells",
     "generate_report",
     "render_table",
     "save_table",
-    "sorting_optimization",
-    "table1_area",
-    "table2_config",
-    "table3_datasets",
 ]

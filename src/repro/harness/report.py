@@ -11,7 +11,8 @@ from __future__ import annotations
 import time
 from typing import TYPE_CHECKING, Iterable, Optional
 
-from repro.harness.experiments import EXPERIMENTS, ExperimentResult
+from repro.harness.experiments import EXPERIMENTS, ExperimentResult, \
+    declared_cells
 from repro.obs import TRACER
 
 if TYPE_CHECKING:
@@ -42,11 +43,11 @@ def generate_report(runner: Optional[JobRunner] = None,
                     progress: bool = False) -> str:
     """Run experiments and return the combined markdown report.
 
-    The whole cross-product of simulations the selected experiments
-    need is prefetched through the runner's job layer first (parallel
-    workers, disk cache), and the experiment functions then assemble
-    their tables from the prefetched results.  ``runner`` defaults to
-    a serial, disk-less :class:`~repro.jobs.JobRunner`.
+    The union of the cells the selected experiments declare is priced
+    in one prefetch through the runner's job layer first (parallel
+    workers, disk cache); each experiment's own prefetch then finds its
+    cells resident, and it renders its table from them.  ``runner``
+    defaults to a serial, disk-less :class:`~repro.jobs.JobRunner`.
     """
     if runner is None:
         from repro.jobs import JobRunner
@@ -56,13 +57,12 @@ def generate_report(runner: Optional[JobRunner] = None,
     unknown = [i for i in ids if i not in EXPERIMENTS]
     if unknown:
         raise KeyError(f"unknown experiments: {unknown}")
-    from repro.jobs.plan import experiment_requests
-    requests = experiment_requests(ids)
-    if requests:
+    cells = declared_cells(ids)
+    if cells:
         if progress:
-            print(f"  prefetching {len(requests)} simulations "
+            print(f"  prefetching {len(cells)} simulations "
                   f"(jobs={runner.jobs})")
-        runner.prefetch(requests)
+        runner.prefetch(cells)
     sections = [
         "# SpZip reproduction — generated evaluation report",
         "",

@@ -12,7 +12,6 @@ Layering (each module only imports downward):
 ``executor``     group tasks, the one dispatcher (in-process or on a
                  process pool, for reports and the server) and batch
                  execution
-``plan``         experiment id -> required simulations
 ``orchestrator`` the runner experiments price through (``JobRunner``)
 """
 
@@ -25,7 +24,6 @@ from repro.jobs.executor import (
 from repro.jobs.fingerprint import code_salt, job_fingerprint
 from repro.jobs.model import RunRequest, canonical_request
 from repro.jobs.orchestrator import JobRunner
-from repro.jobs.plan import experiment_requests
 from repro.jobs.telemetry import (
     TelemetryWriter,
     default_telemetry_path,
@@ -47,7 +45,6 @@ __all__ = [
     "code_salt",
     "default_telemetry_path",
     "execute_group",
-    "experiment_requests",
     "job_fingerprint",
     "latest_telemetry",
     "render_summary",

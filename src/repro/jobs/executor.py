@@ -94,18 +94,32 @@ START_TIMEOUT_S = 30.0
 #: process reads/writes the same content-addressed stage store.
 _PRICERS: Dict[Tuple[int, Optional[SystemConfig], Optional[StoreConfig]],
                object] = {}
+_PRICERS_LOCK = threading.Lock()
 
 
 def pricer_for(scale: int, system: Optional[SystemConfig],
                store: Optional[StoreConfig]):
     """This process's :class:`~repro.stages.StagePricer` for one model
-    configuration and store."""
+    configuration and store, created once however many threads ask
+    for it at the same time."""
     from repro.stages import StagePricer
     key = (scale, system, store)
-    if key not in _PRICERS:
-        _PRICERS[key] = StagePricer(scale=scale, system=system,
-                                    store=store)
-    return _PRICERS[key]
+    with _PRICERS_LOCK:
+        pricer = _PRICERS.get(key)
+        if pricer is None:
+            pricer = _PRICERS[key] = StagePricer(
+                scale=scale, system=system, store=store)
+    return pricer
+
+
+def _after_fork_in_child() -> None:
+    """A fresh lock: one another thread held at the fork would never
+    be released in the child."""
+    global _PRICERS_LOCK
+    _PRICERS_LOCK = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_after_fork_in_child)
 
 
 def execute_group(scale: int, system: Optional[SystemConfig],

@@ -79,11 +79,14 @@ class JobRunner:
             self._telemetry = TelemetryWriter(path=self.telemetry_path)
         return self._telemetry
 
-    def prefetch(self, requests: Iterable[RunRequest]) -> int:
-        """Execute (or load from cache) a batch of requests up front.
+    def prefetch(self, requests: Iterable[RunRequest]
+                 ) -> Dict[RunRequest, RunMetrics]:
+        """Execute (or load from cache) a batch of requests in one
+        executor run; requests already in memory need none.
 
-        Returns the number of requests now resident in memory.
+        Returns the requested cells' metrics, and no other cell's.
         """
+        requests = list(requests)
         todo = [r for r in requests if r not in self._results]
         if todo:
             executor = JobExecutor(
@@ -92,7 +95,7 @@ class JobRunner:
                 timeout=self.timeout, retries=self.retries,
                 progress=self.progress)
             self._results.update(executor.run(todo))
-        return len(self._results)
+        return {r: self._results[r] for r in requests}
 
     # -- simulation --------------------------------------------------------
 
@@ -118,8 +121,7 @@ class JobRunner:
         # `repro perf diff`) attributes wall time to.
         with TRACER.span("runner.cell", app=app, scheme=request.scheme,
                          dataset=dataset, preprocessing=preprocessing):
-            self.prefetch([request])
-        return self._results[request]
+            return self.prefetch([request])[request]
 
     def run_all_schemes(self, app: str, dataset: str,
                         preprocessing: str = "none",

@@ -341,12 +341,27 @@ class TestTrace:
         children = [s for s in spans if s.parent_id == cell.span_id]
         assert children, "cell span has no children"
 
+    def test_experiment_prices_its_cells_in_one_prefetch(self, tmp_path,
+                                                         capsys):
+        """An experiment prices the cells it declares in one executor
+        run, not one cell at a time."""
+        from repro.obs import read_trace
+        path = str(tmp_path / "trace.jsonl")
+        assert main(["experiment", "fig07", "--scale", "65536",
+                     "--trace", path]) == 0
+        assert "== fig07:" in capsys.readouterr().out
+        _header, spans = read_trace(path)
+        names = [s.name for s in spans]
+        assert (names.count("jobs.run"), names.count("runner.cell")) == \
+            (1, 0)
+        assert len([s for s in spans if s.name == "jobs.price"]) == 6
+
     def test_parallel_report_trace_covers_every_cell(self, tmp_path):
         """The acceptance trace: a --jobs 2 cold-cache report produces
         one merged trace where every (app, scheme, dataset,
         preprocessing) cell has a span, and worker spans hang under
         their dispatching jobs.task span."""
-        from repro.jobs.plan import experiment_requests
+        from repro.harness import declared_cells
         from repro.obs import read_trace
         path = str(tmp_path / "trace.jsonl")
         out = tmp_path / "report.md"
@@ -361,7 +376,7 @@ class TestTrace:
         cells = {(s.attrs.get("app"), s.attrs.get("scheme"),
                   s.attrs.get("dataset"), s.attrs.get("preprocessing"))
                  for s in spans if s.name == "jobs.price"}
-        for request in experiment_requests(["fig07", "fig08"]):
+        for request in declared_cells(["fig07", "fig08"]):
             assert (request.app, request.scheme, request.dataset,
                     request.preprocessing) in cells
         # Worker-side group spans re-parent under their jobs.task.

@@ -16,7 +16,6 @@ from repro.graph.csr import CsrGraph
 from repro.graph.delta import (
     GraphDelta,
     MutableGraphHandle,
-    apply_delta,
     sample_delta,
 )
 from repro.graph.datasets import (

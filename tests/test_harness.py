@@ -12,18 +12,10 @@ import pytest
 from repro.harness import (
     EXPERIMENTS,
     ExperimentResult,
-    fig07_bfs_motivation,
-    fig15_speedups,
-    fig15_traffic,
-    fig19_compression_factors,
-    fig21_scratchpad,
     render_table,
     save_table,
-    sorting_optimization,
-    table1_area,
-    table2_config,
-    table3_datasets,
 )
+from repro.harness.experiments import fig21_scratchpad
 from repro.jobs import JobRunner
 
 TINY = 131072
@@ -44,15 +36,17 @@ class TestRegistry:
         assert set(EXPERIMENTS) == expected
 
     def test_tables_run_without_runner_state(self):
-        for experiment in (table1_area, table2_config):
-            result = experiment(None)
+        runner = JobRunner(scale=TINY)
+        for experiment_id in ("table1", "table2"):
+            result = EXPERIMENTS[experiment_id](runner)
             assert isinstance(result, ExperimentResult)
             assert result.rows
+        assert not runner._results
 
 
 class TestResultStructure:
     def test_fig07_rows_cover_all_schemes(self, runner):
-        result = fig07_bfs_motivation(runner)
+        result = EXPERIMENTS["fig07"](runner)
         assert [r["scheme"] for r in result.rows] == [
             "push", "push+spzip", "ub", "ub+spzip", "phi", "phi+spzip"]
         push = result.rows[0]
@@ -60,14 +54,14 @@ class TestResultStructure:
         assert push["traffic"] == pytest.approx(1.0)
 
     def test_fig15_speedups_have_gmean_row(self, runner):
-        result = fig15_speedups(runner, "none")
+        result = EXPERIMENTS["fig15a"](runner)
         apps = [r["app"] for r in result.rows]
         assert apps[-1] == "gmean"
         assert set(apps[:-1]) == {"pr", "prd", "cc", "re", "dc", "bfs",
                                   "sp"}
 
     def test_fig15_traffic_breakdown_sums(self, runner):
-        result = fig15_traffic(runner, "none")
+        result = EXPERIMENTS["fig15b"](runner)
         for row in result.rows:
             total = sum(row[c] for c in ("adjacency", "source_vertex",
                                          "destination_vertex",
@@ -75,55 +69,55 @@ class TestResultStructure:
             assert row["total"] == pytest.approx(total)
 
     def test_fig19_columns(self, runner):
-        result = fig19_compression_factors(runner, "none")
+        result = EXPERIMENTS["fig19"](runner)
         assert result.columns == ["app", "phi", "+adjacency", "+bins",
                                   "+vertex"]
         for row in result.rows:
             assert row["phi"] == pytest.approx(1.0)
 
     def test_table3_lists_every_input(self, runner):
-        result = table3_datasets(runner)
+        result = EXPERIMENTS["table3"](runner)
         assert {r["graph"] for r in result.rows} == \
             {"arb", "ukl", "twi", "it", "web", "nlp"}
 
     def test_fig21_runs_functional_engine(self, runner):
-        result = fig21_scratchpad(runner, rows_to_walk=64)
+        result = fig21_scratchpad(rows_to_walk=64)(runner)
         assert {r["graph"] for r in result.rows} == {"none", "dfs"}
         for row in result.rows:
             assert row["2KB"] == pytest.approx(1.0)
 
     def test_sorting_rows_per_input(self, runner):
-        result = sorting_optimization(runner)
+        result = EXPERIMENTS["sorting"](runner)
         assert result.rows[-1]["input"] == "mean"
         assert len(result.rows) == 6  # 5 inputs + mean
 
 
 class TestRendering:
-    def test_render_contains_header_and_rows(self):
-        result = table2_config(None)
+    def test_render_contains_header_and_rows(self, runner):
+        result = EXPERIMENTS["table2"](runner)
         text = render_table(result)
         assert text.startswith("== table2:")
         assert "component" in text
         assert "L3 cache" in text
 
     def test_render_formats_floats(self, runner):
-        result = fig07_bfs_motivation(runner)
+        result = EXPERIMENTS["fig07"](runner)
         text = render_table(result)
         assert "1.00" in text
 
     def test_save_table_writes_file(self, runner, tmp_path):
-        result = table1_area(None)
+        result = EXPERIMENTS["table1"](runner)
         path = save_table(result, str(tmp_path))
         assert os.path.exists(path)
         with open(path) as handle:
             assert "DecompU" in handle.read()
 
-    def test_notes_rendered(self):
-        result = table1_area(None)
+    def test_notes_rendered(self, runner):
+        result = EXPERIMENTS["table1"](runner)
         assert "core overhead" in result.notes
         assert "note:" in render_table(result)
 
     def test_column_accessor(self, runner):
-        result = fig07_bfs_motivation(runner)
+        result = EXPERIMENTS["fig07"](runner)
         speedups = result.column("speedup")
         assert len(speedups) == 6

@@ -14,7 +14,6 @@ from repro.jobs import (
     RunRequest,
     TelemetryWriter,
     code_salt,
-    experiment_requests,
     job_fingerprint,
     latest_telemetry,
     summarize,
@@ -593,7 +592,7 @@ class TestJobRunner:
     def test_prefetch_then_run_hits_memory(self, tmp_path):
         runner = JobRunner(scale=SCALE, jobs=1,
                            cache_dir=str(tmp_path))
-        assert runner.prefetch(REQUESTS) == len(REQUESTS)
+        assert set(runner.prefetch(REQUESTS)) == set(REQUESTS)
         metrics = runner.run("dc", "phi", "arb")
         assert metrics.scheme == "phi"
         summary = summarize(latest_telemetry(str(tmp_path)))
@@ -677,59 +676,125 @@ class TestJobRunner:
             {"push", "push+spzip", "ub", "ub+spzip", "phi", "phi+spzip"}
 
 
+class TestPricerFor:
+    def test_racing_threads_create_one_pricer(self, tmp_path,
+                                              monkeypatch):
+        """Two threads asking for one (scale, system, store) pricer at
+        once get one pricer between them, in every trial."""
+        import sys
+        import threading
+
+        import repro.jobs.executor as executor
+        import repro.stages
+        created = []
+
+        class Counting(repro.stages.StagePricer):
+            def __init__(self, *args, **kwargs):
+                created.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(repro.stages, "StagePricer", Counting)
+        system = SystemConfig().scaled(SCALE)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for trial in range(50):
+                store = StoreConfig(root=str(tmp_path / str(trial)))
+                start = threading.Barrier(2, timeout=60)
+                got = []
+
+                def ask():
+                    start.wait()
+                    got.append(executor.pricer_for(SCALE, system, store))
+
+                threads = [threading.Thread(target=ask) for _ in range(2)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+                executor._PRICERS.pop((SCALE, system, store), None)
+                assert (len(created), got[0] is got[1]) == (1, True), \
+                    f"trial {trial}: {len(created)} pricers"
+                created.clear()
+        finally:
+            sys.setswitchinterval(interval)
+
+
 class TestPlans:
+    """The cells each registry entry declares (repro.harness)."""
+
     def test_fig07_plan_covers_all_schemes(self):
+        from repro.harness import declared_cells
         from repro.schemes import scheme_names
-        requests = experiment_requests(["fig07"])
+        requests = declared_cells(["fig07"])
         assert {r.scheme for r in requests} == set(scheme_names("paper"))
         assert all(r.profile_key == ("bfs", "ukl", "none")
                    for r in requests)
 
     def test_plans_deduplicate_across_experiments(self):
-        merged = experiment_requests(["fig15a", "fig15b"])
+        from repro.harness import declared_cells
+        merged = declared_cells(["fig15a", "fig15b"])
         assert len(merged) == len(set(merged))
-        assert len(merged) == len(experiment_requests(["fig15a"]))
+        assert len(merged) == len(declared_cells(["fig15a"]))
 
     def test_profile_only_experiments_have_empty_plans(self):
-        assert experiment_requests(["table1", "fig21", "sorting"]) == []
+        from repro.harness import declared_cells
+        assert declared_cells(["table1", "fig21", "sorting"]) == []
 
     def test_fig19_plan_folds_parts_into_scheme(self):
-        requests = experiment_requests(["fig19"])
+        from repro.harness import declared_cells
+        requests = declared_cells(["fig19"])
         parted = [r for r in requests if "[parts=" in r.scheme]
         assert parted
         assert any(r.scheme == "phi+spzip[parts=adjacency]"
                    for r in parted)
 
     def test_fig20_plan_folds_decoupled_into_scheme(self):
-        requests = experiment_requests(["fig20"])
+        from repro.harness import declared_cells
+        requests = declared_cells(["fig20"])
         assert any(r.scheme == "phi+spzip[decoupled]" for r in requests)
 
-    def test_each_plan_is_exactly_the_cells_its_experiment_reads(self):
-        """Run every experiment against a runner that records each cell
-        it reads: the plan prefetches all of them, and nothing else."""
-        from repro.harness import EXPERIMENTS
-        from repro.jobs import canonical_request
+    def test_each_entry_reads_every_cell_it_declares(self):
+        """Render every entry from a map that serves one real result
+        for each declared cell and records each cell read: every
+        declared cell is read.  (A read of an undeclared cell is a
+        KeyError; see the next test.)"""
+        from repro.harness import DECLARATIONS
         real = JobRunner(scale=SCALE)
         metrics = real.run("dc", "push", "arb")
         profiles = real.profiles("dc", "arb")
-        read = set()
 
-        class Recorder(JobRunner):
-            def run(self, app, scheme, dataset, preprocessing="none",
-                    **kwargs):
-                read.add(canonical_request(app, scheme, dataset,
-                                           preprocessing, **kwargs))
-                return metrics
+        class Recording(dict):
+            def __init__(self, cells):
+                super().__init__((cell, metrics) for cell in cells)
+                self.read = set()
 
+            def __getitem__(self, cell):
+                self.read.add(cell)
+                return super().__getitem__(cell)
+
+        class Stub(JobRunner):
             def profiles(self, *_args):
                 return profiles
 
             def traversal_cycles(self, *_args, **_kwargs):
                 return 1000
 
-        for experiment_id, experiment in sorted(EXPERIMENTS.items()):
-            read.clear()
-            experiment(Recorder(scale=SCALE))
-            plan = set(experiment_requests([experiment_id]))
-            assert (read - plan, plan - read) == (set(), set()), \
-                experiment_id
+        for experiment_id, build in sorted(DECLARATIONS.items()):
+            declaration = build()
+            served = Recording(declaration.cells)
+            declaration.render(served, Stub(scale=SCALE))
+            assert served.read == set(declaration.cells), experiment_id
+
+    def test_an_undeclared_read_is_a_key_error(self):
+        """An entry renders from what its prefetch returns: exactly its
+        declared cells, even when the runner holds more."""
+        from repro.harness import Declaration
+        runner = JobRunner(scale=SCALE)
+        declared, undeclared = REQUESTS[0], REQUESTS[1]
+        runner.prefetch([declared, undeclared])
+        with pytest.raises(KeyError):
+            Declaration([declared],
+                        lambda metrics, _runner: metrics[undeclared]
+                        )(runner)

@@ -204,9 +204,9 @@ class TestInvalidation:
         stage and functional-engine walk is a hit, only the 772 cells'
         timing recomputes; an identical rerun after that computes
         nothing and prints the cold report's bytes."""
-        from repro.harness import EXPERIMENTS
+        from repro.harness import EXPERIMENTS, declared_cells
         from repro.harness.report import generate_report
-        from repro.jobs import JobRunner, experiment_requests
+        from repro.jobs import JobRunner
         scale = 1 << 20
         system = SystemConfig().scaled(scale)
         faster = replace(system, memory=replace(
@@ -224,7 +224,7 @@ class TestInvalidation:
         for stage in ("stream", "replay", "compress", "engine"):
             assert knob.get(f"{stage}.computed", 0) == 0, knob
             assert knob.get(f"{stage}.hit", 0) > 0, knob
-        cells = len(experiment_requests(sorted(EXPERIMENTS)))
+        cells = len(declared_cells(sorted(EXPERIMENTS)))
         assert knob["timing.computed"] == cells == 772
         again, identical = report(system)
         assert again == cold

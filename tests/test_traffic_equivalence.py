@@ -27,7 +27,6 @@ from repro.runtime.traffic import (
     gather_rows,
     rows_compressed_bytes_from,
 )
-from repro.runtime.workload import Iteration, Workload
 from repro.sim.runner import profile_workload
 from tests.oracles import traffic as oracle
 
