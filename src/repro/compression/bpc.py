@@ -25,9 +25,10 @@ same structure:
    ``0xFF``  raw plane payload follows           1+W/8
    ========  ==================================  =====
 
-If the symbol-coded chunk would be no smaller than the raw chunk, the
-encoder falls back to a raw chunk (1-byte flag + verbatim data), so BPC
-never expands data by more than one byte per chunk.
+A chunk holds 2 to 257 elements, so a position byte can name any bit of
+a plane.  If the symbol-coded chunk would be no smaller than the raw
+chunk, the encoder falls back to a raw chunk (1-byte flag + verbatim
+data), so BPC never expands data by more than one byte per chunk.
 
 BPC works well on long, sequentially accessed streams (update bins, vertex
 data) and poorly on short ones; the registry's ``best-of`` codec picks
@@ -51,6 +52,8 @@ _SYM_ALL_ONES = 0x01
 _SYM_SINGLE_ONE = 0x02
 _SYM_TWO_ONES = 0x03
 _SYM_RAW = 0xFF
+
+_ONE = np.uint64(1)
 
 
 def _dbx_planes(chunk_bits: np.ndarray, width: int) -> np.ndarray:
@@ -154,8 +157,10 @@ class BpcCodec(Codec):
     name = "bpc"
 
     def __init__(self, chunk_elems: int = BPC_CHUNK) -> None:
-        if chunk_elems < 2:
-            raise ValueError("BPC chunks need at least 2 elements")
+        # A one- or two-bit plane stores its bit position in one byte,
+        # and a chunk of n elements has n - 1 deltas.
+        if not 2 <= chunk_elems <= 257:
+            raise ValueError("BPC chunks must be 2..257 elements")
         self.chunk_elems = chunk_elems
 
     # -- encoding ---------------------------------------------------------
@@ -245,88 +250,100 @@ def bpc_chunk_encoded_sizes(values: np.ndarray,
     """Exact encoded size of each BPC chunk, computed with vectorized numpy.
 
     Semantically identical to chunking ``values`` and measuring
-    ``BpcCodec().encode`` per chunk, but runs in O(width) numpy passes per
-    chunk batch instead of per-bit python loops.  Used by the traffic model.
+    ``BpcCodec().encode`` per chunk: the full chunks are one
+    :func:`_batch_chunk_sizes` table and the tail another, so each
+    costs a fixed handful of numpy passes whatever the element width.
+    Used by the traffic model.
     """
     bits = as_unsigned_bits(values)
-    width = 8 * bits.dtype.itemsize
     item = bits.dtype.itemsize
-    if chunk_elems > 65:
-        # Plane words no longer fit one uint64 lane set; use the exact
-        # scalar encoder per chunk (rare: only ablations go this wide).
-        codec = BpcCodec(chunk_elems)
-        return np.array(
-            [len(codec._encode_chunk(bits[s:s + chunk_elems], width))
-             for s in range(0, bits.size, chunk_elems)], dtype=np.int64)
-    sizes = []
-    full = (bits.size // chunk_elems) * chunk_elems
-    if full:
-        table = bits[:full].reshape(-1, chunk_elems).astype(np.uint64)
-        sizes.append(_batch_chunk_sizes(table, width, item))
-    tail = bits[full:]
-    if tail.size:
-        tail_size = len(BpcCodec(chunk_elems)._encode_chunk(tail, width))
-        sizes.append(np.array([tail_size], dtype=np.int64))
-    if not sizes:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(sizes)
+    full = bits.size - bits.size % chunk_elems
+    tables = [bits[:full].reshape(-1, chunk_elems), bits[full:][None]]
+    sizes = [_batch_chunk_sizes(table, 8 * item, item)
+             for table in tables if table.size]
+    return np.concatenate(sizes) if sizes else np.empty(0, dtype=np.int64)
 
 
 def _batch_chunk_sizes(table: np.ndarray, width: int, item: int) -> np.ndarray:
-    """Vectorized symbol-coded sizes for a (nchunks, chunk) uint64 table."""
+    """Symbol-coded size of each row of a (nchunks, chunk) table of
+    ``width``-bit values: the one BPC sizing kernel, exact for every
+    chunk length the codec accepts (1 to 257).
+
+    A plane's symbol depends only on how many of its bits are set and
+    whether two set bits are adjacent, and bit ``d`` of DBX plane ``k``
+    is bit ``k`` of ``g_d = delta_d ^ (delta_d >> 1)``.  So word-wide
+    reductions over a row's ``g`` words classify all of its planes at
+    once (bit ``k`` of each word answers for plane ``k``): OR (some bit
+    set), AND (all set), at least two and at least three set, and an
+    adjacent pair set.  64-bit values have a 65-bit delta: its bit 64
+    is the subtraction's borrow, which enters bit 63 of ``g`` and is
+    classified as plane 64 on its own.
+    """
     nchunks, chunk = table.shape
-    plane_width = chunk - 1
-    modulus_bits = width + 1
-    # Wrapped (width+1)-bit deltas.
-    deltas = (table[:, 1:] - table[:, :-1]) & np.uint64((1 << modulus_bits) - 1
-                                                        if modulus_bits < 64
-                                                        else 0xFFFFFFFFFFFFFFFF)
-    if modulus_bits > 64:
-        # 65-bit deltas: track the carry plane separately.
-        borrow = (table[:, 1:] < table[:, :-1]).astype(np.uint64)
-        deltas = (table[:, 1:] - table[:, :-1]).astype(np.uint64)
+    if chunk < 2:
+        return np.full(nchunks, 1 + chunk * item, dtype=np.int64)
+    raw_plane = 1 + (chunk - 1 + 7) // 8  # symbol + chunk - 1 bits
+    # Rows are the chunk's delta positions d, lanes its chunks.
+    cols = table.T.astype(np.uint64, copy=False)
+    low = cols[1:] - cols[:-1]
+    if width < 64:
+        every_plane = np.uint64((1 << (width + 1)) - 1)
+        low &= every_plane
+        planes = _plane_classes(low ^ (low >> _ONE))
+        zero = ~planes[0] & every_plane
+        body = _plane_bytes(*planes, raw_plane) + 2 * _runs(zero)
     else:
-        borrow = None
-    nplanes = modulus_bits
-    # Pack plane words: plane[c, k] has bit d = bit k of delta d of chunk c.
-    planes = np.zeros((nchunks, nplanes), dtype=np.uint64)
-    for k in range(min(nplanes, 64)):
-        bit = (deltas >> np.uint64(k)) & np.uint64(1)
-        planes[:, k] = (bit << np.arange(plane_width, dtype=np.uint64)).sum(
-            axis=1, dtype=np.uint64)
-    if borrow is not None:
-        # For 64-bit elements, delta bit 64 is 1 iff the subtraction
-        # *didn't* borrow into negative... the true 65-bit delta of
-        # a mod-2^65 wrap equals (b - a) mod 2^65; bit 64 is set when
-        # b < a (wrap adds 2^65 - borrow of 2^64 -> bit 64 = borrow).
-        planes[:, 64] = (borrow << np.arange(plane_width, dtype=np.uint64)
-                         ).sum(axis=1, dtype=np.uint64)
-    # DBX.
-    dbx = planes.copy()
-    dbx[:, :-1] ^= planes[:, 1:]
-    dbx = dbx[:, ::-1]  # MSB first
-    # Per-plane symbol sizes.
-    all_ones = np.uint64((1 << plane_width) - 1)
-    raw_bytes = (plane_width + 7) // 8
-    is_zero = dbx == 0
-    is_ones = dbx == all_ones
-    is_single = (dbx & (dbx - np.uint64(1))) == 0
-    low = dbx & (np.uint64(0) - dbx)
-    is_two = dbx == (low | (low << np.uint64(1)))
-    plane_cost = np.full(dbx.shape, 1 + raw_bytes, dtype=np.int64)
-    plane_cost[is_two] = 2
-    plane_cost[is_single & ~is_zero] = 2
-    plane_cost[is_ones] = 1
-    plane_cost[is_zero] = 0  # accounted as runs below
-    body = plane_cost.sum(axis=1)
-    # Zero runs: 2 bytes per maximal run (runs never exceed 255 here).
-    run_starts = is_zero & ~np.pad(is_zero, ((0, 0), (1, 0)),
-                                   constant_values=False)[:, :-1]
-    body += 2 * run_starts.sum(axis=1)
-    compressed = 1 + item + body
-    raw_total = 1 + chunk * item
-    return np.minimum(compressed, raw_total).astype(np.int64)
+        borrow = (cols[1:] < cols[:-1]).astype(np.uint64)
+        g = low ^ (low >> _ONE) ^ (borrow << np.uint64(63))
+        planes, top = _plane_classes(g), _plane_classes(borrow)
+        zero, top_zero = ~planes[0], ~top[0] & _ONE
+        # Plane 64 starts a zero run unless plane 63 is zero too.
+        body = (_plane_bytes(*planes, raw_plane)
+                + _plane_bytes(*top, raw_plane) + 2 * _runs(zero)
+                + 2 * (top_zero & ~(zero >> np.uint64(63))).astype(np.int64))
+    return np.minimum(1 + item + body, 1 + chunk * item)
 
 
-# NOTE: _batch_chunk_sizes must match BpcCodec._encode_chunk exactly; the
-# property test suite cross-checks them on random data.
+def _after_a_set_bit(words: np.ndarray) -> np.ndarray:
+    """Row ``d`` of the result: the bits of row ``d + 1`` also set in
+    some earlier row.  Once: bits set at least twice down a column's
+    rows; twice: at least three times."""
+    return words[1:] & np.bitwise_or.accumulate(words[:-1], axis=0)
+
+
+def _plane_classes(g: np.ndarray):
+    """Per lane, five words whose bit ``k`` classifies plane ``k`` of
+    the ``(rows, lanes)`` words ``g``: some bit set, every bit set, at
+    least two set, at least three set, and two adjacent bits set."""
+    two = _after_a_set_bit(g)
+    return (np.bitwise_or.reduce(g, axis=0),
+            np.bitwise_and.reduce(g, axis=0),
+            np.bitwise_or.reduce(two, axis=0),
+            np.bitwise_or.reduce(_after_a_set_bit(two), axis=0),
+            np.bitwise_or.reduce(g[:-1] & g[1:], axis=0))
+
+
+def _plane_bytes(some, every, two, three, adjacent,
+                 raw_plane: int) -> np.ndarray:
+    """Bytes of a lane's nonzero planes: 1 for all ones, 2 for a single
+    set bit or two adjacent ones, ``raw_plane`` for the rest (zero
+    planes are coded as runs)."""
+    coded = some & ~every
+    short = coded & (~two | (~three & adjacent))
+    return (_popcount(every) + 2 * _popcount(short)
+            + raw_plane * _popcount(coded & ~short))
+
+
+def _runs(zero: np.ndarray) -> np.ndarray:
+    """Maximal runs of set bits in each word of a zero-plane mask (a
+    run never exceeds 255 planes, one run symbol's limit)."""
+    return _popcount(zero & ~(zero << _ONE))
+
+
+def _popcount(words: np.ndarray) -> np.ndarray:
+    return np.bitwise_count(words).astype(np.int64)
+
+
+# NOTE: _batch_chunk_sizes must match BpcCodec._encode_chunk exactly;
+# tests/test_bpc_kernel.py::test_batch_chunk_sizes_match_the_scalar_encoder
+# cross-checks them on generated tables of every width and length.

@@ -157,31 +157,20 @@ def bpc_group_sizes(bits: np.ndarray, group_starts: np.ndarray,
     """Per-group :class:`BpcCodec` sizes over native-width bit patterns.
 
     Sub-chunks are batched by length class through the shared
-    :func:`~repro.compression.bpc._batch_chunk_sizes` kernel; the rare
-    shapes it cannot take (singleton chunks, >65-element ablations) get
-    the scalar encoder, so equivalence is exact everywhere.
+    :func:`~repro.compression.bpc._batch_chunk_sizes` kernel, which is
+    exact for every length a codec can have.
     """
     gs = np.asarray(group_starts, dtype=np.int64)
     if bits.size == 0:
         return np.zeros(gs.size, dtype=np.int64)
-    width = 8 * bits.dtype.itemsize
     item = bits.dtype.itemsize
     sub_starts, first_sub = _subchunk_starts(gs, bits.size, chunk_elems)
     sub_len = np.diff(np.concatenate([sub_starts, [bits.size]]))
     sizes = np.empty(sub_starts.size, dtype=np.int64)
-    scalar = BpcCodec()  # chunking is explicit here; only _encode_chunk used
     for length in np.unique(sub_len).tolist():
         sel = np.flatnonzero(sub_len == length)
-        if length < 2:
-            sizes[sel] = 1 + length * item  # raw flag + verbatim element
-        elif length > 65:
-            sizes[sel] = [
-                len(scalar._encode_chunk(bits[s:s + length], width))
-                for s in sub_starts[sel].tolist()]
-        else:
-            table = bits[sub_starts[sel][:, None]
-                         + np.arange(length)].astype(np.uint64)
-            sizes[sel] = _batch_chunk_sizes(table, width, item)
+        table = bits[sub_starts[sel][:, None] + np.arange(length)]
+        sizes[sel] = _batch_chunk_sizes(table, 8 * item, item)
     return np.add.reduceat(sizes, first_sub)
 
 

@@ -1,16 +1,18 @@
 """Experiment registry: one declaration per table/figure of the evaluation.
 
 A :class:`Declaration` holds the cells (:class:`~repro.jobs.RunRequest`)
-an experiment reads and a renderer that turns their
-:class:`~repro.sim.metrics.RunMetrics` into an :class:`ExperimentResult`,
-whose rows mirror the bars/series the paper plots.  Calling a
-declaration with a :class:`~repro.jobs.JobRunner` prices its cells in
-one :meth:`~repro.jobs.JobRunner.prefetch` and renders from the map that
-prefetch returns, which holds exactly the declared cells: a read the
+and functional-engine walks (:class:`~repro.jobs.model.WalkRequest`) an
+experiment reads, and a renderer that turns their
+:class:`~repro.sim.metrics.RunMetrics` and cycle counts into an
+:class:`ExperimentResult`, whose rows mirror the bars/series the paper
+plots.  Calling a declaration with a :class:`~repro.jobs.JobRunner`
+prices its cells in one :meth:`~repro.jobs.JobRunner.prefetch`, reads
+its walks in one :meth:`~repro.jobs.JobRunner.walks`, and renders from
+the map those return, which holds exactly what was declared: a read the
 declaration does not name is a ``KeyError``, so the declaration cannot
-drift from the table.  Tables I–III, Fig 21 and the sorting study
-declare no cells; they read the model, graphs, engine walks and
-profiles through the runner.
+drift from the table.  Fig 21 declares its walks and no cells; Tables
+I–III and the sorting study declare nothing and read the model, graphs
+and profiles through the runner.
 
 :data:`EXPERIMENTS` maps each id to ``entry(runner)``, the one path that
 ``repro experiment``, the figure benchmarks under ``benchmarks/`` and
@@ -22,12 +24,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List, Mapping,
-                    Sequence)
+                    Sequence, Union)
 
 from repro.apps import ALL_APPS, GRAPH_APPS
 from repro.config import SpZipConfig
 from repro.graph.datasets import GRAPH_INPUTS
-from repro.jobs.model import RunRequest
+from repro.jobs.model import RunRequest, WalkRequest
 from repro.schemes import resolve, scheme_names
 from repro.sim.metrics import TRAFFIC_CLASSES, RunMetrics
 from repro.utils import arithmetic_mean, geometric_mean
@@ -41,8 +43,9 @@ SCHEMES = scheme_names("paper")
 #: Fig 18's preprocessing menu.
 PREPROCESSINGS = ("none", "degree", "bfs", "dfs", "gorder")
 
-#: What a renderer reads: its declared cells' metrics, and no other's.
-Cells = Mapping[RunRequest, RunMetrics]
+#: What a renderer reads: its declared cells' metrics and its declared
+#: walks' cycles, and no others.
+Cells = Mapping[Union[RunRequest, WalkRequest], Union[RunMetrics, int]]
 
 
 @dataclass
@@ -61,14 +64,23 @@ class ExperimentResult:
 
 @dataclass(frozen=True)
 class Declaration:
-    """The cells an experiment reads, and how it renders them."""
+    """The cells and walks an experiment reads, and how it renders
+    them."""
 
     cells: Sequence[RunRequest]
     render: Callable[[Cells, JobRunner], ExperimentResult]
+    walks: Sequence[WalkRequest] = ()
 
     def __call__(self, runner: JobRunner) -> ExperimentResult:
-        """Price the declared cells in one prefetch, then render."""
-        return self.render(runner.prefetch(self.cells), runner)
+        """Price the declared cells in one prefetch and read the
+        declared walks, then render."""
+        reads: Dict[object, object] = dict(runner.prefetch(self.cells))
+        # Walks are read here, when the entry runs, and never in a
+        # report's up-front prefetch: put there, they held the sections
+        # before Fig 21 back until the walks finished, and perfbench's
+        # report_cold p50_ms rose 15% on a 2-vCPU VM (2368 -> 2729 ms).
+        reads.update(runner.walks(self.walks))
+        return self.render(reads, runner)
 
 
 def _inputs_for(app: str) -> Sequence[str]:
@@ -454,15 +466,20 @@ def fig21_scratchpad(rows_to_walk: int = 1500) -> Declaration:
     normalized to the 2 KB default (higher = better performance).
     Each walk is a content-addressed result of the runner's store.
     """
-    def render(_metrics: Cells, runner: JobRunner) -> ExperimentResult:
+    graphs = (("none", "none"), ("dfs", "dfs"))
+    sizes_kb = (1, 2, 4)
+
+    def walk(preprocessing: str, scratch_kb: int) -> WalkRequest:
+        return WalkRequest("ukl", preprocessing,
+                           SpZipConfig(scratchpad_bytes=scratch_kb * 1024),
+                           rows_to_walk, mem_latency=60)
+
+    def render(walked: Cells, _runner: JobRunner) -> ExperimentResult:
         rows = []
-        for label, preprocessing in (("none", "none"), ("dfs", "dfs")):
-            cycles_by_size = {
-                scratch_kb: runner.traversal_cycles(
-                    "ukl", preprocessing,
-                    SpZipConfig(scratchpad_bytes=scratch_kb * 1024),
-                    rows_to_walk, mem_latency=60)
-                for scratch_kb in (1, 2, 4)}
+        for label, preprocessing in graphs:
+            cycles_by_size = {scratch_kb: walked[walk(preprocessing,
+                                                      scratch_kb)]
+                              for scratch_kb in sizes_kb}
             base = cycles_by_size[2]
             rows.append({
                 "graph": label,
@@ -474,7 +491,10 @@ def fig21_scratchpad(rows_to_walk: int = 1500) -> Declaration:
             "fig21", "CC on uk-2005: performance vs fetcher scratchpad "
                      "size (normalized to 2 KB)",
             ["graph", "1KB", "2KB", "4KB"], rows)
-    return Declaration((), render)
+    return Declaration((), render,
+                       walks=[walk(preprocessing, scratch_kb)
+                              for _label, preprocessing in graphs
+                              for scratch_kb in sizes_kb])
 
 
 def fig22_cmh(preprocessing: str = "none") -> Declaration:

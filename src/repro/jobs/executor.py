@@ -1,4 +1,5 @@
-"""Group execution: one dispatcher runs groups of cells, with retries.
+"""Group execution: one dispatcher runs groups of cells and
+functional-engine walks, with retries.
 
 The unit of dispatch is a *group* — one identity and the cells
 (:class:`~repro.jobs.model.RunRequest`) that share its profile
@@ -9,9 +10,12 @@ memory: only the requests travel to the worker and only small
 expensive workload/profile structures never need to cross a process
 boundary (though they can — see ``tests/test_jobs_pickle.py``).
 
-:class:`Dispatcher` is the one path from groups to outcomes.
-:class:`JobExecutor` runs a report's pending groups through one
-dispatcher per run; ``repro serve`` keeps one for its whole life and
+:class:`Dispatcher` is the one path from tasks to outcomes.  A task
+is a group (:func:`execute_group`) or one Fig 21 walk
+(:func:`execute_walk`); both return :data:`JobOutcome` records, and
+every rule below holds for both.  :class:`JobExecutor` runs a report's
+pending groups, and separately its missing walks, through one
+dispatcher per batch; ``repro serve`` keeps one for its whole life and
 calls it from its compute threads (:mod:`repro.serve.pool`).  Policy:
 
 * with no pool (``--jobs 1``, the thread backend) a group runs on the
@@ -31,12 +35,12 @@ calls it from its compute threads (:mod:`repro.serve.pool`).  Policy:
   :attr:`Dispatcher.fallbacks`;
 * a worker ends itself once the process that started it is gone, and
   :meth:`Dispatcher.close` kills the workers after a group timed out;
-* per-cell cache lookups happen before dispatch, so a warm-cache run
-  dispatches nothing and profiles nothing;
+* per-cell and per-walk cache lookups happen before dispatch, so a
+  warm-cache run dispatches nothing, profiles nothing and walks nothing;
 * the process that prices a cell stores it (:func:`execute_group`), so
   pool workers write their cells in parallel while the pool runs and
   the dispatcher only reads the store;
-* pool tasks run :func:`execute_group_remote`, which sends the worker's
+* pool tasks run :func:`execute_remote`, which sends the worker's
   :data:`~repro.obs.TRACER` count delta, and its spans when the
   dispatcher was tracing at submit time, home with the outcomes;
   :func:`record_dispatch` merges them, so the ``stages:`` progress line
@@ -61,16 +65,22 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 from repro.config import SystemConfig
 from repro.jobs.cache import StoreConfig
 from repro.jobs.fingerprint import job_fingerprint
-from repro.jobs.model import Identity, RunRequest, group_requests, job_label
+from repro.jobs.model import (
+    Identity,
+    RunRequest,
+    WalkRequest,
+    group_requests,
+    job_label,
+)
 from repro.jobs.telemetry import TelemetryWriter
 from repro.obs import TRACER, Span
 from repro.sim.metrics import RunMetrics
 
-#: One executed step coming back from a worker: (the cell priced, or
-#: the group's identity for its profile step; result or None; wall
-#: seconds; worker pid; error string).
-JobOutcome = Tuple[Union[RunRequest, Identity], Optional[RunMetrics],
-                   float, int, str]
+#: One executed step coming back from a worker: (the cell priced, the
+#: group's identity for its profile step, or the walk walked; metrics,
+#: None or the walk's cycles; wall seconds; worker pid; error string).
+JobOutcome = Tuple[Union[RunRequest, Identity, WalkRequest],
+                   Union[RunMetrics, int, None], float, int, str]
 
 #: What a pool task sends home: (outcomes, count delta, spans).
 RemoteResult = Tuple[List[JobOutcome], Dict[str, int], List[Span]]
@@ -78,10 +88,11 @@ RemoteResult = Tuple[List[JobOutcome], Dict[str, int], List[Span]]
 #: One group: an identity and its cells.
 Group = Tuple[Identity, List[RunRequest]]
 
-#: One group's :func:`execute_group` arguments:
-#: (scale, system, identity, cells, store).
-GroupArgs = Tuple[int, Optional[SystemConfig], Identity, List[RunRequest],
-                  Optional[StoreConfig]]
+#: One dispatch: :func:`execute_group` and its (scale, system, identity,
+#: cells, store), or :func:`execute_walk` and its (scale, system, walk,
+#: store).  Either way ``args[2]`` is what progress and spans name the
+#: task by.
+Task = Tuple[Callable[..., List[JobOutcome]], tuple]
 
 #: How long a new pool may take to answer its first, trivial task.
 START_TIMEOUT_S = 30.0
@@ -147,27 +158,43 @@ def execute_group(scale: int, system: Optional[SystemConfig],
     return _execute_group(scale, system, identity, cells, store)
 
 
-def execute_group_remote(scale: int, system: Optional[SystemConfig],
-                         identity: Identity, cells: List[RunRequest],
-                         store: Optional[StoreConfig] = None,
-                         traced: bool = False) -> RemoteResult:
-    """:func:`execute_group` as a pool task: its outcomes, the change in
-    this process's :data:`~repro.obs.TRACER` counts, and — when
-    ``traced`` (the dispatcher was recording at submit time) — the
-    spans the group recorded.
+def execute_walk(scale: int, system: Optional[SystemConfig],
+                 walk: WalkRequest,
+                 store: Optional[StoreConfig] = None) -> List[JobOutcome]:
+    """Walk one functional-engine walk on this process's pricer, which
+    stores its cycles (:meth:`~repro.stages.StagePricer.traversal_cycles`).
+
+    Module-level, like :func:`execute_group`, so the process pool can
+    pickle it by reference.  A failing walk raises: in a worker that
+    fails the pool attempt, which the dispatcher retries and then runs
+    in-process, where it raises to the caller.
+    """
+    start = time.monotonic()
+    cycles = pricer_for(scale, system, store).traversal_cycles(
+        walk.dataset, walk.preprocessing, walk.config, walk.rows,
+        walk.mem_latency)
+    return [(walk, cycles, time.monotonic() - start, os.getpid(), "")]
+
+
+def execute_remote(function: Callable[..., List[JobOutcome]],
+                   args: tuple, traced: bool = False) -> RemoteResult:
+    """One task (``function(*args)``) as a pool task: its outcomes, the
+    change in this process's :data:`~repro.obs.TRACER` counts, and —
+    when ``traced`` (the dispatcher was recording at submit time) — the
+    spans the task recorded.
 
     A pool worker runs one task at a time, so the change is exactly
-    this group's work.  Only the delta travels (a forked worker starts
+    this task's work.  Only the delta travels (a forked worker starts
     with a copy of its parent's counts).  The dispatcher hands the
-    result to :func:`record_dispatch`.  In-process callers run
-    :func:`execute_group` itself: their counts and spans are already
-    in place.
+    result to :func:`record_dispatch`.  In-process callers run the
+    task's function itself: their counts and spans are already in
+    place.
     """
     before = Counter(TRACER.counts())
     if traced:
         TRACER.start()  # a fresh span list and nesting stack
     try:
-        outcomes = execute_group(scale, system, identity, cells, store)
+        outcomes = function(*args)
     finally:
         if traced:
             TRACER.stop()
@@ -175,24 +202,30 @@ def execute_group_remote(scale: int, system: Optional[SystemConfig],
             TRACER.spans if traced else [])
 
 
-def record_dispatch(identity: Identity, start_s: float, attempts: int,
-                    results: List[RemoteResult]) -> None:
-    """Bring one group dispatch's pool results into this process.
+def record_dispatch(subject: Union[Identity, WalkRequest], start_s: float,
+                    attempts: int, results: List[RemoteResult]) -> None:
+    """Bring one dispatch's pool results into this process.
 
     Merges the count delta of every result received, attempts that
     were retried included.  While tracing, also records the dispatch's
     ``jobs.task`` envelope (submit at ``start_s`` to now: queue wait
     and every attempt) and adopts the results' worker spans beneath it.
+    ``subject`` is the group's identity or the walk.
     """
     for _outcomes, counts, _spans in results:
         TRACER.merge_counts(counts)
     if not TRACER.active:
         return
-    app, dataset, preprocessing = identity
+    if isinstance(subject, WalkRequest):
+        attrs = {"dataset": subject.dataset,
+                 "preprocessing": subject.preprocessing}
+    else:
+        app, dataset, preprocessing = subject
+        attrs = {"app": app, "dataset": dataset,
+                 "preprocessing": preprocessing}
     task = TRACER.manual_span(
         "jobs.task", time.monotonic() - start_s, start_s=start_s,
-        job_id=job_label(identity), app=app, dataset=dataset,
-        preprocessing=preprocessing, attempts=attempts)
+        job_id=job_label(subject), attempts=attempts, **attrs)
     for _outcomes, _counts, spans in results:
         TRACER.adopt(spans, task.span_id)
 
@@ -282,8 +315,8 @@ def _stop(pool: ProcessPoolExecutor, kill: bool) -> None:
 
 
 class Dispatcher:
-    """Runs job groups on a process pool of ``processes`` workers, or on
-    the calling thread when it has none (see the module docstring).
+    """Runs tasks on a process pool of ``processes`` workers, or on the
+    calling thread when it has none (see the module docstring).
 
     :meth:`run` may be called from several threads at once.
     """
@@ -319,64 +352,63 @@ class Dispatcher:
             if pool is not None:
                 _stop(pool, kill=True)
 
-    def run(self, scale: int, system: Optional[SystemConfig],
-            store: Optional[StoreConfig], groups: List[Group]
-            ) -> List[Tuple[List[JobOutcome], int]]:
-        """Run each ``(identity, cells)`` group; returns every group's
-        outcomes and retry count, in group order.
+    def run(self, tasks: List[Task]) -> List[Tuple[List[JobOutcome], int]]:
+        """Run each task; returns every task's outcomes and retry count,
+        in task order.
 
-        All groups are submitted before the first is waited for, so
-        they queue in the pool, not on this thread.
+        All tasks are submitted before the first is waited for, so they
+        queue in the pool, not on this thread.
         """
         submitted = []
-        for identity, cells in groups:
-            args: GroupArgs = (scale, system, identity, cells, store)
+        for task in tasks:
             start_s = time.monotonic()
-            submitted.append((args, start_s, self._submit(args)))
+            submitted.append((task, start_s, self._submit(task)))
         done = []
-        for index, (args, start_s, future) in enumerate(submitted):
-            done.append(self._finish(args, start_s, future))
-            self._progress(f"group {index + 1}/{len(groups)}: "
-                           f"{job_label(args[2])}")
+        for index, (task, start_s, future) in enumerate(submitted):
+            done.append(self._finish(task, start_s, future))
+            self._progress(f"group {index + 1}/{len(tasks)}: "
+                           f"{job_label(task[1][2])}")
         return done
 
-    def _submit(self, args: GroupArgs) -> Optional[Future]:
-        """The group's pool future, or None to run it in-process."""
+    def _submit(self, task: Task) -> Optional[Future]:
+        """The task's pool future, or None to run it in-process."""
         pool = self._pool
         if pool is None:
             return None
         try:
-            return pool.submit(execute_group_remote, *args, TRACER.active)
+            return pool.submit(execute_remote, *task, TRACER.active)
         except Exception as exc:  # shut down, or broken by a dead worker
             self._drop(exc)
             return None
 
-    def _finish(self, args: GroupArgs, start_s: float,
+    def _finish(self, task: Task, start_s: float,
                 future: Optional[Future]) -> Tuple[List[JobOutcome], int]:
-        """Wait for one group, retrying it as the policy says."""
+        """Wait for one task, retrying it as the policy says."""
         pooled = future is not None
+        subject = task[1][2]
         results: List[RemoteResult] = []
         attempt = 0
         while True:
             if future is None:
-                group = self._here(args)
+                group = self._here(task)
             else:
-                group = self._wait(future, args[2], attempt, results)
+                group = self._wait(future, subject, attempt, results)
                 if group is None and attempt >= self.retries:
-                    group = self._here(args)  # the last resort
+                    group = self._here(task)  # the last resort
                     attempt += 1
                     break
             if group is not None and (attempt >= self.retries
                                       or not _failed(group)):
                 break
             attempt += 1
-            future = self._submit(args)
+            future = self._submit(task)
         if pooled:
-            record_dispatch(args[2], start_s, attempt + 1, results)
+            record_dispatch(subject, start_s, attempt + 1, results)
         return group, attempt
 
-    def _wait(self, future: Future, identity: Identity, attempt: int,
-              results: List[RemoteResult]) -> Optional[List[JobOutcome]]:
+    def _wait(self, future: Future, subject: Union[Identity, WalkRequest],
+              attempt: int, results: List[RemoteResult]
+              ) -> Optional[List[JobOutcome]]:
         """One pool attempt's outcomes, or None if it failed or timed
         out; a result that came back is kept in ``results``."""
         try:
@@ -385,21 +417,23 @@ class Dispatcher:
         except FutureTimeout:
             self._timed_out = True
             future.cancel()
-            self._progress(f"group {job_label(identity)}: timed out "
+            self._progress(f"group {job_label(subject)}: timed out "
                            f"after {self.timeout}s (attempt {attempt + 1})")
         except Exception as exc:
-            # Broken pool, unpicklable payload/result, worker death.
+            # Broken pool, unpicklable payload/result, worker death, a
+            # task that raised.
             if isinstance(exc, BrokenProcessPool):
                 self._drop(exc)
-            self._progress(f"group {job_label(identity)}: worker failed "
+            self._progress(f"group {job_label(subject)}: worker failed "
                            f"with {exc!r} (attempt {attempt + 1})")
         return None
 
-    def _here(self, args: GroupArgs) -> List[JobOutcome]:
+    def _here(self, task: Task) -> List[JobOutcome]:
         if self.processes:
             with self._lock:
                 self.fallbacks += 1
-        return execute_group(*args)
+        function, args = task
+        return function(*args)
 
     def _drop(self, exc: Exception) -> None:
         """Stop using a pool that broke: later groups run in-process.
@@ -517,17 +551,10 @@ class JobExecutor:
         if pending:
             from repro.stages import stage_counters
             before = Counter(stage_counters())
-            # One pool per run, no larger than the run, and none for a
-            # single group.
-            processes = min(self.jobs, len(pending))
-            dispatcher = Dispatcher(processes if processes > 1 else 0,
-                                    self.timeout, self.retries,
-                                    self._progress)
-            try:
-                done = dispatcher.run(self.scale, self.system, self.store,
-                                      pending)
-            finally:
-                dispatcher.close()
+            done = self._dispatch([
+                (execute_group,
+                 (self.scale, self.system, identity, cells, self.store))
+                for identity, cells in pending])
             self._absorb(done, keys, results)
             # Pool workers' counts were merged as their groups came
             # back, so this covers every process that did the work.
@@ -543,6 +570,45 @@ class JobExecutor:
             f"cache hits, {statuses['miss']} executed, "
             f"{time.monotonic() - start:.1f}s")
         return {request: results[request] for request in requests}
+
+    def _dispatch(self, tasks: List[Task]
+                  ) -> List[Tuple[List[JobOutcome], int]]:
+        """Run tasks on one dispatcher: a pool no larger than the batch,
+        and none for a single task or ``jobs == 1``."""
+        processes = min(self.jobs, len(tasks))
+        dispatcher = Dispatcher(processes if processes > 1 else 0,
+                                self.timeout, self.retries, self._progress)
+        try:
+            return dispatcher.run(tasks)
+        finally:
+            dispatcher.close()
+
+    def walks(self, walks: List[WalkRequest]) -> Dict[WalkRequest, int]:
+        """Cycles of each functional-engine walk, in request order.
+
+        Each walk is looked up in the store here first, as a stage hit
+        (:meth:`~repro.stages.StagePricer.stored_cycles`), so a warm
+        batch dispatches nothing; the walks that miss run on one
+        dispatcher, each as its own task.  A walk that fails every
+        attempt raises.
+        """
+        self.cache.on_error = self._progress
+        results: Dict[WalkRequest, int] = {}
+        for walk in walks:
+            cycles = self._pricer.stored_cycles(
+                walk.dataset, walk.preprocessing, walk.config, walk.rows,
+                walk.mem_latency)
+            if cycles is not None:
+                results[walk] = cycles
+        missing = [walk for walk in walks if walk not in results]
+        if missing:
+            done = self._dispatch([
+                (execute_walk, (self.scale, self.system, walk, self.store))
+                for walk in missing])
+            for outcomes, _retries in done:
+                for walk, cycles, _wall, _pid, _error in outcomes:
+                    results[walk] = cycles
+        return {walk: results[walk] for walk in walks}
 
     def _absorb(self, done: List[Tuple[List[JobOutcome], int]],
                 keys: Dict[RunRequest, str],

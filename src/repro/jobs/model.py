@@ -1,5 +1,6 @@
 """The job model: a cell is a :class:`RunRequest`, a group is the cells
-of one identity.
+of one identity, and a :class:`WalkRequest` is one functional-engine
+walk.
 
 A *cell* is one requested ``(app, scheme, dataset, preprocessing)``
 simulation.  Its *identity* is ``(app, dataset, preprocessing)``: the
@@ -11,13 +12,16 @@ it in-process.
 :func:`group_requests` turns requests into ``(identity, cells)``
 groups, the executor's unit of dispatch (:mod:`repro.jobs.executor`):
 one worker runs a whole group, which keeps the shared profiles in its
-memory instead of shipping them across process boundaries.
+memory instead of shipping them across process boundaries.  A walk is
+dispatched on its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
+
+from repro.config import SpZipConfig
 
 #: ``(app, dataset, preprocessing)``: what every scheme's cell of one
 #: input shares.
@@ -59,6 +63,25 @@ class RunRequest:
                 f"{self.scheme}")
 
 
+@dataclass(frozen=True)
+class WalkRequest:
+    """One functional-engine walk (Fig 21): a fetcher with ``config``
+    walks the first ``rows`` rows of a dataset's compressed adjacency
+    against a flat ``mem_latency`` memory port (see
+    :meth:`~repro.stages.StagePricer.traversal_cycles`)."""
+
+    dataset: str
+    preprocessing: str
+    config: SpZipConfig
+    rows: int
+    mem_latency: int
+
+    def describe(self) -> str:
+        return (f"{self.dataset}/{self.preprocessing}/"
+                f"{self.config.scratchpad_bytes}B/{self.rows}rows/"
+                f"{self.mem_latency}cy")
+
+
 def group_requests(requests: Iterable[RunRequest]
                    ) -> List[Tuple[Identity, List[RunRequest]]]:
     """Deduplicated ``(identity, cells)`` groups, identities sorted and
@@ -71,10 +94,13 @@ def group_requests(requests: Iterable[RunRequest]
             for identity in sorted(groups)]
 
 
-def job_label(cell: Union[RunRequest, Identity]) -> str:
+def job_label(cell: Union[RunRequest, Identity, WalkRequest]) -> str:
     """``price:app/dataset/preprocessing/scheme`` for a cell,
-    ``profile:app/dataset/preprocessing`` for an identity: the
-    ``job_id`` that spans, telemetry and progress text name it by."""
+    ``profile:app/dataset/preprocessing`` for an identity and
+    ``walk:dataset/preprocessing/...`` for a walk: the ``job_id`` that
+    spans, telemetry and progress text name it by."""
     if isinstance(cell, RunRequest):
         return f"price:{cell.describe()}"
+    if isinstance(cell, WalkRequest):
+        return f"walk:{cell.describe()}"
     return "profile:" + "/".join(cell)

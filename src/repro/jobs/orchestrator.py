@@ -9,8 +9,13 @@ run over a batch of requests (the disk cache first, then
 is a one-cell prefetch, so ``execute_group`` is the only code that
 prices and stores a cell.
 
-:meth:`~JobRunner.profiles` and :meth:`~JobRunner.traversal_cycles`
-read through the stage pricer this process's in-process groups use
+:meth:`~JobRunner.walks` prices Fig 21's functional-engine walks the
+same way: one executor pass looks each walk up in the store, walks
+the misses through the dispatcher (on the pool when ``jobs > 1`` and
+two or more miss) and keeps every result in the runner's memo.
+
+:meth:`~JobRunner.profiles` reads through the stage pricer this
+process's in-process groups use
 (:func:`~repro.jobs.executor.pricer_for`), bound to the same store, so
 experiments that inspect raw profiles (sorting) reuse what a prefetch
 built or the pool stored instead of re-profiling in the parent.  The
@@ -24,11 +29,11 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, List, Optional
 
-from repro.config import SpZipConfig, SystemConfig
+from repro.config import SystemConfig
 from repro.graph.datasets import DEFAULT_SCALE
 from repro.jobs.cache import StoreConfig
 from repro.jobs.executor import JobExecutor, pricer_for
-from repro.jobs.model import RunRequest, canonical_request
+from repro.jobs.model import RunRequest, WalkRequest, canonical_request
 from repro.jobs.telemetry import TelemetryWriter, default_telemetry_path
 from repro.obs import TRACER
 from repro.runtime.traffic import IterationProfile
@@ -61,6 +66,7 @@ class JobRunner:
         self.retries = retries
         self.progress = progress
         self._results: Dict[RunRequest, RunMetrics] = {}
+        self._walks: Dict[WalkRequest, int] = {}
         self._telemetry: Optional[TelemetryWriter] = None
 
     def _pricer(self):
@@ -79,6 +85,13 @@ class JobRunner:
             self._telemetry = TelemetryWriter(path=self.telemetry_path)
         return self._telemetry
 
+    def _executor(self) -> JobExecutor:
+        return JobExecutor(
+            scale=self.scale, system=self.system, jobs=self.jobs,
+            store=self.store, telemetry=self._writer(),
+            timeout=self.timeout, retries=self.retries,
+            progress=self.progress)
+
     def prefetch(self, requests: Iterable[RunRequest]
                  ) -> Dict[RunRequest, RunMetrics]:
         """Execute (or load from cache) a batch of requests in one
@@ -89,13 +102,22 @@ class JobRunner:
         requests = list(requests)
         todo = [r for r in requests if r not in self._results]
         if todo:
-            executor = JobExecutor(
-                scale=self.scale, system=self.system, jobs=self.jobs,
-                store=self.store, telemetry=self._writer(),
-                timeout=self.timeout, retries=self.retries,
-                progress=self.progress)
-            self._results.update(executor.run(todo))
+            self._results.update(self._executor().run(todo))
         return {r: self._results[r] for r in requests}
+
+    def walks(self, requests: Iterable[WalkRequest]
+              ) -> Dict[WalkRequest, int]:
+        """Cycles of each functional-engine walk (see
+        :meth:`~repro.jobs.executor.JobExecutor.walks`); walks already
+        in memory need no executor.
+
+        Returns the requested walks' cycles, and no other walk's.
+        """
+        requests = list(requests)
+        todo = [w for w in requests if w not in self._walks]
+        if todo:
+            self._walks.update(self._executor().walks(todo))
+        return {w: self._walks[w] for w in requests}
 
     # -- simulation --------------------------------------------------------
 
@@ -150,11 +172,3 @@ class JobRunner:
                  preprocessing: str = "none") -> List[IterationProfile]:
         """The assembled iteration profiles of one identity."""
         return self._pricer().bundle(app, dataset, preprocessing).profiles
-
-    def traversal_cycles(self, dataset: str, preprocessing: str,
-                         config: SpZipConfig, rows: int,
-                         mem_latency: int) -> int:
-        """Cycles of one functional-engine walk (see
-        :meth:`~repro.stages.StagePricer.traversal_cycles`)."""
-        return self._pricer().traversal_cycles(
-            dataset, preprocessing, config, rows, mem_latency)

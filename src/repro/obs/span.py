@@ -17,11 +17,11 @@ file of a run holds its ``jobs.job`` spans, and ``/stats`` and the
 executor's progress line report the counts.
 
 Across processes: a pool task
-(:func:`~repro.jobs.executor.execute_group_remote`) traces with its
-worker's tracer when the dispatcher was recording at submit time, and
-sends the spans home with the group's result, next to the worker's
-count delta.  The dispatcher adds them with :meth:`Tracer.adopt`
-beneath that dispatch's ``jobs.task`` span and merges the counts with
+(:func:`~repro.jobs.executor.execute_remote`) traces with its worker's
+tracer when the dispatcher was recording at submit time, and sends the
+spans home with the task's result, next to the worker's count delta.
+The dispatcher adds them with :meth:`Tracer.adopt` beneath that
+dispatch's ``jobs.task`` span and merges the counts with
 :meth:`Tracer.merge_counts`.  :class:`Span` is picklable for that trip.
 """
 

@@ -42,7 +42,7 @@ from typing import Dict, List, Optional
 
 from repro.config import SystemConfig
 from repro.jobs.cache import StoreConfig
-from repro.jobs.executor import Dispatcher, JobOutcome
+from repro.jobs.executor import Dispatcher, JobOutcome, execute_group
 from repro.jobs.model import Identity, RunRequest
 
 #: Backend names the CLI accepts.
@@ -75,8 +75,8 @@ class ServeBackend(Dispatcher):
         ((outcomes, _retries),) = \
             await asyncio.get_running_loop().run_in_executor(
                 self._threads,
-                lambda: ctx.run(self.run, scale, system, store,
-                                [(identity, cells)]))
+                lambda: ctx.run(self.run, [(execute_group, (
+                    scale, system, identity, cells, store))]))
         return outcomes
 
     def stats(self) -> Dict[str, object]:

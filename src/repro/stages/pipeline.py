@@ -118,14 +118,21 @@ class StagePricer:
 
     # -- stage evaluation ------------------------------------------------------
 
-    def _evaluate(self, stage: str, key: str, compute, **attrs):
-        """Disk-cache lookup, else compute + persist; counted, traced."""
+    def _stored(self, stage: str, key: str, **attrs):
+        """The stored artifact under ``key``, counted and traced as a
+        hit, or None."""
         start = time.perf_counter()
         value = self.cache.get(key)
         if value is not None:
             TRACER.count(f"stage.{stage}.hit")
             TRACER.manual_span(f"stage.{stage}.hit",
                                time.perf_counter() - start, **attrs)
+        return value
+
+    def _evaluate(self, stage: str, key: str, compute, **attrs):
+        """Disk-cache lookup, else compute + persist; counted, traced."""
+        value = self._stored(stage, key, **attrs)
+        if value is not None:
             return value
         with TRACER.span(f"stage.{stage}.computed", **attrs):
             value = compute()
@@ -238,19 +245,35 @@ class StagePricer:
         """Cycles of one functional-engine walk of a dataset's
         compressed adjacency (Fig 21), stored like a stage artifact
         under :func:`~repro.jobs.fingerprint.engine_fingerprint`."""
-        # Imported here: start-up needs no engine code, and a wrapper
-        # installed on load_preprocessed after import (perfbench's layer
-        # trace) must see these loads.
+        # Imported here: start-up needs no engine code.
         from repro.engine.pipelines import traversal_cycles
-        from repro.graph.datasets import load_preprocessed
-        graph = load_preprocessed(dataset, preprocessing, self.scale)
-        rows = min(rows, graph.num_vertices)
-        key = engine_fingerprint(graph.content_digest(), config, rows,
-                                 mem_latency)
+        graph, rows, key = self._walk(dataset, preprocessing, config, rows,
+                                      mem_latency)
         return self._evaluate(
             "engine", key,
             lambda: traversal_cycles(graph, config, rows, mem_latency),
             dataset=dataset, preprocessing=preprocessing)
+
+    def stored_cycles(self, dataset: str, preprocessing: str,
+                      config: SpZipConfig, rows: int,
+                      mem_latency: int) -> Optional[int]:
+        """The stored cycles of the walk :meth:`traversal_cycles` would
+        walk, counted and traced as a hit, or None; walks nothing."""
+        _graph, _rows, key = self._walk(dataset, preprocessing, config,
+                                        rows, mem_latency)
+        return self._stored("engine", key, dataset=dataset,
+                            preprocessing=preprocessing)
+
+    def _walk(self, dataset: str, preprocessing: str, config: SpZipConfig,
+              rows: int, mem_latency: int):
+        """One walk's graph, row count clamped to it, and store key."""
+        # Imported here: a wrapper installed on load_preprocessed after
+        # import (perfbench's layer trace) must see these loads.
+        from repro.graph.datasets import load_preprocessed
+        graph = load_preprocessed(dataset, preprocessing, self.scale)
+        rows = min(rows, graph.num_vertices)
+        return graph, rows, engine_fingerprint(
+            graph.content_digest(), config, rows, mem_latency)
 
 
 def compose(workload, cfg: ModelConfig) -> ProfileBundle:

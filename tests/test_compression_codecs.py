@@ -99,6 +99,21 @@ class TestBpcCodec:
         with pytest.raises(ValueError):
             BpcCodec(chunk_elems=1)
 
+    def test_rejects_chunks_a_position_byte_cannot_code(self):
+        BpcCodec(chunk_elems=257)
+        with pytest.raises(ValueError):
+            BpcCodec(chunk_elems=258)
+
+    @pytest.mark.parametrize("chunk", [66, 100, 200, 256, 257])
+    def test_wide_chunk_sizes_match_encoder(self, chunk):
+        rng = np.random.default_rng(chunk)
+        smooth = np.cumsum(rng.integers(0, 3, 3 * chunk + 5))
+        for x in (smooth.astype(np.uint8), smooth.astype(np.uint32),
+                  rng.integers(0, 2 ** 63, 2 * chunk + 1, dtype=np.uint64)):
+            codec = BpcCodec(chunk_elems=chunk)
+            assert bpc_chunk_encoded_sizes(x, chunk).sum() == \
+                codec.encoded_size(x) == len(codec.encode(x))
+
     def test_custom_chunk_size_roundtrip(self):
         codec = BpcCodec(chunk_elems=8)
         x = np.arange(30, dtype=np.uint32) * 3

@@ -398,16 +398,17 @@ class TestExecutor:
         assert stages_line(2) == serial
 
     def test_remote_group_sends_its_count_delta_not_totals(self):
-        from repro.jobs.executor import execute_group_remote
+        from repro.jobs.executor import execute_group, execute_remote
         from repro.obs import TRACER
         request = RunRequest("dc", "push", "arb")
         identity = request.profile_key
         TRACER.count("stage.test.prior", 5)
         try:
-            outcomes, counts, spans = execute_group_remote(
-                SCALE, None, identity, [request])
-            _outcomes, _counts, traced = execute_group_remote(
-                SCALE, None, identity, [request], traced=True)
+            outcomes, counts, spans = execute_remote(
+                execute_group, (SCALE, None, identity, [request]))
+            _outcomes, _counts, traced = execute_remote(
+                execute_group, (SCALE, None, identity, [request]),
+                traced=True)
         finally:
             TRACER.reset_counts("stage.test.")
         assert [o[0] for o in outcomes] == [identity, request]
@@ -428,24 +429,24 @@ class TestExecutor:
         import errno
 
         import repro.jobs.cache as cache_module
-        from repro.jobs.executor import execute_group_remote
+        from repro.jobs.executor import execute_group, execute_remote
         ((identity, cells),) = group_requests(REQUESTS)
 
         def results(outcomes):
             return [(cell, metrics, error)
                     for cell, metrics, _wall, _pid, error in outcomes]
 
-        plain, _counts, _spans = execute_group_remote(
+        plain, _counts, _spans = execute_remote(execute_group, (
             SCALE, None, identity, cells,
-            StoreConfig(root=str(tmp_path / "ok")))
+            StoreConfig(root=str(tmp_path / "ok"))))
 
         def full_disk(fd, buffers):
             raise OSError(errno.ENOSPC, "No space left on device")
 
         monkeypatch.setattr(cache_module.os, "writev", full_disk)
-        full, counts, _spans = execute_group_remote(
+        full, counts, _spans = execute_remote(execute_group, (
             SCALE, None, identity, cells,
-            StoreConfig(root=str(tmp_path / "full")))
+            StoreConfig(root=str(tmp_path / "full"))))
         assert results(full) == results(plain)
         assert all(metrics is not None for _c, metrics, _e
                    in results(full)[1:])
@@ -676,6 +677,132 @@ class TestJobRunner:
             {"push", "push+spzip", "ub", "ub+spzip", "phi", "phi+spzip"}
 
 
+def _fig21():
+    """Fig 21's declaration with short walks (64 rows each)."""
+    from repro.harness.experiments import fig21_scratchpad
+    return fig21_scratchpad(rows_to_walk=64)
+
+
+def _skip_without_pool(progress):
+    if any(line.startswith("process pool unavailable") for line in progress):
+        pytest.skip("process pool unavailable")
+
+
+class TestWalkDispatch:
+    """Fig 21's walks: looked up in the store by the runner's process,
+    the misses walked through the dispatcher, on the pool when
+    ``jobs > 1``."""
+
+    def test_rows_agree_across_jobs_stores_and_reruns(self, tmp_path):
+        declaration = _fig21()
+        expected = declaration(JobRunner(scale=SCALE)).rows
+        for jobs in (1, 2):
+            assert declaration(JobRunner(scale=SCALE,
+                                         jobs=jobs)).rows == expected
+            for _rerun in ("cold", "warm"):
+                runner = JobRunner(scale=SCALE, jobs=jobs,
+                                   cache_dir=str(tmp_path / str(jobs)))
+                assert declaration(runner).rows == expected
+
+    def test_cold_pool_run_walks_in_the_workers(self, tmp_path):
+        """The parent drives no walk of its own: each one's
+        ``engine.drive`` span comes home from a worker beneath its
+        dispatch's ``jobs.task`` envelope, and the workers' counts and
+        stored walks reach the parent and the store."""
+        from repro.obs import TRACER
+        from repro.stages import (
+            StagePricer,
+            reset_stage_counters,
+            stage_counters,
+        )
+        declaration = _fig21()
+        progress = []
+        runner = JobRunner(scale=SCALE, jobs=2, cache_dir=str(tmp_path),
+                           progress=progress.append)
+        reset_stage_counters()
+        TRACER.start()
+        try:
+            declaration(runner)
+        finally:
+            TRACER.stop()
+        _skip_without_pool(progress)
+        by_id = {span.span_id: span for span in TRACER.spans}
+
+        def envelope(span):
+            while span is not None and span.name != "jobs.task":
+                span = by_id.get(span.parent_id)
+            return span
+
+        drives = [span for span in TRACER.spans
+                  if span.name == "engine.drive"]
+        assert len(drives) == 6
+        assert all(span.pid != os.getpid() for span in drives)
+        assert all(envelope(span) is not None for span in drives)
+        assert stage_counters() == {"engine.computed": 6}
+        pricer = StagePricer(scale=SCALE, store=runner.store)
+        assert all(pricer.stored_cycles(
+            walk.dataset, walk.preprocessing, walk.config, walk.rows,
+            walk.mem_latency) is not None for walk in declaration.walks)
+
+    def test_warm_rerun_builds_no_dispatcher(self, tmp_path, monkeypatch):
+        import repro.jobs.executor as executor
+        from repro.stages import reset_stage_counters, stage_counters
+        declaration = _fig21()
+        cold = declaration(JobRunner(scale=SCALE, jobs=2,
+                                     cache_dir=str(tmp_path))).rows
+
+        def no_dispatcher(*_args, **_kwargs):
+            raise AssertionError("a warm run built a dispatcher")
+
+        monkeypatch.setattr(executor, "Dispatcher", no_dispatcher)
+        reset_stage_counters()
+        warm = declaration(JobRunner(scale=SCALE, jobs=2,
+                                     cache_dir=str(tmp_path))).rows
+        assert warm == cold
+        assert stage_counters() == {"engine.hit": 6}
+
+    def test_walk_failing_in_workers_is_retried_then_run_here(
+            self, monkeypatch):
+        from repro.stages import StagePricer
+        parent = os.getpid()
+        real = StagePricer.traversal_cycles
+
+        def fail_in_workers(self, *args):
+            if os.getpid() != parent:
+                raise RuntimeError("walk failed in a worker")
+            return real(self, *args)
+
+        # Installed before the dispatcher forks: its workers see it.
+        monkeypatch.setattr(StagePricer, "traversal_cycles",
+                            fail_in_workers)
+        walks = list(_fig21().walks)[:2]
+        progress = []
+        cycles = JobExecutor(scale=SCALE, jobs=2, retries=1,
+                             progress=progress.append).walks(walks)
+        _skip_without_pool(progress)
+        assert cycles == JobExecutor(scale=SCALE, jobs=1).walks(walks)
+        failed = [line for line in progress if "worker failed" in line]
+        # Per walk: the first attempt and its one retry.
+        assert len(failed) == 2 * len(walks)
+
+    def test_walk_failing_everywhere_raises(self, monkeypatch):
+        from repro.stages import StagePricer
+
+        def always_fail(self, *args):
+            raise RuntimeError("walk failed")
+
+        monkeypatch.setattr(StagePricer, "traversal_cycles", always_fail)
+        walks = list(_fig21().walks)[:2]
+        progress = []
+        with pytest.raises(RuntimeError, match="walk failed"):
+            JobExecutor(scale=SCALE, jobs=2, retries=1,
+                        progress=progress.append).walks(walks)
+        _skip_without_pool(progress)
+        # The first walk's two pool attempts failed before it raised here.
+        assert len([line for line in progress
+                    if "worker failed" in line]) == 2
+
+
 class TestPricerFor:
     def test_racing_threads_create_one_pricer(self, tmp_path,
                                               monkeypatch):
@@ -757,35 +884,36 @@ class TestPlans:
 
     def test_each_entry_reads_every_cell_it_declares(self):
         """Render every entry from a map that serves one real result
-        for each declared cell and records each cell read: every
-        declared cell is read.  (A read of an undeclared cell is a
-        KeyError; see the next test.)"""
+        for each declared cell, a cycle count for each declared walk,
+        and records each read: every declared cell and walk is read.
+        (A read of an undeclared cell is a KeyError; see the next
+        test.)"""
         from repro.harness import DECLARATIONS
         real = JobRunner(scale=SCALE)
         metrics = real.run("dc", "push", "arb")
         profiles = real.profiles("dc", "arb")
 
         class Recording(dict):
-            def __init__(self, cells):
-                super().__init__((cell, metrics) for cell in cells)
+            def __init__(self, declaration):
+                super().__init__((cell, metrics)
+                                 for cell in declaration.cells)
+                self.update((walk, 1000) for walk in declaration.walks)
                 self.read = set()
 
-            def __getitem__(self, cell):
-                self.read.add(cell)
-                return super().__getitem__(cell)
+            def __getitem__(self, key):
+                self.read.add(key)
+                return super().__getitem__(key)
 
         class Stub(JobRunner):
             def profiles(self, *_args):
                 return profiles
 
-            def traversal_cycles(self, *_args, **_kwargs):
-                return 1000
-
         for experiment_id, build in sorted(DECLARATIONS.items()):
             declaration = build()
-            served = Recording(declaration.cells)
+            served = Recording(declaration)
             declaration.render(served, Stub(scale=SCALE))
-            assert served.read == set(declaration.cells), experiment_id
+            assert served.read == set(served), experiment_id
+        assert len(set(DECLARATIONS["fig21"]().walks)) == 6
 
     def test_an_undeclared_read_is_a_key_error(self):
         """An entry renders from what its prefetch returns: exactly its
