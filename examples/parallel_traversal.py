@@ -19,7 +19,7 @@ import numpy as np
 
 
 def hierarchy_for(compressed):
-    hier = MemoryHierarchy(SystemConfig().scaled(4096), fast=True)
+    hier = MemoryHierarchy(SystemConfig().scaled(4096))
     hier.space.alloc_array("offsets", compressed.offsets, "adjacency")
     hier.space.alloc_array(
         "payload", np.frombuffer(compressed.payload, dtype=np.uint8),

@@ -28,7 +28,6 @@ from repro.config import (
     SpZipConfig,
     SystemConfig,
     default_system,
-    model_system,
 )
 
 __version__ = "1.0.0"
@@ -41,6 +40,5 @@ __all__ = [
     "SpZipConfig",
     "SystemConfig",
     "default_system",
-    "model_system",
     "__version__",
 ]

@@ -205,8 +205,7 @@ def _cmd_report(args) -> int:
         cache_dir=None if args.no_cache else args.cache_dir,
         telemetry_path=args.telemetry,
         timeout=args.timeout, retries=args.retries,
-        progress=print if not args.out else None,
-        partitions=args.partitions)
+        progress=print if not args.out else None)
     report = generate_report(runner, experiment_ids=ids, progress=True)
     if args.out:
         with open(args.out, "w") as handle:
@@ -449,10 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="per-job-group timeout in seconds")
     report.add_argument("--retries", type=_nonnegative_int, default=1,
                         help="retries per failed/timed-out job group")
-    report.add_argument("--partitions", type=_positive_int, default=1,
-                        help="vertex-range partitions of the stream "
-                             "stage (K>1 enables graph-delta partition "
-                             "reuse)")
     report.add_argument("--perf", action="store_true",
                         help="trace the run and print its per-span "
                              "summary to stderr")

@@ -1,16 +1,16 @@
 """Codec interface shared by all compression algorithms.
 
 A codec converts a 1-D numpy array of fixed-width elements into a
-self-contained byte string and back.  Codecs are used at two fidelity
-levels:
+self-contained byte string and back.  The functional SpZip engines call
+:meth:`Codec.encode` and :meth:`Codec.decode` on real data flowing
+through DCL pipelines, and ``repro compress`` reports their sizes.
 
-* the functional SpZip engines call :meth:`Codec.encode` and
-  :meth:`Codec.decode` on real data flowing through DCL pipelines;
-* the scheme-level traffic model calls :meth:`Codec.encoded_size`, which
-  must return ``len(self.encode(values))`` but may use a vectorized
-  implementation, because it runs over every edge of every graph.
-
-``encoded_size`` consistency is enforced by property tests.
+The scheme-level traffic model does not size streams through codec
+objects: it runs over every edge of every graph, so it prices delta,
+BPC and BDI with array kernels (``runtime/traffic.py``'s grouped delta
+sizer, :func:`~repro.compression.bpc.bpc_chunk_encoded_sizes` and
+:func:`~repro.compression.bdi.bdi_line_sizes`), each held to the real
+encoder by its own differential test.
 """
 
 from __future__ import annotations
@@ -79,11 +79,7 @@ class Codec(abc.ABC):
         )
 
     def encoded_size(self, values: np.ndarray) -> int:
-        """Size in bytes of :meth:`encode`'s output (override to vectorize).
-
-        A vectorized override must equal ``len(encode(values))`` on every
-        input (enforced by the differential property suite).
-        """
+        """Size in bytes of :meth:`encode`'s output."""
         return len(self.encode(values))
 
     def ratio(self, values: np.ndarray) -> float:
@@ -116,6 +112,3 @@ class RawCodec(Codec):
             raise ValueError("raw stream shorter than expected")
         bits = np.frombuffer(data[:expected], dtype=np.dtype(f"u{dtype.itemsize}"))
         return from_unsigned_bits(bits.copy(), dtype)
-
-    def encoded_size(self, values: np.ndarray) -> int:
-        return values.size * values.dtype.itemsize

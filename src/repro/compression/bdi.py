@@ -47,35 +47,13 @@ def _fits_signed(deltas: np.ndarray, delta_bytes: int) -> bool:
     return bool((deltas >= -bound).all() and (deltas < bound).all())
 
 
-def bdi_line_size(line: bytes) -> int:
-    """Compressed size in bytes of one 64-byte line under BDI (incl. tag)."""
-    if len(line) != LINE_BYTES:
-        raise ValueError("BDI operates on 64-byte lines")
-    words8 = np.frombuffer(line, dtype=np.uint64)
-    if not words8.any():
-        return 1
-    if (words8 == words8[0]).all():
-        return 1 + 8
-    best = 1 + LINE_BYTES
-    for _tag, base_bytes, delta_bytes in _BDI_MODES:
-        words = np.frombuffer(line, dtype=np.dtype(f"u{base_bytes}"))
-        deltas = words.astype(np.int64) - np.int64(words[0])
-        if base_bytes == 8:
-            # 64-bit wrapped deltas.
-            deltas = (words - words[0]).view(np.int64)
-        if _fits_signed(deltas, delta_bytes):
-            size = 1 + base_bytes + delta_bytes * len(words)
-            best = min(best, size)
-    return best
-
-
 def bdi_line_sizes(data: bytes) -> np.ndarray:
     """Compressed BDI sizes of every 64-byte line of ``data``, at once.
 
     Vectorized across lines: each encoder-menu mode is evaluated for
-    all lines with one reshape + reduction, instead of the per-line
-    Python walk of :func:`bdi_line_size` (kept as the scalar reference;
-    the two are equivalence-tested bit for bit).  A trailing partial
+    all lines with one reshape + reduction, instead of a per-line
+    :func:`bdi_encode_line` walk (``tests/test_pricing_ratios.py`` holds
+    the two equal, line for line).  A trailing partial
     line is zero-padded to a full line — a line-granular memory stores
     (and compresses) the whole line regardless of how much of it the
     array occupies.
@@ -92,7 +70,7 @@ def bdi_line_sizes(data: bytes) -> np.ndarray:
     for _tag, base_bytes, delta_bytes in _BDI_MODES:
         words = lines.view(np.dtype(f"u{base_bytes}"))
         if base_bytes == 8:
-            # 64-bit wrapped deltas, same as the scalar path.
+            # 64-bit wrapped deltas, same as the encoder.
             deltas = (words - words[:, :1]).view(np.int64)
         else:
             deltas = words.astype(np.int64) - words[:, :1].astype(np.int64)
@@ -101,7 +79,7 @@ def bdi_line_sizes(data: bytes) -> np.ndarray:
         size = 1 + base_bytes + delta_bytes * words.shape[1]
         np.minimum(sizes, size, out=sizes, where=fits)
     # Repeat/zeros tags beat every delta mode (9 and 1 vs >= 17), so
-    # applying them last reproduces the scalar early returns exactly.
+    # applying them last reproduces the encoder's early returns exactly.
     words8 = lines.view(np.uint64)
     repeat = (words8 == words8[:, :1]).all(axis=1)
     sizes[repeat] = 1 + 8
@@ -192,9 +170,3 @@ class BdiCodec(Codec):
         bits = np.frombuffer(bytes(raw[:need]),
                              dtype=np.dtype(f"u{dtype.itemsize}"))
         return from_unsigned_bits(bits.copy(), dtype)
-
-    def encoded_size(self, values: np.ndarray) -> int:
-        raw = as_unsigned_bits(values).tobytes()
-        num_lines = -(-len(raw) // LINE_BYTES)
-        # one size-prefix byte per line + the vectorized line sizes
-        return num_lines + int(bdi_line_sizes(raw).sum())

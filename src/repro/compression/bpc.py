@@ -186,9 +186,6 @@ class BpcCodec(Codec):
             return bytes([_FLAG_RAW]) + raw_payload
         return compressed
 
-    def encoded_size(self, values: np.ndarray) -> int:
-        return int(bpc_chunk_encoded_sizes(values, self.chunk_elems).sum())
-
     # -- decoding ---------------------------------------------------------
 
     def decode(self, data: bytes, count: int, dtype: np.dtype) -> np.ndarray:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.compression.base import Codec
-from repro.utils.varint import decode_varint, encode_varint, varint_size
+from repro.utils.varint import decode_varint, encode_varint
 
 
 class CountedCodec(Codec):
@@ -37,6 +37,3 @@ class CountedCodec(Codec):
     def decode_stream(self, data: bytes, dtype: np.dtype) -> np.ndarray:
         stored, offset = decode_varint(data, 0)
         return self.inner.decode(data[offset:], stored, dtype)
-
-    def encoded_size(self, values: np.ndarray) -> int:
-        return varint_size(values.size) + self.inner.encoded_size(values)

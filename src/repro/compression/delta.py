@@ -9,9 +9,9 @@ choice for short streams such as individual neighbour sets, where BPC's
 Stream layout: the first element's bit pattern is stored as a zigzagged
 varint; every following element is stored as the zigzag of its *wrapped*
 64-bit delta from the predecessor (the minimal signed representative of
-``(current - prev) mod 2**64``).  Wrapped semantics make the vectorized
-size estimator (an ``int64`` diff) agree bit-for-bit with the scalar
-encoder.
+``(current - prev) mod 2**64``).  Wrapped semantics let the pricer's
+vectorized size estimator (an ``int64`` diff, see
+``runtime/traffic.py``) agree with the encoder on every delta.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.compression.base import Codec, as_unsigned_bits, from_unsigned_bits
-from repro.utils.varint import decode_varint, encode_varint, varint_size
+from repro.utils.varint import decode_varint, encode_varint
 
 _U64_MASK = (1 << 64) - 1
 
@@ -106,17 +106,3 @@ class DeltaCodec(Codec):
         out = np.array(values, dtype=np.uint64)
         narrow = out.astype(np.dtype(f"u{dtype.itemsize}"))
         return from_unsigned_bits(narrow, dtype)
-
-    def encoded_size(self, values: np.ndarray) -> int:
-        bits = as_unsigned_bits(values).astype(np.uint64)
-        if bits.size == 0:
-            return 0
-        # int64 diff of the uint64 view *is* the minimal wrapped delta.
-        deltas = np.diff(bits.view(np.int64))
-        zz = _zigzag_u64(deltas)
-        total = int(_varint_sizes(zz).sum())
-        # The first element's zigzag can need 65 bits (bit pattern with
-        # the top bit set), which overflows a uint64 array but fits the
-        # 70-bit varint — size it as a python int like the encoder does.
-        total += varint_size(_zigzag_int(int(bits[0])))
-        return total

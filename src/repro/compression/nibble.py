@@ -49,16 +49,6 @@ def _read_nibbles(reader: BitReader) -> int:
             return value
 
 
-def nibble_size_bits(value: int) -> int:
-    """Encoded size of one non-negative value, in bits."""
-    groups = 1
-    value >>= 3
-    while value:
-        groups += 1
-        value >>= 3
-    return 4 * groups
-
-
 class NibbleCodec(Codec):
     """Delta + continuation-coded nibbles over element bit patterns."""
 
@@ -115,10 +105,3 @@ class NibbleCodec(Codec):
         out = np.array(values, dtype=np.uint64)
         return from_unsigned_bits(out.astype(np.dtype(f"u{dtype.itemsize}")),
                                   dtype)
-
-    def encoded_size(self, values: np.ndarray) -> int:
-        from repro.compression.sizes import nibble_group_sizes
-        bits = as_unsigned_bits(values).astype(np.uint64)
-        if bits.size == 0:
-            return 0
-        return int(nibble_group_sizes(bits, np.zeros(1, dtype=np.int64))[0])

@@ -9,14 +9,13 @@ runtime) would do.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Optional
+from typing import Callable, Dict, Iterable
 
 import numpy as np
 
 from repro.compression.base import Codec, RawCodec
 from repro.compression.bdi import BdiCodec
 from repro.compression.bpc import BpcCodec
-from repro.compression.chunked import ChunkedCodec, SortingCodec
 from repro.compression.counted import CountedCodec
 from repro.compression.delta import DeltaCodec
 from repro.compression.forcodec import ForCodec
@@ -40,35 +39,15 @@ def available_codecs() -> Iterable[str]:
     return sorted(_FACTORIES)
 
 
-def register_codec(name: str, factory: Callable[[], Codec]) -> None:
-    """Register a user codec under ``name`` (overwrites are rejected)."""
-    if name in _FACTORIES:
-        raise ValueError(f"codec {name!r} already registered")
-    _FACTORIES[name] = factory
-
-
-def make_codec(name: str, chunk_elems: Optional[int] = None,
-               sort: bool = False) -> Codec:
-    """Build a codec by name, optionally chunk-framed and chunk-sorted.
-
-    ``chunk_elems`` wraps the codec in :class:`ChunkedCodec`; ``sort``
-    additionally applies the order-insensitive sorting optimization.
-    """
+def make_codec(name: str) -> Codec:
+    """Build a codec by name."""
     if name not in _FACTORIES:
         raise KeyError(f"unknown codec {name!r}; have {available_codecs()}")
-    codec: Codec = _FACTORIES[name]()
-    if sort and chunk_elems is None:
-        raise ValueError("sorting requires an explicit chunk size")
-    if chunk_elems is not None:
-        codec = ChunkedCodec(codec, chunk_elems)
-        if sort:
-            codec = SortingCodec(codec, chunk_elems)
-    return codec
+    return _FACTORIES[name]()
 
 
 def best_of(values: np.ndarray, candidates: Iterable[str] = ("delta", "bpc"),
-            sample_elems: int = 1 << 16, chunk_elems: Optional[int] = None,
-            sort: bool = False) -> Codec:
+            sample_elems: int = 1 << 16) -> Codec:
     """Pick the candidate with the best ratio on a sample of ``values``.
 
     Mirrors the paper's per-structure codec choice.  Falls back to ``raw``
@@ -79,7 +58,7 @@ def best_of(values: np.ndarray, candidates: Iterable[str] = ("delta", "bpc"),
     best_codec: Codec = make_codec("raw")
     best_size = best_codec.encoded_size(sample)
     for name in candidates:
-        codec = make_codec(name, chunk_elems=chunk_elems, sort=sort)
+        codec = make_codec(name)
         size = codec.encoded_size(sample)
         if size < best_size:
             best_codec, best_size = codec, size

@@ -67,10 +67,3 @@ class RleCodec(Codec):
         out = np.concatenate(pieces) if pieces else np.empty(0, np.uint64)
         return from_unsigned_bits(out.astype(np.dtype(f"u{dtype.itemsize}")),
                                   dtype)
-
-    def encoded_size(self, values: np.ndarray) -> int:
-        from repro.compression.sizes import rle_group_sizes
-        bits = as_unsigned_bits(values).astype(np.uint64)
-        if bits.size == 0:
-            return 0
-        return int(rle_group_sizes(bits, np.zeros(1, dtype=np.int64))[0])

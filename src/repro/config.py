@@ -43,10 +43,6 @@ class CacheConfig:
     def num_lines(self) -> int:
         return self.size_bytes // self.line_bytes
 
-    @property
-    def num_sets(self) -> int:
-        return max(1, self.num_lines // self.ways)
-
     def __post_init__(self) -> None:
         if self.size_bytes <= 0:
             raise ValueError("cache size must be positive")
@@ -155,8 +151,3 @@ class SystemConfig:
 def default_system() -> SystemConfig:
     """The paper's Table II system at full scale."""
     return SystemConfig()
-
-
-def model_system(scale: int = DEFAULT_SCALE) -> SystemConfig:
-    """The Table II system co-scaled with the synthetic datasets."""
-    return SystemConfig().scaled(scale)

@@ -31,16 +31,8 @@ class CsrGraph:
         self.neighbors = np.asarray(neighbors, dtype=VERTEX_DTYPE)
         self.values = None if values is None else np.asarray(values)
         self._digest: Optional[str] = None
-        #: Paths of this graph's arrays in the shared graph store, once
-        #: spilled (see :mod:`repro.graph.shared`); pickling then ships
-        #: paths instead of array bytes.
-        self._store_paths: Optional[Tuple[str, str, Optional[str]]] = None
         if check:
             self._validate()
-
-    def __reduce__(self):
-        from repro.graph.shared import _reduce_graph
-        return _reduce_graph(self)
 
     def _validate(self) -> None:
         if self.offsets.ndim != 1 or self.offsets.size < 1:

@@ -1,10 +1,8 @@
 """Shared memory-mapped graph arrays for process pools.
 
-Profiling workers used to pay for every :class:`~repro.graph.csr.CsrGraph`
-twice: a workload shipped through a process pool pickled the whole
-offsets/neighbors/values arrays into the task payload, and a worker that
-rebuilt its own graphs regenerated them from scratch per process.  This
-module gives both paths one content-addressed, memory-mapped store:
+Pool workers look graphs up by name, and a worker that rebuilt its own
+graphs would regenerate them from scratch per process.  This module
+gives every process one content-addressed, memory-mapped store:
 
 * :meth:`GraphStore.put_array` spills an array to ``<root>/<digest>.npy``
   exactly once (atomic ``os.replace`` publish, so concurrent writers of
@@ -12,17 +10,14 @@ module gives both paths one content-addressed, memory-mapped store:
 * :meth:`GraphStore.load_array` opens it with ``np.load(mmap_mode="r")``
   — every process on the machine then shares the same page-cache pages
   instead of holding a private copy;
-* ``CsrGraph.__reduce__`` consults :func:`active_graph_store`: with a
-  store active, a pickled graph is just three store paths plus its
-  digest (bytes, not megabytes), and unpickling maps the arrays back in;
 * :func:`cached_graph` backs the dataset registry, so pool workers map
   the dispatcher's generated graphs instead of regenerating them.
 
 The store is activated by :class:`~repro.stages.StagePricer` whenever its
 result cache has an on-disk root (the jobs executor and the serve
 backends both arrange that), and :func:`release_graphs` drops the mapped
-segments at pool teardown.  With no store active everything degrades to
-the old inline-pickle behaviour — same bytes, same tests.
+segments at pool teardown.  With no store active, :func:`cached_graph`
+just builds the graph.
 """
 
 from __future__ import annotations
@@ -114,12 +109,17 @@ class GraphStore:
                 manifest = json.load(handle)
         except (OSError, ValueError):
             return None
+        load = self.load_array
         try:
-            return _rebuild_graph(
-                manifest["offsets"], manifest["neighbors"],
-                manifest["values"], manifest["digest"], store=self)
+            graph = CsrGraph(load(manifest["offsets"]),
+                             load(manifest["neighbors"]),
+                             None if manifest["values"] is None
+                             else load(manifest["values"]),
+                             check=False)
         except OSError:  # manifest survived but an array was pruned
             return None
+        graph._digest = manifest["digest"]
+        return graph
 
     def release(self) -> None:
         """Drop this process's mappings.
@@ -180,64 +180,3 @@ def cached_graph(key: str, build: Callable[[], CsrGraph]) -> CsrGraph:
         graph = build()
         store.put_graph(key, graph)
     return graph
-
-
-def _rebuild_graph(offsets_path: str, neighbors_path: str,
-                   values_path: Optional[str], digest: str,
-                   store: Optional[GraphStore] = None) -> CsrGraph:
-    """Unpickle/manifest target: map arrays, skip re-validation."""
-    owner = store if store is not None else _ACTIVE
-    if owner is None:
-        # Receiving process never enabled a store (e.g. spawn worker
-        # before its pricer initializes): map directly, untracked.
-        load = lambda path: np.load(path, mmap_mode="r")  # noqa: E731
-    else:
-        load = owner.load_array
-    graph = CsrGraph(load(offsets_path), load(neighbors_path),
-                     None if values_path is None else load(values_path),
-                     check=False)
-    graph._digest = digest
-    graph._store_paths = (offsets_path, neighbors_path, values_path)
-    return graph
-
-
-def _reduce_graph(graph: CsrGraph):
-    """``CsrGraph.__reduce__`` body (lives here to keep csr.py lean).
-
-    With a store active the pickle payload is three paths + digest;
-    otherwise the arrays ride along inline exactly as before.
-    """
-    store = _ACTIVE
-    if store is None:
-        return (_rebuild_inline, (graph.offsets, graph.neighbors,
-                                  graph.values, graph._digest))
-    paths = getattr(graph, "_store_paths", None)
-    if paths is not None and os.path.dirname(paths[0]) != store.root:
-        paths = None  # memoized under a different (possibly gone) root
-    if paths is None:
-        paths = (store.put_array(graph.offsets),
-                 store.put_array(graph.neighbors),
-                 None if graph.values is None
-                 else store.put_array(graph.values))
-        graph._store_paths = paths
-    return (_rebuild_graph, (*paths, graph.content_digest()))
-
-
-def _rebuild_inline(offsets: np.ndarray, neighbors: np.ndarray,
-                    values: Optional[np.ndarray],
-                    digest: Optional[str]) -> CsrGraph:
-    graph = CsrGraph(offsets, neighbors, values, check=False)
-    graph._digest = digest
-    return graph
-
-
-def graph_digest_of_payload(payload: bytes) -> str:
-    """Unpickle a graph payload and return its content digest.
-
-    Module-level so fork *and* spawn pool workers can import it by
-    reference — the cross-process identity check of the shared-graph
-    regression tests.
-    """
-    import pickle
-    graph = pickle.loads(payload)
-    return graph.content_digest()

@@ -8,7 +8,7 @@ inside one worker keeps the shared profiling pass in that worker's
 memory: only the requests travel to the worker and only small
 :class:`~repro.sim.metrics.RunMetrics` records travel back, so the
 expensive workload/profile structures never need to cross a process
-boundary (though they can — see ``tests/test_jobs_pickle.py``).
+boundary, and a task names its graph instead of carrying it.
 
 :class:`Dispatcher` is the one path from tasks to outcomes.  A task
 is a group (:func:`execute_group`) or one Fig 21 walk
@@ -33,8 +33,9 @@ calls it from its compute threads (:mod:`repro.serve.pool`).  Policy:
 * a pool that cannot start or breaks (a dead worker) is dropped, and
   its groups and every later one run on the calling thread, counted in
   :attr:`Dispatcher.fallbacks`;
-* a worker ends itself once the process that started it is gone, and
-  :meth:`Dispatcher.close` kills the workers after a group timed out;
+* a worker ends itself once the process that started it is gone;
+  :meth:`Dispatcher.close` joins the pool (after killing the workers,
+  if a group timed out), so a process may exit right after it;
 * per-cell and per-walk cache lookups happen before dispatch, so a
   warm-cache run dispatches nothing, profiles nothing and walks nothing;
 * the process that prices a cell stores it (:func:`execute_group`), so
@@ -304,14 +305,16 @@ def _failed(group: List[JobOutcome]) -> bool:
 
 
 def _stop(pool: ProcessPoolExecutor, kill: bool) -> None:
-    """Shut ``pool`` down; with ``kill``, end its workers too, which
-    ``cancel()`` cannot do for a running task: a worker left running
-    keeps the interpreter from exiting."""
-    workers = list((pool._processes or {}).values()) if kill else []
-    pool.shutdown(wait=False)
-    for worker in workers:
-        worker.kill()
-        worker.join()
+    """Shut ``pool`` down and join its manager thread, so no thread of
+    it is left for ``concurrent.futures``' exit hook to race (seen as
+    ``OSError: [Errno 9] Bad file descriptor`` from ``_python_exit``).
+    With ``kill``, end the workers first, which ``cancel()`` cannot do
+    for a running task: a worker left running would hold up the join."""
+    if kill:
+        for worker in list((pool._processes or {}).values()):
+            worker.kill()
+            worker.join()
+    pool.shutdown(wait=True)
 
 
 class Dispatcher:
@@ -446,9 +449,9 @@ class Dispatcher:
             _stop(pool, kill=False)
 
     def close(self) -> None:
-        """Stop the pool, killing its workers if a group timed out (one
-        may still be running it), and drop this process's shared-graph
-        mappings."""
+        """Stop and join the pool, killing its workers first if a group
+        timed out (one may still be running it), and drop this
+        process's shared-graph mappings."""
         pool, self._pool = self._pool, None
         if pool is not None:
             _stop(pool, kill=self._timed_out)

@@ -50,15 +50,13 @@ class JobRunner:
                  telemetry_path: Optional[str] = None,
                  timeout: Optional[float] = None,
                  retries: int = 1,
-                 progress: Optional[Callable[[str], None]] = None,
-                 partitions: int = 1
+                 progress: Optional[Callable[[str], None]] = None
                  ) -> None:
         self.scale = scale
         self.system = system if system is not None \
             else SystemConfig().scaled(scale)
         self.jobs = jobs
-        self.store = StoreConfig(root=cache_dir or None,
-                                 stream_partitions=partitions)
+        self.store = StoreConfig(root=cache_dir or None)
         if telemetry_path is None and cache_dir:
             telemetry_path = default_telemetry_path(cache_dir)
         self.telemetry_path = telemetry_path

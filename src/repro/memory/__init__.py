@@ -6,12 +6,7 @@ from repro.memory.address import (
     AddressSpace,
     Region,
 )
-from repro.memory.cache import (
-    CacheStats,
-    FastLruCache,
-    SetAssocCache,
-    make_cache,
-)
+from repro.memory.cache import CacheStats, FastLruCache
 from repro.memory.dram import DramModel, TrafficCounter
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.noc import MeshNoc, NocStats
@@ -27,7 +22,5 @@ __all__ = [
     "MeshNoc",
     "NocStats",
     "Region",
-    "SetAssocCache",
     "TrafficCounter",
-    "make_cache",
 ]

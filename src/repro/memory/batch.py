@@ -25,11 +25,11 @@ That turns replay into three offline subproblems:
    remain, or by one sequential pass over the run-collapsed trace when
    many do — the decisions are interpreter-bound either way, and the
    collapsed trace is the smallest exact representation;
-3. eviction/writeback/final-state reconstruction from *residency
-   segments*: each miss starts a segment, a segment is dirty if any
-   access in it wrote, and LRU evicts segments in increasing order of
-   their last-access time, so totals and the surviving recency order
-   follow from per-segment reductions — no event loop.
+3. eviction and final-state reconstruction from *residency segments*
+   (:func:`repro.runtime.traffic.phi_coalesce_replay`): each miss
+   starts a segment, and LRU evicts segments in increasing order of
+   their last-access time, so totals and the surviving lines follow
+   from per-segment reductions — no event loop.
 
 The big wins are structural: scatter streams address a few values per
 line, so run collapse shrinks the trace several-fold, and the paper's
@@ -43,7 +43,6 @@ Every function here is bit-identical to its scalar counterpart;
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -163,99 +162,6 @@ def _collapse_runs(lines: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         np.not_equal(lines[1:], lines[:-1], out=rep[1:])
     collapsed_index = np.cumsum(rep) - 1
     return rep, collapsed_index
-
-
-@dataclass
-class LruReplay:
-    """Everything :meth:`FastLruCache.access_many` needs, in one pass."""
-
-    hit_mask: np.ndarray       # per input access
-    misses: int
-    evictions: int
-    writebacks: int            # dirty evicted segments (no final flush)
-    resident_lines: np.ndarray  # surviving lines, oldest first
-    resident_dirty: np.ndarray
-
-
-def replay_lru(lines: np.ndarray, writes: np.ndarray, capacity: int,
-               state_lines: Optional[np.ndarray] = None,
-               state_dirty: Optional[np.ndarray] = None) -> LruReplay:
-    """Batch-replay ``(line, write)`` accesses through LRU state.
-
-    The pre-existing cache contents enter as a virtual prefix of
-    first-access misses (recency order, ``write`` = dirty bit), which
-    reconstructs exactly the starting state; prefix stats are then
-    subtracted.  Returns per-access hits, stat deltas, and the final
-    contents in recency order.
-    """
-    lines = np.ascontiguousarray(lines, dtype=np.int64)
-    writes = np.ascontiguousarray(writes, dtype=bool)
-    n_prefix = 0 if state_lines is None else int(state_lines.size)
-    if n_prefix:
-        full_lines = np.concatenate(
-            [np.ascontiguousarray(state_lines, dtype=np.int64), lines])
-        full_writes = np.concatenate(
-            [np.ascontiguousarray(state_dirty, dtype=bool), writes])
-    else:
-        full_lines, full_writes = lines, writes
-    n = full_lines.size
-    if n == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return LruReplay(np.empty(0, dtype=bool), 0, 0, 0,
-                         empty, np.empty(0, dtype=bool))
-
-    rep, collapsed_index = _collapse_runs(full_lines)
-    c_lines = full_lines[rep]
-    # A run is dirty if any access in it wrote.
-    c_writes = np.logical_or.reduceat(full_writes, np.flatnonzero(rep))
-
-    prev, order = previous_occurrence(c_lines)
-    c_hits = lru_hit_mask(c_lines, capacity, prev=prev)
-    hits_full = np.ones(n, dtype=bool)
-    hits_full[rep] = c_hits
-
-    misses_all = int(np.count_nonzero(~c_hits))
-    final_size = min(misses_all, capacity)
-    evictions = misses_all - final_size
-
-    # -- residency segments (in (line, position) sorted order) ------------
-    miss_sorted = ~c_hits[order]
-    writes_sorted = c_writes[order]
-    seg_starts = np.flatnonzero(miss_sorted)
-    seg_dirty = np.logical_or.reduceat(writes_sorted, seg_starts)
-    # A line's last segment is the one covering its group's last element.
-    sorted_lines = c_lines[order]
-    group_last = np.empty(c_lines.size, dtype=bool)
-    group_last[-1] = True
-    np.not_equal(sorted_lines[1:], sorted_lines[:-1],
-                 out=group_last[:-1])
-    seg_end = np.concatenate([seg_starts[1:], [c_lines.size]]) - 1
-    seg_is_final = group_last[seg_end]
-
-    # Final segments survive iff fewer than C distinct other lines are
-    # accessed after the line's last access t:
-    #   #{ j > t : prev[j] <= t } == #{ prev <= t } - (t + 1).
-    t_last = order[seg_end[seg_is_final]]
-    prev_sorted_vals = np.sort(prev)
-    d_end = (np.searchsorted(prev_sorted_vals, t_last, side="right")
-             - (t_last + 1))
-    survive_final = d_end <= capacity - 1
-
-    evicted_dirty = int(seg_dirty[~seg_is_final].sum()) \
-        + int(seg_dirty[seg_is_final][~survive_final].sum())
-
-    res_order = np.argsort(t_last[survive_final], kind="stable")
-    resident_lines = c_lines[t_last[survive_final]][res_order]
-    resident_dirty = seg_dirty[seg_is_final][survive_final][res_order]
-
-    return LruReplay(
-        hit_mask=hits_full[n_prefix:],
-        misses=misses_all - n_prefix,
-        evictions=evictions,
-        writebacks=evicted_dirty,
-        resident_lines=resident_lines,
-        resident_dirty=resident_dirty,
-    )
 
 
 def lru_scatter_misses(lines: np.ndarray, capacity: int) -> int:

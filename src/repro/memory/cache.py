@@ -1,36 +1,18 @@
-"""Cache models: exact set-associative (LRU / DRRIP) and fast LRU.
+"""Fully-associative LRU cache model.
 
-Two implementations with one interface (``access(line, write) -> hit``):
-
-* :class:`SetAssocCache` — exact set-associative model with true LRU or
-  DRRIP (SRRIP/BRRIP with set dueling, as in the paper's 32 MB LLC).
-  Used by unit tests and the functional engine path.
-* :class:`FastLruCache` — fully-associative LRU over an ``OrderedDict``.
-  A 16-way 32 MB cache behaves almost identically to fully-associative
-  LRU for these workloads, and the dict version is ~5x faster, which
-  matters when the traffic model replays millions of scatter accesses.
-
-Both track hits, misses, and dirty evictions (writebacks).
+:class:`FastLruCache` is a fully-associative LRU over an ``OrderedDict``
+with one interface, ``access(line, write) -> hit``.  A 16-way 32 MB
+cache behaves almost identically to fully-associative LRU for these
+workloads, so both model levels use it: the functional engines through
+:class:`~repro.memory.hierarchy.MemoryHierarchy`, and the pricer's
+replay kernels (:mod:`repro.memory.batch`) compute the same LRU offline.
+It tracks hits, misses, and dirty evictions (writebacks).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List, Union
-
-import numpy as np
-
-from repro.config import CacheConfig
-
-#: Below this batch size the scalar loop beats the vectorized replay's
-#: fixed setup cost; both paths are bit-identical either way.
-_BATCH_MIN = 64
-
-# DRRIP constants (2-bit RRPV, 32 dueling sets per policy, 10-bit PSEL).
-_RRPV_BITS = 2
-_RRPV_MAX = (1 << _RRPV_BITS) - 1
-_BRRIP_LONG_PROB = 32  # 1-in-32 insertions at long re-reference in BRRIP
 
 
 @dataclass
@@ -54,160 +36,8 @@ class CacheStats:
         self.hits = self.misses = self.writebacks = self.evictions = 0
 
 
-class SetAssocCache:
-    """Exact set-associative cache with LRU or DRRIP replacement."""
-
-    def __init__(self, config: CacheConfig) -> None:
-        self.config = config
-        self.num_sets = config.num_sets
-        self.ways = config.ways
-        self.stats = CacheStats()
-        self._tags: List[List[int]] = [[-1] * self.ways
-                                       for _ in range(self.num_sets)]
-        self._dirty: List[List[bool]] = [[False] * self.ways
-                                         for _ in range(self.num_sets)]
-        self._drrip = config.replacement == "drrip"
-        if self._drrip:
-            self._rrpv: List[List[int]] = [[_RRPV_MAX] * self.ways
-                                           for _ in range(self.num_sets)]
-            self._psel = 512  # 10-bit saturating selector, mid-point
-            self._brrip_tick = 0
-        else:
-            # LRU stamps; larger == more recent.
-            self._stamp: List[List[int]] = [[0] * self.ways
-                                            for _ in range(self.num_sets)]
-            self._clock = 0
-
-    def _set_index(self, line: int) -> int:
-        return line % self.num_sets
-
-    def access(self, line: int, write: bool = False) -> bool:
-        """Access one cache line address; returns True on hit."""
-        set_index = self._set_index(line)
-        tags = self._tags[set_index]
-        try:
-            way = tags.index(line)
-        except ValueError:
-            way = -1
-        if way >= 0:
-            self.stats.hits += 1
-            self._touch(set_index, way)
-            if write:
-                self._dirty[set_index][way] = True
-            return True
-        self.stats.misses += 1
-        self._fill(set_index, line, write)
-        return False
-
-    def contains(self, line: int) -> bool:
-        """Lookup without side effects."""
-        return line in self._tags[self._set_index(line)]
-
-    def invalidate(self, line: int) -> None:
-        """Drop a line, accounting it like a replacement victim.
-
-        Mirrors :meth:`_fill`: removing a valid line is an eviction, and
-        a dirty one must be written back — silently dropping it would
-        lose the writeback traffic.  Idempotent: a second invalidate of
-        the same line finds nothing and counts nothing.
-        """
-        set_index = self._set_index(line)
-        tags = self._tags[set_index]
-        try:
-            way = tags.index(line)
-        except ValueError:
-            return
-        self.stats.evictions += 1
-        if self._dirty[set_index][way]:
-            self.stats.writebacks += 1
-        tags[way] = -1
-        self._dirty[set_index][way] = False
-
-    def access_many(self, lines: np.ndarray,
-                    writes: Union[np.ndarray, bool] = False
-                    ) -> np.ndarray:
-        """Batch access: per-line hit mask, same stats as looped access.
-
-        The exact set-associative model has no vectorized fast path
-        (replacement state is per-set and policy-dependent); this is the
-        batch *interface* — a scalar loop — so callers can drive either
-        cache model through one API.
-        """
-        lines = np.ascontiguousarray(lines, dtype=np.int64)
-        writes_arr = np.broadcast_to(
-            np.asarray(writes, dtype=bool), lines.shape)
-        hits = np.empty(lines.size, dtype=bool)
-        for i, (line, write) in enumerate(zip(lines.tolist(),
-                                              writes_arr.tolist())):
-            hits[i] = self.access(line, write)
-        return hits
-
-    # -- replacement ------------------------------------------------------
-
-    def _touch(self, set_index: int, way: int) -> None:
-        if self._drrip:
-            self._rrpv[set_index][way] = 0
-        else:
-            self._clock += 1
-            self._stamp[set_index][way] = self._clock
-
-    def _fill(self, set_index: int, line: int, write: bool) -> None:
-        tags = self._tags[set_index]
-        victim = self._pick_victim(set_index)
-        if tags[victim] != -1:
-            self.stats.evictions += 1
-            if self._dirty[set_index][victim]:
-                self.stats.writebacks += 1
-        tags[victim] = line
-        self._dirty[set_index][victim] = write
-        if self._drrip:
-            self._rrpv[set_index][victim] = self._insert_rrpv(set_index)
-        else:
-            self._clock += 1
-            self._stamp[set_index][victim] = self._clock
-
-    def _pick_victim(self, set_index: int) -> int:
-        tags = self._tags[set_index]
-        for way, tag in enumerate(tags):
-            if tag == -1:
-                return way
-        if self._drrip:
-            rrpv = self._rrpv[set_index]
-            while True:
-                for way, value in enumerate(rrpv):
-                    if value == _RRPV_MAX:
-                        return way
-                for way in range(self.ways):
-                    rrpv[way] = min(_RRPV_MAX, rrpv[way] + 1)
-        stamps = self._stamp[set_index]
-        return stamps.index(min(stamps))
-
-    def _insert_rrpv(self, set_index: int) -> int:
-        """DRRIP insertion policy via set dueling.
-
-        Set 0 of every 64-set group leads for SRRIP, set 32 for BRRIP;
-        PSEL counts SRRIP-leader misses up and BRRIP-leader misses down,
-        and followers copy whichever policy is missing less.
-        """
-        group = set_index % 64
-        if group == 0:  # SRRIP leader: its misses vote against SRRIP
-            self._psel = min(1023, self._psel + 1)
-            use_srrip = True
-        elif group == 32:  # BRRIP leader
-            self._psel = max(0, self._psel - 1)
-            use_srrip = False
-        else:
-            use_srrip = self._psel < 512
-        if use_srrip:
-            return _RRPV_MAX - 1
-        self._brrip_tick += 1
-        if self._brrip_tick % _BRRIP_LONG_PROB == 0:
-            return _RRPV_MAX - 1
-        return _RRPV_MAX
-
-
 class FastLruCache:
-    """Fully-associative LRU cache keyed by line address (fast path)."""
+    """Fully-associative LRU cache keyed by line address."""
 
     def __init__(self, capacity_lines: int) -> None:
         if capacity_lines <= 0:
@@ -233,41 +63,6 @@ class FastLruCache:
         lines[line] = write
         return False
 
-    def access_many(self, lines: np.ndarray,
-                    writes: Union[np.ndarray, bool] = False
-                    ) -> np.ndarray:
-        """Vectorized batch access; bit-identical to looping ``access``.
-
-        Replays the whole stream offline (LRU stack property, see
-        :mod:`repro.memory.batch`), updates ``stats`` by the same deltas
-        the scalar loop would, and leaves the cache with the same
-        contents, dirty bits, and recency order.
-        """
-        lines = np.ascontiguousarray(lines, dtype=np.int64)
-        writes_arr = np.broadcast_to(
-            np.asarray(writes, dtype=bool), lines.shape)
-        if lines.size < _BATCH_MIN:
-            hits = np.empty(lines.size, dtype=bool)
-            for i, (line, write) in enumerate(zip(lines.tolist(),
-                                                  writes_arr.tolist())):
-                hits[i] = self.access(line, write)
-            return hits
-        from repro.memory.batch import replay_lru
-        state_lines = np.fromiter(self._lines.keys(), dtype=np.int64,
-                                  count=len(self._lines))
-        state_dirty = np.fromiter(self._lines.values(), dtype=bool,
-                                  count=len(self._lines))
-        replay = replay_lru(lines, writes_arr, self.capacity_lines,
-                            state_lines, state_dirty)
-        self.stats.hits += int(replay.hit_mask.sum())
-        self.stats.misses += replay.misses
-        self.stats.evictions += replay.evictions
-        self.stats.writebacks += replay.writebacks
-        self._lines = OrderedDict(
-            zip(replay.resident_lines.tolist(),
-                map(bool, replay.resident_dirty.tolist())))
-        return replay.hit_mask
-
     def contains(self, line: int) -> bool:
         return line in self._lines
 
@@ -281,10 +76,3 @@ class FastLruCache:
 
     def clear(self) -> None:
         self._lines.clear()
-
-
-def make_cache(config: CacheConfig, fast: bool = False):
-    """Factory: exact model by default, fast LRU when requested."""
-    if fast:
-        return FastLruCache(config.num_lines)
-    return SetAssocCache(config)

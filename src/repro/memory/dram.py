@@ -88,35 +88,6 @@ class DramModel:
                 self.row_misses += 1
                 self._open_rows[controller] = row
 
-    def access_lines(self, lines, data_class: str,
-                     write: bool = False) -> None:
-        """Batch of single-line transactions; same state as looping
-        :meth:`access`.
-
-        Each controller's open-row register only ever sees its own
-        lines, so the interleaved scalar walk factors into one
-        vectorized run-length pass per controller.
-        """
-        import numpy as np
-        lines = np.ascontiguousarray(lines, dtype=np.int64)
-        if lines.size == 0:
-            return
-        self.traffic.add(data_class, _LINE_BYTES * lines.size, write)
-        controllers = self.config.controllers
-        ctrl = lines % controllers
-        row = lines // (controllers * (_ROW_BYTES // _LINE_BYTES))
-        for c in range(controllers):
-            rows_c = row[ctrl == c]
-            if rows_c.size == 0:
-                continue
-            previous = np.empty_like(rows_c)
-            previous[0] = self._open_rows[c]
-            previous[1:] = rows_c[:-1]
-            misses = int(np.count_nonzero(rows_c != previous))
-            self.row_misses += misses
-            self.row_hits += rows_c.size - misses
-            self._open_rows[c] = int(rows_c[-1])
-
     def add_bulk(self, nbytes: int, data_class: str, write: bool = False,
                  sequential: bool = True) -> None:
         """Account a bulk transfer without per-line state walks.

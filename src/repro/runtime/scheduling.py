@@ -54,12 +54,6 @@ class ScheduleResult:
             return 1.0
         return self.makespan / (self.total_work / self.num_cores)
 
-    @property
-    def utilization(self) -> float:
-        if self.makespan <= 0:
-            return 1.0
-        return self.total_work / (self.num_cores * self.makespan)
-
 
 def simulate_work_stealing(chunks: Sequence[float], num_cores: int = 16,
                            steal_overhead: float = 0.0) -> ScheduleResult:
@@ -103,16 +97,6 @@ def simulate_work_stealing(chunks: Sequence[float], num_cores: int = 16,
         makespan = max(makespan, finish)
         heapq.heappush(heap, (finish, core))
     return ScheduleResult(makespan, total, num_cores, steals)
-
-
-def simulate_static_partition(chunks: Sequence[float],
-                              num_cores: int = 16) -> ScheduleResult:
-    """Baseline: round-robin dealing with no stealing."""
-    sums = [0.0] * num_cores
-    for index, chunk in enumerate(chunks):
-        sums[index % num_cores] += float(chunk)
-    total = float(sum(sums))
-    return ScheduleResult(max(sums) if sums else 0.0, total, num_cores, 0)
 
 
 def iteration_imbalance(degrees: np.ndarray, num_cores: int = 16,

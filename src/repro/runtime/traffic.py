@@ -125,7 +125,11 @@ def _delta_sizes_grouped(values_u64: np.ndarray,
 
     ``group_starts`` are indices into ``values_u64`` (ascending, first 0).
     Within each group the first element is absolute, the rest are wrapped
-    deltas — identical to ``DeltaCodec.encoded_size`` per group.
+    deltas — ``len(DeltaCodec.encode(group))`` per group, except that a
+    first element with bit 63 set has its zigzag wrapped into 64 bits
+    (1–4 bytes where the encoder spends 9).  That is a frozen pricing
+    contract: ``tests/oracles/traffic.py::delta_group_size_scalar``
+    mirrors it, and fixing it is a model change.
     """
     if values_u64.size == 0:
         return np.zeros(len(group_starts), dtype=np.int64)

@@ -81,9 +81,6 @@ class SchemeRegistry:
                 f"{', '.join(self.groups())}")
         return tuple(self._groups[group])
 
-    def specs(self, group: str = "all") -> Tuple[SchemeSpec, ...]:
-        return tuple(self._families[name] for name in self.names(group))
-
     def groups(self) -> Tuple[str, ...]:
         return tuple(self._groups)
 

@@ -1,11 +1,6 @@
 """Shared low-level utilities: bit/byte packing, RNG, means."""
 
-from repro.utils.bitstream import (
-    BitReader,
-    BitWriter,
-    zigzag_decode,
-    zigzag_encode,
-)
+from repro.utils.bitstream import BitReader, BitWriter
 from repro.utils.rng import make_rng
 from repro.utils.stats import arithmetic_mean, geometric_mean
 from repro.utils.varint import (
@@ -25,6 +20,4 @@ __all__ = [
     "encode_varint_stream",
     "geometric_mean",
     "make_rng",
-    "zigzag_decode",
-    "zigzag_encode",
 ]

@@ -9,19 +9,6 @@ which mirrors how the BPC bitplane symbols are laid out.
 from __future__ import annotations
 
 
-def zigzag_encode(value: int) -> int:
-    """Map a signed integer onto an unsigned one, small magnitudes first.
-
-    Used by delta codecs so that small negative deltas also encode small.
-    """
-    return (value << 1) ^ (value >> 63) if value < 0 else value << 1
-
-
-def zigzag_decode(value: int) -> int:
-    """Inverse of :func:`zigzag_encode`."""
-    return (value >> 1) ^ -(value & 1)
-
-
 class BitWriter:
     """Accumulates bits MSB-first into a growing byte buffer."""
 

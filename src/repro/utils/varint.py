@@ -32,16 +32,6 @@ _MAX_FOR_TAG = tuple((1 << (6 + 8 * extra)) - 1 for extra in _PAYLOAD_BYTES)
 VARINT_MAX = _MAX_FOR_TAG[-1]
 
 
-def varint_size(value: int) -> int:
-    """Encoded size of ``value`` in bytes (1, 2, 4, or 9)."""
-    if value < 0:
-        raise ValueError("varint values must be non-negative")
-    for tag, limit in enumerate(_MAX_FOR_TAG):
-        if value <= limit:
-            return 1 + _PAYLOAD_BYTES[tag]
-    raise ValueError(f"value {value} too large for 70-bit varint")
-
-
 def encode_varint(value: int) -> bytes:
     """Encode a non-negative integer as a length-prefixed byte code."""
     if value < 0:

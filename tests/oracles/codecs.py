@@ -1,37 +1,49 @@
-"""Vectorized codec size models over grouped element streams.
+"""Closed-form codec size models and chunk framings for the codec suites.
 
-The scheme-level traffic model prices codecs on every edge of every
-graph, so ``Codec.encoded_size`` must not walk elements in Python.  This
-module computes *exact* encoded sizes — bit-identical to the scalar
-encoders, which are retained as equivalence oracles (see
-docs/PERFORMANCE.md, "Scalar-oracle policy") — for whole families of
-independently-encoded groups in a handful of numpy passes.
+Two test-side pieces that the codec property sweep
+(``tests/test_compression_properties.py``) runs every registry codec
+through:
 
-A *group* is a slice of the value stream that the codec encodes as a
-self-contained unit: the chunks of :class:`ChunkedCodec` framing, or the
-single group `[0, n)` for a bare codec.  Every function takes
-``group_starts`` (int64, strictly increasing, ``group_starts[0] == 0``;
-each group must be non-empty) and returns one size per group, so chunked
-framing costs one ``reduceat`` instead of a Python loop per chunk.
+* :func:`model_size` — an *exact*, closed-form size of each codec's
+  output, derived from its format in a handful of numpy passes rather
+  than by running the encoder.  The differential suite holds
+  ``len(codec.encode(values))`` equal to it byte for byte, so a format
+  change in any encoder shows up as a size mismatch.  The BDI and BPC
+  models size lines and sub-chunks through the pricer's own kernels
+  (:func:`~repro.compression.bdi.bdi_line_sizes` and the plane-class
+  kernel behind :func:`~repro.compression.bpc.bpc_chunk_encoded_sizes`),
+  so the same suite holds those kernels to the real encoders on
+  adversarial shapes.
+* :class:`ChunkedCodec` and :class:`SortingCodec` — the paper's
+  chunk framing and order-insensitive chunk sort (Sec III-C), built
+  around any registry codec by :func:`make_shape`.  They give the sweep
+  its ``-chunked`` and ``-chunked-sorted`` shapes: many short,
+  independently encoded groups, whose sizes the model computes per group.
 
-The tricky equivalences, each pinned by the differential property suite:
+A *group* is a slice of the value stream that a codec encodes as a
+self-contained unit: one chunk of :class:`ChunkedCodec` framing, or the
+single group ``[0, n)`` for a bare codec.  The per-codec functions take
+``group_starts`` (int64, strictly increasing, ``group_starts[0] == 0``)
+and return one size per group.  The equivalences the model must get
+right, each pinned by the differential suite:
 
 * a first element with the top bit set zigzags to a 65-bit value that
-  would overflow uint64 — the scalar encoders size it through Python
-  ints; here those (rare) lanes are patched to the exact closed form
-  (varint: always 9 bytes; nibble: always 22 groups);
+  would overflow uint64 — the encoders carry it as a Python int; here
+  those (rare) lanes are patched to the exact closed form (varint:
+  always 9 bytes; nibble: always 22 groups);
 * RLE runs restart at group boundaries, exactly like re-invoking the
-  scalar encoder per chunk;
+  encoder per chunk;
 * FOR and BPC sub-chunk *within* each group (a 16-element frame holds
   one short FOR chunk, not part of a 64-element one);
 * nibble streams round up to whole bytes once per group, because the
   terminator pad is emitted per ``encode`` call.
 """
 
-from __future__ import annotations
+from typing import Optional
 
 import numpy as np
 
+from repro.compression import make_codec
 from repro.compression.base import Codec, RawCodec, as_unsigned_bits
 from repro.compression.bdi import LINE_BYTES, BdiCodec, bdi_line_sizes
 from repro.compression.bpc import BpcCodec, _batch_chunk_sizes
@@ -44,6 +56,111 @@ from repro.compression.rle import RleCodec
 _SIGN_BIT = np.uint64(1) << np.uint64(63)
 #: thresholds for vectorized ``int.bit_length``: 2^1 .. 2^63
 _POW2 = np.uint64(1) << np.arange(1, 64, dtype=np.uint64)
+
+_LEN_BYTES = 2
+_MAX_CHUNK_PAYLOAD = (1 << (8 * _LEN_BYTES)) - 1
+
+
+# -- chunk framings ----------------------------------------------------------
+
+class ChunkedCodec(Codec):
+    """Frame an inner codec into length-prefixed fixed-element chunks.
+
+    Every chunk is emitted as a 2-byte little-endian length followed by
+    the inner codec's payload, so a consumer can walk chunk boundaries
+    without decoding.
+    """
+
+    def __init__(self, inner: Codec, chunk_elems: int = 32) -> None:
+        if chunk_elems <= 0:
+            raise ValueError("chunk_elems must be positive")
+        self.inner = inner
+        self.chunk_elems = chunk_elems
+        self.name = f"chunked-{inner.name}"
+
+    def encode(self, values: np.ndarray) -> bytes:
+        out = bytearray()
+        for start in range(0, values.size, self.chunk_elems):
+            payload = self.inner.encode(values[start:start
+                                               + self.chunk_elems])
+            if len(payload) > _MAX_CHUNK_PAYLOAD:
+                raise ValueError("chunk payload exceeds 64 KiB frame limit")
+            out += len(payload).to_bytes(_LEN_BYTES, "little")
+            out += payload
+        return bytes(out)
+
+    def decode(self, data: bytes, count: int, dtype: np.dtype) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        pieces = []
+        offset = 0
+        remaining = count
+        while remaining > 0:
+            size = int.from_bytes(data[offset:offset + _LEN_BYTES], "little")
+            offset += _LEN_BYTES
+            n = min(self.chunk_elems, remaining)
+            pieces.append(self.inner.decode(data[offset:offset + size], n,
+                                            dtype))
+            offset += size
+            remaining -= n
+        if not pieces:
+            return np.empty(0, dtype=dtype)
+        return np.concatenate(pieces)
+
+
+class SortingCodec(Codec):
+    """Sort each chunk before compressing (order-insensitive data only).
+
+    Decoding returns each chunk's sorted permutation, so the round-trip
+    target is the per-chunk sorted multiset, not the original order.
+    """
+
+    def __init__(self, inner: Codec, chunk_elems: int = 32) -> None:
+        self.inner = inner
+        self.chunk_elems = chunk_elems
+        self.name = f"sorted-{inner.name}"
+
+    def sorted_chunks(self, values: np.ndarray) -> np.ndarray:
+        out = values.copy()
+        full = (out.size // self.chunk_elems) * self.chunk_elems
+        if full:
+            out[:full].reshape(-1, self.chunk_elems).sort(axis=1)
+        if full < out.size:
+            out[full:].sort()
+        return out
+
+    def encode(self, values: np.ndarray) -> bytes:
+        return self.inner.encode(self.sorted_chunks(values))
+
+    def decode(self, data: bytes, count: int, dtype: np.dtype) -> np.ndarray:
+        return self.inner.decode(data, count, dtype)
+
+
+def make_shape(name: str, chunk_elems: Optional[int] = None,
+               sort: bool = False) -> Codec:
+    """Registry codec ``name``, optionally chunk-framed and chunk-sorted."""
+    codec = make_codec(name)
+    if sort and chunk_elems is None:
+        raise ValueError("sorting requires an explicit chunk size")
+    if chunk_elems is not None:
+        codec = ChunkedCodec(codec, chunk_elems)
+        if sort:
+            codec = SortingCodec(codec, chunk_elems)
+    return codec
+
+
+# -- closed-form sizes -------------------------------------------------------
+
+def nibble_size_bits(value: int) -> int:
+    """Encoded size of one non-negative value in the nibble code, in bits.
+
+    Each nibble carries three payload bits and a continuation bit.
+    """
+    groups = 1
+    value >>= 3
+    while value:
+        groups += 1
+        value >>= 3
+    return 4 * groups
 
 
 def bit_lengths(values: np.ndarray) -> np.ndarray:
@@ -99,8 +216,8 @@ def nibble_group_sizes(bits: np.ndarray,
         return np.zeros(gs.size, dtype=np.int64)
     zz, overflow = _zigzag_stream(bits, gs)
     nbits = 4 * np.maximum(1, (bit_lengths(zz) + 2) // 3)
-    # A 65-bit zigzag always takes ceil(65 / 3) = 22 nibble groups.
-    nbits[overflow] = 4 * 22
+    # Every 65-bit zigzag takes the same ceil(65 / 3) = 22 nibble groups.
+    nbits[overflow] = nibble_size_bits(1 << 64)
     per_group = np.add.reduceat(nbits, gs)
     return (per_group + 7) // 8  # terminator pad per encode call
 
@@ -156,9 +273,8 @@ def bpc_group_sizes(bits: np.ndarray, group_starts: np.ndarray,
                     chunk_elems: int) -> np.ndarray:
     """Per-group :class:`BpcCodec` sizes over native-width bit patterns.
 
-    Sub-chunks are batched by length class through the shared
-    :func:`~repro.compression.bpc._batch_chunk_sizes` kernel, which is
-    exact for every length a codec can have.
+    Sub-chunks are batched by length class through the pricer's BPC
+    plane-class kernel, which is exact for every length a codec can have.
     """
     gs = np.asarray(group_starts, dtype=np.int64)
     if bits.size == 0:
@@ -204,13 +320,7 @@ def bdi_group_sizes(bits: np.ndarray,
 
 def group_sizes(codec: Codec, values: np.ndarray,
                 group_starts: np.ndarray) -> np.ndarray:
-    """Exact per-group encoded sizes of ``codec`` over ``values``.
-
-    Equals ``[len(codec.encode(g)) for each group g]`` for every builtin
-    codec; unknown (user-registered) codecs fall back to the codec's own
-    ``encoded_size`` per group, so chunked framing stays correct for
-    extensions at scalar speed.
-    """
+    """Closed-form per-group encoded sizes of registry codec ``codec``."""
     gs = np.asarray(group_starts, dtype=np.int64)
     if isinstance(codec, RawCodec):
         return group_lengths(gs, values.size) * values.dtype.itemsize
@@ -231,7 +341,18 @@ def group_sizes(codec: Codec, values: np.ndarray,
                                codec.chunk_elems)
     if isinstance(codec, BdiCodec):
         return bdi_group_sizes(as_unsigned_bits(values), gs)
-    bounds = np.concatenate([gs, [values.size]])
-    return np.array([codec.encoded_size(values[int(a):int(b)])
-                     for a, b in zip(bounds[:-1], bounds[1:])],
-                    dtype=np.int64)
+    raise TypeError(f"no size model for codec {codec.name!r}")
+
+
+def model_size(codec: Codec, values: np.ndarray) -> int:
+    """Closed-form ``len(codec.encode(values))`` for every sweep shape."""
+    if isinstance(codec, SortingCodec):
+        return model_size(codec.inner, codec.sorted_chunks(values))
+    if isinstance(codec, ChunkedCodec):
+        if values.size == 0:
+            return 0
+        starts = np.arange(0, values.size, codec.chunk_elems,
+                           dtype=np.int64)
+        return int(_LEN_BYTES * starts.size
+                   + group_sizes(codec.inner, values, starts).sum())
+    return int(group_sizes(codec, values, np.zeros(1, dtype=np.int64))[0])

@@ -4,12 +4,13 @@ Line-by-line and page-by-page references for
 :func:`repro.schemes.pricing._bdi_ratio` and
 :func:`repro.schemes.pricing._lcp_fetch_ratio`, which size every line
 in one vectorized pass (``tests/test_pricing_ratios.py`` holds the two
-sides equal).
+sides equal).  Each line is sized by the real encoder,
+:func:`~repro.compression.bdi_encode_line`.
 """
 
 import numpy as np
 
-from repro.compression import bdi_line_size
+from repro.compression import bdi_encode_line
 from repro.memory.address import LINE_BYTES
 from repro.schemes.pricing import LCP_SLOT_SIZES, PAGE_BYTES
 
@@ -24,7 +25,7 @@ def bdi_ratio_scalar(data: bytes) -> float:
     """Per-line reference for ``_bdi_ratio``."""
     if not data:
         return 1.0
-    sizes = [bdi_line_size(pad_line(data[start:start + LINE_BYTES]))
+    sizes = [len(bdi_encode_line(pad_line(data[start:start + LINE_BYTES])))
              for start in range(0, len(data), LINE_BYTES)]
     return (len(sizes) * LINE_BYTES) / sum(sizes)
 
@@ -37,7 +38,7 @@ def lcp_fetch_ratio_scalar(data: bytes) -> float:
     for page_start in range(0, len(data), PAGE_BYTES):
         page = data[page_start:page_start + PAGE_BYTES]
         worst = max(
-            bdi_line_size(pad_line(page[start:start + LINE_BYTES]))
+            len(bdi_encode_line(pad_line(page[start:start + LINE_BYTES])))
             for start in range(0, len(page), LINE_BYTES))
         slot = LINE_BYTES
         for candidate in LCP_SLOT_SIZES:

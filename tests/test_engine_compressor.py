@@ -152,7 +152,7 @@ class TestUbBins:
         assert c.mem_writes >= 1  # value write
 
     def test_compressor_issues_to_llc(self):
-        hier = MemoryHierarchy(SystemConfig().scaled(4096), fast=True)
+        hier = MemoryHierarchy(SystemConfig().scaled(4096))
         hier.space.alloc("mqu_staging", 2 * 512, "updates")
         hier.space.alloc("compressed_bins", 2 * (1 << 16), "updates")
         c = Compressor.for_core(hier, core=0)

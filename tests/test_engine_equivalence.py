@@ -378,8 +378,7 @@ class TestMulticore:
         graph = community_graph(192, 1500, seed_stream="equiv-mc")
 
         def run(mode):
-            hier = MemoryHierarchy(SystemConfig().scaled(4096),
-                                   fast=True)
+            hier = MemoryHierarchy(SystemConfig().scaled(4096))
             hier.space.alloc_array("offsets", graph.offsets,
                                    "adjacency")
             hier.space.alloc_array("rows", graph.neighbors, "adjacency")

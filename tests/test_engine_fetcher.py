@@ -112,7 +112,7 @@ class TestPageRankPipeline:
     def make(self, compressed):
         g = fig1_matrix()
         contribs = np.array([0.1, 0.2, 0.3, 0.4])
-        hier = MemoryHierarchy(SystemConfig().scaled(4096), fast=True)
+        hier = MemoryHierarchy(SystemConfig().scaled(4096))
         space = hier.space
         if compressed:
             cc = CompressedCsr(g)

@@ -14,7 +14,7 @@ from repro.memory import MemoryHierarchy
 
 
 def fresh_hierarchy(graph):
-    hier = MemoryHierarchy(SystemConfig().scaled(4096), fast=True)
+    hier = MemoryHierarchy(SystemConfig().scaled(4096))
     hier.space.alloc_array("offsets", graph.offsets, "adjacency")
     hier.space.alloc_array("rows", graph.neighbors, "adjacency")
     return hier

@@ -35,7 +35,7 @@ class TestEngineVsAnalyticModel:
         """The fetcher's off-chip adjacency traffic for a cold compressed
         traversal must be ~the compressed payload size (line-rounded)."""
         compressed = CompressedCsr(graph)
-        hier = MemoryHierarchy(SystemConfig().scaled(65536), fast=True)
+        hier = MemoryHierarchy(SystemConfig().scaled(65536))
         hier.space.alloc_array("offsets", compressed.offsets,
                                "adjacency")
         hier.space.alloc_array(

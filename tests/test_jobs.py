@@ -19,6 +19,7 @@ from repro.jobs import (
     summarize,
 )
 from repro.jobs.cache import StoreConfig
+from repro.jobs.executor import Dispatcher
 from repro.jobs.model import group_requests
 from tests.store_faults import damage_record, segment_paths
 
@@ -587,6 +588,54 @@ class TestOrphanedWorkers:
             with contextlib.suppress(ProcessLookupError):
                 os.killpg(proc.pid, signal.SIGKILL)
             proc.wait()
+
+
+_TEST_PROCESS = os.getpid()
+
+
+def _hang_in_pool(scale, system, identity, cells, store=None):
+    """A group task that never returns in a pool worker, and returns
+    no outcomes at once in the test process (its in-process retry)."""
+    if os.getpid() != _TEST_PROCESS:
+        import time
+        time.sleep(60)
+    return []
+
+
+class TestPoolClose:
+    """``Dispatcher.close`` joins the pool's manager thread, so a
+    process that exits right after it (a report, ``ServeApp.close``)
+    cannot race that thread at interpreter exit."""
+
+    def _manager(self, dispatcher):
+        if dispatcher._pool is None:
+            pytest.skip("process pool unavailable")
+        return dispatcher._pool._executor_manager_thread
+
+    def _close(self, dispatcher):
+        """``close()``, bounded: a hang fails the test, not the run."""
+        import threading
+        closer = threading.Thread(target=dispatcher.close, daemon=True)
+        closer.start()
+        closer.join(timeout=30)
+        assert not closer.is_alive(), "close() hung"
+
+    def test_clean_close_joins_the_manager_thread(self):
+        dispatcher = Dispatcher(processes=2)
+        manager = self._manager(dispatcher)
+        self._close(dispatcher)
+        assert not manager.is_alive()
+
+    def test_close_after_a_timeout_joins_the_manager_thread(self):
+        dispatcher = Dispatcher(processes=1, timeout=0.2)
+        manager = self._manager(dispatcher)
+        task = (_hang_in_pool, (SCALE, None, ("dc", "arb", "none"), []))
+        try:
+            [(outcomes, _retries)] = dispatcher.run([task])
+            assert outcomes == []
+        finally:
+            self._close(dispatcher)
+        assert not manager.is_alive()
 
 
 class TestJobRunner:

@@ -6,7 +6,10 @@ process pool; all three must survive a pickle round trip unchanged.
 """
 
 import multiprocessing
+import os
 import pickle
+import shutil
+from operator import methodcaller
 
 import numpy as np
 import pytest
@@ -88,8 +91,14 @@ def test_workload_roundtrip_prices_identically(runner, workload):
 
 
 # --------------------------------------------------------------------------
-# Shared graph store: worker payloads must not embed graph arrays
+# Shared graph store: mapped graphs, across pools and after release
 # --------------------------------------------------------------------------
+
+def digest_in_worker(pool, graph):
+    """Ship ``graph`` to a pool worker and return the digest it sees."""
+    return pool.apply_async(methodcaller("content_digest"),
+                            (graph,)).get(timeout=120)
+
 
 @pytest.fixture
 def graph_store(tmp_path):
@@ -105,57 +114,14 @@ def graph_store(tmp_path):
 
 
 class TestSharedGraphStore:
-    def test_graph_payload_excludes_arrays(self, graph_store, workload):
-        """Store active: a pickled graph is paths, not array bytes."""
-        graph = workload.graph
-        payload = pickle.dumps(graph,
-                               protocol=pickle.HIGHEST_PROTOCOL)
-        # Orders of magnitude under the inline array footprint.
-        assert len(payload) < 1024
-        assert len(payload) < graph.neighbors.nbytes // 8
-        # And the raw adjacency bytes genuinely do not ride along.
-        assert np.ascontiguousarray(
-            graph.neighbors).tobytes() not in payload
-
-    def test_workload_payload_excludes_graph_arrays(self, graph_store,
-                                                    workload):
-        payload = pickle.dumps(workload,
-                               protocol=pickle.HIGHEST_PROTOCOL)
-        # Iteration arrays still ride along inline; the graph's three
-        # CSR arrays must not — only their store paths do.
-        for arr in (workload.graph.offsets, workload.graph.neighbors):
-            assert np.ascontiguousarray(arr).tobytes() not in payload
-        clone = pickle.loads(payload)
-        assert clone.graph.content_digest() == \
-            workload.graph.content_digest()
-        np.testing.assert_array_equal(clone.graph.neighbors,
-                                      workload.graph.neighbors)
-
     def test_roundtrip_without_store_still_inline(self, workload):
-        """No store active: the old inline pickling, bit for bit."""
-        assert shared.active_graph_store() is None
+        """No store active: a graph pickles with its arrays inline."""
+        shared.disable_graph_store()  # one an earlier test left active
         clone = roundtrip(workload)
         np.testing.assert_array_equal(clone.graph.neighbors,
                                       workload.graph.neighbors)
         assert clone.graph.content_digest() == \
             workload.graph.content_digest()
-
-    @pytest.mark.parametrize("method", ["fork", "spawn"])
-    def test_digest_identity_across_pool(self, graph_store, method,
-                                         workload):
-        """A mapped graph unpickles to identical content in workers."""
-        if method not in multiprocessing.get_all_start_methods():
-            pytest.skip(f"{method} start method unavailable")
-        payload = pickle.dumps(workload.graph,
-                               protocol=pickle.HIGHEST_PROTOCOL)
-        try:
-            ctx = multiprocessing.get_context(method)
-            with ctx.Pool(1) as pool:
-                digest = pool.apply(shared.graph_digest_of_payload,
-                                    (payload,))
-        except (OSError, ValueError) as exc:
-            pytest.skip(f"process pool unavailable: {exc!r}")
-        assert digest == workload.graph.content_digest()
 
     def test_release_drops_segments(self, graph_store):
         from repro.graph.datasets import load_preprocessed
@@ -169,47 +135,72 @@ class TestSharedGraphStore:
         assert graph.num_vertices > 0
         assert int(graph.offsets[-1]) == graph.neighbors.size
 
+    def test_mapped_graph_roundtrips(self, graph_store):
+        """A graph mapped from the store pickles like any other."""
+        from repro.graph.datasets import load_preprocessed
+        load_preprocessed("arb", "none", SCALE)
+        graph = load_preprocessed.__wrapped__("arb", "none", SCALE)
+        assert graph_store.open_segments > 0  # mapped, not generated
+        clone = roundtrip(graph)
+        np.testing.assert_array_equal(clone.neighbors, graph.neighbors)
+        assert clone.content_digest() == graph.content_digest()
+
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    def test_digest_identity_across_pool(self, graph_store, method):
+        """A graph mapped from the store arrives in a worker with
+        identical content."""
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"{method} start method unavailable")
+        from repro.graph.datasets import load_preprocessed
+        load_preprocessed("arb", "none", SCALE)
+        graph = load_preprocessed.__wrapped__("arb", "none", SCALE)
+        assert graph_store.open_segments > 0  # mapped, not generated
+        try:
+            ctx = multiprocessing.get_context(method)
+            with ctx.Pool(1) as pool:
+                digest = digest_in_worker(pool, graph)
+        except (OSError, ValueError) as exc:
+            pytest.skip(f"process pool unavailable: {exc!r}")
+        assert digest == graph.content_digest()
+
     def test_release_then_repickle_remaps(self, graph_store):
-        """release() is not an invalidation: the next pickle of a
-        store-published graph still ships paths and resolves."""
-        from repro.graph.datasets import load
-        graph = load("arb", SCALE)
+        """release() is not an invalidation: a released graph still
+        pickles whole, and the next lookup maps the store again."""
+        from repro.graph.datasets import load_preprocessed
+        load_preprocessed("arb", "none", SCALE)
+        graph = load_preprocessed.__wrapped__("arb", "none", SCALE)
         first = pickle.dumps(graph, protocol=pickle.HIGHEST_PROTOCOL)
         shared.release_graphs()
         assert graph_store.open_segments == 0
-        second = pickle.dumps(graph, protocol=pickle.HIGHEST_PROTOCOL)
-        assert len(second) < 1024
-        clone = pickle.loads(second)
-        assert clone.content_digest() == graph.content_digest()
+        again = load_preprocessed.__wrapped__("arb", "none", SCALE)
+        assert graph_store.open_segments > 0
+        second = pickle.dumps(again, protocol=pickle.HIGHEST_PROTOCOL)
+        assert pickle.loads(second).content_digest() == \
+            graph.content_digest()
         assert pickle.loads(first).content_digest() == \
             graph.content_digest()
 
-    def test_stale_root_republishes_under_new_store(self, tmp_path,
-                                                    workload):
-        """A graph memoized under a store root that is later replaced
-        (or deleted) must re-publish under the new root, not hand
-        workers dangling paths."""
-        import os
-        import shutil
-        from repro.graph.datasets import clear_cache
+    def test_stale_root_republishes_under_new_store(self, tmp_path):
+        """A graph published under a store root that is later replaced
+        (or deleted) is re-published under the new root, and maps from
+        there, not from the dangling old paths."""
+        from repro.graph.datasets import clear_cache, load_preprocessed
         clear_cache()
         store_a = shared.enable_graph_store(str(tmp_path / "a"))
         try:
-            graph = workload.graph
-            pickle.dumps(graph, protocol=pickle.HIGHEST_PROTOCOL)
-            paths_a = graph._store_paths
-            assert os.path.dirname(paths_a[0]) == store_a.root
-            # Swap roots and delete the old one outright: the memoized
-            # paths now point at nothing.
+            graph = load_preprocessed("arb", "none", SCALE)
+            assert os.listdir(store_a.root)
+            # Swap roots and delete the old one outright.
             shared.disable_graph_store()
             store_b = shared.enable_graph_store(str(tmp_path / "b"))
             shutil.rmtree(store_a.root)
-            payload = pickle.dumps(graph,
-                                   protocol=pickle.HIGHEST_PROTOCOL)
-            assert os.path.dirname(graph._store_paths[0]) == \
-                store_b.root
-            clone = pickle.loads(payload)
-            assert clone.content_digest() == graph.content_digest()
+            clear_cache()
+            load_preprocessed("arb", "none", SCALE)
+            assert any(name.endswith(".npy")
+                       for name in os.listdir(store_b.root))
+            mapped = load_preprocessed.__wrapped__("arb", "none", SCALE)
+            assert store_b.open_segments > 0  # mapped from the new root
+            assert mapped.content_digest() == graph.content_digest()
         finally:
             shared.disable_graph_store()
             clear_cache()
@@ -217,36 +208,27 @@ class TestSharedGraphStore:
     @pytest.mark.parametrize("method", ["fork", "spawn"])
     def test_delta_rotates_digest_mid_pool(self, graph_store, method):
         """A graph delta applied while a pool is live publishes the
-        mutated instance under a fresh digest; in-flight workers keep
-        resolving the base and new submissions see the mutation."""
+        mutated instance under a fresh digest; workers see the base
+        before and after, and the mutation once it is shipped."""
         if method not in multiprocessing.get_all_start_methods():
             pytest.skip(f"{method} start method unavailable")
         from repro.graph.datasets import apply_delta, load
         from repro.graph.delta import sample_delta
         base = load("ukl", SCALE)
-        base_payload = pickle.dumps(base,
-                                    protocol=pickle.HIGHEST_PROTOCOL)
+        base_digest = base.content_digest()
         try:
             ctx = multiprocessing.get_context(method)
             with ctx.Pool(1) as pool:
-                assert pool.apply(shared.graph_digest_of_payload,
-                                  (base_payload,)) == \
-                    base.content_digest()
+                assert digest_in_worker(pool, base) == base_digest
                 # Mid-pool mutation: the head rotates, the base does
                 # not move.
                 handle = apply_delta(
                     "ukl", sample_delta(base, seed=5, insertions=6,
                                         deletions=6), SCALE)
-                assert handle.graph.content_digest() != \
-                    base.content_digest()
-                mut_payload = pickle.dumps(
-                    handle.graph, protocol=pickle.HIGHEST_PROTOCOL)
-                assert pool.apply(shared.graph_digest_of_payload,
-                                  (mut_payload,)) == \
+                assert handle.graph.content_digest() != base_digest
+                assert digest_in_worker(pool, handle.graph) == \
                     handle.graph.content_digest()
                 # The worker still resolves the base identity too.
-                assert pool.apply(shared.graph_digest_of_payload,
-                                  (base_payload,)) == \
-                    base.content_digest()
+                assert digest_in_worker(pool, base) == base_digest
         except (OSError, ValueError) as exc:
             pytest.skip(f"process pool unavailable: {exc!r}")

@@ -1,4 +1,9 @@
-"""Unit + property tests for the cache models."""
+"""Unit + property tests for the cache models.
+
+:class:`FastLruCache` is the model's cache; the exact set-associative
+cache (LRU and DRRIP) is the reference it is held against, and lives
+in :mod:`tests.oracles.memory`.
+"""
 
 import numpy as np
 import pytest
@@ -6,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import CacheConfig
-from repro.memory import FastLruCache, SetAssocCache, make_cache
+from repro.memory import FastLruCache
+from tests.oracles.memory import SetAssocCache, make_cache
 
 
 def small_cache(ways=4, lines=16, replacement="lru"):
@@ -163,6 +169,32 @@ class TestFastLru:
             cache.access(line)
         assert cache.stats.hits == expected_hits
 
+    def test_lru_eviction_order(self):
+        cache = FastLruCache(4)
+        for line in [0, 1, 2, 3]:
+            cache.access(line)
+        cache.access(0)         # 0 becomes MRU; LRU is 1
+        cache.access(4)         # evicts 1
+        assert cache.contains(0)
+        assert not cache.contains(1)
+        assert cache.contains(4)
+
+    def test_writeback_counted_on_dirty_eviction(self):
+        cache = FastLruCache(1)
+        cache.access(0, write=True)
+        cache.access(1)
+        assert (cache.stats.evictions, cache.stats.writebacks) == (1, 1)
+        cache.access(2)
+        assert (cache.stats.evictions, cache.stats.writebacks) == (2, 1)
+
+    def test_contains_has_no_side_effects(self):
+        cache = FastLruCache(4)
+        cache.access(3)
+        cache.contains(3)
+        cache.contains(99)
+        assert (cache.stats.hits, cache.stats.misses) == (0, 1)
+        assert cache.stats.miss_rate == 1.0
+
     def test_flush_dirty(self):
         cache = FastLruCache(8)
         cache.access(1, write=True)
@@ -211,4 +243,4 @@ class TestCacheConfigValidation:
     def test_geometry(self):
         config = CacheConfig(64 * 1024, 8)
         assert config.num_lines == 1024
-        assert config.num_sets == 128
+        assert SetAssocCache(config).num_sets == 128

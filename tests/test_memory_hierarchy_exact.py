@@ -1,4 +1,10 @@
-"""Hierarchy tests on the exact set-associative path (fast=False)."""
+"""Hierarchy tests on exact set-associative levels.
+
+The hierarchy's walk (fill path, private levels, the engines' drive) is
+the model's; its levels here are the exact set-associative reference
+caches of :mod:`tests.oracles.memory` instead of the model's
+fully-associative LRU.
+"""
 
 import numpy as np
 from hypothesis import given, settings
@@ -10,12 +16,12 @@ from repro.engine import DriveRequest, Fetcher, INPUT_QUEUE, ROWS_QUEUE, \
     csr_traversal, drive
 from repro.graph import CsrGraph
 from repro.graph.idspace import expand_ids
-from repro.memory import MemoryHierarchy, SetAssocCache
+from tests.oracles.memory import SetAssocCache, make_hierarchy
 
 
 class TestExactHierarchy:
     def make(self):
-        return MemoryHierarchy(SystemConfig().scaled(65536), fast=False)
+        return make_hierarchy(SystemConfig().scaled(65536), fast=False)
 
     def test_uses_set_assoc_caches(self):
         hier = self.make()

@@ -115,7 +115,7 @@ class TestMeshNoc:
 
 class TestMemoryHierarchy:
     def make(self):
-        return MemoryHierarchy(SystemConfig().scaled(4096), fast=True)
+        return MemoryHierarchy(SystemConfig().scaled(4096))
 
     def test_repeated_access_hits_l1(self):
         hier = self.make()

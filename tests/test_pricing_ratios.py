@@ -2,7 +2,7 @@
 
 ``_bdi_ratio``/``_lcp_fetch_ratio`` price the compressed-hierarchy
 baseline (Fig 22) off the workload's actual bytes.  The vectorized
-implementations must match the per-line scalar references bit for bit,
+implementations must match the per-line real encoder bit for bit,
 and the fixed edge-case semantics hold: every line counts, including a
 zero-padded trailing partial line — sub-line and non-multiple buffers
 used to be silently dropped or degenerate to 1.0.
@@ -11,7 +11,7 @@ used to be silently dropped or degenerate to 1.0.
 import numpy as np
 import pytest
 
-from repro.compression import bdi_line_size, bdi_line_sizes
+from repro.compression import bdi_encode_line, bdi_line_sizes
 from repro.memory.address import LINE_BYTES
 from repro.schemes.pricing import (
     LCP_SLOT_SIZES,
@@ -43,7 +43,7 @@ class TestBdiLineSizes:
     def test_matches_scalar_per_line(self, label, data):
         sizes = bdi_line_sizes(data)
         padded = data + bytes((-len(data)) % LINE_BYTES)
-        expected = [bdi_line_size(padded[s:s + LINE_BYTES])
+        expected = [len(bdi_encode_line(padded[s:s + LINE_BYTES]))
                     for s in range(0, len(padded), LINE_BYTES)]
         assert sizes.tolist() == expected
 

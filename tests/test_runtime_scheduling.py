@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.runtime.scheduling import (
     chunk_weights,
     iteration_imbalance,
-    simulate_static_partition,
     simulate_work_stealing,
 )
 
@@ -29,7 +28,6 @@ class TestWorkStealing:
         result = simulate_work_stealing([10.0] * 32, num_cores=16)
         assert result.makespan == pytest.approx(20.0)
         assert result.imbalance == pytest.approx(1.0)
-        assert result.utilization == pytest.approx(1.0)
 
     def test_single_huge_chunk_bounds_makespan(self):
         chunks = [100.0] + [1.0] * 15
@@ -42,8 +40,9 @@ class TestWorkStealing:
         # Skewed chunks in adversarial round-robin order.
         chunks = (rng.pareto(1.0, 256) * 10 + 1).tolist()
         stolen = simulate_work_stealing(chunks, num_cores=16)
-        static = simulate_static_partition(chunks, num_cores=16)
-        assert stolen.makespan <= static.makespan * 1.0001
+        # Static baseline: deal chunks round-robin, no stealing.
+        static = max(sum(chunks[core::16]) for core in range(16))
+        assert stolen.makespan <= static * 1.0001
         assert stolen.steals > 0
 
     def test_empty_chunks(self):

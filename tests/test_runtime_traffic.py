@@ -1,6 +1,8 @@
 """Tests for the per-iteration traffic profile and its primitives."""
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps import pagerank, bfs as bfs_app
 from repro.config import SystemConfig
@@ -11,9 +13,14 @@ from repro.runtime import (
     gather_rows,
     rows_compressed_bytes,
 )
+from repro.runtime.traffic import _delta_sizes_grouped
 from repro.sim.runner import profile_workload
 from repro.compression import DeltaCodec
-from tests.oracles.traffic import lru_scatter_oracle, phi_coalesce_oracle
+from tests.oracles.traffic import (
+    delta_group_size_scalar,
+    lru_scatter_oracle,
+    phi_coalesce_oracle,
+)
 
 
 def cfg(llc_kb=16):
@@ -57,9 +64,30 @@ class TestCompressedSizes:
         for v in range(g.num_vertices):
             row = expand_ids(g.row(v), 4096).astype(np.uint64)
             if row.size:
-                expected += min(codec.encoded_size(row), 4 * row.size + 1)
+                expected += min(len(codec.encode(row)), 4 * row.size + 1)
         got = rows_compressed_bytes(g, np.arange(120), 4096)
         assert got == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1,
+                             max_size=12), min_size=1, max_size=8))
+    def test_grouped_delta_sizes_match_encoder(self, groups):
+        """Each group's size is ``len(DeltaCodec.encode(group))``, except
+        where the first element has bit 63 set: the pricer wraps that
+        zigzag into 64 bits, as ``delta_group_size_scalar`` mirrors,
+        where the encoder spends 9 bytes on it."""
+        values = np.array([v for g in groups for v in g], dtype=np.uint64)
+        starts = np.cumsum([0] + [len(g) for g in groups[:-1]])
+        sizes = _delta_sizes_grouped(values, starts).tolist()
+        assert sizes == [delta_group_size_scalar(g) for g in groups]
+        codec = DeltaCodec()
+        for size, group in zip(sizes, groups):
+            encoded = len(codec.encode(np.array(group, dtype=np.uint64)))
+            if group[0] < 2 ** 63:
+                assert size == encoded
+            else:
+                first = delta_group_size_scalar(group[:1])
+                assert size == encoded - 9 + first
 
     def test_chunked_updates_sorting_helps(self):
         rng = np.random.default_rng(0)

@@ -10,7 +10,7 @@ from repro.utils import (
     encode_varint,
     encode_varint_stream,
 )
-from repro.utils.varint import VARINT_MAX, varint_size
+from repro.utils.varint import VARINT_MAX
 
 
 class TestVarintSizes:
@@ -21,14 +21,11 @@ class TestVarintSizes:
         (2 ** 30, 9), (VARINT_MAX, 9),
     ])
     def test_boundary_sizes(self, value, size):
-        assert varint_size(value) == size
         assert len(encode_varint(value)) == size
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             encode_varint(-1)
-        with pytest.raises(ValueError):
-            varint_size(-1)
 
     def test_too_large_rejected(self):
         with pytest.raises(ValueError):
