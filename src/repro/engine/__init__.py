@@ -8,14 +8,7 @@ from repro.engine.area import (
     scratchpad_area,
     spzip_core_overhead,
 )
-from repro.engine.base import (
-    MODE_CYCLE,
-    MODE_EVENT,
-    MODES,
-    EngineStall,
-    SpZipEngine,
-    engine_stats,
-)
+from repro.engine.base import EngineStall, SpZipEngine
 from repro.engine.compressor import Compressor
 from repro.engine.driver import DriveRequest, DriveResult, Feed, drive
 from repro.engine.multicore import (
@@ -55,9 +48,6 @@ __all__ = [
     "Feed",
     "Fetcher",
     "INPUT_QUEUE",
-    "MODES",
-    "MODE_CYCLE",
-    "MODE_EVENT",
     "MulticoreTraversal",
     "NEIGH_QUEUE",
     "OFFSETS_INPUT_QUEUE",
@@ -68,7 +58,6 @@ __all__ = [
     "compressor_area",
     "csr_traversal",
     "drive",
-    "engine_stats",
     "fetcher_area",
     "make_chunks",
     "pagerank_push",

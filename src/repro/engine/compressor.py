@@ -18,7 +18,7 @@ from typing import Optional
 from repro.config import SpZipConfig
 from repro.dcl.operators import MemQueueOp
 from repro.dcl.program import COMPRESSOR_KINDS
-from repro.engine.base import MODE_EVENT, MemPort, SpZipEngine
+from repro.engine.base import MemPort, SpZipEngine
 from repro.memory.address import AddressSpace
 from repro.memory.hierarchy import MemoryHierarchy
 
@@ -30,14 +30,12 @@ class Compressor(SpZipEngine):
 
     def __init__(self, config: SpZipConfig, space: AddressSpace,
                  mem_port: Optional[MemPort] = None,
-                 mem_latency: int = 30,
-                 mode: str = MODE_EVENT) -> None:
-        super().__init__(config, space, mem_port, mem_latency, mode)
+                 mem_latency: int = 30) -> None:
+        super().__init__(config, space, mem_port, mem_latency)
 
     @classmethod
     def for_core(cls, hierarchy: MemoryHierarchy, core: int = 0,
                  config: Optional[SpZipConfig] = None,
-                 mode: str = MODE_EVENT,
                  program=None) -> "Compressor":
         """Build a compressor issuing to the shared LLC.
 
@@ -52,8 +50,8 @@ class Compressor(SpZipEngine):
 
         if program is not None:
             return cls.from_program(program, hierarchy.space, config,
-                                    mem_port=port, mode=mode)
-        return cls(config, hierarchy.space, mem_port=port, mode=mode)
+                                    mem_port=port)
+        return cls(config, hierarchy.space, mem_port=port)
 
     def drain(self, max_cycles: int = 10_000_000) -> int:
         """Close every MQU and run until all buffered data is flushed.

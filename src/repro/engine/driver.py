@@ -14,30 +14,25 @@ The public surface is::
     result = drive(engine, request)
 
 :class:`DriveRequest` is a frozen description of the core side of the
-run (what gets fed, what gets consumed, at what rate, for how long, in
-which mode); :class:`DriveResult` carries the outputs plus per-run
-scheduler statistics.  This typed form is the *only* form: the
-pre-typed keyword spelling ``drive(engine, feeds=..., consume=...)``
-was removed after its deprecation cycle and now raises ``TypeError``.
+run (what gets fed, what gets consumed, at what rate, for how long);
+:class:`DriveResult` carries the outputs plus per-run scheduler
+statistics.  This typed form is the *only* form: the pre-typed keyword
+spelling ``drive(engine, feeds=..., consume=...)`` was removed after
+its deprecation cycle, and the signature rejects it.
 
-Like :meth:`SpZipEngine.run`, the drive loop has two modes: the
-per-cycle reference and the event-driven fast path (skip idle stretches
-to the next access-unit completion, fire sole-runnable contexts in
-bounded bursts).  Both are cycle-identical; see ``docs/ENGINE.md``.
+Like :meth:`SpZipEngine.run`, the drive loop is event-driven: it skips
+idle stretches to the next access-unit completion and fires
+sole-runnable contexts in bounded bursts, cycle-identical to the
+literal per-cycle loop; see ``docs/ENGINE.md``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Tuple, Union
 
 from repro.dcl.queue import Entry
-from repro.engine.base import (
-    BURST_CYCLES,
-    EngineStall,
-    SpZipEngine,
-    validate_mode,
-)
+from repro.engine.base import BURST_CYCLES, EngineStall, SpZipEngine
 from repro.obs import TRACER
 
 #: What callers may put in a feed list; normalized by :meth:`Feed.of`.
@@ -80,16 +75,13 @@ class DriveRequest:
     (any :data:`FeedLike` spelling; normalized on construction);
     ``consume`` names the output queues the core dequeues from, at up to
     ``dequeues_per_cycle`` entries per cycle (modelling the core's
-    dequeue-instruction throughput).  ``mode`` selects the execution
-    mode for this run (``"event"``/``"cycle"``); ``None`` defers to the
-    engine's configured mode.
+    dequeue-instruction throughput).
     """
 
     feeds: Mapping[str, Tuple[Feed, ...]] = field(default_factory=dict)
     consume: Tuple[str, ...] = ()
     dequeues_per_cycle: int = 2
     max_cycles: int = 10_000_000
-    mode: Optional[str] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "feeds", {
@@ -99,8 +91,6 @@ class DriveRequest:
         object.__setattr__(self, "consume", tuple(self.consume))
         if self.dequeues_per_cycle < 1:
             raise ValueError("dequeues_per_cycle must be >= 1")
-        if self.mode is not None:
-            validate_mode(self.mode)
 
 
 @dataclass
@@ -109,9 +99,9 @@ class DriveResult:
 
     ``cycles`` is the wall time of this run; the scheduler statistics
     (``fires_by_op``, ``issued``, ``idle_cycles``,
-    ``skipped_idle_cycles``, ``activity_factor``) are per-run deltas —
-    identical between event and cycle modes except that only event mode
-    books ``skipped_idle_cycles``.
+    ``skipped_idle_cycles``, ``activity_factor``) are per-run deltas.
+    ``skipped_idle_cycles`` is the part of ``idle_cycles`` the loop
+    jumped over instead of executing.
     """
 
     cycles: int
@@ -121,7 +111,6 @@ class DriveResult:
     idle_cycles: int = 0
     skipped_idle_cycles: int = 0
     activity_factor: float = 0.0
-    mode: str = "event"
 
     def values(self, queue: str) -> List[int]:
         """Non-marker values dequeued from ``queue``."""
@@ -141,20 +130,7 @@ class DriveResult:
 
 
 def drive(engine: SpZipEngine, request: DriveRequest) -> DriveResult:
-    """Run ``engine`` against a modelled core until everything drains.
-
-    The only supported form is ``drive(engine, DriveRequest(...))``.
-    The historical keyword form ``drive(engine, feeds=..., consume=...)``
-    completed its deprecation cycle and was removed; anything that is
-    not a :class:`DriveRequest` is a ``TypeError``.
-    """
-    if not isinstance(request, DriveRequest):
-        raise TypeError(
-            f"drive() takes a DriveRequest, got "
-            f"{type(request).__name__}; the keyword form "
-            f"drive(engine, feeds=..., consume=...) was removed — "
-            f"build a DriveRequest(feeds=..., consume=...) instead")
-    mode = validate_mode(request.mode or engine.mode)
+    """Run ``engine`` against a modelled core until everything drains."""
     scheduler = engine.scheduler
     if scheduler is None:
         raise RuntimeError("no program loaded")
@@ -163,10 +139,7 @@ def drive(engine: SpZipEngine, request: DriveRequest) -> DriveResult:
     idle0 = scheduler.idle_cycles
     skipped0 = scheduler.skipped_idle_cycles
     with TRACER.span("engine.drive") as span:
-        if mode == "cycle":
-            cycles, outputs = _drive_cycle(engine, request)
-        else:
-            cycles, outputs = _drive_event(engine, request)
+        cycles, outputs = _drive_loop(engine, request)
         issued = scheduler.issued - issued0
         idle = scheduler.idle_cycles - idle0
         result = DriveResult(
@@ -180,70 +153,19 @@ def drive(engine: SpZipEngine, request: DriveRequest) -> DriveResult:
             skipped_idle_cycles=scheduler.skipped_idle_cycles - skipped0,
             activity_factor=issued / (issued + idle)
             if issued + idle else 0.0,
-            mode=mode,
         )
-        span.set(cycles=result.cycles, mode=mode, issued=result.issued,
+        span.set(cycles=result.cycles, issued=result.issued,
                  idle_cycles=result.idle_cycles,
                  skipped_idle_cycles=result.skipped_idle_cycles,
                  activity_factor=round(result.activity_factor, 4))
     return result
 
 
-def _unpack(request: DriveRequest, engine: SpZipEngine):
-    pending: Dict[str, List[Feed]] = {
-        name: list(items) for name, items in request.feeds.items()
-    }
-    outputs: Dict[str, List[Entry]] = {name: [] for name in request.consume}
-    return pending, outputs
+def _drive_loop(engine: SpZipEngine, request: DriveRequest
+                ) -> Tuple[int, Dict[str, List[Entry]]]:
+    """The drive loop; cycle-identical to the literal per-cycle loop.
 
-
-def _drive_cycle(engine: SpZipEngine, request: DriveRequest
-                 ) -> Tuple[int, Dict[str, List[Entry]]]:
-    """Per-cycle reference loop (kept verbatim as the oracle)."""
-    pending, outputs = _unpack(request, engine)
-    dequeues_per_cycle = request.dequeues_per_cycle
-    max_cycles = request.max_cycles
-    start = engine.cycle
-    idle = 0
-    while True:
-        progressed = False
-        # Core enqueues (one enqueue instruction per input queue per cycle).
-        for name, items in pending.items():
-            if items and engine.enqueue(name, items[0].value,
-                                        items[0].marker):
-                items.pop(0)
-                progressed = True
-        # Engine runs a cycle.
-        if engine.tick():
-            progressed = True
-        # Core dequeues.
-        budget = dequeues_per_cycle
-        for name in outputs:
-            while budget > 0:
-                entry = engine.dequeue(name)
-                if entry is None:
-                    break
-                outputs[name].append(entry)
-                budget -= 1
-                progressed = True
-        finished = (not any(pending.values()) and engine.is_drained()
-                    and all(engine.queues[name].is_empty
-                            for name in outputs))
-        if finished:
-            break
-        idle = 0 if progressed else idle + 1
-        if idle > 10_000:
-            raise EngineStall("core/engine co-simulation stalled")
-        if engine.cycle - start > max_cycles:
-            raise EngineStall(f"exceeded {max_cycles} cycles")
-    return engine.cycle - start, outputs
-
-
-def _drive_event(engine: SpZipEngine, request: DriveRequest
-                 ) -> Tuple[int, Dict[str, List[Entry]]]:
-    """Event-driven drive loop; cycle-identical to :func:`_drive_cycle`.
-
-    Each iteration executes exactly one reference cycle (feed, engine
+    Each iteration executes exactly one hardware cycle (feed, engine
     cycle, consume, finished check).  Two fast paths change *how many
     iterations run*, never what each cycle does:
 
@@ -257,7 +179,10 @@ def _drive_event(engine: SpZipEngine, request: DriveRequest
       context fires directly for up to :data:`BURST_CYCLES` cycles
       (consume and finished checks still run per cycle).
     """
-    pending, outputs = _unpack(request, engine)
+    pending: Dict[str, List[Feed]] = {
+        name: list(items) for name, items in request.feeds.items()
+    }
+    outputs: Dict[str, List[Entry]] = {name: [] for name in request.consume}
     dequeues_per_cycle = request.dequeues_per_cycle
     max_cycles = request.max_cycles
     scheduler = engine.scheduler
@@ -310,7 +235,7 @@ def _drive_event(engine: SpZipEngine, request: DriveRequest
         if op is not None and feeds_done:
             # Bounded burst: no feeds can arrive, so while exactly one
             # context is runnable and no delivery is due, each cycle is
-            # the reference cycle with a predictable pick.
+            # the per-cycle loop's cycle with a predictable pick.
             finished = False
             burst = 0
             while burst < BURST_CYCLES:
@@ -346,8 +271,8 @@ def _drive_event(engine: SpZipEngine, request: DriveRequest
         # Idle cycle: the state is frozen until the AU head completes.
         target = engine.next_event_cycle()
         if target is None:
-            # The reference spins 10k no-op cycles before concluding
-            # this; with no future event the conclusion is immediate.
+            # The per-cycle loop spins 10k no-op cycles before
+            # concluding this; with no future event it is immediate.
             raise EngineStall("core/engine co-simulation stalled")
         delta = target - engine.cycle
         if delta > 0:

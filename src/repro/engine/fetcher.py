@@ -16,7 +16,7 @@ from typing import Optional
 
 from repro.config import SpZipConfig
 from repro.dcl.program import FETCHER_KINDS
-from repro.engine.base import MODE_EVENT, MemPort, SpZipEngine
+from repro.engine.base import MemPort, SpZipEngine
 from repro.memory.address import AddressSpace
 from repro.memory.hierarchy import MemoryHierarchy
 
@@ -28,14 +28,12 @@ class Fetcher(SpZipEngine):
 
     def __init__(self, config: SpZipConfig, space: AddressSpace,
                  mem_port: Optional[MemPort] = None,
-                 mem_latency: int = 20,
-                 mode: str = MODE_EVENT) -> None:
-        super().__init__(config, space, mem_port, mem_latency, mode)
+                 mem_latency: int = 20) -> None:
+        super().__init__(config, space, mem_port, mem_latency)
 
     @classmethod
     def for_core(cls, hierarchy: MemoryHierarchy, core: int = 0,
                  config: Optional[SpZipConfig] = None,
-                 mode: str = MODE_EVENT,
                  program=None) -> "Fetcher":
         """Build a fetcher wired to ``core``'s L2 (the paper's topology).
 
@@ -50,5 +48,5 @@ class Fetcher(SpZipEngine):
 
         if program is not None:
             return cls.from_program(program, hierarchy.space, config,
-                                    mem_port=port, mode=mode)
-        return cls(config, hierarchy.space, mem_port=port, mode=mode)
+                                    mem_port=port)
+        return cls(config, hierarchy.space, mem_port=port)

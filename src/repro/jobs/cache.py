@@ -79,11 +79,14 @@ class StoreConfig:
         return os.path.join(self.root, "graphs") if self.root else None
 
     def activate_graph_store(self):
-        """Enable the shared graph store under this root (no-op when
-        disk-less); returns the active store or None."""
+        """Make the process-wide graph store this config's: the store
+        under this root, or none when disk-less (so a store an earlier
+        run left active is not written to); returns it."""
+        from repro.graph.shared import disable_graph_store, \
+            enable_graph_store
         if not self.root:
+            disable_graph_store()
             return None
-        from repro.graph.shared import enable_graph_store
         return enable_graph_store(self.graph_root)
 
 

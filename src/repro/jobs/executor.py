@@ -113,7 +113,13 @@ def pricer_for(scale: int, system: Optional[SystemConfig],
                store: Optional[StoreConfig]):
     """This process's :class:`~repro.stages.StagePricer` for one model
     configuration and store, created once however many threads ask
-    for it at the same time."""
+    for it at the same time.
+
+    Pricers outlive the run that made them, and the graph store is
+    process-wide, so every call binds the store to the asking run's:
+    a run without a root must not publish into a root an earlier run
+    left active (and may since have deleted).
+    """
     from repro.stages import StagePricer
     key = (scale, system, store)
     with _PRICERS_LOCK:
@@ -121,6 +127,7 @@ def pricer_for(scale: int, system: Optional[SystemConfig],
         if pricer is None:
             pricer = _PRICERS[key] = StagePricer(
                 scale=scale, system=system, store=store)
+        pricer.store.activate_graph_store()
     return pricer
 
 

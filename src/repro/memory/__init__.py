@@ -9,7 +9,7 @@ from repro.memory.address import (
 from repro.memory.cache import CacheStats, FastLruCache
 from repro.memory.dram import DramModel, TrafficCounter
 from repro.memory.hierarchy import MemoryHierarchy
-from repro.memory.noc import MeshNoc, NocStats
+from repro.memory.noc import MeshNoc
 
 __all__ = [
     "AddressSpace",
@@ -20,7 +20,6 @@ __all__ = [
     "LINE_BYTES",
     "MemoryHierarchy",
     "MeshNoc",
-    "NocStats",
     "Region",
     "TrafficCounter",
 ]

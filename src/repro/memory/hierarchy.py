@@ -35,8 +35,11 @@ class MemoryHierarchy:
         self.l2 = [FastLruCache(config.l2.num_lines)
                    for _ in range(config.num_cores)]
         self.llc = FastLruCache(config.llc.num_lines)
-        self.dram = DramModel(config.memory, config.freq_ghz)
+        self.dram = DramModel(config.memory)
         self.noc = MeshNoc(config.noc)
+        #: Core-to-LLC-bank round trip: a constant of the config.
+        self._llc_latency = int(self.noc.average_llc_latency(
+            config.llc.latency_cycles))
 
     # -- per-access path (functional engine, scattered data) --------------
 
@@ -75,8 +78,7 @@ class MemoryHierarchy:
                 return latency
             start_level = "llc"
         if start_level == "llc":
-            latency += int(self.noc.average_llc_latency(
-                self.config.llc.latency_cycles))
+            latency += self._llc_latency
             if self.llc.access(line, write):
                 return latency
         latency += self.config.memory.latency_cycles
@@ -87,15 +89,7 @@ class MemoryHierarchy:
         # victim class equals the filling class, true for phase-local data).
         return latency
 
-    # -- bulk path (sequential streams) ------------------------------------
-
-    def stream_read(self, nbytes: int, data_class: str) -> None:
-        """Account a sequential read stream that misses on-chip caches."""
-        self.dram.add_bulk(nbytes, data_class, write=False, sequential=True)
-
-    def stream_write(self, nbytes: int, data_class: str) -> None:
-        """Account a sequential streaming write (full-line writes)."""
-        self.dram.add_bulk(nbytes, data_class, write=True, sequential=True)
+    # -- end of run -----------------------------------------------------------
 
     def finalize_writebacks(self, data_class: str = "other") -> int:
         """Account LLC dirty-eviction writebacks as off-chip write traffic.
@@ -106,8 +100,7 @@ class MemoryHierarchy:
         """
         nbytes = self.llc.stats.writebacks * LINE_BYTES
         if nbytes:
-            self.dram.add_bulk(nbytes, data_class, write=True,
-                               sequential=False)
+            self.dram.add_bulk(nbytes, data_class, write=True)
             self.llc.stats.writebacks = 0
         return nbytes
 

@@ -1,26 +1,17 @@
-"""On-chip network model: 4x4 mesh, X-Y routing, 128-bit flits (Table II).
+"""On-chip network model: 4x4 mesh, X-Y routing (Table II).
 
 The NoC matters for SpZip in two places: fetcher requests travel from a
 core tile to an LLC bank, and PHI+SpZip routes evicted update lines to the
 compressor "in the same chip tile" (Sec IV), i.e. with zero-hop cost.  The
-model provides hop counts, per-message latency, and aggregate flit
-accounting so system-level latency constants are grounded rather than
-guessed.
+model provides hop counts and the mean core-to-LLC-bank round trip, so
+the hierarchy's LLC latency is grounded rather than guessed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
 
 from repro.config import NocConfig
-
-
-@dataclass
-class NocStats:
-    messages: int = 0
-    flits: int = 0
-    hop_flits: int = 0
 
 
 class MeshNoc:
@@ -28,7 +19,6 @@ class MeshNoc:
 
     def __init__(self, config: NocConfig) -> None:
         self.config = config
-        self.stats = NocStats()
 
     @property
     def num_tiles(self) -> int:
@@ -52,26 +42,6 @@ class MeshNoc:
                     for s in range(self.num_tiles)
                     for d in range(self.num_tiles))
         return total / (self.num_tiles ** 2)
-
-    def flits_for(self, payload_bytes: int) -> int:
-        """Number of flits for a message (1 head flit minimum)."""
-        return max(1, -(-payload_bytes // self.config.flit_bytes))
-
-    def message_latency(self, src: int, dst: int,
-                        payload_bytes: int) -> int:
-        """Cycles for one message: per-hop router+link plus serialization."""
-        hops = self.hops(src, dst)
-        per_hop = (self.config.router_latency_cycles
-                   + self.config.link_latency_cycles)
-        return hops * per_hop + self.flits_for(payload_bytes) - 1
-
-    def send(self, src: int, dst: int, payload_bytes: int) -> int:
-        """Account a message; returns its latency in cycles."""
-        flits = self.flits_for(payload_bytes)
-        self.stats.messages += 1
-        self.stats.flits += flits
-        self.stats.hop_flits += flits * self.hops(src, dst)
-        return self.message_latency(src, dst, payload_bytes)
 
     def average_llc_latency(self, bank_latency: int) -> float:
         """Mean round-trip cycles from a core to a hashed LLC bank."""

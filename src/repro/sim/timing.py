@@ -24,7 +24,8 @@ from dataclasses import dataclass
 from repro.config import SystemConfig
 
 #: Effective-bandwidth multiplier when traffic is fully scattered
-#: (row-buffer misses; mirrors repro.memory.dram._ROW_MISS_DERATE).
+#: (row-buffer misses: activate + precharge overhead roughly halves
+#: achievable burst bandwidth).
 RANDOM_BW_DERATE = 0.55
 
 #: Loaded DRAM round-trip seen by a stalled core (cycles).

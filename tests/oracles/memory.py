@@ -26,10 +26,10 @@ from typing import List, Optional, Union
 import numpy as np
 
 from repro.config import CacheConfig, SystemConfig
-from repro.memory import CacheStats, FastLruCache, MemoryHierarchy
+from repro.memory import LINE_BYTES, CacheStats, FastLruCache, \
+    MemoryHierarchy
 from repro.memory.batch import _collapse_runs, lru_hit_mask, \
     previous_occurrence
-from repro.memory.dram import _LINE_BYTES, _ROW_BYTES, DramModel
 
 # DRRIP constants (2-bit RRPV, 32 dueling sets per policy, 10-bit PSEL).
 _RRPV_BITS = 2
@@ -317,35 +317,6 @@ def access_many(cache, lines: np.ndarray,
     return replay.hit_mask
 
 
-def dram_access_lines(dram: DramModel, lines: np.ndarray, data_class: str,
-                      write: bool = False) -> None:
-    """Single-line transactions in a batch; same state as looping
-    :meth:`DramModel.access`.
-
-    Each controller's open-row register only ever sees its own lines,
-    so the interleaved walk factors into one run-length pass per
-    controller.
-    """
-    lines = np.ascontiguousarray(lines, dtype=np.int64)
-    if lines.size == 0:
-        return
-    dram.traffic.add(data_class, _LINE_BYTES * lines.size, write)
-    controllers = dram.config.controllers
-    ctrl = lines % controllers
-    row = lines // (controllers * (_ROW_BYTES // _LINE_BYTES))
-    for c in range(controllers):
-        rows_c = row[ctrl == c]
-        if rows_c.size == 0:
-            continue
-        previous = np.empty_like(rows_c)
-        previous[0] = dram._open_rows[c]
-        previous[1:] = rows_c[:-1]
-        misses = int(np.count_nonzero(rows_c != previous))
-        dram.row_misses += misses
-        dram.row_hits += rows_c.size - misses
-        dram._open_rows[c] = int(rows_c[-1])
-
-
 def hierarchy_access_many(hier: MemoryHierarchy, lines: np.ndarray,
                           core: int = 0, write: bool = False,
                           data_class: str = "other",
@@ -382,5 +353,5 @@ def hierarchy_access_many(hier: MemoryHierarchy, lines: np.ndarray,
         if pending.size == 0:
             return latency
     latency[pending] += config.memory.latency_cycles
-    dram_access_lines(hier.dram, lines[pending], data_class)
+    hier.dram.traffic.add(data_class, LINE_BYTES * pending.size, False)
     return latency

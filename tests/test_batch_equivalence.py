@@ -244,6 +244,3 @@ class TestHierarchyBatch:
         assert vars(scalar.l2[1].stats) == vars(batch.l2[1].stats)
         assert scalar.dram.traffic.by_class() == \
             batch.dram.traffic.by_class()
-        assert (scalar.dram.row_hits, scalar.dram.row_misses) == \
-            (batch.dram.row_hits, batch.dram.row_misses)
-        assert scalar.dram._open_rows == batch.dram._open_rows

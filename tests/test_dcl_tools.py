@@ -1,21 +1,7 @@
-"""Tests for DCL tooling: dot rendering and engine statistics."""
+"""Tests for DCL tooling: dot rendering."""
 
-import numpy as np
-
-from repro.config import SpZipConfig
-from repro.dcl import pack_range, program_to_dot
-from repro.engine import (
-    DriveRequest,
-    INPUT_QUEUE,
-    ROWS_QUEUE,
-    Fetcher,
-    csr_traversal,
-    drive,
-    engine_stats,
-    pagerank_push,
-)
-from repro.graph import CsrGraph
-from repro.memory import AddressSpace
+from repro.dcl import program_to_dot
+from repro.engine import csr_traversal, pagerank_push
 
 
 class TestProgramToDot:
@@ -35,29 +21,3 @@ class TestProgramToDot:
         assert program_to_dot(csr_traversal(),
                               name="fig2").startswith("digraph fig2")
 
-
-class TestEngineStats:
-    def run_engine(self):
-        g = CsrGraph(np.array([0, 2, 4, 5, 7]),
-                     np.array([1, 2, 0, 2, 3, 1, 2], dtype=np.uint32))
-        space = AddressSpace()
-        space.alloc_array("offsets", g.offsets, "adjacency")
-        space.alloc_array("rows", g.neighbors, "adjacency")
-        fetcher = Fetcher(SpZipConfig(), space)
-        fetcher.load_program(csr_traversal(row_elem_bytes=4))
-        drive(fetcher, DriveRequest(feeds={INPUT_QUEUE: [pack_range(0, 5)]}, consume=[ROWS_QUEUE]))
-        return fetcher
-
-    def test_stats_structure(self):
-        stats = engine_stats(self.run_engine())
-        assert stats["cycles"] > 0
-        assert stats["mem_reads"] > 0
-        assert stats["mem_bytes_read"] >= 7 * 4
-        assert 0 < stats["activity_factor"] <= 1
-        assert stats["queues"]["rows"]["pushed"] == 11  # 7 elems + 4 mks
-        assert set(stats["operator_fires"]) == {"fetch_offsets",
-                                                "fetch_rows"}
-
-    def test_high_water_tracked(self):
-        stats = engine_stats(self.run_engine())
-        assert stats["queues"]["rows"]["high_water_bytes"] > 0

@@ -10,8 +10,6 @@ from repro.dcl import Entry, MarkerQueue, NEVER, RoundRobinScheduler, \
     pack_range
 from repro.engine import (
     INPUT_QUEUE,
-    MODE_CYCLE,
-    MODE_EVENT,
     ROWS_QUEUE,
     DriveRequest,
     EngineStall,
@@ -25,14 +23,14 @@ from repro.graph import CsrGraph
 from repro.memory import AddressSpace
 
 
-def tiny_fetcher(**kwargs):
+def tiny_fetcher():
     g = CsrGraph(np.array([0, 2, 4, 5, 7]),
                  np.array([1, 2, 0, 2, 3, 1, 2], dtype=np.uint32))
     space = AddressSpace()
     space.alloc_array("offsets", g.offsets, "adjacency")
     space.alloc_array("rows", g.neighbors, "adjacency")
     return Fetcher.from_program(csr_traversal(row_elem_bytes=4), space,
-                                SpZipConfig(), **kwargs)
+                                SpZipConfig())
 
 
 class TestFeed:
@@ -58,10 +56,6 @@ class TestDriveRequest:
         req = DriveRequest()
         with pytest.raises(AttributeError):
             req.max_cycles = 5
-
-    def test_rejects_bad_mode(self):
-        with pytest.raises(ValueError):
-            DriveRequest(mode="warp")
 
     def test_rejects_bad_dequeue_rate(self):
         with pytest.raises(ValueError):
@@ -117,14 +111,6 @@ class TestDrive:
         assert result.issued == sum(result.fires_by_op.values()) > 0
         assert result.cycles == result.issued + result.idle_cycles
         assert 0.0 < result.activity_factor <= 1.0
-        assert result.mode == MODE_EVENT
-
-    def test_mode_override_per_request(self):
-        result = drive(tiny_fetcher(), DriveRequest(
-            feeds={INPUT_QUEUE: [pack_range(0, 5)]},
-            consume=[ROWS_QUEUE], mode=MODE_CYCLE))
-        assert result.mode == MODE_CYCLE
-        assert result.skipped_idle_cycles == 0
 
 
 class TestRemovedShim:
@@ -137,14 +123,6 @@ class TestRemovedShim:
             drive(tiny_fetcher(),
                   feeds={INPUT_QUEUE: [pack_range(0, 5)]},
                   consume=[ROWS_QUEUE], dequeues_per_cycle=1)
-
-    def test_positional_feeds_dict_raises_type_error(self):
-        with pytest.raises(TypeError, match="DriveRequest"):
-            drive(tiny_fetcher(), {INPUT_QUEUE: [pack_range(0, 5)]})
-        # The old three-argument spelling fails on arity alone.
-        with pytest.raises(TypeError):
-            drive(tiny_fetcher(),
-                  {INPUT_QUEUE: [pack_range(0, 5)]}, [ROWS_QUEUE])
 
     def test_missing_request_raises_type_error(self):
         with pytest.raises(TypeError):
@@ -172,14 +150,6 @@ class TestFromProgram:
         req = DriveRequest(feeds={INPUT_QUEUE: [pack_range(0, 5)]},
                            consume=[ROWS_QUEUE])
         assert drive(manual, req).cycles == drive(built, req).cycles
-
-    def test_mode_validated(self):
-        with pytest.raises(ValueError):
-            tiny_fetcher(mode="bogus")
-
-    def test_mode_stored(self):
-        assert tiny_fetcher(mode=MODE_CYCLE).mode == MODE_CYCLE
-        assert tiny_fetcher().mode == MODE_EVENT
 
 
 class TestRoundRobinScheduler:

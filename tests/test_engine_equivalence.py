@@ -1,12 +1,12 @@
 """Randomized per-cycle vs event-driven equivalence suite.
 
-The event-driven engine core (skip-ahead + bounded bursts) must be
-**cycle-identical** to the per-cycle reference: same cycle counts, same
-outputs, same per-operator fire counts, same idle/activity statistics,
-same memory traffic, same queue high-water marks.  This suite drives the
-same randomized workload through both modes and compares everything
-observable — the ``repro.memory.batch`` equivalence playbook applied to
-the engine.
+The event-driven engine (skip-ahead + bounded bursts) must be
+**cycle-identical** to the per-cycle reference loops in
+``tests/oracles/engine.py``: same cycle counts, same outputs, same
+per-operator fire counts, same idle/activity statistics, same memory
+traffic, same queue high-water marks.  This suite drives the same
+randomized workload through both and compares everything observable —
+the ``repro.memory.batch`` equivalence playbook applied to the engine.
 
 Coverage:
 
@@ -17,7 +17,7 @@ Coverage:
 * hostile configurations: single-outstanding-line access units, one-byte
   FU throughput, near-zero-credit scratchpads, slow consumers;
 * the multicore work-stealing runtime (makespan + per-core counters);
-* stall parity: when the reference deadlocks, event mode must raise
+* stall parity: when the reference deadlocks, the engine must raise
   :class:`EngineStall` too (it concludes immediately instead of spinning
   10k no-op cycles, which is the one documented divergence).
 """
@@ -36,8 +36,6 @@ from repro.engine import (
     BIN_QUEUE,
     CONTRIBS_QUEUE,
     INPUT_QUEUE,
-    MODE_CYCLE,
-    MODE_EVENT,
     NEIGH_QUEUE,
     OFFSETS_INPUT_QUEUE,
     ROWS_QUEUE,
@@ -56,6 +54,7 @@ from repro.engine import (
 )
 from repro.graph import CompressedCsr, CsrGraph, community_graph
 from repro.memory import AddressSpace, MemoryHierarchy
+from tests.oracles import engine as reference
 
 STALLED = "stalled"
 
@@ -87,7 +86,7 @@ def generated_program(seed):
     randomly inserted decompression stage, random fan-out to a shadow
     queue, and a random trailing indirect prefetch: the structural
     variety of the paper's Figs 2/3/5/6 from one knob.  Deterministic in
-    ``seed`` so both modes can rebuild the identical program.
+    ``seed`` so both legs can rebuild the identical program.
     """
     rng = random.Random(seed)
     compressed = rng.random() < 0.5
@@ -156,24 +155,25 @@ def snapshot(engine):
 
 
 def run_both(make_engine, request):
-    """Drive the same workload in both modes; compare or die.
+    """Drive the same workload through the reference and the engine;
+    compare or die.
 
-    Returns ``(ref_pair, evt_pair)`` on success.  A stall in one mode
+    Returns ``(ref_pair, evt_pair)`` on success.  A stall in one leg
     must be a stall in the other (after which nothing else is
     comparable in a deadlocked run) — that yields ``None``.
     """
-    observed = {}
-    for mode in (MODE_CYCLE, MODE_EVENT):
-        engine = make_engine(mode)
+    observed = []
+    for run_drive in (reference.drive, drive):
+        engine = make_engine()
         try:
-            result = drive(engine, request)
+            result = run_drive(engine, request)
         except EngineStall:
-            observed[mode] = STALLED
+            observed.append(STALLED)
             continue
-        observed[mode] = (result, snapshot(engine))
-    ref, evt = observed[MODE_CYCLE], observed[MODE_EVENT]
+        observed.append((result, snapshot(engine)))
+    ref, evt = observed
     assert (ref == STALLED) == (evt == STALLED), \
-        "one mode stalled, the other completed"
+        "one leg stalled, the other completed"
     if ref == STALLED:
         return None
     return ref, evt
@@ -188,8 +188,8 @@ def assert_identical(ref_pair, evt_pair):
     assert evt.issued == ref.issued
     assert evt.idle_cycles == ref.idle_cycles
     assert evt.activity_factor == pytest.approx(ref.activity_factor)
-    # The per-cycle reference executes every idle cycle; the event mode
-    # may account some of the same idle cycles as skipped.
+    # The per-cycle reference executes every idle cycle; the engine may
+    # account some of the same idle cycles as skipped.
     assert ref.skipped_idle_cycles == 0
     assert evt.skipped_idle_cycles <= evt.idle_cycles
     for key in ref_snap:
@@ -211,11 +211,11 @@ class TestGeneratedPrograms:
             dequeues_per_cycle=rng.choice([1, 2, 4]),
             max_cycles=2_000_000)
 
-        def make(mode):
+        def make():
             return Fetcher.from_program(
                 generated_program(0xE5C0 + seed)[0],
                 traversal_space(graph, compressed), config,
-                mem_latency=latency, mode=mode)
+                mem_latency=latency)
 
         pair = run_both(make, request)
         if pair is not None:
@@ -230,11 +230,11 @@ class TestPaperPipelines:
         config = random_config(rng, hostile=seed % 2 == 0)
         latency = rng.choice([1, 20, 60])
 
-        def make(mode):
+        def make():
             return Fetcher.from_program(
                 csr_traversal(row_elem_bytes=4),
                 traversal_space(graph, compressed=False), config,
-                mem_latency=latency, mode=mode)
+                mem_latency=latency)
 
         request = DriveRequest(
             feeds={INPUT_QUEUE: [pack_range(0, graph.num_vertices + 1)]},
@@ -252,11 +252,11 @@ class TestPaperPipelines:
         config = random_config(rng, hostile=seed % 2 == 1)
         latency = rng.choice([1, 20, 113])
 
-        def make(mode):
+        def make():
             return Fetcher.from_program(
                 compressed_csr_traversal(),
                 traversal_space(graph, compressed=True), config,
-                mem_latency=latency, mode=mode)
+                mem_latency=latency)
 
         request = DriveRequest(
             feeds={INPUT_QUEUE: [pack_range(0, graph.num_vertices + 1)]},
@@ -271,7 +271,7 @@ class TestPaperPipelines:
         graph = random_graph(rng, max_vertices=24)
         n = graph.num_vertices
 
-        def make(mode):
+        def make():
             space = AddressSpace()
             if compressed:
                 cc = CompressedCsr(graph)
@@ -289,7 +289,7 @@ class TestPaperPipelines:
                               "destination_vertex")
             return Fetcher.from_program(
                 pagerank_push(compressed=compressed), space,
-                SpZipConfig(), mem_latency=20, mode=mode)
+                SpZipConfig(), mem_latency=20)
 
         request = DriveRequest(
             feeds={INPUT_QUEUE: [pack_range(0, n)],
@@ -305,7 +305,7 @@ class TestPaperPipelines:
         frontier = np.arange(min(5, graph.num_vertices),
                              dtype=np.uint32)
 
-        def make(mode):
+        def make():
             space = AddressSpace()
             space.alloc_array("frontier", frontier, "updates")
             space.alloc_array("offsets", graph.offsets, "adjacency")
@@ -315,7 +315,7 @@ class TestPaperPipelines:
                                        dtype=np.int64),
                               "destination_vertex")
             return Fetcher.from_program(bfs_push(), space, SpZipConfig(),
-                                        mem_latency=40, mode=mode)
+                                        mem_latency=40)
 
         request = DriveRequest(
             feeds={INPUT_QUEUE: [pack_range(0, len(frontier))]},
@@ -336,12 +336,12 @@ class TestCompressorPipelines:
         latency = rng.choice([1, 30])
         feed = [(int(v), False) for v in values] + [(0, True)]
 
-        def make(mode):
+        def make():
             space = AddressSpace()
             space.alloc("compressed_out", 1 << 16, "updates")
             return Compressor.from_program(
                 single_stream_compress(chunk_elems=chunk), space, config,
-                mem_latency=latency, mode=mode)
+                mem_latency=latency)
 
         request = DriveRequest(feeds={INPUT_QUEUE: list(feed)},
                                max_cycles=2_000_000)
@@ -356,20 +356,21 @@ class TestCompressorPipelines:
         feed = [(pack_tuple(int(g.integers(0, num_bins)), int(v)), False)
                 for v in g.integers(0, 5_000, 40)]
 
-        def run(mode):
+        def run(compressor, run_drive):
             space = AddressSpace()
             space.alloc("mqu_staging", num_bins * 512, "updates")
             space.alloc("compressed_bins", num_bins * (1 << 16),
                         "updates")
-            comp = Compressor.from_program(
+            comp = compressor.from_program(
                 ub_bins_compress(num_bins, chunk_elems=8), space,
-                SpZipConfig(), mem_latency=11, mode=mode)
-            drive(comp, DriveRequest(feeds={BIN_QUEUE: list(feed)},
-                                     max_cycles=2_000_000))
+                SpZipConfig(), mem_latency=11)
+            run_drive(comp, DriveRequest(feeds={BIN_QUEUE: list(feed)},
+                                         max_cycles=2_000_000))
             comp.drain()
             return snapshot(comp)
 
-        assert run(MODE_EVENT) == run(MODE_CYCLE)
+        assert run(Compressor, drive) == \
+            run(reference.CycleCompressor, reference.drive)
 
 
 class TestMulticore:
@@ -377,18 +378,18 @@ class TestMulticore:
     def test_makespan_identical(self, num_cores):
         graph = community_graph(192, 1500, seed_stream="equiv-mc")
 
-        def run(mode):
+        def run(traverse):
             hier = MemoryHierarchy(SystemConfig().scaled(4096))
             hier.space.alloc_array("offsets", graph.offsets,
                                    "adjacency")
             hier.space.alloc_array("rows", graph.neighbors, "adjacency")
-            return parallel_row_traversal(
+            return traverse(
                 hier, graph.num_vertices,
                 lambda: csr_traversal(row_elem_bytes=4),
-                chunk_vertices=32, num_cores=num_cores, mode=mode)
+                chunk_vertices=32, num_cores=num_cores)
 
-        ref = run(MODE_CYCLE)
-        evt = run(MODE_EVENT)
+        ref = run(reference.parallel_row_traversal)
+        evt = run(parallel_row_traversal)
         for key in ("makespan_cycles", "total_elements",
                     "per_core_elements", "per_core_markers", "steals",
                     "finish_cycles"):
@@ -399,7 +400,7 @@ class TestEngineRun:
     """SpZipEngine.run() equivalence (no driver in the loop).
 
     Nobody dequeues the output queue here, so runs where it overflows
-    deadlock: the reference spins its 10k-cycle guard while event mode
+    deadlock: the reference spins its 10k-cycle guard while the engine
     concludes immediately — both must raise :class:`EngineStall`.
     """
 
@@ -411,16 +412,16 @@ class TestEngineRun:
         latency = rng.choice([1, 20, 60])
         walk = max(1, graph.num_vertices // 3)
 
-        def run(mode):
+        def run(run_engine):
             f = Fetcher.from_program(
                 compressed_csr_traversal(),
                 traversal_space(graph, compressed=True), config,
-                mem_latency=latency, mode=mode)
+                mem_latency=latency)
             f.enqueue(INPUT_QUEUE, pack_range(0, walk))
             try:
-                f.run(max_cycles=2_000_000)
+                run_engine(f, max_cycles=2_000_000)
             except EngineStall:
                 return STALLED
             return snapshot(f)
 
-        assert run(MODE_EVENT) == run(MODE_CYCLE)
+        assert run(Fetcher.run) == run(reference.run)

@@ -205,6 +205,28 @@ class TestSharedGraphStore:
             shared.disable_graph_store()
             clear_cache()
 
+    def test_rootless_run_does_not_publish_into_an_earlier_root(
+            self, tmp_path):
+        """A run without a cache root builds its graphs in memory, even
+        after an earlier run in the same process activated (and then
+        deleted) a store root."""
+        from repro.graph.datasets import clear_cache
+        from repro.jobs import RunRequest
+        clear_cache()  # so the second run's load really builds ukl
+        root = tmp_path / "cache"
+        try:
+            JobRunner(scale=1 << 20, cache_dir=str(root)).prefetch(
+                [RunRequest("dc", "push", "arb")])
+            shutil.rmtree(root)
+            priced = JobRunner(scale=1 << 20).prefetch(
+                [RunRequest("dc", "push", "ukl")])
+            assert list(priced) == [RunRequest("dc", "push", "ukl")]
+            assert shared.active_graph_store() is None
+            assert not root.exists()
+        finally:
+            shared.disable_graph_store()
+            clear_cache()
+
     @pytest.mark.parametrize("method", ["fork", "spawn"])
     def test_delta_rotates_digest_mid_pool(self, graph_store, method):
         """A graph delta applied while a pool is live publishes the

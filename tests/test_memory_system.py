@@ -1,14 +1,9 @@
-"""Tests for DRAM, NoC, and the memory hierarchy."""
+"""Tests for traffic accounting, the NoC, and the memory hierarchy."""
 
 import pytest
 
-from repro.config import MemoryConfig, NocConfig, SystemConfig
-from repro.memory import (
-    DramModel,
-    MemoryHierarchy,
-    MeshNoc,
-    TrafficCounter,
-)
+from repro.config import NocConfig, SystemConfig
+from repro.memory import MemoryHierarchy, MeshNoc, TrafficCounter
 
 
 class TestTrafficCounter:
@@ -26,57 +21,6 @@ class TestTrafficCounter:
         assert set(classes) >= {"adjacency", "source_vertex",
                                 "destination_vertex", "updates"}
 
-    def test_merge(self):
-        a, b = TrafficCounter(), TrafficCounter()
-        a.add("updates", 10, write=False)
-        b.add("updates", 5, write=True)
-        a.merge(b)
-        assert a.total("updates") == 15
-
-
-class TestDramModel:
-    def test_peak_bandwidth_matches_table2(self):
-        dram = DramModel(MemoryConfig(), freq_ghz=3.5)
-        assert dram.peak_bytes_per_cycle == pytest.approx(51.2 / 3.5)
-
-    def test_sequential_bulk_mostly_row_hits(self):
-        dram = DramModel(MemoryConfig())
-        dram.add_bulk(1 << 20, "updates", sequential=True)
-        assert dram.row_hit_rate > 0.95
-
-    def test_scattered_bulk_all_row_misses(self):
-        dram = DramModel(MemoryConfig())
-        dram.add_bulk(64 * 100, "destination_vertex", sequential=False)
-        assert dram.row_hit_rate == 0.0
-
-    def test_effective_bandwidth_derated_by_row_misses(self):
-        seq = DramModel(MemoryConfig())
-        seq.add_bulk(1 << 20, "updates", sequential=True)
-        scat = DramModel(MemoryConfig())
-        scat.add_bulk(1 << 20, "updates", sequential=False)
-        assert seq.effective_bytes_per_cycle > scat.effective_bytes_per_cycle
-
-    def test_service_cycles_proportional_to_traffic(self):
-        dram = DramModel(MemoryConfig())
-        dram.add_bulk(1 << 20, "updates", sequential=True)
-        one = dram.service_cycles()
-        dram.add_bulk(1 << 20, "updates", sequential=True)
-        assert dram.service_cycles() == pytest.approx(2 * one, rel=0.01)
-
-    def test_access_tracks_open_rows(self):
-        dram = DramModel(MemoryConfig(controllers=1))
-        dram.access(0, 64, "other")
-        dram.access(64, 64, "other")   # same 8 KB row
-        assert dram.row_hits == 1
-        dram.access(1 << 20, 64, "other")
-        assert dram.row_misses == 2
-
-    def test_reset(self):
-        dram = DramModel(MemoryConfig())
-        dram.add_bulk(128, "updates")
-        dram.reset()
-        assert dram.traffic.total() == 0
-
 
 class TestMeshNoc:
     def test_hops_xy(self):
@@ -89,23 +33,6 @@ class TestMeshNoc:
         noc = MeshNoc(NocConfig())
         with pytest.raises(ValueError):
             noc.hops(0, 16)
-
-    def test_flit_count(self):
-        noc = MeshNoc(NocConfig())
-        assert noc.flits_for(0) == 1
-        assert noc.flits_for(16) == 1
-        assert noc.flits_for(17) == 2
-        assert noc.flits_for(64) == 4
-
-    def test_message_latency_grows_with_distance(self):
-        noc = MeshNoc(NocConfig())
-        assert noc.message_latency(0, 15, 64) > noc.message_latency(0, 1, 64)
-
-    def test_send_accounts_stats(self):
-        noc = MeshNoc(NocConfig())
-        noc.send(0, 5, 64)
-        assert noc.stats.messages == 1
-        assert noc.stats.flits == 4
 
     def test_average_hops_reasonable(self):
         noc = MeshNoc(NocConfig())
@@ -145,12 +72,6 @@ class TestMemoryHierarchy:
         for i in range(0, 4096, 64):
             hier.access(region.base + i, 8)
         assert hier.traffic_by_class()["adjacency"] == 4096
-
-    def test_bulk_stream_accounting(self):
-        hier = self.make()
-        hier.stream_read(1 << 16, "updates")
-        hier.stream_write(1 << 16, "updates")
-        assert hier.traffic_by_class()["updates"] == 2 << 16
 
     def test_finalize_writebacks(self):
         hier = self.make()

@@ -135,7 +135,6 @@ ALLOWED_UNREACHED = {
                                   "delta tests compare",
     "GraphStore.open_segments": "test fixture: the release tests count "
                                 "mapped segments",
-    "disable_graph_store": "test fixture: isolates each store test",
     "reset_stage_counters": "test fixture: zeroes the stage counters "
                             "between tests",
     "spans_by_parent": "public trace-reader API, kept for a critical-"
@@ -148,16 +147,11 @@ ALLOWED_UNREACHED = {
     "MemoryHierarchy.finalize_writebacks": "traffic reader: LLC dirty "
                                            "evictions as write traffic, "
                                            "for the same differential",
-    "DramModel.service_cycles": "traffic reader: DRAM service time of "
-                                "the accounted traffic",
-    "MemoryHierarchy.stream_read": "public hierarchy API: bulk "
-                                   "accounting of a sequential stream",
     "FastLruCache.flush_dirty": "public cache API: end-of-run writeback "
                                 "of the dirty lines",
     "best_of": "public codec API: the paper's best-of-delta-and-BPC "
                "choice per structure (Sec IV)",
     "program_to_dot": "public DCL API: renders a program as Graphviz dot",
-    "engine_stats": "public engine API: one-glance summary of a run",
     "uniform_graph": "public generator API: the no-locality worst-case "
                      "graph",
     "expanded_id_bytes": "public id-space API: element width of expanded "
