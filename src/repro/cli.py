@@ -23,13 +23,12 @@ Commands:
     Run the functional fetcher over a compressed graph and report cycles
     and verification.
 
-``report [--jobs N] [--cache-dir DIR] [--no-cache] [--telemetry F]``
+``report [--jobs N] [--cache-dir DIR] [--no-cache]``
     Run experiments through the job orchestrator (parallel workers,
     content-addressed result cache) and emit the markdown report.
 
-``jobs [--telemetry F] [--cache-dir DIR]``
-    Summarize the latest orchestrated run's JSONL telemetry (per-job
-    timing, cache hits, retries) and the result cache's state.
+``jobs [--cache-dir DIR]``
+    Print the result store's state: entries, bytes and segment files.
 
 ``serve [--host H] [--port P] [--backend thread|process] [--workers N]``
     Run the simulation-as-a-service HTTP/JSON front end (price/
@@ -203,7 +202,6 @@ def _cmd_report(args) -> int:
     runner = JobRunner(
         scale=args.scale, jobs=args.jobs,
         cache_dir=None if args.no_cache else args.cache_dir,
-        telemetry_path=args.telemetry,
         timeout=args.timeout, retries=args.retries,
         progress=print if not args.out else None)
     report = generate_report(runner, experiment_ids=ids, progress=True)
@@ -213,39 +211,18 @@ def _cmd_report(args) -> int:
         print(f"wrote {args.out}")
     else:
         print(report)
-    if runner.telemetry_path:
-        print(f"telemetry: {runner.telemetry_path}", file=sys.stderr)
     return 0
 
 
 def _cmd_jobs(args) -> int:
-    """Inspect orchestration state: telemetry summaries, cache."""
-    from repro.jobs import (
-        ResultCache,
-        latest_telemetry,
-        render_summary,
-        summarize,
-    )
-    status = 0
-    path = args.telemetry or latest_telemetry(args.cache_dir)
-    if path:
-        try:
-            summary = summarize(path)
-        except (OSError, ValueError) as err:
-            print(f"cannot summarize {path!r}: {err}", file=sys.stderr)
-            return 2
-        print(render_summary(summary))
-    else:
-        print(f"no telemetry found under {args.cache_dir!r}; run "
-              f"`python -m repro report --cache-dir {args.cache_dir}` "
-              f"first", file=sys.stderr)
-        status = 1
+    """Print the result store's state."""
+    from repro.jobs import ResultCache
     cache = ResultCache(args.cache_dir)
     stats = cache.stats()
     print(f"cache:     {stats['entries']} entries, "
           f"{stats['bytes'] / 1024:.1f} KiB in {stats['segments']} "
           f"segment(s) under {cache.root}")
-    return status
+    return 0
 
 
 def _cmd_serve(args) -> int:
@@ -441,9 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="content-addressed result cache root")
     report.add_argument("--no-cache", action="store_true",
                         help="disable the on-disk result cache")
-    report.add_argument("--telemetry", default=None,
-                        help="JSONL telemetry path (default: under the "
-                             "cache dir)")
     report.add_argument("--timeout", type=_positive_float, default=None,
                         help="per-job-group timeout in seconds")
     report.add_argument("--retries", type=_nonnegative_int, default=1,
@@ -456,11 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "whole report, including pool workers")
 
     jobs = sub.add_parser("jobs",
-                          help="summarize orchestration telemetry and "
-                               "cache state")
-    jobs.add_argument("--telemetry", default=None,
-                      help="telemetry JSONL to summarize (default: "
-                           "latest under the cache dir)")
+                          help="print the result store's entries and "
+                               "segments")
     jobs.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR)
 
     serve = sub.add_parser("serve",

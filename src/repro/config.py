@@ -85,8 +85,6 @@ class SpZipConfig:
     max_queues: int = 16
     au_outstanding_lines: int = 8
     fu_bytes_per_cycle: int = 32
-    compress_chunk_elems: int = 32  # BPC chunk / sorting window
-    sort_order_insensitive: bool = True
 
 
 @dataclass(frozen=True)

@@ -412,7 +412,7 @@ class ResultCache:
     Corruption and write failures are survivable (an unreadable or
     unwritten entry is just a miss), but never silent: they are
     reported through ``on_error``, which the job executor wires to its
-    progress/telemetry channel.  Dropped records, damaged segment tails
+    progress channel.  Dropped records, damaged segment tails
     and failed writes are also counted on :data:`~repro.obs.TRACER` as
     ``stage.store.corrupt_dropped`` / ``stage.store.write_failed``, so
     a pool worker's store failures travel home with its group's count
@@ -425,7 +425,7 @@ class ResultCache:
         self.root = root
         self.on_error = on_error
         #: Damaged records and segment tails this cache dropped since
-        #: construction — the store's corruption telemetry counter.
+        #: construction.
         self.corrupt_dropped = 0
         #: Writes :meth:`put` gave up on (an ``OSError``) since
         #: construction.

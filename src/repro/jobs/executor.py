@@ -73,15 +73,14 @@ from repro.jobs.model import (
     group_requests,
     job_label,
 )
-from repro.jobs.telemetry import TelemetryWriter
 from repro.obs import TRACER, Span
 from repro.sim.metrics import RunMetrics
 
 #: One executed step coming back from a worker: (the cell priced, the
 #: group's identity for its profile step, or the walk walked; metrics,
-#: None or the walk's cycles; wall seconds; worker pid; error string).
+#: None or the walk's cycles; error string).
 JobOutcome = Tuple[Union[RunRequest, Identity, WalkRequest],
-                   Union[RunMetrics, int, None], float, int, str]
+                   Union[RunMetrics, int, None], str]
 
 #: What a pool task sends home: (outcomes, count delta, spans).
 RemoteResult = Tuple[List[JobOutcome], Dict[str, int], List[Span]]
@@ -177,11 +176,10 @@ def execute_walk(scale: int, system: Optional[SystemConfig],
     fails the pool attempt, which the dispatcher retries and then runs
     in-process, where it raises to the caller.
     """
-    start = time.monotonic()
     cycles = pricer_for(scale, system, store).traversal_cycles(
         walk.dataset, walk.preprocessing, walk.config, walk.rows,
         walk.mem_latency)
-    return [(walk, cycles, time.monotonic() - start, os.getpid(), "")]
+    return [(walk, cycles, "")]
 
 
 def execute_remote(function: Callable[..., List[JobOutcome]],
@@ -243,29 +241,21 @@ def _execute_group(scale: int, system: Optional[SystemConfig],
                    store: Optional[StoreConfig] = None
                    ) -> List[JobOutcome]:
     pricer = pricer_for(scale, system, store)
-    pid = os.getpid()
     outcomes: List[JobOutcome] = []
     app, dataset, preprocessing = identity
     attrs = {"job_id": job_label(identity), "app": app,
              "dataset": dataset, "preprocessing": preprocessing}
     with TRACER.span("jobs.group", **attrs):
-        # Durations use the monotonic clock: wall-clock (time.time) can
-        # jump under NTP adjustment, producing negative or wildly wrong
-        # job times.
-        start = time.monotonic()
         try:
             with TRACER.span("jobs.profile", **attrs):
                 pricer.bundle(app, dataset, preprocessing)
-            outcomes.append((identity, None, time.monotonic() - start,
-                             pid, ""))
+            outcomes.append((identity, None, ""))
         except Exception as exc:  # profiling failed: poisons the group
-            wall = time.monotonic() - start
-            outcomes.append((identity, None, wall, pid, repr(exc)))
+            outcomes.append((identity, None, repr(exc)))
             for cell in cells:
-                outcomes.append((cell, None, 0.0, pid, repr(exc)))
+                outcomes.append((cell, None, repr(exc)))
             return outcomes
         for cell in cells:
-            start = time.monotonic()
             try:
                 with TRACER.span("jobs.price", job_id=job_label(cell),
                                  app=cell.app, scheme=cell.scheme,
@@ -276,11 +266,9 @@ def _execute_group(scale: int, system: Optional[SystemConfig],
                                            cell.preprocessing)
                 pricer.cache.put(
                     job_fingerprint(cell, scale, pricer.system), metrics)
-                outcomes.append((cell, metrics,
-                                 time.monotonic() - start, pid, ""))
+                outcomes.append((cell, metrics, ""))
             except Exception as exc:
-                outcomes.append((cell, None, time.monotonic() - start,
-                                 pid, repr(exc)))
+                outcomes.append((cell, None, repr(exc)))
     return outcomes
 
 
@@ -308,7 +296,7 @@ def _exit_with_parent() -> None:
 
 
 def _failed(group: List[JobOutcome]) -> bool:
-    return any(error for _cell, _m, _w, _p, error in group)
+    return any(error for _cell, _metrics, error in group)
 
 
 def _stop(pool: ProcessPoolExecutor, kill: bool) -> None:
@@ -362,9 +350,8 @@ class Dispatcher:
             if pool is not None:
                 _stop(pool, kill=True)
 
-    def run(self, tasks: List[Task]) -> List[Tuple[List[JobOutcome], int]]:
-        """Run each task; returns every task's outcomes and retry count,
-        in task order.
+    def run(self, tasks: List[Task]) -> List[List[JobOutcome]]:
+        """Run each task; returns every task's outcomes, in task order.
 
         All tasks are submitted before the first is waited for, so they
         queue in the pool, not on this thread.
@@ -392,7 +379,7 @@ class Dispatcher:
             return None
 
     def _finish(self, task: Task, start_s: float,
-                future: Optional[Future]) -> Tuple[List[JobOutcome], int]:
+                future: Optional[Future]) -> List[JobOutcome]:
         """Wait for one task, retrying it as the policy says."""
         pooled = future is not None
         subject = task[1][2]
@@ -414,7 +401,7 @@ class Dispatcher:
             future = self._submit(task)
         if pooled:
             record_dispatch(subject, start_s, attempt + 1, results)
-        return group, attempt
+        return group
 
     def _wait(self, future: Future, subject: Union[Identity, WalkRequest],
               attempt: int, results: List[RemoteResult]
@@ -478,7 +465,6 @@ class JobExecutor:
                  system: Optional[SystemConfig] = None,
                  jobs: int = 1,
                  store: Optional[StoreConfig] = None,
-                 telemetry: Optional[TelemetryWriter] = None,
                  timeout: Optional[float] = None,
                  retries: int = 1,
                  progress: Optional[Callable[[str], None]] = None
@@ -492,8 +478,6 @@ class JobExecutor:
         # content-addressed store that holds final cell results; the
         # one StoreConfig crosses the pool boundary verbatim.
         self.store = store if store is not None else StoreConfig()
-        self.telemetry = telemetry if telemetry is not None \
-            else TelemetryWriter(path=None)
         self.timeout = timeout
         self.retries = retries
         self._progress = progress or (lambda _msg: None)
@@ -525,64 +509,43 @@ class JobExecutor:
 
     def run(self, requests: List[RunRequest]
             ) -> Dict[RunRequest, RunMetrics]:
-        """Execute all requests; returns results in request order.
-
-        The run's telemetry records reach the file in one append, also
-        when the run raises.
-        """
+        """Execute all requests; returns results in request order."""
         # Store errors (corrupt entries, failed writes) are survivable
         # but must not vanish.  The pricer, and so its cache, is shared
         # by every executor and runner on this configuration in this
         # process, so point its error channel at this run's progress.
         self.cache.on_error = self._progress
         with TRACER.span("jobs.run", requests=len(requests),
-                         workers=self.jobs), self.telemetry.batch():
-            return self._run(requests)
+                         workers=self.jobs):
+            start = time.monotonic()
+            groups = group_requests(requests)
+            hits, keys = self._lookup(groups)
+            results: Dict[RunRequest, RunMetrics] = dict(hits)
+            pending: List[Group] = []
+            for identity, cells in groups:
+                missing = [cell for cell in cells if cell not in hits]
+                if missing:
+                    pending.append((identity, missing))
+            if pending:
+                from repro.stages import stage_counters
+                before = Counter(stage_counters())
+                self._absorb(self._dispatch([
+                    (execute_group, (self.scale, self.system, identity,
+                                     cells, self.store))
+                    for identity, cells in pending]), results)
+                # Pool workers' counts were merged as their groups came
+                # back, so this covers every process that did the work.
+                delta = Counter(stage_counters()) - before
+                if delta:
+                    self._progress("stages: " + ", ".join(
+                        f"{k}={v}" for k, v in sorted(delta.items())))
+            self._progress(
+                f"jobs: {len(keys)} cells, {len(hits)} cache hits, "
+                f"{len(keys) - len(hits)} executed, "
+                f"{time.monotonic() - start:.1f}s")
+            return {request: results[request] for request in requests}
 
-    def _run(self, requests: List[RunRequest]
-             ) -> Dict[RunRequest, RunMetrics]:
-        start = time.monotonic()
-        first = len(self.telemetry.records)
-        groups = group_requests(requests)
-        hits, keys = self._lookup(groups)
-        results: Dict[RunRequest, RunMetrics] = dict(hits)
-
-        pending: List[Group] = []
-        for identity, cells in groups:
-            for cell in cells:
-                if cell in hits:
-                    self.telemetry.record(cell, "hit",
-                                          cache_key=keys[cell])
-            missing = [cell for cell in cells if cell not in hits]
-            if missing:
-                pending.append((identity, missing))
-            else:
-                self.telemetry.record(identity, "skipped")
-        if pending:
-            from repro.stages import stage_counters
-            before = Counter(stage_counters())
-            done = self._dispatch([
-                (execute_group,
-                 (self.scale, self.system, identity, cells, self.store))
-                for identity, cells in pending])
-            self._absorb(done, keys, results)
-            # Pool workers' counts were merged as their groups came
-            # back, so this covers every process that did the work.
-            delta = Counter(stage_counters()) - before
-            if delta:
-                self._progress("stages: " + ", ".join(
-                    f"{k}={v}" for k, v in sorted(delta.items())))
-
-        statuses = Counter(span.attrs["status"]
-                           for span in self.telemetry.records[first:])
-        self._progress(
-            f"jobs: {sum(statuses.values())} total, {statuses['hit']} "
-            f"cache hits, {statuses['miss']} executed, "
-            f"{time.monotonic() - start:.1f}s")
-        return {request: results[request] for request in requests}
-
-    def _dispatch(self, tasks: List[Task]
-                  ) -> List[Tuple[List[JobOutcome], int]]:
+    def _dispatch(self, tasks: List[Task]) -> List[List[JobOutcome]]:
         """Run tasks on one dispatcher: a pool no larger than the batch,
         and none for a single task or ``jobs == 1``."""
         processes = min(self.jobs, len(tasks))
@@ -615,26 +578,21 @@ class JobExecutor:
             done = self._dispatch([
                 (execute_walk, (self.scale, self.system, walk, self.store))
                 for walk in missing])
-            for outcomes, _retries in done:
-                for walk, cycles, _wall, _pid, _error in outcomes:
+            for outcomes in done:
+                for walk, cycles, _error in outcomes:
                     results[walk] = cycles
         return {walk: results[walk] for walk in walks}
 
-    def _absorb(self, done: List[Tuple[List[JobOutcome], int]],
-                keys: Dict[RunRequest, str],
+    def _absorb(self, done: List[List[JobOutcome]],
                 results: Dict[RunRequest, RunMetrics]) -> None:
-        """Record telemetry, collect results, surface failures.
+        """Collect results, and raise for the cells that failed.
 
         The cells are already stored: the process that priced each one
         wrote it (:func:`execute_group`).
         """
         failed: List[str] = []
-        for outcomes, retries in done:
-            for cell, metrics, wall, pid, error in outcomes:
-                self.telemetry.record(
-                    cell, "failed" if error else "miss", wall,
-                    retries=retries, worker_pid=pid, error=error,
-                    cache_key=keys.get(cell, ""))
+        for outcomes in done:
+            for cell, metrics, error in outcomes:
                 if error and isinstance(cell, RunRequest):
                     failed.append(f"{job_label(cell)}: {error}")
                 if metrics is not None:

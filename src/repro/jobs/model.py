@@ -98,7 +98,7 @@ def job_label(cell: Union[RunRequest, Identity, WalkRequest]) -> str:
     """``price:app/dataset/preprocessing/scheme`` for a cell,
     ``profile:app/dataset/preprocessing`` for an identity and
     ``walk:dataset/preprocessing/...`` for a walk: the ``job_id`` that
-    spans, telemetry and progress text name it by."""
+    spans and progress text name it by."""
     if isinstance(cell, RunRequest):
         return f"price:{cell.describe()}"
     if isinstance(cell, WalkRequest):

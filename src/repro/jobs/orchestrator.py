@@ -34,7 +34,6 @@ from repro.graph.datasets import DEFAULT_SCALE
 from repro.jobs.cache import StoreConfig
 from repro.jobs.executor import JobExecutor, pricer_for
 from repro.jobs.model import RunRequest, WalkRequest, canonical_request
-from repro.jobs.telemetry import TelemetryWriter, default_telemetry_path
 from repro.obs import TRACER
 from repro.runtime.traffic import IterationProfile
 from repro.sim.metrics import RunMetrics
@@ -47,7 +46,6 @@ class JobRunner:
                  system: Optional[SystemConfig] = None,
                  jobs: int = 1,
                  cache_dir: Optional[str] = None,
-                 telemetry_path: Optional[str] = None,
                  timeout: Optional[float] = None,
                  retries: int = 1,
                  progress: Optional[Callable[[str], None]] = None
@@ -57,15 +55,11 @@ class JobRunner:
             else SystemConfig().scaled(scale)
         self.jobs = jobs
         self.store = StoreConfig(root=cache_dir or None)
-        if telemetry_path is None and cache_dir:
-            telemetry_path = default_telemetry_path(cache_dir)
-        self.telemetry_path = telemetry_path
         self.timeout = timeout
         self.retries = retries
         self.progress = progress
         self._results: Dict[RunRequest, RunMetrics] = {}
         self._walks: Dict[WalkRequest, int] = {}
-        self._telemetry: Optional[TelemetryWriter] = None
 
     def _pricer(self):
         """This process's pricer for the runner's configuration and
@@ -76,18 +70,10 @@ class JobRunner:
 
     # -- orchestration -----------------------------------------------------
 
-    def _writer(self) -> TelemetryWriter:
-        """One telemetry stream shared by every prefetch/run of this
-        runner, so a whole report lands in a single JSONL file."""
-        if self._telemetry is None:
-            self._telemetry = TelemetryWriter(path=self.telemetry_path)
-        return self._telemetry
-
     def _executor(self) -> JobExecutor:
         return JobExecutor(
             scale=self.scale, system=self.system, jobs=self.jobs,
-            store=self.store, telemetry=self._writer(),
-            timeout=self.timeout, retries=self.retries,
+            store=self.store, timeout=self.timeout, retries=self.retries,
             progress=self.progress)
 
     def prefetch(self, requests: Iterable[RunRequest]

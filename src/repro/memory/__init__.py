@@ -7,7 +7,7 @@ from repro.memory.address import (
     Region,
 )
 from repro.memory.cache import CacheStats, FastLruCache
-from repro.memory.dram import DramModel, TrafficCounter
+from repro.memory.dram import TrafficCounter
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.noc import MeshNoc
 
@@ -15,7 +15,6 @@ __all__ = [
     "AddressSpace",
     "CacheStats",
     "DATA_CLASSES",
-    "DramModel",
     "FastLruCache",
     "LINE_BYTES",
     "MemoryHierarchy",

@@ -1,9 +1,10 @@
 """Main-memory traffic accounting (Table II's DDR3-1600 controllers).
 
-The model accounts every off-chip byte by data class and direction, for
-the Fig 15b-style traffic breakdowns.  It models no service time: the
-functional engines charge the constant ``MemoryConfig.latency_cycles``
-per miss, and the pricer derates scattered bandwidth with its own
+:class:`TrafficCounter` accounts every off-chip byte by data class and
+direction, for the Fig 15b-style traffic breakdowns.  Nothing models a
+service time: the functional engines charge the constant
+``MemoryConfig.latency_cycles`` per miss, and the pricer derates
+scattered bandwidth with its own
 :data:`~repro.sim.timing.RANDOM_BW_DERATE`.
 """
 
@@ -12,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict
 
-from repro.config import MemoryConfig
 from repro.memory.address import DATA_CLASSES
 
 
@@ -39,20 +39,3 @@ class TrafficCounter:
     def by_class(self) -> Dict[str, int]:
         return {cls: self.total(cls) for cls in DATA_CLASSES}
 
-
-class DramModel:
-    """Off-chip traffic accounting for the memory controllers."""
-
-    def __init__(self, config: MemoryConfig) -> None:
-        self.config = config
-        self.traffic = TrafficCounter()
-
-    def access(self, addr: int, nbytes: int, data_class: str,
-               write: bool = False) -> None:
-        """Account one memory transaction."""
-        self.traffic.add(data_class, nbytes, write)
-
-    def add_bulk(self, nbytes: int, data_class: str,
-                 write: bool = False) -> None:
-        """Account a bulk transfer."""
-        self.traffic.add(data_class, nbytes, write)

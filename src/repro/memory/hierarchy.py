@@ -18,7 +18,7 @@ from typing import Optional
 from repro.config import SystemConfig
 from repro.memory.address import AddressSpace, LINE_BYTES
 from repro.memory.cache import FastLruCache
-from repro.memory.dram import DramModel
+from repro.memory.dram import TrafficCounter
 from repro.memory.noc import MeshNoc
 
 
@@ -35,7 +35,8 @@ class MemoryHierarchy:
         self.l2 = [FastLruCache(config.l2.num_lines)
                    for _ in range(config.num_cores)]
         self.llc = FastLruCache(config.llc.num_lines)
-        self.dram = DramModel(config.memory)
+        #: Off-chip bytes by data class and direction.
+        self.traffic = TrafficCounter()
         self.noc = MeshNoc(config.noc)
         #: Core-to-LLC-bank round trip: a constant of the config.
         self._llc_latency = int(self.noc.average_llc_latency(
@@ -82,8 +83,7 @@ class MemoryHierarchy:
             if self.llc.access(line, write):
                 return latency
         latency += self.config.memory.latency_cycles
-        self.dram.access(line * LINE_BYTES, LINE_BYTES, data_class,
-                         write=False)
+        self.traffic.add(data_class, LINE_BYTES, write=False)
         # Dirty evictions become writeback traffic; the cache models count
         # them, and we attribute them to the same class (approximation:
         # victim class equals the filling class, true for phase-local data).
@@ -100,14 +100,14 @@ class MemoryHierarchy:
         """
         nbytes = self.llc.stats.writebacks * LINE_BYTES
         if nbytes:
-            self.dram.add_bulk(nbytes, data_class, write=True)
+            self.traffic.add(data_class, nbytes, write=True)
             self.llc.stats.writebacks = 0
         return nbytes
 
     # -- reporting ----------------------------------------------------------
 
     def offchip_bytes(self) -> int:
-        return self.dram.traffic.total()
+        return self.traffic.total()
 
     def traffic_by_class(self):
-        return self.dram.traffic.by_class()
+        return self.traffic.by_class()

@@ -12,9 +12,9 @@ Spans are recorded only while the tracer is active (``--trace`` or
 ``--perf``); an inactive :meth:`Tracer.span` is a no-op.  Event counts
 (:meth:`Tracer.count`, e.g. ``stage.stream.hit``) are always kept, in a
 thread-safe table on the same object.  Everything else reads these two:
-``--perf`` summarises the spans of an in-memory trace, the telemetry
-file of a run holds its ``jobs.job`` spans, and ``/stats`` and the
-executor's progress line report the counts.
+``--trace`` writes the spans of a run, ``--perf`` summarises those of
+an in-memory trace, and ``/stats`` and the executor's progress line
+report the counts.
 
 Across processes: a pool task
 (:func:`~repro.jobs.executor.execute_remote`) traces with its worker's
@@ -208,11 +208,13 @@ class Tracer:
                     parent_id: Optional[str] = None, count: int = 0,
                     **attrs: object) -> Span:
         """Record an interval whose timing was measured elsewhere
-        (job records, pool dispatch envelopes).
+        (pool dispatch envelopes, stage hits, admission waits).
 
-        The span is returned either way; it joins the trace only while
-        the tracer is recording.
+        Like :meth:`span`, a no-op returning the shared sink while the
+        tracer is inactive.
         """
+        if not self.active:
+            return _DISCARD
         if start_s is None:
             start_s = time.monotonic() - duration_s
         if count:
@@ -222,8 +224,7 @@ class Tracer:
                     else self.current_id,
                     start_s=start_s, duration_s=duration_s,
                     pid=_PID, attrs=attrs)
-        if self.active:
-            self.spans.append(span)
+        self.spans.append(span)
         return span
 
     def adopt(self, spans: List[Span], parent_id: Optional[str]) -> None:

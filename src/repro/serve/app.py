@@ -271,7 +271,7 @@ class ServeApp:
                 results[key] = ComputeError(
                     f"no result for {request.describe()}")
                 continue
-            _cell, metrics, _wall, _pid, error = outcome
+            _cell, metrics, error = outcome
             if error:
                 results[key] = ComputeError(error)
             elif metrics is None:

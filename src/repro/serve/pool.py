@@ -72,11 +72,10 @@ class ServeBackend(Dispatcher):
         self.dispatches += 1
         # The span context follows the group onto its thread.
         ctx = contextvars.copy_context()
-        ((outcomes, _retries),) = \
-            await asyncio.get_running_loop().run_in_executor(
-                self._threads,
-                lambda: ctx.run(self.run, [(execute_group, (
-                    scale, system, identity, cells, store))]))
+        (outcomes,) = await asyncio.get_running_loop().run_in_executor(
+            self._threads,
+            lambda: ctx.run(self.run, [(execute_group, (
+                scale, system, identity, cells, store))]))
         return outcomes
 
     def stats(self) -> Dict[str, object]:

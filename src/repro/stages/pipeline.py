@@ -10,10 +10,11 @@ timing step against frozen upstream artifacts; an LLC geometry change
 reuses the streams; only a new input regenerates everything.
 
 Timing is not stored: pricing a cell from its bundle costs less than
-one store write.  :meth:`StagePricer.price` memoizes it per cell
-in memory, and the process that priced a cell stores the result once,
-as the cell entry under :func:`~repro.jobs.fingerprint.job_fingerprint`
-(see :func:`repro.jobs.executor.execute_group`).
+one store write.  :meth:`StagePricer.price` runs it on every call, and
+the process that priced a cell stores the result once, as the cell
+entry under :func:`~repro.jobs.fingerprint.job_fingerprint` (see
+:func:`repro.jobs.executor.execute_group`), which every caller looks up
+before it prices.
 
 Chaining keys on upstream *content digests* (not keys) gives early
 cutoff: a code edit that rotates a stage's salt but reproduces
@@ -109,7 +110,6 @@ class StagePricer:
         # each generated graph instead of regenerating it.
         self.store.activate_graph_store()
         self._bundles: Dict[Tuple[str, str, str], ProfileBundle] = {}
-        self._metrics: Dict[Tuple[str, str, str, str], RunMetrics] = {}
         self._lock = threading.RLock()
         # One build lock per identity: threads that ask for a bundle
         # being built wait for it instead of building it again.
@@ -213,28 +213,17 @@ class StagePricer:
               preprocessing: str = "none", **kwargs) -> RunMetrics:
         """Price one cell; only the timing step sees scheme identity.
 
-        Makes no store call: the caller stores the cell (see the module
-        docstring).  The memo's identity key is as exact as a content
-        key here, because a pricer's system is fixed and its bundles
-        are per identity.
+        Makes no store call: the caller looks the cell up first and
+        stores it after (see the module docstring).
         """
         from repro.schemes import resolve
         spec = resolve(scheme, **kwargs)
         bundle = self.bundle(app, dataset, preprocessing)
-        ident = (app, dataset, preprocessing, spec.canonical())
-        with self._lock:
-            memo = self._metrics.get(ident)
-        if memo is not None:
-            TRACER.count("stage.timing.memo")
-            return memo
-
         with TRACER.span("stage.timing.computed", app=app,
                          scheme=spec.canonical(), dataset=dataset,
                          preprocessing=preprocessing):
             metrics = price_bundle(bundle, spec, dataset, preprocessing)
         TRACER.count("stage.timing.computed")
-        with self._lock:
-            self._metrics[ident] = metrics
         return metrics
 
     # -- functional engine -----------------------------------------------------

@@ -353,5 +353,5 @@ def hierarchy_access_many(hier: MemoryHierarchy, lines: np.ndarray,
         if pending.size == 0:
             return latency
     latency[pending] += config.memory.latency_cycles
-    hier.dram.traffic.add(data_class, LINE_BYTES * pending.size, False)
+    hier.traffic.add(data_class, LINE_BYTES * pending.size, False)
     return latency

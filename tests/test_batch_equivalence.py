@@ -242,5 +242,4 @@ class TestHierarchyBatch:
         assert np.array_equal(expected, got)
         assert vars(scalar.llc.stats) == vars(batch.llc.stats)
         assert vars(scalar.l2[1].stats) == vars(batch.l2[1].stats)
-        assert scalar.dram.traffic.by_class() == \
-            batch.dram.traffic.by_class()
+        assert scalar.traffic.by_class() == batch.traffic.by_class()

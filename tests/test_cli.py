@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -183,67 +184,36 @@ class TestReportOrchestration:
         assert serial == parallel
         assert "## fig07" in serial and "## fig08" in serial
 
+    def _counted_report(self, tmp_path, name, *extra):
+        """The report's markdown, and the stage counts it added."""
+        from repro.stages import stage_counters
+        before = Counter(stage_counters())
+        text = self._report(tmp_path, name, *extra)
+        return text, dict(Counter(stage_counters()) - before)
+
     def test_warm_cache_rerun_is_byte_identical_and_all_hits(
             self, tmp_path, capsys):
-        from repro.jobs import latest_telemetry, summarize
         cache = str(tmp_path / "cache")
         cold = self._report(tmp_path, "cold.md", "--cache-dir", cache)
-        warm = self._report(tmp_path, "warm.md", "--cache-dir", cache)
+        warm, counts = self._counted_report(tmp_path, "warm.md",
+                                            "--cache-dir", cache)
         assert warm == cold
-        from repro.obs import read_trace
-        path = latest_telemetry(cache)
-        summary = summarize(path)
-        assert summary["by_status"]["miss"] == 0
-        assert summary["by_status"]["failed"] == 0
-        assert summary["hit_rate"] == 1.0
-        # Warm runs never profile: every profile job is skipped.
-        _header, spans = read_trace(path)
-        profile_jobs = [s for s in spans if s.name == "jobs.job"
-                        and s.attrs["kind"] == "profile"]
-        assert profile_jobs
-        assert all(s.attrs["status"] == "skipped" for s in profile_jobs)
-
-    def test_cold_parallel_telemetry_names_every_executed_job(
-            self, tmp_path):
-        from repro.jobs import latest_telemetry
-        from repro.obs import read_trace
-        cache = str(tmp_path / "cache")
-        self._report(tmp_path, "run.md", "--cache-dir", cache,
-                     "--jobs", "2")
-        _header, spans = read_trace(latest_telemetry(cache))
-        executed = [s for s in spans if s.name == "jobs.job"
-                    and s.attrs["status"] == "miss"]
-        assert len(executed) == 14  # 2 profile jobs + 12 price jobs
-        for span in executed:
-            assert (span.attrs["app"], span.attrs["dataset"]) == \
-                ("bfs", "ukl"), span.attrs
-            assert span.attrs["preprocessing"] in ("none", "dfs")
-            assert bool(span.attrs["scheme"]) == \
-                (span.attrs["kind"] == "price"), span.attrs
+        # Every cell hit the store: no stage ran, timing included.
+        assert not [name for name in counts if name.endswith(".computed")]
 
     def test_hit_rate_counts_price_lookups_only(self, tmp_path):
-        from repro.jobs import latest_telemetry, summarize
+        """A report over a store that holds fig07's cells prices only
+        fig08's."""
         cache = str(tmp_path / "cache")
         assert main(["report", "--experiments", "fig07", "--scale",
                      "65536", "--cache-dir", cache,
                      "--out", str(tmp_path / "fig07.md")]) == 0
-        self._report(tmp_path, "both.md", "--cache-dir", cache)
-        summary = summarize(latest_telemetry(cache))
-        # fig07's six cells hit and fig08's six miss; fig08's profile
-        # job runs too, but it never looks anything up in the cache.
-        assert summary["by_status"]["hit"] == 6
-        assert summary["by_status"]["miss"] == 7
-        assert summary["hit_rate"] == 0.5
-
-    def test_jobs_command_summarizes_latest_run(self, tmp_path,
-                                                capsys):
-        cache = str(tmp_path / "cache")
-        self._report(tmp_path, "run.md", "--cache-dir", cache)
-        capsys.readouterr()
-        assert main(["jobs", "--cache-dir", cache]) == 0
-        out = capsys.readouterr().out
-        assert "hit rate" in out
-        assert "entries" in out
+        _text, counts = self._counted_report(tmp_path, "both.md",
+                                             "--cache-dir", cache)
+        # fig07's six cells hit; fig08's six, on their one profile, do
+        # not.
+        assert counts["timing.computed"] == 6
+        assert counts["stream.computed"] == 1
 
     def test_jobs_command_reports_store_entries_and_segments(
             self, tmp_path, capsys):
@@ -266,22 +236,12 @@ class TestReportOrchestration:
 
     def test_jobs_command_without_telemetry_fails_cleanly(
             self, tmp_path, capsys):
-        assert main(["jobs", "--cache-dir",
-                     str(tmp_path / "empty")]) == 1
-
-    @pytest.mark.parametrize("damage", ["missing", "torn"])
-    def test_jobs_command_reports_an_unreadable_telemetry_file(
-            self, tmp_path, capsys, damage):
-        """A missing file, or one whose last line a killed run left
-        torn, is reported as `perf summary` reports it: exit 2."""
-        path = tmp_path / "run.jsonl"
-        if damage == "torn":
-            path.write_text('{"event": "trace_start", "pid": 1}\n'
-                            '{"event": "span", "name": "jobs.j')
-        assert main(["jobs", "--telemetry", str(path), "--cache-dir",
-                     str(tmp_path / "cache")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"cannot summarize {str(path)!r}: "), err
+        """``jobs`` on a store that does not exist reports it empty,
+        and creates nothing."""
+        missing = tmp_path / "empty"
+        assert main(["jobs", "--cache-dir", str(missing)]) == 0
+        assert " 0 entries," in capsys.readouterr().out
+        assert not missing.exists()
 
 
 @pytest.fixture
@@ -373,13 +333,16 @@ class TestTrace:
         by_id = {s.span_id: s for s in spans}
         # No dangling parents anywhere in the merged trace.
         assert all(s.parent_id in by_id for s in spans if s.parent_id)
-        # Every requested cell priced, with the canonical scheme tag.
+        # Exactly the requested cells priced, with the canonical scheme
+        # tag, on one profile per group.
         cells = {(s.attrs.get("app"), s.attrs.get("scheme"),
                   s.attrs.get("dataset"), s.attrs.get("preprocessing"))
                  for s in spans if s.name == "jobs.price"}
-        for request in declared_cells(["fig07", "fig08"]):
-            assert (request.app, request.scheme, request.dataset,
-                    request.preprocessing) in cells
+        assert cells == {(request.app, request.scheme, request.dataset,
+                          request.preprocessing)
+                         for request in declared_cells(["fig07", "fig08"])}
+        assert len(cells) == 12
+        assert [s.name for s in spans].count("jobs.profile") == 2
         # Worker-side group spans re-parent under their jobs.task.
         parent_pid = header["pid"]
         groups = [s for s in spans if s.name == "jobs.group"]
@@ -390,8 +353,6 @@ class TestTrace:
                 assert parent.name == "jobs.task"
                 assert parent.attrs["job_id"] == \
                     group.attrs["job_id"]
-        # Telemetry job records are mirrored into the same trace.
-        assert any(s.name == "jobs.job" for s in spans)
         assert any(s.name == "harness.experiment" for s in spans)
 
 

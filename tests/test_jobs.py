@@ -1,6 +1,7 @@
 """Unit tests for the job orchestration subsystem (repro.jobs)."""
 
 import os
+from collections import Counter
 
 import pytest
 
@@ -12,18 +13,24 @@ from repro.jobs import (
     NullCache,
     ResultCache,
     RunRequest,
-    TelemetryWriter,
     code_salt,
     job_fingerprint,
-    latest_telemetry,
-    summarize,
 )
 from repro.jobs.cache import StoreConfig
 from repro.jobs.executor import Dispatcher
 from repro.jobs.model import group_requests
+from repro.stages import stage_counters
 from tests.store_faults import damage_record, segment_paths
 
 SCALE = 65536
+
+
+def counted(run):
+    """``run()``'s result, and the stage counts it added in every
+    process that did its work."""
+    before = Counter(stage_counters())
+    result = run()
+    return result, dict(Counter(stage_counters()) - before)
 
 
 # ---------------------------------------------------------------------------
@@ -209,62 +216,6 @@ class TestResultCache:
 
 
 # ---------------------------------------------------------------------------
-# Telemetry
-# ---------------------------------------------------------------------------
-
-class TestTelemetry:
-    def test_jsonl_records_and_summary(self, tmp_path):
-        from repro.jobs import render_summary
-        from repro.obs import read_trace
-        path = str(tmp_path / "run.jsonl")
-        writer = TelemetryWriter(path=path)
-        writer.record(("dc", "arb", "none"), "miss", 1.0, worker_pid=11)
-        writer.record(RunRequest("dc", "push", "arb"), "hit")
-        writer.record(RunRequest("dc", "phi", "arb"), "miss", 0.5,
-                      retries=1, worker_pid=11)
-        # The file is a trace: a header, then one jobs.job span per job
-        # naming its identity or cell.
-        header, spans = read_trace(path)
-        assert header["event"] == "trace_start"
-        assert [s.name for s in spans] == ["jobs.job"] * 3
-        assert spans[0].attrs == {
-            "job_id": "profile:dc/arb/none", "kind": "profile",
-            "status": "miss", "app": "dc", "dataset": "arb",
-            "preprocessing": "none", "scheme": "", "retries": 0,
-            "worker_pid": 11, "cache_key": "", "error": ""}
-        assert spans[2].attrs["job_id"] == "price:dc/arb/none/phi"
-        assert spans[2].attrs["kind"] == "price"
-        assert spans[2].attrs["scheme"] == "phi"
-        assert spans[2].duration_s == 0.5
-        summary = summarize(path)
-        assert summary["jobs"] == 3
-        assert summary["by_status"] == {"hit": 1, "miss": 2,
-                                        "skipped": 0, "failed": 0}
-        # Run duration comes from the monotonic clock: it can never be
-        # negative, even if the wall clock were stepped mid-run.
-        assert summary["run_wall_s"] >= 0.0
-        assert summary["retries"] == 1
-        assert summary["workers"] == 1
-        # Over price-job lookups only: 1 hit of 2 (the profile job
-        # never looks anything up).
-        assert summary["hit_rate"] == pytest.approx(1 / 2)
-        text = render_summary(summary)
-        assert "hit=1" in text and "profile:dc/arb/none" in text
-
-    def test_latest_telemetry_picks_newest(self, tmp_path):
-        root = str(tmp_path)
-        assert latest_telemetry(root) is None
-        tdir = tmp_path / "telemetry"
-        tdir.mkdir()
-        old = tdir / "run-1.jsonl"
-        new = tdir / "run-2.jsonl"
-        old.write_text("{}\n")
-        new.write_text("{}\n")
-        os.utime(old, (1, 1))
-        assert latest_telemetry(root) == str(new)
-
-
-# ---------------------------------------------------------------------------
 # Executor + orchestrator
 # ---------------------------------------------------------------------------
 
@@ -275,14 +226,13 @@ REQUESTS = [RunRequest("dc", scheme, "arb") for scheme in
 class TestExecutor:
     def test_serial_executes_and_caches(self, tmp_path):
         cache = ResultCache(str(tmp_path))
-        telemetry = TelemetryWriter(path=None)
         executor = JobExecutor(scale=SCALE, jobs=1,
-                               store=StoreConfig(root=str(tmp_path)),
-                               telemetry=telemetry)
-        results = executor.run(list(REQUESTS))
+                               store=StoreConfig(root=str(tmp_path)))
+        results, counts = counted(lambda: executor.run(list(REQUESTS)))
         assert list(results) == REQUESTS  # deterministic order
-        statuses = [r.attrs["status"] for r in telemetry.records]
-        assert statuses.count("miss") == len(REQUESTS) + 1  # + profile
+        # Every cell priced, on one profile.
+        assert counts["timing.computed"] == len(REQUESTS)
+        assert counts["stream.computed"] == 1
         # One cell result per request, plus the staged pipeline's
         # artifacts: one stream/replay/compress for the shared profile.
         # Timing is not stored apart from the cell.
@@ -292,15 +242,10 @@ class TestExecutor:
         store = StoreConfig(root=str(tmp_path))
         JobExecutor(scale=SCALE, jobs=1, store=store).run(
             list(REQUESTS))
-        telemetry = TelemetryWriter(path=None)
-        executor = JobExecutor(scale=SCALE, jobs=1, store=store,
-                               telemetry=telemetry)
-        warm = executor.run(list(REQUESTS))
-        statuses = {r.attrs["job_id"]: r.attrs["status"]
-                    for r in telemetry.records}
-        assert list(statuses.values()).count("hit") == len(REQUESTS)
-        assert "miss" not in statuses.values()
-        assert statuses["profile:dc/arb/none"] == "skipped"
+        executor = JobExecutor(scale=SCALE, jobs=1, store=store)
+        warm, counts = counted(lambda: executor.run(list(REQUESTS)))
+        # Every cell hit the store: nothing profiled, nothing priced.
+        assert counts == {}
         cold = JobExecutor(scale=SCALE, jobs=1).run(list(REQUESTS))
         assert warm == cold
 
@@ -314,39 +259,23 @@ class TestExecutor:
                                            request.dataset,
                                            request.preprocessing)
 
-    def test_failure_raises_after_retries(self):
+    def test_failure_raises_after_retries(self, monkeypatch):
+        import repro.jobs.executor as executor_module
+        real = executor_module._execute_group
+        groups = []
+
+        def counting(scale, system, identity, cells, store=None):
+            groups.append(identity)
+            return real(scale, system, identity, cells, store)
+
+        monkeypatch.setattr(executor_module, "_execute_group", counting)
         executor = JobExecutor(scale=SCALE, jobs=1, retries=2)
         bad = [RunRequest("dc", "no-such-scheme", "arb")]
-        with pytest.raises(JobExecutionError):
+        with pytest.raises(JobExecutionError,
+                           match="price:dc/arb/none/no-such-scheme"):
             executor.run(bad)
-        statuses = [r for r in executor.telemetry.records
-                    if r.attrs["status"] == "failed"]
-        assert statuses and all(r.attrs["retries"] == 2
-                                for r in statuses)
-
-    def test_failed_run_writes_its_records_in_one_append(
-            self, tmp_path, monkeypatch):
-        import repro.jobs.telemetry as telemetry_module
-        from repro.obs import read_trace
-        opens = []
-
-        def counting_open(*args, **kwargs):
-            opens.append(args[0])
-            return open(*args, **kwargs)
-
-        monkeypatch.setattr(telemetry_module, "open", counting_open,
-                            raising=False)
-        path = str(tmp_path / "run.jsonl")
-        executor = JobExecutor(scale=SCALE, jobs=1, retries=2,
-                               telemetry=TelemetryWriter(path=path))
-        with pytest.raises(JobExecutionError):
-            executor.run([RunRequest("dc", "no-such-scheme", "arb")])
-        assert opens == [path]
-        _header, spans = read_trace(path)
-        written = [(s.attrs["job_id"], s.attrs["status"]) for s in spans]
-        assert ("price:dc/arb/none/no-such-scheme", "failed") in written
-        assert written == [(r.attrs["job_id"], r.attrs["status"])
-                           for r in executor.telemetry.records]
+        # The first attempt and its two retries.
+        assert groups == [("dc", "arb", "none")] * 3
 
     def test_pool_workers_store_each_cell_once(self, tmp_path):
         """The process that prices a cell stores it, under the key the
@@ -361,17 +290,10 @@ class TestExecutor:
         stored = [cache.get(key) for key in cache.keys()]
         assert sum(isinstance(value, RunMetrics)
                    for value in stored) == len(requests)
-        telemetry = TelemetryWriter(path=None)
         progress = []
         warm = JobExecutor(scale=SCALE, jobs=2, store=store,
-                           telemetry=telemetry,
                            progress=progress.append).run(requests)
         assert warm == cold
-        assert sorted(r.attrs["status"] for r in telemetry.records
-                      if r.attrs["kind"] == "price") == \
-            ["hit"] * len(requests)
-        assert {r.attrs["status"] for r in telemetry.records
-                if r.attrs["kind"] == "profile"} == {"skipped"}
         assert not [line for line in progress
                     if line.startswith(("group", "stages:"))]
 
@@ -433,10 +355,6 @@ class TestExecutor:
         from repro.jobs.executor import execute_group, execute_remote
         ((identity, cells),) = group_requests(REQUESTS)
 
-        def results(outcomes):
-            return [(cell, metrics, error)
-                    for cell, metrics, _wall, _pid, error in outcomes]
-
         plain, _counts, _spans = execute_remote(execute_group, (
             SCALE, None, identity, cells,
             StoreConfig(root=str(tmp_path / "ok"))))
@@ -448,9 +366,8 @@ class TestExecutor:
         full, counts, _spans = execute_remote(execute_group, (
             SCALE, None, identity, cells,
             StoreConfig(root=str(tmp_path / "full"))))
-        assert results(full) == results(plain)
-        assert all(metrics is not None for _c, metrics, _e
-                   in results(full)[1:])
+        assert full == plain
+        assert all(metrics is not None for _c, metrics, _e in full[1:])
         assert counts.get("stage.store.write_failed", 0) >= len(cells)
         # Each failed append was cut back: the segment holds nothing.
         assert [os.path.getsize(path) for path in
@@ -631,7 +548,7 @@ class TestPoolClose:
         manager = self._manager(dispatcher)
         task = (_hang_in_pool, (SCALE, None, ("dc", "arb", "none"), []))
         try:
-            [(outcomes, _retries)] = dispatcher.run([task])
+            [outcomes] = dispatcher.run([task])
             assert outcomes == []
         finally:
             self._close(dispatcher)
@@ -642,11 +559,16 @@ class TestJobRunner:
     def test_prefetch_then_run_hits_memory(self, tmp_path):
         runner = JobRunner(scale=SCALE, jobs=1,
                            cache_dir=str(tmp_path))
-        assert set(runner.prefetch(REQUESTS)) == set(REQUESTS)
-        metrics = runner.run("dc", "phi", "arb")
+
+        def prefetch_then_run():
+            assert set(runner.prefetch(REQUESTS)) == set(REQUESTS)
+            return runner.run("dc", "phi", "arb")
+
+        metrics, counts = counted(prefetch_then_run)
         assert metrics.scheme == "phi"
-        summary = summarize(latest_telemetry(str(tmp_path)))
-        assert summary["by_status"]["miss"] == len(REQUESTS) + 1
+        # The prefetch priced every cell once; the run priced none.
+        assert counts["timing.computed"] == len(REQUESTS)
+        assert counts["stream.computed"] == 1
 
     def test_unplanned_run_falls_back_and_caches(self, tmp_path):
         runner = JobRunner(scale=SCALE, jobs=1,
@@ -654,10 +576,10 @@ class TestJobRunner:
         first = runner.run("dc", "ub", "arb")
         fresh = JobRunner(scale=SCALE, jobs=1,
                           cache_dir=str(tmp_path))
-        assert fresh.run("dc", "ub", "arb") == first
-        records = fresh._telemetry.records
-        # A one-cell prefetch: its hit, and its group's skipped profile.
-        assert [r.attrs["status"] for r in records] == ["hit", "skipped"]
+        again, counts = counted(lambda: fresh.run("dc", "ub", "arb"))
+        assert again == first
+        # A one-cell prefetch that hit the store: nothing computed.
+        assert counts == {}
 
     def test_profiles_reuse_the_bundles_prefetch_built(self):
         """The runner prices through the pricer its in-process groups

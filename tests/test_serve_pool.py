@@ -108,21 +108,24 @@ class TestThreadBackend:
 
 class TestProcessBackend:
     def test_runs_group_in_worker_process(self):
-        import os
+        from repro.obs import TRACER
         backend = ServeBackend("process", 2)
         identity, cells = one_group(dataset="ukl")
 
         async def go():
             return await backend.run_group(SCALE, None, identity, cells)
 
+        TRACER.start()
         try:
             outcomes = run(go())
         finally:
+            TRACER.stop()
             backend.close()
         assert len(outcomes) == 1 + len(cells)
         assert all(error == "" for *_rest, error in outcomes)
         if backend.stats()["pool"] == "up":  # sandbox may deny pools
-            pids = {pid for _c, _m, _w, pid, _e in outcomes}
+            pids = {span.pid for span in TRACER.spans
+                    if span.name == "jobs.group"}
             assert pids and os.getpid() not in pids
             assert backend.fallbacks == 0
         assert backend.dispatches == 1
@@ -188,15 +191,18 @@ class TestProcessBackend:
             return [await backend.run_group(SCALE, None, identity, cells)
                     for _ in range(3)]
 
+        from repro.obs import TRACER
+        TRACER.start()
         try:
             results = run(go())
         finally:
+            TRACER.stop()
             backend.close()
         for outcomes in results:
             assert len(outcomes) == 1 + len(cells)
             assert all(error == "" for *_rest, error in outcomes)
-            assert {pid for _c, _m, _w, pid, _e in outcomes} == \
-                {os.getpid()}
+        assert [span.pid for span in TRACER.spans
+                if span.name == "jobs.group"] == [os.getpid()] * 3
         assert len(submits) == 1
         stats = backend.stats()
         assert (stats["pool"], stats["dispatches"], stats["fallbacks"]) \
@@ -403,9 +409,9 @@ class TestAppBatching:
         async def sabotage(scale, system, identity, cells, store=None):
             outcomes = await original(scale, system, identity, cells,
                                       store=store)
-            return [(cell, None, wall, pid, "boom") if cell == bad else
-                    (cell, metrics, wall, pid, error)
-                    for cell, metrics, wall, pid, error in outcomes]
+            return [(cell, None, "boom") if cell == bad else
+                    (cell, metrics, error)
+                    for cell, metrics, error in outcomes]
 
         app.backend.run_group = sabotage
 

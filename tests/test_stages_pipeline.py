@@ -261,7 +261,7 @@ class TestInvalidation:
         assert again == first
         assert stage_counters() == {"stream.memo": 1, "replay.memo": 1,
                                     "compress.memo": 1,
-                                    "timing.memo": 1}
+                                    "timing.computed": 1}
 
     def test_concurrent_callers_build_a_bundle_once(self):
         """Eight threads ask one pricer for one identity at once, with a
