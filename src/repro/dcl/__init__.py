@@ -1,7 +1,6 @@
 """The Dataflow Configuration Language — SpZip's HW/SW interface."""
 
 from repro.dcl.operators import (
-    NEVER,
     CompressOp,
     DecompressOp,
     IndirectOp,
@@ -37,7 +36,6 @@ __all__ = [
     "IndirectOp",
     "MarkerQueue",
     "MemQueueOp",
-    "NEVER",
     "OpSpec",
     "Operator",
     "Program",

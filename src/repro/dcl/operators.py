@@ -37,11 +37,6 @@ from repro.dcl.queue import Entry, MarkerQueue
 _RANGE_SHIFT = 32
 _RANGE_MASK = (1 << 32) - 1
 
-#: Sentinel returned by :meth:`Operator.ready_at` when an operator cannot
-#: predict its own readiness: it is blocked on queue state that only some
-#: other agent (another operator, an AU delivery, the core) can change.
-NEVER = 1 << 62
-
 
 def pack_range(start: int, end: int) -> int:
     """Pack a [start, end) pair into one 64-bit queue entry."""
@@ -82,18 +77,6 @@ class Operator:
 
     def ready(self, engine) -> bool:
         raise NotImplementedError
-
-    def ready_at(self, engine) -> int:
-        """Earliest cycle this context could fire (a lower bound).
-
-        ``engine.cycle`` when :meth:`ready` holds now; a concrete future
-        cycle when the only blocker is time-based (operators waiting on
-        the access unit override this to report the next completion);
-        :data:`NEVER` when blocked on state only other agents can change.
-        The event-driven scheduler uses these bounds to jump the cycle
-        counter over guaranteed-idle stretches.
-        """
-        return engine.cycle if self.ready(engine) else NEVER
 
     def fire(self, engine) -> None:
         raise NotImplementedError
@@ -158,23 +141,6 @@ class RangeFetchOp(Operator):
                 and not self.in_queue.is_empty
                 and engine.au_can_issue()
                 and all(q.has_space(1, 1) for q in self.out_queues))
-
-    def ready_at(self, engine) -> int:
-        if self._marker_pending:
-            if not all(q.has_space(0, 1) for q in self.out_queues):
-                return NEVER
-        elif self._range_active():
-            if not all(q.has_space(1, 0) for q in self.out_queues):
-                return NEVER
-        else:
-            if self.in_queue is None or self.in_queue.is_empty \
-                    or not all(q.has_space(1, 1)
-                               for q in self.out_queues):
-                return NEVER
-        # Only the access unit stands in the way: its head completion is
-        # the earliest this context can change state on its own clock.
-        return engine.cycle if engine.au_can_issue() \
-            else engine.au_next_free_cycle()
 
     def fire(self, engine) -> None:
         self.fires += 1
@@ -278,13 +244,6 @@ class IndirectOp(Operator):
         return (not self.in_queue.is_empty
                 and engine.au_can_issue()
                 and all(q.has_space(1, 1) for q in self.out_queues))
-
-    def ready_at(self, engine) -> int:
-        if self.in_queue.is_empty \
-                or not all(q.has_space(1, 1) for q in self.out_queues):
-            return NEVER
-        return engine.cycle if engine.au_can_issue() \
-            else engine.au_next_free_cycle()
 
     def fire(self, engine) -> None:
         self.fires += 1

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Optional, Tuple
+from typing import Deque, Optional
 
 #: Marker words are 32-bit regardless of the queue's element width.
 MARKER_BYTES = 4
@@ -132,20 +132,6 @@ class MarkerQueue:
 
     def try_pop(self) -> Optional[Entry]:
         return self.pop() if self._entries else None
-
-    def drain(self) -> Tuple[Entry, ...]:
-        """Pop everything and cancel in-flight reservations.
-
-        Draining resets the queue to its full capacity; a reservation
-        whose response will never be pushed (the request was abandoned
-        along with the contents) must release its credit too, or the
-        queue permanently loses that capacity.
-        """
-        out = tuple(self._entries)
-        self._entries.clear()
-        self._used_bytes = 0
-        self._reserved_bytes = 0
-        return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"MarkerQueue({self.name!r}, {len(self._entries)} entries, "

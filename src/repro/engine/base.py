@@ -16,25 +16,30 @@ scratchpad-size sensitivity of Fig 21.
 Execution
 ---------
 
-The engine runs one event-driven loop that executes exactly the
-hardware cycles *that do work*.  Operator readiness in this model
-changes only at discrete events (a fire, an in-order AU delivery, a
-core enqueue/dequeue); the single time-driven event is the AU's next
-completion.  Whenever a cycle does no work, the loop jumps the clock
-straight to that completion (booking the skipped cycles as scheduler
-idle), and when exactly one context is runnable it fires it in bounded
-bursts without re-running the full cycle machinery.  The paper's
+:meth:`SpZipEngine.tick` is the one engine cycle: deliver due AU
+responses in order, then fire the context the round-robin scheduler
+picks.  Every loop that drives engines calls it once per simulated
+cycle: the drive loop in :mod:`repro.engine.driver` (which
+:meth:`SpZipEngine.run` runs with no core attached) and the lockstep
+loop of :class:`~repro.engine.multicore.MulticoreTraversal`.
+
+Operator readiness changes only at discrete events (a fire, an
+in-order AU delivery, a core enqueue/dequeue); the single time-driven
+event is the AU's next completion.  So a cycle that does no work
+freezes the system until that completion, and both loops call
+:func:`skip_frozen`, the one skip-ahead, to jump the clock straight
+there (booking the skipped cycles as scheduler idle).  The paper's
 scheduler reports ~33% activity, so a literal per-cycle loop spends
 most of its time proving idleness.
 
-The loop is **cycle-identical** to that literal per-cycle loop: same
+The loops are **cycle-identical** to that literal per-cycle loop: same
 cycle counts, same per-operator fire counts, same idle/activity
-statistics, same queue high-water marks.  The per-cycle loop lives in
+statistics, same queue high-water marks.  The per-cycle loops live in
 ``tests/oracles/engine.py``, and the randomized equivalence suite in
-``tests/test_engine_equivalence.py`` holds the engine to it.  The only
-observable difference is deadlock detection: the per-cycle loop spins
-10k cycles before raising :class:`EngineStall`, while the event loop
-proves "no future event" and raises immediately.
+``tests/test_engine_equivalence.py`` holds the engine to them.  The
+only observable difference is deadlock detection: the per-cycle loops
+spin 10k cycles before raising :class:`EngineStall`, while
+:func:`skip_frozen` proves "no future event" and raises immediately.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.config import SpZipConfig
-from repro.dcl.operators import NEVER, Operator
+from repro.dcl.operators import Operator
 from repro.dcl.program import Program
 from repro.dcl.queue import Entry, MarkerQueue
 from repro.dcl.scheduler import RoundRobinScheduler
@@ -54,10 +59,6 @@ from repro.memory.address import AddressSpace
 
 #: Memory port signature: (addr, nbytes, write) -> latency cycles.
 MemPort = Callable[[int, int, bool], int]
-
-#: Upper bound on consecutive sole-context fires before the event core
-#: re-enters the full scheduling loop (bounded bursts).
-BURST_CYCLES = 256
 
 
 @dataclass
@@ -96,7 +97,6 @@ class SpZipEngine:
         self.mem_bytes_read = 0
         self.mem_writes = 0
         self.mem_bytes_written = 0
-        self.burst_fires = 0
 
     # -- construction ----------------------------------------------------------
 
@@ -189,13 +189,6 @@ class SpZipEngine:
     def au_can_issue(self) -> bool:
         return len(self._inflight) < self.config.au_outstanding_lines
 
-    def au_next_free_cycle(self) -> int:
-        """Lower bound on when a full AU frees a slot (head completion)."""
-        if self._inflight \
-                and len(self._inflight) >= self.config.au_outstanding_lines:
-            return self._inflight[0].complete_at
-        return self.cycle
-
     def next_event_cycle(self) -> Optional[int]:
         """Cycle at which time alone next changes engine state.
 
@@ -280,72 +273,17 @@ class SpZipEngine:
     def run(self, max_cycles: int = 10_000_000) -> int:
         """Run until fully drained; returns cycles spent.
 
-        The event-driven loop: skip idle stretches, burst sole contexts.
-        It is cycle-identical to the per-cycle loop (see the module
-        docstring).  Two invariants carry the proof:
-
-        * a cycle that does no work leaves every queue, context, and AU
-          slot untouched, so every subsequent cycle before the next AU
-          head completion is also a no-op — jump straight there;
-        * a ready operator implies the engine is not drained (readiness
-          requires a non-empty input queue or pending internal state),
-          so a burst never needs per-cycle drain checks.
+        This is the drive loop with no core attached: nothing is fed
+        and nothing is dequeued.  A drained engine spends no cycle.
         """
         if self.scheduler is None:
             raise RuntimeError("no program loaded")
-        start = self.cycle
-        scheduler = self.scheduler
-        while not self.is_drained():
-            worked = False
-            inflight = self._inflight
-            if inflight and inflight[0].complete_at <= self.cycle:
-                pushed, popped = self._deliver()
-                worked = pushed or popped
-            op = scheduler.pick(self)
-            if op is not None:
-                op.fire(self)
-                worked = True
-            self.cycle += 1
-            if self.cycle - start > max_cycles:
-                raise EngineStall(f"exceeded {max_cycles} cycles")
-            if op is not None:
-                # Bounded burst: while this is the only runnable context
-                # and no delivery is due, repeated picks are predictable.
-                burst = 0
-                while burst < BURST_CYCLES:
-                    inflight = self._inflight
-                    if inflight \
-                            and inflight[0].complete_at <= self.cycle:
-                        break
-                    sole = scheduler.pick_sole(self)
-                    if sole is None:
-                        break
-                    sole.fire(self)
-                    self.cycle += 1
-                    burst += 1
-                    if self.cycle - start > max_cycles:
-                        raise EngineStall(
-                            f"exceeded {max_cycles} cycles")
-                self.burst_fires += burst
-                continue
-            if worked:
-                continue
-            # Idle cycle: nothing can happen before the next AU event.
-            target = self.next_event_cycle()
-            bound = scheduler.next_ready_cycle(self)
-            if bound < (target if target is not None else NEVER):
-                target = bound
-            if target is None or target >= NEVER:
-                raise EngineStall(
-                    "engine idle with nothing in flight "
-                    "(output queue never drained?)")
-            delta = target - self.cycle
-            if delta > 0:
-                scheduler.skip_idle(delta)
-                self.cycle = target
-                if self.cycle - start > max_cycles:
-                    raise EngineStall(f"exceeded {max_cycles} cycles")
-        return self.cycle - start
+        if self.is_drained():
+            return 0
+        from repro.engine.driver import DriveRequest, _drive_loop
+        cycles, _outputs = _drive_loop(self, DriveRequest(
+            max_cycles=max_cycles))
+        return cycles
 
     def is_drained(self) -> bool:
         """No in-flight requests, no operator work, internal queues empty.
@@ -360,3 +298,30 @@ class SpZipEngine:
         return all(q.is_empty or name in outputs
                    for name, q in self.queues.items())
 
+
+def skip_frozen(engines: Sequence[SpZipEngine]) -> int:
+    """Jump frozen engines to the earliest AU completion; returns the gap.
+
+    The caller has just run a cycle in which no engine (and no core)
+    changed any state.  Readiness depends on time only through the AU,
+    so every cycle before the earliest in-flight completion would be
+    the same no-op: the engines, which share one clock, jump there in
+    lockstep and each scheduler books the gap as idle.  With nothing in
+    flight anywhere no future cycle can differ, so this raises
+    :class:`EngineStall` at once.
+    """
+    target: Optional[int] = None
+    for engine in engines:
+        event = engine.next_event_cycle()
+        if event is not None and (target is None or event < target):
+            target = event
+    if target is None:
+        raise EngineStall("stalled: nothing can fire and nothing is in "
+                          "flight (output queue never drained?)")
+    delta = target - engines[0].cycle
+    if delta <= 0:
+        return 0
+    for engine in engines:
+        engine.scheduler.skip_idle(delta)
+        engine.cycle += delta
+    return delta

@@ -20,10 +20,12 @@ statistics.  This typed form is the *only* form: the pre-typed keyword
 spelling ``drive(engine, feeds=..., consume=...)`` was removed after
 its deprecation cycle, and the signature rejects it.
 
-Like :meth:`SpZipEngine.run`, the drive loop is event-driven: it skips
-idle stretches to the next access-unit completion and fires
-sole-runnable contexts in bounded bursts, cycle-identical to the
-literal per-cycle loop; see ``docs/ENGINE.md``.
+The drive loop is the one single-engine loop: :meth:`SpZipEngine.run`
+is the same loop with no core attached.  Each iteration runs one
+:meth:`SpZipEngine.tick`, and a cycle that changed nothing hands over
+to :func:`~repro.engine.base.skip_frozen`, which jumps to the next
+access-unit completion; the result is cycle-identical to the literal
+per-cycle loop (see ``docs/ENGINE.md``).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Tuple, Union
 
 from repro.dcl.queue import Entry
-from repro.engine.base import BURST_CYCLES, EngineStall, SpZipEngine
+from repro.engine.base import EngineStall, SpZipEngine, skip_frozen
 from repro.obs import TRACER
 
 #: What callers may put in a feed list; normalized by :meth:`Feed.of`.
@@ -165,19 +167,13 @@ def _drive_loop(engine: SpZipEngine, request: DriveRequest
                 ) -> Tuple[int, Dict[str, List[Entry]]]:
     """The drive loop; cycle-identical to the literal per-cycle loop.
 
-    Each iteration executes exactly one hardware cycle (feed, engine
-    cycle, consume, finished check).  Two fast paths change *how many
-    iterations run*, never what each cycle does:
-
-    * **skip-ahead** — a cycle that fed nothing, fired nothing,
-      delivered nothing and dequeued nothing leaves all state untouched,
-      so every later cycle before the next access-unit completion is
-      provably identical; the clock jumps there and the scheduler books
-      the gap as idle cycles.
-    * **bounded bursts** — with no feeds pending and exactly one
-      runnable context, the scheduler pick is predictable, so the
-      context fires directly for up to :data:`BURST_CYCLES` cycles
-      (consume and finished checks still run per cycle).
+    Each iteration executes exactly one hardware cycle: the core's
+    enqueues, one engine cycle (:meth:`SpZipEngine.tick`), the core's
+    dequeues and the finished check.  A cycle that fed nothing, fired
+    nothing, delivered nothing and dequeued nothing leaves all state
+    untouched, so every later cycle before the next access-unit
+    completion is provably identical; :func:`skip_frozen` jumps the
+    clock there and books the gap as idle cycles.
     """
     pending: Dict[str, List[Feed]] = {
         name: list(items) for name, items in request.feeds.items()
@@ -185,13 +181,12 @@ def _drive_loop(engine: SpZipEngine, request: DriveRequest
     outputs: Dict[str, List[Entry]] = {name: [] for name in request.consume}
     dequeues_per_cycle = request.dequeues_per_cycle
     max_cycles = request.max_cycles
-    scheduler = engine.scheduler
     queues = engine.queues
     consume_queues = [queues[name] for name in outputs]
     consume_pairs = [(name, queues[name]) for name in outputs]
     inflight = engine._inflight
-    pick = scheduler.pick
-    pick_sole = scheduler.pick_sole
+    tick = engine.tick
+    frozen = (engine,)
     start = engine.cycle
     feeds_done = not any(pending.values())
     while True:
@@ -204,16 +199,8 @@ def _drive_loop(engine: SpZipEngine, request: DriveRequest
                     items.pop(0)
                     progressed = True
             feeds_done = not any(pending.values())
-        # Engine cycle (deliveries gated on the in-order AU head).
-        if inflight and inflight[0].complete_at <= engine.cycle:
-            pushed, popped = engine._deliver()
-            if pushed or popped:
-                progressed = True
-        op = pick(engine)
-        if op is not None:
-            op.fire(engine)
+        if tick():
             progressed = True
-        engine.cycle += 1
         # Core dequeues.
         budget = dequeues_per_cycle
         for name, queue in consume_pairs:
@@ -230,54 +217,8 @@ def _drive_loop(engine: SpZipEngine, request: DriveRequest
         if (feeds_done and not inflight and engine.is_drained()
                 and all(q.is_empty for q in consume_queues)):
             break
+        if not progressed:
+            skip_frozen(frozen)
         if engine.cycle - start > max_cycles:
             raise EngineStall(f"exceeded {max_cycles} cycles")
-        if op is not None and feeds_done:
-            # Bounded burst: no feeds can arrive, so while exactly one
-            # context is runnable and no delivery is due, each cycle is
-            # the per-cycle loop's cycle with a predictable pick.
-            finished = False
-            burst = 0
-            while burst < BURST_CYCLES:
-                if inflight and inflight[0].complete_at <= engine.cycle:
-                    break
-                sole = pick_sole(engine)
-                if sole is None:
-                    break
-                sole.fire(engine)
-                engine.cycle += 1
-                burst += 1
-                if not all(q.is_empty for q in consume_queues):
-                    budget = dequeues_per_cycle
-                    for name, queue in consume_pairs:
-                        while budget > 0:
-                            entry = queue.try_pop()
-                            if entry is None:
-                                break
-                            outputs[name].append(entry)
-                            budget -= 1
-                if (not inflight and engine.is_drained()
-                        and all(q.is_empty for q in consume_queues)):
-                    finished = True
-                    break
-                if engine.cycle - start > max_cycles:
-                    raise EngineStall(f"exceeded {max_cycles} cycles")
-            engine.burst_fires += burst
-            if finished:
-                break
-            continue
-        if progressed:
-            continue
-        # Idle cycle: the state is frozen until the AU head completes.
-        target = engine.next_event_cycle()
-        if target is None:
-            # The per-cycle loop spins 10k no-op cycles before
-            # concluding this; with no future event it is immediate.
-            raise EngineStall("core/engine co-simulation stalled")
-        delta = target - engine.cycle
-        if delta > 0:
-            scheduler.skip_idle(delta)
-            engine.cycle = target
-            if engine.cycle - start > max_cycles:
-                raise EngineStall(f"exceeded {max_cycles} cycles")
     return engine.cycle - start, outputs

@@ -13,12 +13,13 @@ single global cycle loop, so the result is a *makespan* in engine cycles
 plus per-core statistics — the functional twin of the scheme-level
 model's work-stealing imbalance factor.
 
-Like the single-engine paths, the global loop is event-driven: it skips
-cycles in which *no core* can do anything — all fetchers idle, all
-deliveries in flight — straight to the earliest access-unit completion
-across cores (every fetcher's clock and idle statistics advance in
-lockstep).  It produces the same makespan and per-core counters as the
-literal per-cycle global loop.
+Each global cycle runs every core's :meth:`~repro.engine.SpZipEngine.tick`
+once.  A cycle in which *no core* did anything — all fetchers idle, all
+deliveries in flight — goes to :func:`~repro.engine.base.skip_frozen`,
+the drive loop's skip-ahead, which jumps every fetcher in lockstep to
+the earliest access-unit completion across cores.  The loop produces
+the same makespan and per-core counters as the literal per-cycle
+global loop.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.dcl import pack_range
 from repro.dcl.program import Program
-from repro.engine.base import EngineStall
+from repro.engine.base import EngineStall, skip_frozen
 from repro.engine.fetcher import Fetcher
 from repro.memory.hierarchy import MemoryHierarchy
 
@@ -51,7 +52,6 @@ class CoreState:
 
     fetcher: Fetcher
     chunks: "Deque[Chunk]" = field(default_factory=deque)
-    busy_until_drained: bool = False
     current: Optional[Chunk] = None
     elements: int = 0
     markers: int = 0
@@ -97,14 +97,15 @@ class MulticoreTraversal:
         (one engine cycle per global cycle), so a globally idle cycle —
         no feeds, fires, deliveries, dequeues, or chunk transitions on
         any core — leaves the whole system frozen until the earliest
-        in-flight access-unit completion across cores.  The loop jumps
-        there and books the skipped cycles as idle on every fetcher's
-        scheduler.
+        in-flight access-unit completion across cores.
+        :func:`skip_frozen` jumps every fetcher there and books the
+        skipped cycles as idle on each fetcher's scheduler.
         """
         for core in self.cores:
             core.chunks = deque()
         for index, chunk in enumerate(chunks):
             self.cores[index % self.num_cores].chunks.append(chunk)
+        fetchers = [core.fetcher for core in self.cores]
         cycle = 0
         while True:
             worked = False
@@ -118,27 +119,10 @@ class MulticoreTraversal:
             cycle += 1
             if active == 0:
                 break
+            if not worked:
+                cycle += skip_frozen(fetchers)
             if cycle > max_cycles:
                 raise EngineStall(f"exceeded {max_cycles} cycles")
-            if worked:
-                continue
-            target: Optional[int] = None
-            for core in self.cores:
-                t = core.fetcher.next_event_cycle()
-                if t is not None and (target is None or t < target):
-                    target = t
-            if target is None:
-                # Frozen with nothing in flight anywhere: a per-cycle
-                # loop spins 10k cycles before reaching this conclusion.
-                raise EngineStall("multicore traversal stalled")
-            delta = target - cycle
-            if delta > 0:
-                for core in self.cores:
-                    core.fetcher.scheduler.skip_idle(delta)
-                    core.fetcher.cycle += delta
-                cycle += delta
-                if cycle > max_cycles:
-                    raise EngineStall(f"exceeded {max_cycles} cycles")
         total = sum(core.elements for core in self.cores)
         return {
             "makespan_cycles": cycle,

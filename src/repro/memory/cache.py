@@ -24,17 +24,6 @@ class CacheStats:
     writebacks: int = 0
     evictions: int = 0
 
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def miss_rate(self) -> float:
-        return self.misses / self.accesses if self.accesses else 0.0
-
-    def reset(self) -> None:
-        self.hits = self.misses = self.writebacks = self.evictions = 0
-
 
 class FastLruCache:
     """Fully-associative LRU cache keyed by line address."""
@@ -73,6 +62,3 @@ class FastLruCache:
         for line in self._lines:
             self._lines[line] = False
         return dirty
-
-    def clear(self) -> None:
-        self._lines.clear()

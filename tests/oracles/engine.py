@@ -1,18 +1,20 @@
 """The engine's per-cycle reference loops.
 
-:mod:`repro.engine` runs one event-driven loop per surface
-(:meth:`~repro.engine.SpZipEngine.run`, :func:`~repro.engine.drive`,
-:meth:`~repro.engine.MulticoreTraversal.run`): it jumps idle stretches
-to the next access-unit completion and fires a sole runnable context in
-bounded bursts.  This module holds the literal hardware loops those must
-be cycle-identical to.  Every simulated cycle delivers due access-unit
-responses, asks the scheduler for one ready context and advances the
-clock, even when nothing can happen; a loop that sees no progress for
-:data:`STALL_CYCLES` cycles raises :class:`~repro.engine.EngineStall`.
-``tests/test_engine_equivalence.py`` drives the same workloads through
-both and compares everything observable.
+:mod:`repro.engine` runs two cycle loops, both over
+:meth:`~repro.engine.SpZipEngine.tick`: the drive loop
+(:func:`~repro.engine.drive`; :meth:`~repro.engine.SpZipEngine.run` is
+the same loop with no core attached) and the lockstep loop of
+:meth:`~repro.engine.MulticoreTraversal.run`.  Both jump idle stretches
+to the next access-unit completion.  This module holds the literal
+hardware loops those must be cycle-identical to.  Every simulated cycle
+delivers due access-unit responses, asks the scheduler for one ready
+context and advances the clock, even when nothing can happen; a loop
+that sees no progress for :data:`STALL_CYCLES` cycles raises
+:class:`~repro.engine.EngineStall`.  ``tests/test_engine_equivalence.py``
+drives the same workloads through both and compares everything
+observable.
 
-The loops read only the engine state the event loops read themselves:
+The loops read only the engine state the engine's own loops read:
 ``_deliver``, ``scheduler.pick``, ``is_drained``, ``enqueue``/``dequeue``
 and a traversal's cores.
 """
@@ -53,21 +55,10 @@ def tick(engine) -> bool:
 
 
 def run(engine, max_cycles: int = 10_000_000) -> int:
-    """:meth:`SpZipEngine.run`, one cycle at a time."""
-    start = engine.cycle
-    idle = 0
-    while not engine.is_drained():
-        if tick(engine):
-            idle = 0
-        else:
-            idle += 1
-            if idle > STALL_CYCLES:
-                raise EngineStall(
-                    f"engine made no progress for {idle} cycles "
-                    f"(output queue never drained?)")
-        if engine.cycle - start > max_cycles:
-            raise EngineStall(f"exceeded {max_cycles} cycles")
-    return engine.cycle - start
+    """:meth:`SpZipEngine.run`: :func:`drive` with no core attached."""
+    if engine.is_drained():
+        return 0
+    return drive(engine, DriveRequest(max_cycles=max_cycles)).cycles
 
 
 class CycleCompressor(Compressor):

@@ -104,7 +104,7 @@ class TestFastLruBatch:
     def test_empty_batch(self):
         cache = FastLruCache(4)
         assert access_many(cache, np.array([], dtype=np.int64)).size == 0
-        assert cache.stats.accesses == 0
+        assert cache.stats.hits + cache.stats.misses == 0
 
 
 class TestSetAssocBatch:

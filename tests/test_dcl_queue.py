@@ -74,26 +74,6 @@ class TestFifo:
         q.pop()
         assert q.try_push(2)
 
-    def test_drain_releases_reservations(self):
-        """Regression: drain must return reserved credit to the pool.
-
-        A reserve whose response is abandoned along with the queue's
-        contents used to leak ``_reserved_bytes`` forever, shrinking the
-        queue's effective capacity after every drain.
-        """
-        q = MarkerQueue("q", capacity_bytes=8, elem_bytes=4)
-        q.push(1)
-        assert q.reserve(entries=1)
-        assert q.free_bytes == 0
-        drained = q.drain()
-        assert [e.value for e in drained] == [1]
-        assert q.reserved_bytes == 0
-        assert q.free_bytes == q.capacity_bytes
-        # Full capacity is usable again.
-        q.push(2)
-        q.push(3)
-        assert len(q) == 2
-
     def test_reserved_push_consumes_credit(self):
         q = MarkerQueue("q", capacity_bytes=8, elem_bytes=4)
         assert q.reserve(entries=1)

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from repro.config import SpZipConfig
-from repro.dcl import Entry, MarkerQueue, NEVER, RoundRobinScheduler, \
-    pack_range
+from repro.dcl import Entry, MarkerQueue, RoundRobinScheduler, pack_range
 from repro.engine import (
     INPUT_QUEUE,
     ROWS_QUEUE,
@@ -197,31 +196,6 @@ class TestRoundRobinScheduler:
         assert sched.fires_by_op == {"a": 2, "b": 2, "never": 0}
         assert sched.issued == 4
 
-    def test_pick_sole_matches_pick_accounting(self):
-        a = self.FakeOp("a", [False] * 10)
-        b = self.FakeOp("b", [True] * 10)
-        sched = RoundRobinScheduler([a, b])
-        op = sched.pick_sole(None)
-        assert op is b
-        assert sched.issued == 1
-        assert sched.fires_by_op == {"a": 0, "b": 1}
-        # pointer advanced past b: next pick scans a first again
-        assert sched.pick(None) is b
-
-    def test_pick_sole_refuses_contended_cycles(self):
-        a = self.FakeOp("a", [True] * 4)
-        b = self.FakeOp("b", [True] * 4)
-        sched = RoundRobinScheduler([a, b])
-        assert sched.pick_sole(None) is None
-        assert sched.issued == 0
-        assert sched.idle_cycles == 0  # caller falls back to pick()
-
-    def test_pick_sole_none_when_nothing_ready(self):
-        a = self.FakeOp("a", [False])
-        sched = RoundRobinScheduler([a])
-        assert sched.pick_sole(None) is None
-        assert sched.idle_cycles == 0
-
     def test_skip_idle_books_both_counters(self):
         sched = RoundRobinScheduler([self.FakeOp("a", [True])])
         sched.pick(None)
@@ -234,9 +208,6 @@ class TestRoundRobinScheduler:
         sched = RoundRobinScheduler([])
         with pytest.raises(ValueError):
             sched.skip_idle(-1)
-
-    def test_next_ready_cycle_defaults_to_never(self):
-        assert RoundRobinScheduler([]).next_ready_cycle(None) == NEVER
 
 
 class TestQueueReservations:

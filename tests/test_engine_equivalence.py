@@ -1,12 +1,14 @@
 """Randomized per-cycle vs event-driven equivalence suite.
 
-The event-driven engine (skip-ahead + bounded bursts) must be
-**cycle-identical** to the per-cycle reference loops in
-``tests/oracles/engine.py``: same cycle counts, same outputs, same
-per-operator fire counts, same idle/activity statistics, same memory
-traffic, same queue high-water marks.  This suite drives the same
-randomized workload through both and compares everything observable —
-the ``repro.memory.batch`` equivalence playbook applied to the engine.
+The engine's loops (the drive loop, which ``SpZipEngine.run`` is with
+no core attached, and the multicore lockstep loop, both over one
+``tick`` with one idle skip-ahead) must be **cycle-identical** to the
+per-cycle reference loops in ``tests/oracles/engine.py``: same cycle
+counts, same outputs, same per-operator fire counts, same idle/activity
+statistics, same memory traffic, same queue high-water marks.  This
+suite drives the same randomized workload through both and compares
+everything observable — the ``repro.memory.batch`` equivalence playbook
+applied to the engine.
 
 Coverage:
 
@@ -397,7 +399,7 @@ class TestMulticore:
 
 
 class TestEngineRun:
-    """SpZipEngine.run() equivalence (no driver in the loop).
+    """SpZipEngine.run() equivalence (the drive loop with no core).
 
     Nobody dequeues the output queue here, so runs where it overflows
     deadlock: the reference spins its 10k-cycle guard while the engine

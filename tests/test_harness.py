@@ -86,6 +86,16 @@ class TestResultStructure:
         for row in result.rows:
             assert row["2KB"] == pytest.approx(1.0)
 
+    def test_fig21_walk_cycles_are_pinned(self):
+        """The report's six Fig 21 walks, cycle for cycle: the table
+        shows two-decimal ratios, which hide a shift of a few cycles."""
+        walks = fig21_scratchpad().walks
+        cycles = JobRunner(scale=65536).walks(walks)
+        assert [(w.preprocessing, w.config.scratchpad_bytes // 1024,
+                 cycles[w]) for w in walks] == [
+            ("none", 1, 9848), ("none", 2, 9604), ("none", 4, 9133),
+            ("dfs", 1, 9655), ("dfs", 2, 9431), ("dfs", 4, 8973)]
+
     def test_sorting_rows_per_input(self, runner):
         result = EXPERIMENTS["sorting"](runner)
         assert result.rows[-1]["input"] == "mean"

@@ -127,10 +127,10 @@ ALLOWED_UNREACHED = {
     "CsrGraph.iter_rows": "public graph API; the reference apps walk "
                           "rows with it",
     "MarkerQueue.peek": "public queue API, read by the queue tests",
-    "MarkerQueue.used_bytes": "queue occupancy, read by the credit-leak "
-                              "regression tests",
+    "MarkerQueue.used_bytes": "queue occupancy, read by the reservation "
+                              "tests",
     "MarkerQueue.reserved_bytes": "reserved credit, read by the "
-                                  "credit-leak regression tests",
+                                  "reservation tests",
     "MutableGraphHandle.lineage": "a handle's content address, which the "
                                   "delta tests compare",
     "GraphStore.open_segments": "test fixture: the release tests count "
