@@ -31,6 +31,12 @@ APPS = ("pr", "prd", "cc", "re", "dc", "bfs", "sp")
 SCHEMES = ("push", "push+spzip", "ub", "ub+spzip", "phi", "phi+spzip",
            "pull", "pull+spzip", "push+cmh", "ub+cmh")
 ALL_PARTS = ("adjacency", "updates", "vertex")
+# The seeded sample draws from the ten names the snapshot was frozen
+# with, so its sequence stays the same, and prices a drawn Pull scheme
+# as its Push counterpart at the same identity.
+DRAWN_SCHEMES = ("push", "push+spzip", "ub", "ub+spzip", "phi", "phi+spzip",
+                 "pull", "pull+spzip", "push+cmh", "ub+cmh")
+PULL_AS_PUSH = {"pull": "push", "pull+spzip": "push+spzip"}
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data",
                            "stages_parity_golden.json")
@@ -63,7 +69,8 @@ def random_cells():
         dataset = "nlp" if app == "sp" else rng.choice(
             ("ukl", "twi", "web", "arb"))
         preprocessing = rng.choice(("none", "dfs", "degree"))
-        scheme = rng.choice(SCHEMES)
+        scheme = rng.choice(DRAWN_SCHEMES)
+        scheme = PULL_AS_PUSH.get(scheme, scheme)
         cells.append((scale, app, scheme, dataset, preprocessing, {}))
     return cells
 
