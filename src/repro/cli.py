@@ -11,7 +11,7 @@ Commands:
 
 ``schemes [--group G]``
     List registered schemes (base, overlay, default compression parts)
-    for one registry group: ``paper``, ``cmh``, ``extensions``, ``all``.
+    for one registry group: ``paper``, ``cmh``, ``all``.
 
 ``simulate --app A --scheme S --dataset D [--preprocessing P]``
     Simulate one configuration and print its metrics.
@@ -36,10 +36,6 @@ Commands:
     batching, tiered result store) on the chosen compute backend
     until SIGINT/SIGTERM; shuts down gracefully, draining in-flight
     requests.  See docs/SERVING.md.
-
-``perf diff <baseline.jsonl> --against <current.jsonl> [--threshold X]``
-    Compare two span traces per span name and exit nonzero when any
-    shared span's total seconds regressed past the threshold.
 
 ``perf summary <trace.jsonl>``
     Aggregate a span trace per name (calls, seconds, count).
@@ -277,34 +273,16 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_perf(args) -> int:
-    """Timing comparison and trace aggregation."""
-    from repro.obs import (
-        diff_timings,
-        load_timings,
-        render_diff,
-        render_trace_summary,
-    )
-    if args.perf_command == "summary":
-        try:
-            if not args.trace.endswith(".jsonl"):
-                raise ValueError("expected a span trace (.jsonl)")
-            print(render_trace_summary(args.trace))
-        except (OSError, ValueError) as err:
-            print(f"cannot summarize {args.trace!r}: {err}",
-                  file=sys.stderr)
-            return 2
-        return 0
-    # diff
+    """Trace aggregation (``perf summary``)."""
+    from repro.obs import render_trace_summary
     try:
-        baseline = load_timings(args.baseline)
-        current = load_timings(args.against)
-        regressions, compared = diff_timings(baseline, current,
-                                             args.threshold)
+        if not args.trace.endswith(".jsonl"):
+            raise ValueError("expected a span trace (.jsonl)")
+        print(render_trace_summary(args.trace))
     except (OSError, ValueError) as err:
-        print(f"perf diff failed: {err}", file=sys.stderr)
+        print(f"cannot summarize {args.trace!r}: {err}", file=sys.stderr)
         return 2
-    print(render_diff(regressions, compared, args.threshold))
-    return 1 if regressions else 0
+    return 0
 
 
 def _cmd_traverse(args) -> int:
@@ -377,8 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     schemes = sub.add_parser("schemes",
                              help="list registered schemes and groups")
     schemes.add_argument("--group", default="all",
-                         help="registry group (paper, cmh, extensions, "
-                              "all)")
+                         help="registry group (paper, cmh, all)")
 
     experiment = sub.add_parser("experiment",
                                 help="run one table/figure experiment")
@@ -475,17 +452,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write a span trace (JSONL) of the "
                             "server's lifetime on shutdown")
 
-    perf = sub.add_parser("perf",
-                          help="timing diffs and trace summaries")
+    perf = sub.add_parser("perf", help="trace summaries")
     perf_sub = perf.add_subparsers(dest="perf_command", required=True)
-    diff = perf_sub.add_parser("diff",
-                               help="compare two span traces, exit "
-                                    "nonzero on regression")
-    diff.add_argument("baseline", help="baseline trace JSONL")
-    diff.add_argument("--against", required=True,
-                      help="current trace JSONL")
-    diff.add_argument("--threshold", type=float, default=1.5,
-                      help="regression ratio (must be > 1.0)")
     summary = perf_sub.add_parser("summary",
                                   help="aggregate a span trace by name")
     summary.add_argument("trace", help="trace JSONL path")

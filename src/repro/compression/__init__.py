@@ -25,7 +25,6 @@ from repro.compression.forcodec import FOR_CHUNK, ForCodec
 from repro.compression.nibble import NibbleCodec
 from repro.compression.registry import (
     available_codecs,
-    best_of,
     make_codec,
 )
 from repro.compression.rle import RleCodec
@@ -47,7 +46,6 @@ __all__ = [
     "bdi_decode_line",
     "bdi_encode_line",
     "bdi_line_sizes",
-    "best_of",
     "bpc_chunk_encoded_sizes",
     "from_unsigned_bits",
     "make_codec",

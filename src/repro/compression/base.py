@@ -82,13 +82,6 @@ class Codec(abc.ABC):
         """Size in bytes of :meth:`encode`'s output."""
         return len(self.encode(values))
 
-    def ratio(self, values: np.ndarray) -> float:
-        """Compression ratio (>1 means the codec shrank the data)."""
-        raw = values.size * values.dtype.itemsize
-        if raw == 0:
-            return 1.0
-        return raw / max(1, self.encoded_size(values))
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} {self.name}>"
 

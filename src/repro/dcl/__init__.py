@@ -15,7 +15,6 @@ from repro.dcl.operators import (
 )
 from repro.dcl.parser import DclSyntaxError, parse_dcl
 from repro.dcl.program import (
-    program_to_dot,
     COMPRESSOR_KINDS,
     FETCHER_KINDS,
     OpSpec,
@@ -45,7 +44,6 @@ __all__ = [
     "RoundRobinScheduler",
     "StreamWriteOp",
     "pack_range",
-    "program_to_dot",
     "pack_tuple",
     "parse_dcl",
     "unpack_range",

@@ -285,35 +285,3 @@ def _build_operator(kind: str, name: str, in_q, out_qs, params) -> Operator:
     if kind == "binappend":
         return BinAppendOp(name, in_q, **params)
     raise ProgramError(f"unknown operator kind {kind!r}")
-
-
-def program_to_dot(program: Program, name: str = "dcl") -> str:
-    """Render a DCL program as Graphviz dot (queues as edges).
-
-    Operators become boxes; queues become labelled edges between their
-    producer and consumer, with core-facing input/output queues drawn
-    against implicit ``core`` terminals — handy when reviewing pipelines
-    like Fig 5/14 before loading them.
-    """
-    producers: Dict[str, str] = {}
-    consumers: Dict[str, str] = {}
-    for op in program.operators:
-        if op.in_queue is not None:
-            consumers[op.in_queue] = op.name
-        for queue in op.out_queues:
-            producers[queue] = op.name
-    lines = [f"digraph {name} {{", "  rankdir=LR;",
-             '  core_in [label="core" shape=circle];',
-             '  core_out [label="core" shape=circle];']
-    for op in program.operators:
-        lines.append(f'  "{op.name}" [label="{op.name}\\n({op.kind})" '
-                     f'shape=box];')
-    for queue, spec in program.queues.items():
-        src = producers.get(queue, "core_in")
-        dst = consumers.get(queue, "core_out")
-        src_ref = f'"{src}"' if src != "core_in" else "core_in"
-        dst_ref = f'"{dst}"' if dst != "core_out" else "core_out"
-        lines.append(f'  {src_ref} -> {dst_ref} '
-                     f'[label="{queue} ({spec.elem_bytes}B)"];')
-    lines.append("}")
-    return "\n".join(lines)

@@ -16,7 +16,6 @@ from repro.graph.generators import (
     banded_matrix,
     community_graph,
     rmat,
-    uniform_graph,
 )
 from repro.graph.preprocess import (
     PREPROCESSORS,
@@ -54,5 +53,4 @@ __all__ = [
     "randomize",
     "rmat",
     "scatter_miss_rate",
-    "uniform_graph",
 ]

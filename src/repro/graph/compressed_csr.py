@@ -71,15 +71,6 @@ class CompressedCsr:
                           - self._row_offsets[vertex])
         return values[start:end]
 
-    def row_extent(self, vertex: int):
-        """(row start, row end) element indices within the vertex's chunk."""
-        chunk = self.chunk_of(vertex)
-        first = chunk * self.rows_per_chunk
-        start = int(self._row_offsets[vertex] - self._row_offsets[first])
-        end = start + int(self._row_offsets[vertex + 1]
-                          - self._row_offsets[vertex])
-        return start, end
-
     # -- footprint -------------------------------------------------------------
 
     @property

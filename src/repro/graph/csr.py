@@ -147,7 +147,7 @@ class CsrGraph:
         return apply_delta(self, delta)
 
     def transpose(self) -> "CsrGraph":
-        """Reverse every edge (incoming adjacency, for Pull-style access)."""
+        """Reverse every edge: row ``v`` lists ``v``'s in-neighbours."""
         src = np.repeat(np.arange(self.num_vertices, dtype=np.int64),
                         self.out_degrees())
         return CsrGraph.from_edges(self.num_vertices,

@@ -117,16 +117,6 @@ def community_graph(num_vertices: int, num_edges: int,
                    keep_self_loops=False)
 
 
-def uniform_graph(num_vertices: int, num_edges: int,
-                  seed_stream: str = "uniform") -> CsrGraph:
-    """Erdos-Renyi-style graph: no skew, no structure (worst case)."""
-    rng = make_rng(seed_stream, num_vertices, num_edges)
-    src = rng.integers(0, num_vertices, int(num_edges * 1.1) + 8)
-    dst = rng.integers(0, num_vertices, src.size)
-    graph = CsrGraph.from_edges(num_vertices, src, dst)
-    return _top_up(graph, num_vertices, num_edges, rng)
-
-
 def banded_matrix(num_rows: int, nnz: int, bandwidth_fraction: float = 0.02,
                   seed_stream: str = "banded") -> CsrGraph:
     """FEM/KKT-like sparse matrix: nonzeros clustered near the diagonal.

@@ -55,14 +55,3 @@ def expand_ids(ids: np.ndarray, scale: int, block: int = DEFAULT_BLOCK,
     off = ids64 % np.uint64(block)
     noise = (ids64 * _HASH_MULT) % stride
     return (blk * np.uint64(block * scale)) + off * stride + noise
-
-
-def expanded_id_bytes(scale: int, num_vertices: int) -> int:
-    """Element width (4 or 8 bytes) needed for virtual ids.
-
-    The paper stores neighbour ids in 32 bits; all Table III graphs fit.
-    Our virtual space (num_vertices * scale) also fits 32 bits for every
-    Table III input, but the helper keeps the general rule explicit.
-    """
-    top = num_vertices * max(1, scale)
-    return 4 if top <= (1 << 32) else 8

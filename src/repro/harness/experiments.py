@@ -58,9 +58,6 @@ class ExperimentResult:
     rows: List[Dict[str, object]]
     notes: str = ""
 
-    def column(self, name: str) -> List[object]:
-        return [row.get(name) for row in self.rows]
-
 
 @dataclass(frozen=True)
 class Declaration:

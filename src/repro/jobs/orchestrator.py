@@ -123,8 +123,8 @@ class JobRunner:
         if hit is not None:
             return hit
         # One span per (app, scheme, input) cell, tagged with the
-        # canonical scheme string — the unit the paper's sweep (and
-        # `repro perf diff`) attributes wall time to.
+        # canonical scheme string — the unit the paper's sweep
+        # attributes wall time to.
         with TRACER.span("runner.cell", app=app, scheme=request.scheme,
                          dataset=dataset, preprocessing=preprocessing):
             return self.prefetch([request])[request]
@@ -135,7 +135,7 @@ class JobRunner:
         """Run one app against a set of schemes.
 
         ``schemes`` is a registry group name (``"paper"``, ``"cmh"``,
-        ``"extensions"``, ``"all"``), an iterable of scheme
+        ``"all"``), an iterable of scheme
         names/specs, or ``None`` for the paper's six schemes.  Keys of
         the result are the scheme names as given (canonical form for
         specs).

@@ -38,4 +38,3 @@ class TrafficCounter:
 
     def by_class(self) -> Dict[str, int]:
         return {cls: self.total(cls) for cls in DATA_CLASSES}
-

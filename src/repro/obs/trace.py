@@ -35,12 +35,6 @@ def read_trace(path: str) -> Tuple[Dict[str, object], List[Span]]:
     return header, spans
 
 
-def trace_summary(path: str) -> Dict[str, Dict[str, float]]:
-    """Per-span-name aggregates of one trace file."""
-    _header, spans = read_trace(path)
-    return summarize_spans(spans)
-
-
 def render_trace_summary(path: str) -> str:
     """Human-readable per-name table for ``python -m repro perf summary``."""
     header, spans = read_trace(path)

@@ -103,13 +103,6 @@ class IterationProfile:
     phi_spilled_updates: int
     phi_update_bytes: int
     phi_update_bytes_compressed: int
-    # Pull (destination-stationary) gather; only meaningful when the
-    # iteration is all-active (direction-optimizing runtimes use Push
-    # for sparse frontiers).
-    pull_gather_misses: int = 0
-    pull_gather_read_bytes: int = 0
-    pull_adj_bytes: int = 0
-    pull_adj_bytes_compressed: int = 0
     #: Work-stealing load-imbalance factor (Sec III-D) for this
     #: iteration's active set; scales compute, not traffic.
     load_imbalance: float = 1.0

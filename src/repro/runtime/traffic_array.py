@@ -1,13 +1,13 @@
 """Array-native stream generation: the hot path of the pricing stages.
 
 This module is the single home of the per-strategy access-stream
-generators (Push scatter, Update Batching bins, PHI lines, Pull gather,
-row gathers and line-granular footprints).  Each emits line-id/byte
-arrays directly from the raw CSR arrays in a few numpy passes; the
-staged pipeline (:mod:`repro.stages`) calls them.  Their scalar
-oracles, which walk vertices and edges in plain Python, live with the
-equivalence suites in ``tests/oracles/traffic.py``
-(``tests/test_traffic_equivalence.py`` holds the two bit-identical).
+generators (Push scatter, Update Batching bins, PHI lines, row gathers
+and line-granular footprints).  Each emits line-id/byte arrays directly
+from the raw CSR arrays in a few numpy passes; the staged pipeline
+(:mod:`repro.stages`) calls them.  Their scalar oracles, which walk
+vertices and edges in plain Python, live with the equivalence suites in
+``tests/oracles/traffic.py`` (``tests/test_traffic_equivalence.py``
+holds the two bit-identical).
 
 Model notes both sides reproduce (they are contracts of the *model*,
 not vectorization accidents):
@@ -77,13 +77,6 @@ def ub_bin_stream(dsts: np.ndarray, update_values: np.ndarray,
         if update_values.size == dsts.size \
         else np.empty(0, dtype=np.uint32)
     return sorted_ids, sorted_vals, int(np.unique(bins).size)
-
-
-def pull_gather_lines(pull_neighbors: np.ndarray,
-                      src_value_bytes: int) -> np.ndarray:
-    """Source-line stream of Pull's transposed gather."""
-    per_line = max(1, LINE_BYTES // src_value_bytes)
-    return pull_neighbors.astype(np.int64) // per_line
 
 
 def row_line_bytes(offsets: np.ndarray, num_vertices: int, num_edges: int,

@@ -5,7 +5,7 @@ The package replaces string-suffix dispatch with three layers:
 * :mod:`repro.schemes.spec` — frozen :class:`SchemeSpec` identities and
   the ablation options of Figs 19/20;
 * :mod:`repro.schemes.registry` — the parse grammar and the registered
-  scheme groups (``paper``, ``cmh``, ``extensions``, ``all``);
+  scheme groups (``paper``, ``cmh``, ``all``);
 * :mod:`repro.schemes.costs` / :mod:`repro.schemes.pricing` — per-base
   cost models behind one interface, the spec-keyed cost-constant table,
   and the pricing loop the timing stage drives to produce
@@ -21,12 +21,10 @@ from repro.schemes.costs import (
     SCHEME_COSTS,
     CostModel,
     PhiCostModel,
-    PullCostModel,
     PushCostModel,
     UbCostModel,
     cost_model_for,
     costs_for,
-    graph_dst_bytes,
 )
 from repro.schemes.registry import (
     REGISTRY,
@@ -54,7 +52,6 @@ __all__ = [
     "CostModel",
     "OVERLAYS",
     "PhiCostModel",
-    "PullCostModel",
     "PushCostModel",
     "REGISTRY",
     "SCHEME_COSTS",
@@ -67,7 +64,6 @@ __all__ = [
     "cost_model_for",
     "costs_for",
     "default_parts",
-    "graph_dst_bytes",
     "parse_scheme",
     "resolve",
     "scheme_names",

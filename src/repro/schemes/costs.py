@@ -7,7 +7,7 @@ Two pieces live here:
   strings; :func:`costs_for` resolves a :class:`SchemeSpec`, applying
   the CMH overlay's critical-path decompression penalty (Sec V-D).
 * The :class:`CostModel` hierarchy — one class per base strategy (Push,
-  Pull, UB, PHI), each converting one iteration's shared profile into
+  UB, PHI), each converting one iteration's shared profile into
   per-class off-chip traffic and :class:`~repro.sim.timing.PhaseWork`.
   SpZip enters only through the spec's resolved compression parts; the
   CMH baseline has its own per-base hook (only Push and UB are
@@ -80,18 +80,6 @@ SCHEME_COSTS: Dict[Tuple[str, Optional[str]], SchemeCosts] = {
                                   stall_per_miss=1.0,
                                   cycles_per_update=2.0,
                                   random_derate=0.80),
-    # Pull (extension): gather loads instead of atomic scatters -- no
-    # fences, so OOO cores overlap gather misses well; traversal work
-    # like Push's minus the atomic.
-    ("pull", None): SchemeCosts(cycles_per_edge=10.0,
-                                cycles_per_vertex=12.0,
-                                stall_per_miss=40.0),
-    # Pull+SpZip: the fetcher walks in-edges and prefetches/queues the
-    # gathered values, leaving a plain add on the core.
-    ("pull", "spzip"): SchemeCosts(cycles_per_edge=3.0,
-                                   cycles_per_vertex=3.0,
-                                   stall_per_miss=4.0,
-                                   random_derate=0.80),
 }
 
 
@@ -191,43 +179,6 @@ class PushCostModel(CostModel):
         return _traffic(adjacency, source, dest, updates), work
 
 
-class PullCostModel(CostModel):
-    """Destination-stationary gather, with direction-optimized fallback
-    to Push on sparse frontiers (Sec II-C extension)."""
-
-    base = "pull"
-
-    def iteration_cost(self, workload, p, parts):
-        adjacency, source, updates = _shared_streams(p, parts)
-        compress_adj = "adjacency" in parts
-        all_active = not workload.frontier_based
-        work = PhaseWork(edges=p.num_edges, vertices=p.num_sources)
-        if all_active and p.pull_adj_bytes:
-            # Destination-stationary: walk incoming edges, gather source
-            # values (scattered reads, no atomics), write destinations
-            # sequentially once.
-            adjacency = float(p.offsets_bytes)
-            adjacency += (p.pull_adj_bytes_compressed if compress_adj
-                          else p.pull_adj_bytes)
-            adjacency += (p.edge_value_bytes_compressed if compress_adj
-                          else p.edge_value_bytes)
-            source = float(p.pull_gather_read_bytes)
-            vertex_out = graph_dst_bytes(p, workload)
-            dest = float(vertex_out)
-            work.dest_misses = p.pull_gather_misses
-            work.rand_bytes += source
-            work.seq_bytes += adjacency + dest + updates
-        else:
-            # Direction-optimized runtimes fall back to Push on sparse
-            # frontiers (pulling would scan every vertex's in-edges).
-            dest = float(p.push_dest_read_bytes + p.push_dest_write_bytes)
-            work.dest_misses = p.push_dest_misses
-            work.rand_bytes += dest + p.offsets_bytes
-            work.seq_bytes += (adjacency + source + updates
-                               - p.offsets_bytes)
-        return _traffic(adjacency, source, dest, updates), work
-
-
 class UbCostModel(CostModel):
     """Update Batching: stream updates into bins, then accumulate."""
 
@@ -291,16 +242,10 @@ class PhiCostModel(CostModel):
         return _traffic(adjacency, source, dest, updates), work
 
 
-def graph_dst_bytes(p, workload) -> int:
-    """Line-granular bytes of one sequential destination-array write."""
-    nbytes = workload.graph.num_vertices * workload.dst_value_bytes
-    return -(-nbytes // LINE_BYTES) * LINE_BYTES
-
-
 #: One shared (stateless) model instance per base strategy.
 COST_MODELS: Dict[str, CostModel] = {
-    model.base: model for model in (PushCostModel(), PullCostModel(),
-                                    UbCostModel(), PhiCostModel())
+    model.base: model for model in (PushCostModel(), UbCostModel(),
+                                    PhiCostModel())
 }
 
 

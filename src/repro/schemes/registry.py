@@ -4,7 +4,7 @@ Grammar (one line per scheme)::
 
     scheme   := family [ '[' option (',' option)* ']' ]
     family   := base [ '+' overlay ]
-    base     := 'push' | 'pull' | 'ub' | 'phi'
+    base     := 'push' | 'ub' | 'phi'
     overlay  := 'spzip' | 'cmh'
     option   := 'decoupled' | 'parts=' parts
     parts    := 'none' | part ('+' part)*
@@ -16,7 +16,7 @@ Examples: ``phi+spzip``, ``push+cmh``, ``phi+spzip[parts=adjacency]``,
 Only registered *families* resolve: ``push+bogus`` raises
 :class:`~repro.schemes.spec.UnknownSchemeError` naming every registered
 scheme instead of silently pricing as plain ``push``.  Registration
-groups (``paper``, ``cmh``, ``extensions``, ``all``) give callers the
+groups (``paper``, ``cmh``, ``all``) give callers the
 figure-level scheme sets without hardcoding them.
 """
 
@@ -159,15 +159,13 @@ class SchemeRegistry:
 
 
 #: The process-wide registry, seeded with the paper's schemes (Fig 15
-#: bar order), the Fig 22 CMH baselines, and the Pull extension.
+#: bar order) and the Fig 22 CMH baselines.
 REGISTRY = SchemeRegistry()
 for _name in ("push", "push+spzip", "ub", "ub+spzip", "phi",
               "phi+spzip"):
     REGISTRY.register(_name, groups=("paper",))
 for _name in ("push+cmh", "ub+cmh"):
     REGISTRY.register(_name, groups=("cmh",))
-for _name in ("pull", "pull+spzip"):
-    REGISTRY.register(_name, groups=("extensions",))
 del _name
 
 

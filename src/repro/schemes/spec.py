@@ -1,7 +1,7 @@
 """Declarative scheme identities.
 
 A :class:`SchemeSpec` names one execution configuration the simulator
-can price: a *base* strategy (Push, Pull, UB, PHI), an optional
+can price: a *base* strategy (Push, UB, PHI), an optional
 memory-system *overlay* (``spzip`` — the paper's accelerator; ``cmh`` —
 the Fig 22 compressed-memory-hierarchy baseline), plus the two ablation
 axes of Figs 19/20: which structures SpZip compresses (``parts``) and
@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import FrozenSet, Iterable, Optional
 
-#: Base execution strategies (Sec II-C; Pull is the Sec VI extension).
-BASES = ("push", "pull", "ub", "phi")
+#: Base execution strategies (Sec II-C).
+BASES = ("push", "ub", "phi")
 
 #: Memory-system overlays: the SpZip engines, or the compressed
 #: LLC+memory baseline of Fig 22.
@@ -42,10 +42,9 @@ class UnknownSchemeError(KeyError):
 
 
 def default_parts(base: str) -> FrozenSet[str]:
-    """Paper Sec IV defaults: Push/Pull compress the adjacency matrix
-    only; UB/PHI compress adjacency, update bins, and vertex data."""
-    return frozenset({"adjacency"}) if base in ("push", "pull") \
-        else ALL_PARTS
+    """Paper Sec IV defaults: Push compresses the adjacency matrix only;
+    UB/PHI compress adjacency, update bins, and vertex data."""
+    return frozenset({"adjacency"}) if base == "push" else ALL_PARTS
 
 
 @dataclass(frozen=True)

@@ -143,7 +143,7 @@ def parse_sweep(payload: object) -> List[RunRequest]:
 
     ``apps``/``datasets`` accept lists (or the singular spelling for
     one value); ``schemes`` additionally accepts a registry group name
-    (``"paper"``, ``"cmh"``, ``"extensions"``, ``"all"``).
+    (``"paper"``, ``"cmh"``, ``"all"``).
     """
     from repro.schemes import UnknownSchemeError, scheme_names
     body = _require_object(payload)

@@ -5,7 +5,6 @@ helpers (:mod:`repro.sim.runner`).  Cells are priced by
 from repro.sim.metrics import (
     TRAFFIC_CLASSES,
     RunMetrics,
-    gmean_speedups,
     merge_traffic,
 )
 from repro.sim.timing import (
@@ -25,7 +24,6 @@ __all__ = [
     "SchemeCosts",
     "TRAFFIC_CLASSES",
     "effective_bytes_per_cycle",
-    "gmean_speedups",
     "merge_traffic",
     "phase_cycles",
 ]

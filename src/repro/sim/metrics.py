@@ -9,7 +9,7 @@ the speedup plots.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable
 
 #: Breakdown categories, in the paper's legend order.
 TRAFFIC_CLASSES = ("adjacency", "source_vertex", "destination_vertex",
@@ -63,13 +63,3 @@ def merge_traffic(parts: Iterable[Dict[str, float]]) -> Dict[str, float]:
         for cls, nbytes in part.items():
             total[cls] = total.get(cls, 0.0) + nbytes
     return total
-
-
-def gmean_speedups(runs: List[RunMetrics],
-                   baselines: List[RunMetrics]) -> float:
-    """Geometric-mean speedup of paired runs (paper's summary metric)."""
-    from repro.utils import geometric_mean
-    if len(runs) != len(baselines):
-        raise ValueError("runs and baselines must pair up")
-    return geometric_mean([r.speedup_over(b)
-                           for r, b in zip(runs, baselines)])

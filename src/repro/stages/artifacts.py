@@ -10,8 +10,7 @@ Each artifact is the complete output of one pure stage over one
                       the system configuration.
 ``ReplayArtifact``    cache-replay: everything that depends on LLC
                       geometry — the Push scatter replay, PHI's spill
-                      stream, UB's binning order, the Pull gather
-                      replay.
+                      stream, UB's binning order.
 ``CompressArtifact``  compress: measured compressed sizes of the frozen
                       streams (SpZip delta/BPC chunk codecs) plus the
                       CMH baseline's BDI/LCP ratios.
@@ -111,12 +110,6 @@ class StreamArtifact:
     dst_values: Optional[np.ndarray]
     #: Per-edge value array, when the app has one (e.g. SpMV).
     edge_values: Optional[np.ndarray]
-    #: Transposed adjacency stream for Pull (empty when no iteration
-    #: qualifies: Pull only applies to all-active iterations with
-    #: source data).
-    pull_neighbors: np.ndarray
-    pull_degrees: np.ndarray
-    pull_adj_bytes: int
     iterations: List[IterationStreams]
 
 
@@ -138,9 +131,6 @@ class IterationReplay:
     phi_spilled_ids: np.ndarray
     phi_spilled_vals: np.ndarray
     phi_update_bytes: int
-    # Pull gather replay (zero for non-qualifying iterations).
-    pull_gather_misses: int
-    pull_gather_read_bytes: int
 
 
 @dataclass
@@ -172,8 +162,6 @@ class CompressArtifact:
     #: Whole-array compressed size of the edge-value array (identical
     #: for every iteration, measured once).
     edge_value_bytes_compressed: int
-    #: Compressed transposed adjacency (Pull), zero when unused.
-    pull_adj_bytes_compressed: int
     #: Measured BDI/LCP ratios of the workload's actual arrays — the
     #: CMH baseline's pricing inputs (adj_lcp / dst_lcp / dst_bdi).
     cmh_ratios: Dict[str, float]

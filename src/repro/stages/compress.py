@@ -44,14 +44,6 @@ def compress_streams(stream: StreamArtifact, replay: ReplayArtifact,
     dst_comp = array_compressed_bytes(stream.dst_values)
     dst_total_raw = max(1, num_vertices * dvb)
 
-    if stream.pull_adj_bytes:
-        pull_adj_comp = min(
-            ceil_lines(rows_compressed_bytes_from(
-                stream.pull_neighbors, stream.pull_degrees, id_scale)),
-            stream.pull_adj_bytes)
-    else:
-        pull_adj_comp = 0
-
     iterations = []
     for it, rp in zip(stream.iterations, replay.iterations):
         neigh_comp = rows_compressed_bytes_from(
@@ -120,7 +112,6 @@ def compress_streams(stream: StreamArtifact, replay: ReplayArtifact,
 
     return CompressArtifact(
         edge_value_bytes_compressed=edge_comp,
-        pull_adj_bytes_compressed=pull_adj_comp,
         cmh_ratios=_measure_cmh_ratios(stream, id_scale),
         iterations=iterations,
     )

@@ -55,7 +55,6 @@ from repro.sim.metrics import RunMetrics
 from repro.sim.runner import identity_workload, sized_model_config
 from repro.stages.artifacts import StreamArtifact
 from repro.stages.timing import (
-    GraphDims,
     PricingView,
     assemble_profiles,
     price_staged,
@@ -283,10 +282,7 @@ def _assemble(app: str, stream: StreamArtifact, replay, compress,
     return ProfileBundle(
         profiles=assemble_profiles(stream, replay, compress,
                                    cfg.system.num_cores),
-        view=PricingView(
-            app=app, frontier_based=stream.frontier_based,
-            dst_value_bytes=stream.dst_value_bytes,
-            graph=GraphDims(num_vertices=stream.num_vertices)),
+        view=PricingView(app=app, frontier_based=stream.frontier_based),
         cfg=cfg,
         cmh_ratios=compress.cmh_ratios,
         push_replays=[

@@ -1,10 +1,9 @@
 """Stage 2 — cache-replay: everything that depends on LLC geometry.
 
 Prices the frozen streams of stage 1 through capacity-dependent models:
-Push's destination scatter and Pull's gather replay through an
-LLC-sized LRU, PHI's in-cache coalescing (whose spill stream feeds the
-compress stage), and Update Batching's bin partitioning (whose sorted
-update stream does too).
+Push's destination scatter through an LLC-sized LRU, PHI's in-cache
+coalescing (whose spill stream feeds the compress stage), and Update
+Batching's bin partitioning (whose sorted update stream does too).
 
 The stage's config slice is exactly the resolved LLC geometry plus the
 bin budget fraction (:class:`ReplaySlice`); editing a timing constant,
@@ -22,7 +21,6 @@ from repro.obs import TRACER
 from repro.runtime.traffic import lru_scatter_replay, phi_coalesce_replay
 from repro.runtime.traffic_array import (
     ceil_lines,
-    pull_gather_lines,
     push_scatter_lines,
     ub_bin_stream,
 )
@@ -51,7 +49,6 @@ def replay_streams(stream: StreamArtifact,
                    cfg: ReplaySlice) -> ReplayArtifact:
     """Replay every iteration's streams under one LLC geometry."""
     dvb = stream.dst_value_bytes
-    svb = stream.src_value_bytes
     num_vertices = stream.num_vertices
     vpb = cfg.vertices_per_bin(dvb)
     num_bins = max(1, -(-num_vertices // vpb))
@@ -84,17 +81,6 @@ def replay_streams(stream: StreamArtifact,
         phi_update_bytes = 2 * ceil_lines(spilled_ids.size
                                            * stream.update_bytes)
 
-        # Pull gather replay (all-active iterations with source data).
-        pull_gather_misses = 0
-        pull_gather_read_bytes = 0
-        if it.all_active and svb:
-            gather_lines = pull_gather_lines(stream.pull_neighbors, svb)
-            with TRACER.span("replay.pull_gather",
-                             count=int(gather_lines.size)):
-                pull_gather_misses, _wb = lru_scatter_replay(
-                    gather_lines, cfg.llc_lines)
-            pull_gather_read_bytes = pull_gather_misses * LINE_BYTES
-
         iterations.append(IterationReplay(
             push_dest_misses=misses,
             push_dest_read_bytes=misses * LINE_BYTES,
@@ -107,8 +93,6 @@ def replay_streams(stream: StreamArtifact,
             phi_spilled_ids=spilled_ids,
             phi_spilled_vals=spilled_vals,
             phi_update_bytes=phi_update_bytes,
-            pull_gather_misses=pull_gather_misses,
-            pull_gather_read_bytes=pull_gather_read_bytes,
         ))
 
     return ReplayArtifact(vertices_per_bin=vpb, iterations=iterations)

@@ -177,24 +177,6 @@ def _generate_impl(workload: Workload,
     num_vertices = graph.num_vertices
     svb = workload.src_value_bytes
 
-    # Pull's transposed walk applies to all-active iterations with
-    # source data; record its streams once when any iteration qualifies.
-    need_pull = bool(svb) and any(it.sources.size >= num_vertices
-                                  for it in workload.iterations)
-    if need_pull:
-        # Transposed fresh per generation: the artifact is stored, so a
-        # cache keyed on graph objects would only add a staleness hazard.
-        transposed = graph.transpose()
-        pull_neighbors = transposed.neighbors
-        pull_degrees = transposed.out_degrees()
-        pull_adj_bytes = row_line_bytes(
-            transposed.offsets, transposed.num_vertices,
-            transposed.num_edges, np.arange(transposed.num_vertices))
-    else:
-        pull_neighbors = np.empty(0, dtype=graph.neighbors.dtype)
-        pull_degrees = np.empty(0, dtype=np.int64)
-        pull_adj_bytes = 0
-
     iterations = []
     for index, it in enumerate(workload.iterations):
         sources = it.sources
@@ -258,8 +240,5 @@ def _generate_impl(workload: Workload,
         neighbors=graph.neighbors,
         dst_values=workload.dst_values,
         edge_values=workload.extras.get("edge_values"),
-        pull_neighbors=pull_neighbors,
-        pull_degrees=pull_degrees,
-        pull_adj_bytes=pull_adj_bytes,
         iterations=iterations,
     )

@@ -17,7 +17,7 @@ constant recomputes only this stage.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.obs import TRACER
 from repro.runtime.scheduling import iteration_imbalance
@@ -33,25 +33,12 @@ from repro.stages.artifacts import (
 
 
 @dataclass(frozen=True)
-class GraphDims:
-    """The one graph attribute the cost models read."""
-
-    num_vertices: int
-
-
-@dataclass(frozen=True)
 class PricingView:
-    """Lightweight stand-in for a Workload inside the cost models.
-
-    The models read only these attributes (plus ``iterations``, which
-    the staged CMH path replaces with frozen replays).
-    """
+    """Lightweight stand-in for a Workload inside the cost models: the
+    two attributes they read."""
 
     app: str
     frontier_based: bool
-    dst_value_bytes: int
-    graph: GraphDims
-    iterations: Optional[list] = None
 
 
 def assemble_profiles(stream: StreamArtifact, replay: ReplayArtifact,
@@ -61,7 +48,6 @@ def assemble_profiles(stream: StreamArtifact, replay: ReplayArtifact,
     profiles = []
     for it, rp, cp in zip(stream.iterations, replay.iterations,
                           compress.iterations):
-        pull_applies = it.all_active and stream.src_value_bytes
         profiles.append(IterationProfile(
             weight=it.weight,
             num_sources=it.num_sources,
@@ -90,12 +76,6 @@ def assemble_profiles(stream: StreamArtifact, replay: ReplayArtifact,
             phi_spilled_updates=int(rp.phi_spilled_ids.size),
             phi_update_bytes=rp.phi_update_bytes,
             phi_update_bytes_compressed=cp.phi_update_bytes_compressed,
-            pull_gather_misses=rp.pull_gather_misses,
-            pull_gather_read_bytes=rp.pull_gather_read_bytes,
-            pull_adj_bytes=stream.pull_adj_bytes if pull_applies else 0,
-            pull_adj_bytes_compressed=(
-                compress.pull_adj_bytes_compressed if pull_applies
-                else 0),
             load_imbalance=iteration_imbalance(it.active_degrees,
                                                num_cores=num_cores),
         ))

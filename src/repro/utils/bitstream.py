@@ -38,12 +38,6 @@ class BitWriter:
         for shift in range(nbits - 1, -1, -1):
             self.write_bit((value >> shift) & 1)
 
-    def write_unary(self, value: int) -> None:
-        """Write ``value`` one-bits followed by a terminating zero."""
-        for _ in range(value):
-            self.write_bit(1)
-        self.write_bit(0)
-
     def align_byte(self) -> None:
         """Pad with zero bits to the next byte boundary."""
         self._bitpos = 0
@@ -82,12 +76,6 @@ class BitReader:
         value = self.read_bits(nbits)
         self._pos = saved
         return value
-
-    def read_unary(self) -> int:
-        count = 0
-        while self.read_bit():
-            count += 1
-        return count
 
     def align_byte(self) -> None:
         self._pos = (self._pos + 7) & ~7

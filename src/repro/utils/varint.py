@@ -23,7 +23,7 @@ needs.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Tuple
+from typing import Tuple
 
 _PAYLOAD_BYTES = (0, 1, 3, 8)  # bytes after the first, per tag
 _MAX_FOR_TAG = tuple((1 << (6 + 8 * extra)) - 1 for extra in _PAYLOAD_BYTES)
@@ -56,21 +56,3 @@ def decode_varint(data: bytes, offset: int = 0) -> Tuple[int, int]:
     for i in range(extra):
         value = (value << 8) | data[offset + 1 + i]
     return value, offset + 1 + extra
-
-
-def encode_varint_stream(values: Iterable[int]) -> bytes:
-    """Concatenate the varint encodings of ``values``."""
-    out = bytearray()
-    for value in values:
-        out += encode_varint(value)
-    return bytes(out)
-
-
-def decode_varint_stream(data: bytes) -> List[int]:
-    """Decode a whole buffer of back-to-back varints."""
-    values: List[int] = []
-    offset = 0
-    while offset < len(data):
-        value, offset = decode_varint(data, offset)
-        values.append(value)
-    return values

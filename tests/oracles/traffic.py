@@ -66,13 +66,6 @@ def ub_bin_stream_scalar(dsts: np.ndarray, update_values: np.ndarray,
     return sorted_ids, sorted_vals, len(set(bins))
 
 
-def pull_gather_lines_scalar(pull_neighbors: np.ndarray,
-                             src_value_bytes: int) -> np.ndarray:
-    per_line = max(1, LINE_BYTES // src_value_bytes)
-    return np.array([src // per_line for src in pull_neighbors.tolist()],
-                    dtype=np.int64)
-
-
 def row_line_bytes_scalar(offsets: np.ndarray, num_vertices: int,
                           num_edges: int, sources: np.ndarray,
                           elem_bytes: int = 4) -> int:
@@ -412,27 +405,6 @@ def profile_iteration_scalar(workload, iteration, cfg):
     phi_update_bytes_compressed = min(2 * ceil_lines(phi_comp),
                                       phi_update_bytes)
 
-    # --- Pull (destination-stationary) gather ----------------------------
-    pull_gather_misses = 0
-    pull_gather_read_bytes = 0
-    pull_adj_bytes = 0
-    pull_adj_bytes_comp = 0
-    if all_active and svb:
-        transposed = graph.transpose()
-        every = np.arange(transposed.num_vertices)
-        gather_lines = pull_gather_lines_scalar(transposed.neighbors, svb)
-        pull_gather_misses, _wb = lru_scatter_oracle(gather_lines,
-                                                     cfg.llc_lines)
-        pull_gather_read_bytes = pull_gather_misses * LINE_BYTES
-        pull_adj_bytes = row_line_bytes_scalar(
-            transposed.offsets, transposed.num_vertices,
-            transposed.num_edges, every)
-        pull_adj_bytes_comp = min(
-            ceil_lines(rows_compressed_bytes_scalar(
-                transposed.neighbors, transposed.out_degrees(),
-                cfg.id_scale)),
-            pull_adj_bytes)
-
     return IterationProfile(
         weight=iteration.weight,
         num_sources=int(sources.size),
@@ -458,10 +430,6 @@ def profile_iteration_scalar(workload, iteration, cfg):
         phi_spilled_updates=int(spilled_ids.size),
         phi_update_bytes=phi_update_bytes,
         phi_update_bytes_compressed=phi_update_bytes_compressed,
-        pull_gather_misses=pull_gather_misses,
-        pull_gather_read_bytes=pull_gather_read_bytes,
-        pull_adj_bytes=pull_adj_bytes,
-        pull_adj_bytes_compressed=pull_adj_bytes_comp,
         load_imbalance=iteration_imbalance(degrees[sources],
                                            num_cores=cfg.system.num_cores),
     )

@@ -24,8 +24,7 @@ from repro.stages import StagePricer, stage_counters
 
 SCALE = 65536
 GRAPH_APPS = ("pr", "prd", "cc", "re", "dc", "bfs")
-SCHEMES = ("push", "push+spzip", "phi", "phi+spzip", "ub+cmh",
-           "pull+spzip")
+SCHEMES = ("push", "push+spzip", "phi", "phi+spzip", "ub+cmh")
 PARTITIONS = 6
 
 

@@ -62,13 +62,6 @@ class TestChunkedRows:
         chunked = CompressedCsr(g, rows_per_chunk=64)
         assert chunked.total_bytes() <= per_row.total_bytes()
 
-    def test_row_extent(self):
-        g = fig4_graph()
-        cc = CompressedCsr(g, rows_per_chunk=2)
-        assert cc.row_extent(0) == (0, 2)
-        assert cc.row_extent(1) == (2, 4)
-        assert cc.row_extent(2) == (0, 1)  # chunk 1 starts at vertex 2
-
     def test_bad_chunk_size_rejected(self):
         with pytest.raises(ValueError):
             CompressedCsr(fig4_graph(), rows_per_chunk=0)

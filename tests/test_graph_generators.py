@@ -11,7 +11,6 @@ from repro.graph import (
     load,
     load_preprocessed,
     rmat,
-    uniform_graph,
 )
 
 
@@ -60,14 +59,6 @@ class TestCommunityGraph:
         a = community_graph(800, 4000)
         b = community_graph(800, 4000)
         assert np.array_equal(a.neighbors, b.neighbors)
-
-
-class TestUniformGraph:
-    def test_no_locality(self):
-        g = uniform_graph(2000, 20000)
-        src = np.repeat(np.arange(2000), g.out_degrees())
-        distance = np.abs(src - g.neighbors.astype(np.int64))
-        assert np.median(distance) > 200
 
 
 class TestBandedMatrix:

@@ -15,7 +15,7 @@ from repro.graph import (
     preprocess,
     randomize,
 )
-from repro.graph.idspace import expand_ids, expanded_id_bytes
+from repro.graph.idspace import expand_ids
 
 
 def sample_graph():
@@ -130,10 +130,6 @@ class TestIdExpansion:
     def test_bad_block_rejected(self):
         with pytest.raises(ValueError):
             expand_ids(np.array([0]), 4096, block=100)
-
-    def test_expanded_width(self):
-        assert expanded_id_bytes(4096, 10_000) == 4
-        assert expanded_id_bytes(4096, 10 ** 7) == 8
 
     def test_randomized_ids_stop_compressing_when_expanded(self):
         rng = np.random.default_rng(0)

@@ -126,8 +126,3 @@ class TestRendering:
         result = EXPERIMENTS["table1"](runner)
         assert "core overhead" in result.notes
         assert "note:" in render_table(result)
-
-    def test_column_accessor(self, runner):
-        result = EXPERIMENTS["fig07"](runner)
-        speedups = result.column("speedup")
-        assert len(speedups) == 6

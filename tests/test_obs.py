@@ -1,4 +1,4 @@
-"""The tracing layer: spans, export, adoption, and perf diffs."""
+"""The tracing layer: spans, export, adoption, and trace summaries."""
 
 import os
 
@@ -7,14 +7,10 @@ import pytest
 from repro.obs import (
     TRACER,
     Tracer,
-    diff_timings,
-    load_timings,
     read_trace,
-    render_diff,
     render_trace_summary,
     spans_by_parent,
     summarize_spans,
-    trace_summary,
 )
 
 
@@ -149,7 +145,7 @@ class TestExportAndMerge:
         assert summary["heavy"]["count"] == 15
         path = str(tmp_path / "trace.jsonl")
         tracer.save(path)
-        assert trace_summary(path)["heavy"]["calls"] == 2
+        assert summarize_spans(read_trace(path)[1])["heavy"]["calls"] == 2
         rendered = render_trace_summary(path)
         assert "heavy" in rendered and "t-test" in rendered
         index = spans_by_parent(tracer.spans)
@@ -198,37 +194,3 @@ class TestGlobalTracer:
     def test_module_tracer_is_inactive_by_default(self):
         assert isinstance(TRACER, Tracer)
         assert not TRACER.active
-
-
-class TestDiff:
-    def test_load_timings_trace_jsonl(self, tmp_path):
-        t = Tracer()
-        t.start()
-        with t.span("stage"):
-            pass
-        path = str(tmp_path / "trace.jsonl")
-        t.save(path)
-        timings = load_timings(path)
-        assert list(timings) == ["trace_summary/stage/seconds"]
-
-    def test_threshold_must_exceed_one(self):
-        with pytest.raises(ValueError):
-            diff_timings({}, {}, threshold=1.0)
-
-    def test_flags_regression_past_threshold(self):
-        baseline = {"a/batch_s": 0.1, "b/batch_s": 0.1,
-                    "only_base_s": 1.0}
-        current = {"a/batch_s": 0.25, "b/batch_s": 0.12,
-                   "only_cur_s": 9.0}
-        regressions, compared = diff_timings(baseline, current, 1.5)
-        assert compared == 2  # only shared metrics
-        assert [r.metric for r in regressions] == ["a/batch_s"]
-        assert regressions[0].ratio == pytest.approx(2.5)
-        rendered = render_diff(regressions, compared, 1.5)
-        assert "REGRESSION" in rendered and "a/batch_s" in rendered
-
-    def test_noise_floor_baselines_ignored(self):
-        baseline = {"a/batch_s": 1e-9}
-        current = {"a/batch_s": 1.0}
-        regressions, _ = diff_timings(baseline, current, 1.5)
-        assert regressions == []

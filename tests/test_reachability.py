@@ -121,6 +121,11 @@ def test_resolves_reexports_to_the_defining_module():
 # -- members ----------------------------------------------------------------
 
 #: Members only tests use, kept on purpose: ``qualified name`` -> reason.
+#: The scan cannot see members whose names live code shares.  Of those,
+#: these are kept on purpose too: ``FastLruCache.contains`` (without it
+#: the cache tests would read ``_lines``), and ``Compressor.for_core`` and
+#: the decode sides of ``CompressedCsr``, ``WebGraphCsr`` and
+#: ``SparseMatrix``, which ROADMAP item 7 leaves for a later change.
 ALLOWED_UNREACHED = {
     "CsrGraph.in_degrees": "public graph API; the degree-count reference "
                            "test compares against it",
@@ -140,34 +145,16 @@ ALLOWED_UNREACHED = {
     "spans_by_parent": "public trace-reader API, kept for a critical-"
                        "path reader (ROADMAP item 8)",
     "MemoryHierarchy.offchip_bytes": "traffic reader the engine-vs-pricer "
-                                     "differential needs (ROADMAP item 4)",
+                                     "differential needs (ROADMAP item 5)",
     "MemoryHierarchy.traffic_by_class": "traffic reader the engine-vs-"
                                         "pricer differential needs "
-                                        "(ROADMAP item 4)",
+                                        "(ROADMAP item 5)",
     "MemoryHierarchy.finalize_writebacks": "traffic reader: LLC dirty "
                                            "evictions as write traffic, "
                                            "for the same differential",
-    "FastLruCache.flush_dirty": "public cache API: end-of-run writeback "
-                                "of the dirty lines",
-    "best_of": "public codec API: the paper's best-of-delta-and-BPC "
-               "choice per structure (Sec IV)",
-    "program_to_dot": "public DCL API: renders a program as Graphviz dot",
-    "uniform_graph": "public generator API: the no-locality worst-case "
-                     "graph",
-    "expanded_id_bytes": "public id-space API: element width of expanded "
-                         "virtual ids",
-    "CompressedCsr.row_extent": "public compressed-CSR API: a row's "
-                                "element range within its chunk",
-    "ExperimentResult.column": "public result API: one column of an "
-                               "experiment's rows",
-    "gmean_speedups": "public metrics API: the paper's gmean-of-speedups "
-                      "summary",
-    "encode_varint_stream": "public varint API: back-to-back varint "
-                            "streams",
-    "decode_varint_stream": "public varint API: back-to-back varint "
-                            "streams",
-    "BitWriter.write_unary": "public bit-stream API: unary codes",
-    "BitReader.read_unary": "public bit-stream API: unary codes",
+    "FastLruCache.flush_dirty": "end-of-run writeback of the dirty "
+                                "lines still cached, for the same "
+                                "differential",
 }
 
 USE_DIRS = ("src", "examples", "benchmarks", "perfbench")

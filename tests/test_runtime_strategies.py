@@ -44,7 +44,7 @@ class TestTimingModel:
         assert total == compute > memory
 
     def test_all_schemes_have_costs(self):
-        for base in ["push", "ub", "phi", "pull"]:
+        for base in ["push", "ub", "phi"]:
             assert (base, None) in SCHEME_COSTS
             assert (base, "spzip") in SCHEME_COSTS
 

@@ -39,18 +39,9 @@ LEGACY_COSTS = {
     "phi-spzip": SchemeCosts(cycles_per_edge=2.0, cycles_per_vertex=2.5,
                              stall_per_miss=1.0, cycles_per_update=2.0,
                              random_derate=0.80),
-    "pull": SchemeCosts(cycles_per_edge=10.0, cycles_per_vertex=12.0,
-                        stall_per_miss=40.0),
-    "pull-spzip": SchemeCosts(cycles_per_edge=3.0, cycles_per_vertex=3.0,
-                              stall_per_miss=4.0, random_derate=0.80),
 }
 
 ALL_PARTS = frozenset({"adjacency", "updates", "vertex"})
-
-
-def legacy_graph_dst_bytes(p, workload):
-    nbytes = workload.graph.num_vertices * workload.dst_value_bytes
-    return -(-nbytes // LINE_BYTES) * LINE_BYTES
 
 
 def legacy_iteration_cost(workload, p, base, spzip, parts, cfg):
@@ -77,25 +68,6 @@ def legacy_iteration_cost(workload, p, base, spzip, parts, cfg):
         work.rand_bytes += dest + p.offsets_bytes * (0 if all_active else 1)
         work.seq_bytes += (adjacency + source + updates
                            - (0 if all_active else p.offsets_bytes))
-    elif base == "pull":
-        if all_active and p.pull_adj_bytes:
-            adjacency = float(p.offsets_bytes)
-            adjacency += (p.pull_adj_bytes_compressed if compress_adj
-                          else p.pull_adj_bytes)
-            adjacency += (p.edge_value_bytes_compressed if compress_adj
-                          else p.edge_value_bytes)
-            source = float(p.pull_gather_read_bytes)
-            vertex_out = legacy_graph_dst_bytes(p, workload)
-            dest = float(vertex_out)
-            work.dest_misses = p.pull_gather_misses
-            work.rand_bytes += source
-            work.seq_bytes += adjacency + dest + updates
-        else:
-            dest = float(p.push_dest_read_bytes + p.push_dest_write_bytes)
-            work.dest_misses = p.push_dest_misses
-            work.rand_bytes += dest + p.offsets_bytes
-            work.seq_bytes += (adjacency + source + updates
-                               - p.offsets_bytes)
     elif base == "ub":
         if compress_upd:
             updates += 2.0 * p.update_bytes_compressed
@@ -192,14 +164,13 @@ def legacy_simulate_scheme(workload, profiles, scheme, cfg, parts=None,
                            preprocessing="?"):
     base = scheme.split("+")[0]
     spzip = scheme.endswith("+spzip")
-    if base not in ("push", "ub", "phi", "pull"):
+    if base not in ("push", "ub", "phi"):
         raise KeyError(f"unknown scheme {scheme!r}")
     if scheme.endswith("+cmh"):
         return legacy_simulate_cmh(workload, profiles, base, cfg,
                                    dataset, preprocessing)
     if parts is None:
-        parts = frozenset({"adjacency"}) if base in ("push", "pull") \
-            else ALL_PARTS
+        parts = frozenset({"adjacency"}) if base == "push" else ALL_PARTS
     if not spzip:
         parts = frozenset()
     if decoupled_only:
@@ -238,7 +209,7 @@ def legacy_simulate_scheme(workload, profiles, scheme, cfg, parts=None,
 
 APPS = ("pr", "prd", "cc", "re", "dc", "bfs", "sp")
 SCHEMES = ("push", "push+spzip", "ub", "ub+spzip", "phi", "phi+spzip",
-           "pull", "pull+spzip", "push+cmh", "ub+cmh")
+           "push+cmh", "ub+cmh")
 
 
 @pytest.fixture(scope="module")

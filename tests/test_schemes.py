@@ -65,14 +65,13 @@ class TestSpec:
 
     def test_default_parts_follow_paper(self):
         assert default_parts("push") == frozenset({"adjacency"})
-        assert default_parts("pull") == frozenset({"adjacency"})
         assert default_parts("ub") == ALL_PARTS
         assert default_parts("phi") == ALL_PARTS
 
 
 class TestGrammar:
     @pytest.mark.parametrize("text", [
-        "push", "phi+spzip", "push+cmh", "pull+spzip",
+        "push", "phi+spzip", "push+cmh",
         "phi+spzip[parts=adjacency]",
         "phi+spzip[parts=adjacency+updates]",
         "phi+spzip[parts=none]",
@@ -139,8 +138,7 @@ class TestRegistry:
         assert scheme_names("paper") == ("push", "push+spzip", "ub",
                                          "ub+spzip", "phi", "phi+spzip")
         assert scheme_names("cmh") == ("push+cmh", "ub+cmh")
-        assert scheme_names("extensions") == ("pull", "pull+spzip")
-        assert len(scheme_names("all")) == 10
+        assert len(scheme_names("all")) == 8
 
     def test_contains(self):
         assert "phi+spzip" in REGISTRY

@@ -424,7 +424,7 @@ class TestEndpoints:
             status, schemes = await json_request(server, "GET",
                                                  "/schemes")
             assert status == 200
-            assert schemes["count"] == 10
+            assert schemes["count"] == 8
             names = {s["name"] for s in schemes["schemes"]}
             assert "phi+spzip" in names
             spzip = next(s for s in schemes["schemes"]
@@ -467,7 +467,7 @@ class TestEndpoints:
 
     def test_oversized_sweep_is_refused_before_any_cell(
             self, tmp_path, monkeypatch):
-        """7 apps x 15 versions x 10 schemes of distinct values: a 400
+        """7 apps x 19 versions x 8 schemes of distinct values: a 400
         naming the limit, with no cell built or resolved."""
         import repro.serve.protocol as protocol
         from repro.serve import MAX_SWEEP_CELLS
@@ -475,7 +475,7 @@ class TestEndpoints:
         monkeypatch.setattr(protocol, "RunRequest",
                             lambda *cell: built.append(cell))
         body = {"apps": ["bfs", "cc", "dc", "pr", "prd", "re", "sp"],
-                "datasets": [f"arb@{v}" for v in range(1, 16)],
+                "datasets": [f"arb@{v}" for v in range(1, 20)],
                 "schemes": "all"}
 
         async def go(app, server):
@@ -485,7 +485,7 @@ class TestEndpoints:
                                                "/sweep", body)
             assert status == 400
             assert f"{MAX_SWEEP_CELLS}-cell limit" in error["error"]
-            assert "1050 cells" in error["error"]
+            assert "1064 cells" in error["error"]
             assert built == [] and resolved == []
         run(with_server(tmp_path, go))
 

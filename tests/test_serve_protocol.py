@@ -79,9 +79,10 @@ class TestParsePrice:
             assert request.preprocessing == preprocessing
 
     def test_unknown_scheme_is_protocol_error(self):
-        with pytest.raises(ProtocolError):
-            parse_price({"app": "dc", "scheme": "push+bogus",
-                         "dataset": "arb"})
+        for scheme in ("push+bogus", "pull"):
+            with pytest.raises(ProtocolError):
+                parse_price({"app": "dc", "scheme": scheme,
+                             "dataset": "arb"})
         with pytest.raises(ProtocolError):
             parse_price({"app": "dc", "scheme": "phi+spzip[turbo]",
                          "dataset": "arb"})
@@ -98,6 +99,9 @@ class TestParseSweep:
         from repro.schemes import scheme_names
         assert {c.scheme for c in cells} == set(scheme_names("paper"))
         assert all(c.app == "dc" and c.dataset == "arb" for c in cells)
+        with pytest.raises(ProtocolError):
+            parse_sweep({"app": "dc", "schemes": "extensions",
+                         "dataset": "arb"})
 
     def test_cross_product_and_dedupe(self):
         cells = parse_sweep({"apps": ["dc", "dc"],

@@ -7,7 +7,6 @@ from repro.runtime.workload import Iteration, sample_iterations
 from repro.sim.metrics import (
     RunMetrics,
     TRAFFIC_CLASSES,
-    gmean_speedups,
     merge_traffic,
 )
 
@@ -60,16 +59,6 @@ class TestHelpers:
                                                    "updates": 5}])
         assert merged["adjacency"] == 3
         assert merged["updates"] == 5
-
-    def test_gmean_speedups(self):
-        runs = [run(50), run(25)]
-        bases = [run(100), run(100)]
-        assert gmean_speedups(runs, bases) == pytest.approx(
-            (2 * 4) ** 0.5)
-
-    def test_gmean_requires_pairs(self):
-        with pytest.raises(ValueError):
-            gmean_speedups([run(1)], [])
 
 
 class TestIterationSampling:

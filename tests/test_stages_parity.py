@@ -29,11 +29,12 @@ TEST_SCALE = 16384
 
 APPS = ("pr", "prd", "cc", "re", "dc", "bfs", "sp")
 SCHEMES = ("push", "push+spzip", "ub", "ub+spzip", "phi", "phi+spzip",
-           "pull", "pull+spzip", "push+cmh", "ub+cmh")
+           "push+cmh", "ub+cmh")
 ALL_PARTS = ("adjacency", "updates", "vertex")
 # The seeded sample draws from the ten names the snapshot was frozen
-# with, so its sequence stays the same, and prices a drawn Pull scheme
-# as its Push counterpart at the same identity.
+# with, so its sequence stays the same.  Pull is no longer a registered
+# scheme, so a drawn Pull scheme is priced as its Push counterpart at
+# the same identity.
 DRAWN_SCHEMES = ("push", "push+spzip", "ub", "ub+spzip", "phi", "phi+spzip",
                  "pull", "pull+spzip", "push+cmh", "ub+cmh")
 PULL_AS_PUSH = {"pull": "push", "pull+spzip": "push+spzip"}

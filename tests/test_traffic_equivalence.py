@@ -104,14 +104,6 @@ class TestGeneratorEquivalence:
                 np.testing.assert_array_equal(f_vals, s_vals)
                 assert f_bins == s_bins
 
-    def test_pull_gather_lines(self, make_graph, make_sources):
-        g = make_graph()
-        neighbors = gather_rows(g, make_sources(g))
-        for svb in (4, 8, 128):
-            np.testing.assert_array_equal(
-                ta.pull_gather_lines(neighbors, svb),
-                oracle.pull_gather_lines_scalar(neighbors, svb))
-
     def test_row_line_bytes(self, make_graph, make_sources):
         g = make_graph()
         sources = make_sources(g)

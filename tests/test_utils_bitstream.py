@@ -47,11 +47,6 @@ class TestBitWriter:
         writer.write_bit(1)
         assert writer.getvalue() == b"\x80\x80"
 
-    def test_unary_encoding(self):
-        writer = BitWriter()
-        writer.write_unary(3)
-        assert writer.getvalue() == b"\xe0"  # 1110 0000
-
 
 class TestBitReader:
     def test_roundtrip_bits(self):
@@ -59,13 +54,6 @@ class TestBitReader:
         writer.write_bits(0x5A5, 12)
         reader = BitReader(writer.getvalue())
         assert reader.read_bits(12) == 0x5A5
-
-    def test_unary_roundtrip(self):
-        writer = BitWriter()
-        for n in (0, 1, 5, 13):
-            writer.write_unary(n)
-        reader = BitReader(writer.getvalue())
-        assert [reader.read_unary() for _ in range(4)] == [0, 1, 5, 13]
 
     def test_eof_raises(self):
         reader = BitReader(b"")

@@ -4,12 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.utils import (
-    decode_varint,
-    decode_varint_stream,
-    encode_varint,
-    encode_varint_stream,
-)
+from repro.utils import decode_varint, encode_varint
 from repro.utils.varint import VARINT_MAX
 
 
@@ -39,11 +34,6 @@ class TestVarintRoundtrip:
         decoded, offset = decode_varint(data)
         assert decoded == value
         assert offset == len(data)
-
-    @given(st.lists(st.integers(0, VARINT_MAX), max_size=50))
-    def test_stream_roundtrip(self, values):
-        data = encode_varint_stream(values)
-        assert decode_varint_stream(data) == values
 
     def test_self_delimiting_with_offset(self):
         data = encode_varint(5) + encode_varint(1 << 20) + encode_varint(7)
